@@ -3,14 +3,17 @@
 Fleets of small DAGs (replanning sweeps, campaign grids, service
 batches) spend their time in per-instance NumPy overhead, not in
 arithmetic.  This package packs B independent instances into one
-block-diagonal problem and runs every stage across all blocks at once:
+block-diagonal problem and runs the graph, rounding and LIST stages
+across all blocks at once; the allotment LPs are assembled and solved
+one block at a time:
 
 * :mod:`~repro.batchkernel.packing` — disjoint-union CSR packing
   (:class:`BatchedCsr`), stacked profile arrays
   (:class:`StackedProfiles`) and batched level / bottom-level /
   lower-bound kernels;
-* :mod:`~repro.batchkernel.lp` — block-diagonal allotment-LP assembly
-  and vectorized critical-point rounding;
+* :mod:`~repro.batchkernel.lp` — per-block allotment-LP assembly
+  (the per-instance LP (9) assembly over each block's slices) and
+  vectorized critical-point rounding;
 * :mod:`~repro.batchkernel.scheduler` — the lockstep phase-2 LIST
   scheduler (:func:`batched_list_schedule`) advancing B frontiers and
   B timelines per step;

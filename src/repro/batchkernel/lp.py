@@ -1,14 +1,11 @@
-"""Block-diagonal allotment LP assembly and batched rounding.
+"""Per-block allotment LP assembly and batched rounding.
 
-One vectorized pass assembles LP (9) for *every* block of a batch at
-once — the six coefficient sections of
-:func:`repro.core.lp.assemble_allotment_arrays` (fit, span, segment,
-precedence, ``L <= C``, ``W/m <= C``) are built as global
-block-contiguous arrays with block-local row/column ids, then sliced
-into per-block :class:`~repro.core.lp.AllotmentArrays`.  Each block's
-arrays are element-for-element identical to the per-instance
-reference assembly (asserted by the property suite), so solving them
-through the same backend yields bit-identical LP solutions.
+:func:`assemble_batch_lp` builds LP (9) of every block of a batch with
+the one LP (9) assembly function, :func:`repro.core.lp.lp9_arrays`,
+over the block's slices of the stacked profiles and the packed arcs —
+so each block's arrays are element-for-element the per-instance
+assembly (asserted by the property suite), and solving them through
+the same backend yields bit-identical LP solutions.
 
 :func:`batched_round` is the vectorized twin of
 :func:`repro.core.rounding.round_fractional_times` +
@@ -22,7 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..core.lp import AllotmentArrays
+from ..core.lp import AllotmentArrays, lp9_arrays
 from ..core.task import _PLATEAU_RTOL, _RTOL
 from .packing import BatchedCsr, StackedProfiles
 
@@ -32,178 +29,32 @@ __all__ = ["assemble_batch_lp", "batched_round", "extract_block_x"]
 def assemble_batch_lp(
     sp: StackedProfiles, bcsr: BatchedCsr
 ) -> List[AllotmentArrays]:
-    """Assemble LP (9) for every block in one vectorized pass.
+    """Assemble LP (9) for every block, one :func:`lp9_arrays` call each.
 
     Returns one :class:`AllotmentArrays` per block, equal to
-    ``assemble_allotment_arrays(instance)`` — same variable layout
-    ``(x_j, C_j, w_j)*, L, C_max``, same row order, same coefficient
-    section order and dtypes.
+    ``assemble_allotment_arrays(instance)``: block ``b``'s tasks,
+    segments and arcs are contiguous slices of the pack, shifted back to
+    block-local task ids.
     """
-    nb = sp.n_blocks
-    node_ptr = sp.node_ptr
-    n_b = np.diff(node_ptr)
-    n_total = int(node_ptr[-1])
-    row_of = np.repeat(np.arange(nb, dtype=np.intp), n_b)
-    # Block-local task index and variable columns.
-    loc = (
-        np.arange(n_total, dtype=np.intp)
-        - np.repeat(node_ptr[:-1], n_b)
-    )
-    xs = loc * 3
-    cs = xs + 1
-    ws = xs + 2
-    l_var_b = 3 * n_b          # per block
-    c_max_b = l_var_b + 1
-
-    # ------------------------------------------------------------------
-    # Bounds / objective, stacked over the per-block variable vectors.
-    # ------------------------------------------------------------------
-    nv_b = 3 * n_b + 2
-    var_ptr = np.zeros(nb + 1, dtype=np.intp)
-    np.cumsum(nv_b, out=var_ptr[1:])
-    gxs = np.repeat(var_ptr[:-1], n_b) + xs
-    lo_g = np.zeros(int(var_ptr[-1]))
-    hi_g = np.full(int(var_ptr[-1]), np.inf)
-    c_g = np.zeros(int(var_ptr[-1]))
-    lo_g[gxs] = sp.min_time
-    hi_g[gxs] = sp.max_time
-    lo_g[gxs + 2] = sp.work_lo
-    c_g[var_ptr[1:] - 1] = 1.0
-
-    # ------------------------------------------------------------------
-    # Block-local row ids: per-task blocks (fit, span, segments), then
-    # precedence rows, then the two coupling rows.
-    # ------------------------------------------------------------------
-    blocksz = sp.nseg + 2
-    gcs = np.zeros(n_total + 1, dtype=np.intp)
-    np.cumsum(blocksz, out=gcs[1:])
-    off = gcs[:n_total] - np.repeat(gcs[node_ptr[:-1]], n_b)
-    fit_rows = off
-    span_rows = off + 1
-    seg_task = sp.seg_task
-    # Flat segment p of local task j sits at row p_local + 2j + 2.
-    seg_blk = row_of[seg_task] if len(seg_task) else (
-        np.zeros(0, dtype=np.intp)
-    )
-    seg_cnt = np.bincount(seg_blk, minlength=nb).astype(np.intp)
-    seg_ptr = np.zeros(nb + 1, dtype=np.intp)
-    np.cumsum(seg_cnt, out=seg_ptr[1:])
-    seg_pos = (
-        np.arange(len(seg_task), dtype=np.intp)
-        - np.repeat(seg_ptr[:-1], seg_cnt)
-    )
-    seg_rows = seg_pos + 2 * loc[seg_task] + 2
-
-    task_rows_b = gcs[node_ptr[1:]] - gcs[node_ptr[:-1]]
-    e0 = bcsr.union.edge_sources()
-    e1 = bcsr.union.succ_indices
-    ne_b = np.diff(bcsr.edge_ptr)
-    ne_total = int(bcsr.edge_ptr[-1])
-    e_pos = (
-        np.arange(ne_total, dtype=np.intp)
-        - np.repeat(bcsr.edge_ptr[:-1], ne_b)
-    )
-    prec_rows = np.repeat(task_rows_b, ne_b) + e_pos
-    r_lc_b = task_rows_b + ne_b
-    r_wm_b = r_lc_b + 1
-    n_rows_b = r_wm_b + 1
-
-    # ------------------------------------------------------------------
-    # The six coefficient sections, each block-contiguous.  Entry
-    # counts per block: 2n, 2n, 2S, 3E, 2, n+1.
-    # ------------------------------------------------------------------
-    rows1 = np.repeat(fit_rows, 2)
-    cols1 = np.column_stack([xs, cs]).ravel()
-    vals1 = np.tile([1.0, -1.0], n_total)
-
-    rows2 = np.repeat(span_rows, 2)
-    cols2 = np.column_stack(
-        [cs, np.repeat(l_var_b, n_b)]
-    ).ravel() if n_total else np.zeros(0, dtype=np.intp)
-    vals2 = np.tile([1.0, -1.0], n_total)
-
-    rows3 = np.repeat(seg_rows, 2)
-    cols3 = np.column_stack(
-        [xs[seg_task], ws[seg_task]]
-    ).ravel() if len(seg_task) else np.zeros(0, dtype=np.intp)
-    vals3 = np.column_stack(
-        [sp.seg_slope, np.full(len(seg_task), -1.0)]
-    ).ravel() if len(seg_task) else np.zeros(0)
-
-    rows4 = np.repeat(prec_rows, 3)
-    cols4 = np.column_stack(
-        [cs[e0], xs[e1], cs[e1]]
-    ).ravel() if ne_total else np.zeros(0, dtype=np.intp)
-    vals4 = np.tile([1.0, 1.0, -1.0], ne_total)
-
-    rows5 = np.repeat(r_lc_b, 2)
-    cols5 = np.column_stack([l_var_b, c_max_b]).ravel()
-    vals5 = np.tile([1.0, -1.0], nb)
-
-    rows6 = np.repeat(r_wm_b, n_b + 1)
-    # Per block: the n work columns then c_max.
-    wm_ptr = np.zeros(nb + 1, dtype=np.intp)
-    np.cumsum(n_b + 1, out=wm_ptr[1:])
-    cols6 = np.empty(int(wm_ptr[-1]), dtype=np.intp)
-    vals6 = np.ones(int(wm_ptr[-1]))
-    wslots = (
-        np.arange(int(wm_ptr[-1]), dtype=np.intp)
-        - np.repeat(wm_ptr[:-1], n_b + 1)
-    )
-    tail = np.zeros(int(wm_ptr[-1]), dtype=bool)
-    tail[wm_ptr[1:] - 1] = True
-    cols6[tail] = np.repeat(c_max_b, 1)
-    vals6[tail] = -sp.m_blocks.astype(float)
-    if n_total:
-        cols6[~tail] = ws[
-            np.repeat(node_ptr[:-1], n_b) + wslots[~tail]
-        ]
-
-    # Global right-hand side, sliced per block.
-    row_ptr = np.zeros(nb + 1, dtype=np.intp)
-    np.cumsum(n_rows_b, out=row_ptr[1:])
-    b_ub_g = np.zeros(int(row_ptr[-1]))
-    if len(seg_task):
-        b_ub_g[row_ptr[:-1][seg_blk] + seg_rows] = -sp.seg_intercept
-
-    # Per-section block pointers for slicing.
-    def _ptr(counts: np.ndarray) -> np.ndarray:
-        p = np.zeros(nb + 1, dtype=np.intp)
-        np.cumsum(counts, out=p[1:])
-        return p
-
-    p1 = _ptr(2 * n_b)
-    p3 = _ptr(2 * seg_cnt)
-    p4 = _ptr(3 * ne_b)
-    p6 = wm_ptr
-
+    seg_ptr = np.zeros(len(sp.nseg) + 1, dtype=np.intp)
+    np.cumsum(sp.nseg, out=seg_ptr[1:])
+    src = bcsr.union.edge_sources()
+    dst = bcsr.union.succ_indices
     out: List[AllotmentArrays] = []
-    for b in range(nb):
-        s1, t1 = p1[b], p1[b + 1]
-        s3, t3 = p3[b], p3[b + 1]
-        s4, t4 = p4[b], p4[b + 1]
-        s6, t6 = p6[b], p6[b + 1]
-        rows = np.concatenate([
-            rows1[s1:t1], rows2[s1:t1], rows3[s3:t3],
-            rows4[s4:t4], rows5[2 * b:2 * b + 2], rows6[s6:t6],
-        ])
-        cols = np.concatenate([
-            cols1[s1:t1], cols2[s1:t1], cols3[s3:t3],
-            cols4[s4:t4], cols5[2 * b:2 * b + 2], cols6[s6:t6],
-        ])
-        vals = np.concatenate([
-            vals1[s1:t1], vals2[s1:t1], vals3[s3:t3],
-            vals4[s4:t4], vals5[2 * b:2 * b + 2], vals6[s6:t6],
-        ])
-        out.append(AllotmentArrays(
-            n_variables=int(nv_b[b]),
-            c=c_g[var_ptr[b]:var_ptr[b + 1]],
-            lo=lo_g[var_ptr[b]:var_ptr[b + 1]],
-            hi=hi_g[var_ptr[b]:var_ptr[b + 1]],
-            rows=rows,
-            cols=cols,
-            vals=vals,
-            b_ub=b_ub_g[row_ptr[b]:row_ptr[b + 1]],
+    for b in range(sp.n_blocks):
+        t0, t1 = sp.node_ptr[b], sp.node_ptr[b + 1]
+        s0, s1 = seg_ptr[t0], seg_ptr[t1]
+        e0, e1 = bcsr.edge_ptr[b], bcsr.edge_ptr[b + 1]
+        out.append(lp9_arrays(
+            int(sp.m_blocks[b]),
+            sp.min_time[t0:t1],
+            sp.max_time[t0:t1],
+            sp.work_lo[t0:t1],
+            sp.seg_task[s0:s1] - t0,
+            sp.seg_slope[s0:s1],
+            sp.seg_intercept[s0:s1],
+            src[e0:e1] - t0,
+            dst[e0:e1] - t0,
         ))
     return out
 

@@ -1,11 +1,12 @@
-"""Batched end-to-end solves: one block-diagonal pass over a fleet.
+"""Batched end-to-end solves: one packed pass over a fleet.
 
 :func:`solve_batch` runs the same two-stage pipeline as
 :class:`repro.pipeline.SchedulingPipeline` — allotment stage, then the
 earliest-start LIST rule — but over *all* instances at once: profiles
 stacked into one :class:`~repro.batchkernel.packing.StackedProfiles`
-pack, DAGs packed into one disjoint union, allotment LPs assembled
-block-diagonally, rounding and phase 2 vectorized across every block.
+pack, DAGs packed into one disjoint union, then rounding and phase 2
+vectorized across every block.  The allotment LPs are the exception:
+they are assembled and solved block by block, one HiGHS call each.
 Per block the returned schedules are bit-identical to the per-instance
 pipeline (asserted by the property suite and by every committed
 benchmark cell); the reports carry the same allotment, μ, ρ, lower
@@ -198,8 +199,15 @@ def solve_batch(
             raise BatchKernelError(
                 "batched LP tier needs scipy, which is unavailable"
             )
-        with obs_trace.span("batchkernel.solve", stage="lp", blocks=nb):
+        with obs_trace.span("lp.assemble", blocks=nb):
             blocks = assemble_batch_lp(sp, bcsr)
+        with obs_trace.span(
+            "batchkernel.solve",
+            stage="lp",
+            blocks=nb,
+            rows=sum(len(a.b_ub) for a in blocks),
+            nnz=sum(len(a.vals) for a in blocks),
+        ):
             sols = solve_ub_blocks(blocks)
         x = extract_block_x(sp, sols)
         allot_flat = batched_round(

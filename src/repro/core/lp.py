@@ -24,6 +24,22 @@ end of Section 3.1).
 The optimum satisfies ``max(L*, W*/m) <= C* <= OPT`` (eq. (11)), making
 ``C*`` the certified lower bound every ratio measurement in the benchmark
 harness divides by.
+
+One function, :func:`lp9_arrays`, writes the rows, in this order:
+
+1. one row per work segment, ``slope·x_j - w̄_j <= -intercept``;
+2. one row per arc, ``C_i + x_j - C_j <= 0``;
+3. ``x_j - C_j <= 0`` for **source** tasks only;
+4. ``C_j - L <= 0`` for **sink** tasks only;
+5. ``L - C <= 0`` and ``Σ_j w̄_j - m·C <= 0``.
+
+The dropped fit and span rows are implied: ``C_i >= 0`` turns an in-arc
+``C_i + x_j <= C_j`` into ``x_j <= C_j``, and ``x_k >= p_k(m) > 0``
+chains ``C_j <= C_k <= ... <= C_sink <= L`` along any out-path, so the
+feasible set and ``C*`` are those of the full LP (9).  A task with
+neither predecessor nor successor keeps both rows.  Every other LP (9)
+path — the per-instance assembly, the batched tier, the evolution patch
+and the modeling layer kept for the simplex backend — uses this layout.
 """
 
 from __future__ import annotations
@@ -44,6 +60,7 @@ __all__ = [
     "AllotmentArrays",
     "assemble_allotment_arrays",
     "build_allotment_lp",
+    "lp9_arrays",
     "patch_allotment_arrays",
     "solve_allotment_lp",
 ]
@@ -98,11 +115,11 @@ class AllotmentLp:
 
 
 def build_allotment_lp(instance: Instance) -> AllotmentLp:
-    """Construct LP (9) for ``instance``.
+    """Construct LP (9) for ``instance`` in the modeling layer.
 
-    The model has ``3n + 2`` variables and
-    ``|E| + 2n + Σ_j (#segments_j) + 2`` constraints — polynomial in ``n``
-    and ``m`` as the paper notes.
+    Row for row the layout of :func:`lp9_arrays`: ``3n + 2`` variables
+    and ``Σ_j (#segments_j) + |E| + #sources + #sinks + 2`` constraints
+    — polynomial in ``n`` and ``m`` as the paper notes.
     """
     lp = LinearProgram(name=f"allotment(9) n={instance.n_tasks} m={instance.m}")
     n = instance.n_tasks
@@ -125,14 +142,6 @@ def build_allotment_lp(instance: Instance) -> AllotmentLp:
     c_max_var = lp.add_variable("C", lo=0.0, obj=1.0)
 
     for j in range(n):
-        # Task must fit before its completion even with no predecessors.
-        lp.add_constraint(
-            {x_vars[j]: 1.0, c_vars[j]: -1.0}, "<=", 0.0, name=f"fit{j}"
-        )
-        # All tasks finish by the critical-path bound L.
-        lp.add_constraint(
-            {c_vars[j]: 1.0, l_var: -1.0}, "<=", 0.0, name=f"span{j}"
-        )
         # Work linearization: every chord of eq. (8) under-estimates w̄.
         for seg in instance.task(j).segments():
             lp.add_constraint(
@@ -148,6 +157,15 @@ def build_allotment_lp(instance: Instance) -> AllotmentLp:
             "<=",
             0.0,
             name=f"prec{i}-{j}",
+        )
+
+    for j in instance.dag.sources():
+        lp.add_constraint(
+            {x_vars[j]: 1.0, c_vars[j]: -1.0}, "<=", 0.0, name=f"fit{j}"
+        )
+    for j in instance.dag.sinks():
+        lp.add_constraint(
+            {c_vars[j]: 1.0, l_var: -1.0}, "<=", 0.0, name=f"span{j}"
         )
 
     lp.add_constraint({l_var: 1.0, c_max_var: -1.0}, "<=", 0.0, name="L<=C")
@@ -171,13 +189,15 @@ def build_allotment_lp(instance: Instance) -> AllotmentLp:
 class AllotmentArrays(NamedTuple):
     """LP (9) assembled in bulk as NumPy arrays (``A_ub v <= b_ub`` form).
 
-    The layout is exactly the one :func:`build_allotment_lp` produces via
-    the modeling layer: variables ``x_j = 3j``, ``C_j = 3j + 1``,
-    ``w_j = 3j + 2``, then ``L = 3n`` and ``C = 3n + 1``; rows grouped per
-    task (fit, span, work segments), then precedence arcs, then the two
-    coupling rows ``L <= C`` and ``W/m <= C``.  Keeping the layout
-    identical means the sparse matrix handed to the solver is the same in
-    both paths, so the fast path returns the same optimum.
+    Variables ``x_j = 3j``, ``C_j = 3j + 1``, ``w_j = 3j + 2``, then
+    ``L = 3n`` and ``C = 3n + 1``.  Rows, as :func:`lp9_arrays` emits
+    them: the work segments (segment ``p`` is row ``p``, its slope sits
+    at ``vals[2p]``), the precedence arcs, ``x_j <= C_j`` of the source
+    tasks, ``C_j <= L`` of the sink tasks, then ``L <= C`` and
+    ``W/m <= C``.  The fit and span rows of the other tasks are implied
+    by the arcs (``C_i >= 0`` and ``x_k > 0``), so they are left out.
+    :func:`build_allotment_lp` emits the same rows in the same order, so
+    the sparse matrix handed to the solver is the same in both paths.
     """
 
     n_variables: int
@@ -190,95 +210,77 @@ class AllotmentArrays(NamedTuple):
     b_ub: np.ndarray  #: right-hand sides
 
 
-@memoized_on_instance
-def assemble_allotment_arrays(instance: Instance) -> AllotmentArrays:
-    """Assemble LP (9) for ``instance`` directly into NumPy arrays.
+def lp9_arrays(
+    m: int,
+    min_time: np.ndarray,
+    max_time: np.ndarray,
+    work_lo: np.ndarray,
+    seg_task: np.ndarray,
+    seg_slope: np.ndarray,
+    seg_intercept: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+) -> AllotmentArrays:
+    """LP (9) of one instance from plain profile and arc arrays.
 
-    Equivalent to :func:`build_allotment_lp` followed by the modeling-layer
-    conversion, but built in bulk from the memoized packed profile arrays
-    (:func:`repro.core.arrays.instance_arrays`) and the DAG's CSR edge
-    arrays — no per-task or per-edge Python work at all.  The result is
-    itself memoized per instance (weakly), so the LP-based strategies of
-    a pipeline sweep share one assembly.
+    The profile arrays are those of
+    :class:`repro.core.arrays.InstanceArrays` (per task ``p_j(m)``,
+    ``p_j(1)`` and the rigid-work bound; per flattened segment its task,
+    slope and intercept); ``src``/``dst`` are the arcs' integer
+    endpoints.  Every array path of LP (9) calls this function, and
+    :func:`build_allotment_lp` mirrors it row for row — see
+    :class:`AllotmentArrays` for the layout.
     """
-    from .arrays import instance_arrays
-
-    arr = instance_arrays(instance)
-    n = arr.n
-    m = arr.m
+    n = len(min_time)
+    ns = len(seg_task)
+    ne = len(src)
     nv = 3 * n + 2
-    xs = np.arange(n) * 3
+    xs = np.arange(n, dtype=np.intp) * 3
     cs = xs + 1
     ws = xs + 2
     l_var = 3 * n
     c_max = 3 * n + 1
 
-    nseg = arr.nseg
-    slopes = arr.seg_slope
-    intercepts = arr.seg_intercept
-
     lo = np.zeros(nv)
     hi = np.full(nv, np.inf)
-    lo[xs] = arr.min_time
-    hi[xs] = arr.max_time
+    lo[xs] = min_time
+    hi[xs] = max_time
     # Rigid tasks (no segments) have constant work; bound w̄ directly.
-    lo[ws] = arr.work_lo
+    lo[ws] = work_lo
     c = np.zeros(nv)
     c[c_max] = 1.0
 
-    # Per-task row block: fit_j, span_j, then the work segments of J_j.
-    block = nseg + 2
-    off = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(block, out=off[1:])
-    fit_rows = off[:-1]
-    span_rows = off[:-1] + 1
-    t_idx = arr.seg_task
-    # Flat segment p of task j sits at row off[j] + 2 + (p - segcum[j]);
-    # off[j] - segcum[j] = 2j, so the row is simply p + 2·j + 2.
-    seg_rows = np.arange(len(t_idx)) + 2 * t_idx + 2
-
-    csr = instance.dag.to_csr()
-    edges = np.column_stack([csr.edge_sources(), csr.succ_indices])
-    ne = len(edges)
-    prec_rows = off[-1] + np.arange(ne)
-    r_lc = off[-1] + ne  # L <= C
-    r_wm = r_lc + 1  # W/m <= C
-    n_rows = int(r_wm) + 1
-
-    rows = np.concatenate(
-        [
-            np.repeat(fit_rows, 2),  # x_j - C_j <= 0
-            np.repeat(span_rows, 2),  # C_j - L <= 0
-            np.repeat(seg_rows, 2),  # slope·x_j - w_j <= -intercept
-            np.repeat(prec_rows, 3),  # C_i + x_j - C_j <= 0
-            np.array([r_lc, r_lc], dtype=np.intp),
-            np.full(n + 1, r_wm, dtype=np.intp),
-        ]
-    )
+    sources = np.flatnonzero(np.bincount(dst, minlength=n) == 0)
+    sinks = np.flatnonzero(np.bincount(src, minlength=n) == 0)
+    nf = len(sources)
+    nk = len(sinks)
+    # Nonzeros per row: segments, arcs, fit, span, L <= C, W/m <= C.
+    per_row = np.repeat([2, 3, 2, 2, 2, n + 1], [ns, ne, nf, nk, 1, 1])
+    rows = np.repeat(np.arange(len(per_row), dtype=np.intp), per_row)
     cols = np.concatenate(
         [
-            np.column_stack([xs, cs]).ravel(),
-            np.column_stack([cs, np.full(n, l_var)]).ravel(),
-            np.column_stack([xs[t_idx], ws[t_idx]]).ravel(),
-            np.column_stack(
-                [cs[edges[:, 0]], xs[edges[:, 1]], cs[edges[:, 1]]]
-            ).ravel(),
+            # slope·x_j - w_j <= -intercept
+            np.column_stack([xs[seg_task], ws[seg_task]]).ravel(),
+            # C_i + x_j - C_j <= 0
+            np.column_stack([cs[src], xs[dst], cs[dst]]).ravel(),
+            # x_j - C_j <= 0 (sources), C_j - L <= 0 (sinks), L - C <= 0
+            np.column_stack([xs[sources], cs[sources]]).ravel(),
+            np.column_stack([cs[sinks], np.full(nk, l_var)]).ravel(),
             np.array([l_var, c_max], dtype=np.intp),
+            # Σ w_j - m·C <= 0
             np.append(ws, c_max),
         ]
     )
     vals = np.concatenate(
         [
-            np.tile([1.0, -1.0], n),
-            np.tile([1.0, -1.0], n),
-            np.column_stack([slopes, np.full(len(t_idx), -1.0)]).ravel(),
+            np.column_stack([seg_slope, np.full(ns, -1.0)]).ravel(),
             np.tile([1.0, 1.0, -1.0], ne),
-            np.array([1.0, -1.0]),
+            np.tile([1.0, -1.0], nf + nk + 1),
             np.append(np.ones(n), -float(m)),
         ]
     )
-    b_ub = np.zeros(n_rows)
-    b_ub[seg_rows] = -intercepts
+    b_ub = np.zeros(len(per_row))
+    b_ub[:ns] = -seg_intercept
 
     return AllotmentArrays(
         n_variables=nv,
@@ -292,6 +294,33 @@ def assemble_allotment_arrays(instance: Instance) -> AllotmentArrays:
     )
 
 
+@memoized_on_instance
+def assemble_allotment_arrays(instance: Instance) -> AllotmentArrays:
+    """Assemble LP (9) for ``instance`` directly into NumPy arrays.
+
+    :func:`lp9_arrays` over the memoized packed profile arrays
+    (:func:`repro.core.arrays.instance_arrays`) and the DAG's CSR arcs —
+    no per-task or per-edge Python work at all.  The result is itself
+    memoized per instance (weakly), so the LP-based strategies of a
+    pipeline sweep share one assembly.
+    """
+    from .arrays import instance_arrays
+
+    arr = instance_arrays(instance)
+    csr = instance.dag.to_csr()
+    return lp9_arrays(
+        arr.m,
+        arr.min_time,
+        arr.max_time,
+        arr.work_lo,
+        arr.seg_task,
+        arr.seg_slope,
+        arr.seg_intercept,
+        csr.edge_sources(),
+        csr.succ_indices,
+    )
+
+
 def patch_allotment_arrays(
     parent: AllotmentArrays,
     child_arr: "InstanceArrays",
@@ -301,31 +330,24 @@ def patch_allotment_arrays(
 
     For a non-structural evolution (same tasks, same arcs, same per-task
     segment counts) the constraint matrix's sparsity pattern is
-    unchanged — only the bounds of the retimed ``x_j`` columns, the
-    slopes of their work-segment rows and the matching right-hand sides
-    move.  This patches exactly those entries of the parent's assembly,
-    so an evolved instance never pays the from-scratch bulk build.
-    ``child_arr`` must be the child's packed profile arrays and
-    ``retimed`` the child-space ids whose profile changed.
+    unchanged — only the bounds of the retimed ``x_j``/``w_j`` columns,
+    the slopes of their work-segment rows and the matching right-hand
+    sides move.  ``child_arr`` must be the child's packed profile arrays
+    and ``retimed`` the child-space ids whose profile changed.
     """
     retimed_arr = np.asarray(sorted(retimed), dtype=np.intp)
-    n = child_arr.n
     xs = retimed_arr * 3
     lo = parent.lo.copy()
     hi = parent.hi.copy()
     lo[xs] = child_arr.min_time[retimed_arr]
     hi[xs] = child_arr.max_time[retimed_arr]
     lo[xs + 2] = child_arr.work_lo[retimed_arr]
-    t_idx = child_arr.seg_task
-    flat = np.flatnonzero(np.isin(t_idx, retimed_arr))
+    # Segment p is row p; its slope is vals[2p] (see lp9_arrays).
+    p = np.flatnonzero(np.isin(child_arr.seg_task, retimed_arr))
     vals = parent.vals.copy()
-    # vals layout (see assemble_allotment_arrays): 2n fit entries, 2n
-    # span entries, then the (slope, -1) pair of each flat segment —
-    # flat segment p's slope sits at 4n + 2p.
-    vals[4 * n + 2 * flat] = child_arr.seg_slope[flat]
+    vals[2 * p] = child_arr.seg_slope[p]
     b_ub = parent.b_ub.copy()
-    seg_rows = flat + 2 * t_idx[flat] + 2
-    b_ub[seg_rows] = -child_arr.seg_intercept[flat]
+    b_ub[p] = -child_arr.seg_intercept[p]
     return parent._replace(lo=lo, hi=hi, vals=vals, b_ub=b_ub)
 
 
@@ -376,7 +398,12 @@ def solve_allotment_lp(
         else:
             with obs_trace.span("lp.assemble", n=instance.n_tasks):
                 arrays = assemble_allotment_arrays(instance)
-            with obs_trace.span("lp.solve", backend="scipy"):
+            with obs_trace.span(
+                "lp.solve",
+                backend="scipy",
+                rows=len(arrays.b_ub),
+                nnz=len(arrays.vals),
+            ):
                 sol = solve_ub_arrays(arrays)
             n = instance.n_tasks
             return _result_from_values(

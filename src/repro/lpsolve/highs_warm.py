@@ -60,6 +60,11 @@ def warm_capable() -> bool:
     return _highs_core is not None
 
 
+def _same(a, b) -> bool:
+    """Equal index arrays; patched assemblies share the parent's."""
+    return a is b or np.array_equal(a, b)
+
+
 def _to_colwise(arrays):
     """COO triplets → CSC (start, index, value) for HiGHS kColwise."""
     order = np.lexsort((arrays.rows, arrays.cols))
@@ -124,13 +129,17 @@ class WarmUbModel:
 
         Returns the number of individual modifications applied.  The
         new assembly must share the loaded one's sparsity pattern
-        (rows/cols identical); only ``lo``/``hi``, ``vals`` and
-        ``b_ub`` entries may differ.  The solver's basis survives the
-        edits, so the next :meth:`solve` is warm.
+        (rows/cols identical, else :class:`LpError`); only
+        ``lo``/``hi``, ``vals`` and ``b_ub`` entries may differ.  The
+        solver's basis survives the edits, so the next :meth:`solve` is
+        warm.
         """
         old = self._arrays
-        if len(arrays.vals) != len(old.vals) or len(arrays.b_ub) != len(
-            old.b_ub
+        if not (
+            arrays.n_variables == old.n_variables
+            and len(arrays.b_ub) == len(old.b_ub)
+            and _same(arrays.rows, old.rows)
+            and _same(arrays.cols, old.cols)
         ):
             raise LpError(
                 "warm update requires an identical sparsity pattern"

@@ -95,12 +95,11 @@ def solve_ub_arrays(arrays, A_ub=None) -> LpSolution:
 def solve_ub_blocks(blocks) -> List[LpSolution]:
     """Solve a sequence of independent pre-assembled LPs.
 
-    The blocks of a block-diagonal problem (see
+    The blocks of a batch (see
     :func:`repro.batchkernel.lp.assemble_batch_lp`) share no variables
     or rows, so the joint optimum is exactly the per-block optima;
-    solving them back to back through the same HiGHS seam keeps each
-    block's result bit-identical to a standalone
-    :func:`solve_ub_arrays` call.
+    solving them back to back, one HiGHS call each, keeps each block's
+    result bit-identical to a standalone :func:`solve_ub_arrays` call.
     """
     return [solve_ub_arrays(arrays) for arrays in blocks]
 

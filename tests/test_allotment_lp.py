@@ -1,11 +1,17 @@
 """Tests for LP (9) construction and its optimum (:mod:`repro.core.lp`)."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from lp9_reference import full_allotment_arrays
 
 from repro import Instance, MalleableTask
 from repro.core import build_allotment_lp, solve_allotment_lp
+from repro.core.lp import assemble_allotment_arrays
 from repro.dag import chain_dag, diamond_dag, independent_dag
 from repro.models import power_law_profile
+from repro.workloads import make_instance
 
 
 def make_inst(dag, m, d=0.5, p1=10.0):
@@ -20,10 +26,13 @@ class TestConstruction:
         built = build_allotment_lp(inst)
         n, m = inst.n_tasks, inst.m
         assert built.lp.n_variables == 3 * n + 2
-        # fit + span per task, one segment row per canonical chord,
-        # |E| precedence rows, L<=C and W/m<=C.
+        # One segment row per canonical chord, |E| precedence rows, fit
+        # rows of the sources, span rows of the sinks, L<=C and W/m<=C.
         segs = sum(len(inst.task(j).segments()) for j in range(n))
-        assert built.lp.n_constraints == 2 * n + segs + inst.dag.n_edges + 2
+        dag = inst.dag
+        assert built.lp.n_constraints == (
+            len(dag.sources()) + len(dag.sinks()) + segs + dag.n_edges + 2
+        )
 
     def test_variable_bounds_match_profiles(self):
         inst = make_inst(chain_dag(3), 4)
@@ -138,3 +147,69 @@ class TestOptimumProperties:
         cstar = solve_allotment_lp(inst).objective
         opt = optimal_makespan(inst)
         assert cstar <= opt + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the trimmed row set against the full LP (9)
+# ---------------------------------------------------------------------------
+@st.composite
+def lp_instances(draw):
+    family = draw(
+        st.sampled_from(
+            ["chain", "layered", "erdos_renyi", "independent", "single"]
+        )
+    )
+    size = 1 if family == "single" else draw(st.integers(2, 40))
+    return make_instance(
+        "independent" if family == "single" else family,
+        size,
+        draw(st.sampled_from([1, 2, 3, 4, 8, 16])),
+        model=draw(st.sampled_from(["power", "amdahl", "log", "mixed"])),
+        seed=draw(st.integers(0, 10_000)),
+    )
+
+
+def _dense(arrays):
+    a = np.zeros((len(arrays.b_ub), arrays.n_variables))
+    np.add.at(a, (arrays.rows, arrays.cols), arrays.vals)
+    return a, np.asarray(arrays.b_ub)
+
+
+@given(inst=lp_instances())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_trimmed_lp_matches_full_lp(inst):
+    pytest.importorskip("scipy")
+    from repro.lpsolve.scipy_backend import solve_ub_arrays
+
+    trimmed = assemble_allotment_arrays(inst)
+    full = full_allotment_arrays(inst)
+    sol = solve_ub_arrays(trimmed)
+    ref = solve_ub_arrays(full)
+    cstar = sol.objective
+    assert abs(cstar - ref.objective) <= 1e-9 * max(1.0, abs(cstar))
+
+    # The trimmed optimum (x*, C*, w̄*, L*, C*) is feasible for every row
+    # of the full LP, the dropped fit and span rows included.
+    a_full, b_full = _dense(full)
+    v = np.asarray(sol.values)
+    assert np.all(a_full @ v - b_full <= 1e-9)
+
+    # Every trimmed row is a row of the full LP, and a task with neither
+    # predecessor nor successor keeps both its fit and its span row.
+    a_trim, b_trim = _dense(trimmed)
+    full_rows = {tuple(r) + (b,) for r, b in zip(a_full, b_full)}
+    trim_rows = {tuple(r) + (b,) for r, b in zip(a_trim, b_trim)}
+    assert trim_rows <= full_rows
+    n = inst.n_tasks
+    dag = inst.dag
+    for j in set(dag.sources()) & set(dag.sinks()):
+        fit = np.zeros(3 * n + 2)
+        fit[[3 * j, 3 * j + 1]] = (1.0, -1.0)
+        span = np.zeros(3 * n + 2)
+        span[[3 * j + 1, 3 * n]] = (1.0, -1.0)
+        assert tuple(fit) + (0.0,) in trim_rows
+        assert tuple(span) + (0.0,) in trim_rows

@@ -93,8 +93,9 @@ class TestQuantities:
 class TestPackageMeta:
     def test_version(self):
         import repro
+        from test_version import pyproject_version
 
-        assert repro.__version__ == "1.4.0"
+        assert repro.__version__ == pyproject_version()
 
     def test_public_api_importable(self):
         import repro

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import Instance, MalleableTask
 from repro.cli import main
 from repro.core.evolve import evolve
+from repro.dag import Dag
 from repro.io import save_instance, schedule_from_dict
 from repro.lpsolve.highs_warm import warm_capable
 from repro.pipeline import ReplanSession, SchedulingPipeline
@@ -246,6 +248,33 @@ class TestReplanSession:
             if e.task == entry.task
         )
         assert frozen.start == entry.start
+
+    def test_segment_count_swap_goes_cold(self):
+        """A retime pair that moves work segments between tasks keeps
+        the LP's row and nonzero counts but not its pattern: the
+        resident model must refuse the update and the session re-solve
+        cold, not report the old model's bound as certified."""
+        edges = [(0, 2), (1, 3), (2, 4), (3, 5), (4, 6), (5, 7), (6, 8),
+                 (7, 9)]
+        times = [[10, 6, 5, 5], [8, 8, 8, 8]] + [[12, 7, 5, 4]] * 8
+        inst = Instance(
+            [MalleableTask([float(t) for t in ts]) for ts in times],
+            Dag(10, edges),
+            4,
+        )
+        session = ReplanSession(inst)
+        session.solve()
+        result = session.apply([
+            {"op": "retime", "task": 0, "times": [10.0, 10.0, 10.0, 10.0]},
+            {"op": "retime", "task": 1, "times": [8.0, 5.0, 4.0, 4.0]},
+        ])
+        cold = SchedulingPipeline("jz", "earliest-start").solve(
+            session.instance
+        )
+        assert result.mode == "cold"
+        assert result.report.lower_bound == cold.lower_bound
+        assert result.report.allotment == cold.allotment
+        assert result.report.schedule.entries == cold.schedule.entries
 
     def test_non_jz_algorithm_delegates(self):
         inst = _inst()
