@@ -3,11 +3,12 @@
 Two measurements, written to ``BENCH_engine.json``:
 
 1. **single** — wall clock of the optimized pipeline
-   (:func:`repro.jz_schedule`: bulk NumPy LP assembly + incremental LIST)
-   vs. the seed path (modeling-layer LP build/convert +
+   (:func:`repro.jz_schedule`: LP (9) + incremental LIST) vs. the seed
+   path (the same LP (9) solve +
    :func:`repro.core.list_scheduler.list_schedule_reference`) on one
-   500-task power-law instance.  Both paths produce the same schedule —
-   asserted here — so the ratio is a pure implementation speedup.
+   500-task power-law instance.  Both arms solve phase 1 identically, so
+   the ratio measures the LIST rewrite alone; both produce the same
+   schedule — asserted here — so it is a pure implementation speedup.
 2. **batch** — throughput (instances/second) of
    :func:`repro.engine.jz_schedule_many` across worker counts, with
    scaling efficiency normalized by the cores actually available
@@ -27,38 +28,17 @@ import sys
 import time
 
 from repro import jz_schedule
-from repro.core import (
-    build_allotment_lp,
-    jz_parameters,
-    solve_allotment_lp,
-)
+from repro.core import jz_parameters, solve_allotment_lp
 from repro.core.list_scheduler import list_schedule, list_schedule_reference
-from repro.core.lp import _result_from_values
 from repro.core.rounding import rounding_stretch_report
 from repro.engine import BatchRunner, jz_schedule_many
 from repro.workloads import make_instance
 
 
-def _seed_lp(instance):
-    """Phase 1 exactly as the seed ran it: modeling layer + per-constraint
-    conversion in the scipy backend (or the dense simplex without scipy)."""
-    built = build_allotment_lp(instance)
-    sol = built.lp.solve(backend="auto")
-    return _result_from_values(
-        instance,
-        x=tuple(sol[v] for v in built.x_vars),
-        completion=tuple(sol[v] for v in built.c_vars),
-        work_bar=tuple(sol[v] for v in built.w_vars),
-        critical_path=sol[built.l_var],
-        objective=sol.objective,
-        backend=sol.backend,
-    )
-
-
 def seed_pipeline(instance):
-    """The pre-optimization pipeline: seed LP path + reference LIST."""
+    """The pre-optimization pipeline: LP (9) + reference LIST."""
     params = jz_parameters(instance.m)
-    lp_result = _seed_lp(instance)
+    lp_result = solve_allotment_lp(instance)
     report = rounding_stretch_report(instance, lp_result.x, params.rho)
     return list_schedule_reference(
         instance, report.allotment, mu=params.mu

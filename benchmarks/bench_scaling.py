@@ -10,19 +10,23 @@ Run:  pytest benchmarks/bench_scaling.py --benchmark-only -s
 import time
 
 from repro import jz_schedule
-from repro.core import build_allotment_lp, solve_allotment_lp
+from repro.core import solve_allotment_lp
+from repro.core.lp import assemble_allotment_arrays
 from repro.workloads import make_instance
 
 
 def test_lp_size_scales_linearly_in_n_and_m(benchmark, capsys):
-    benchmark(build_allotment_lp, make_instance("layered", 40, 8, model="power", seed=1))
+    # The unmemoized assembly: the memoized entry point would time a
+    # cache hit after the first round.
+    benchmark(
+        assemble_allotment_arrays.__wrapped__,
+        make_instance("layered", 40, 8, model="power", seed=1),
+    )
     rows = []
     for n, m in [(20, 4), (40, 4), (80, 4), (40, 8), (40, 16), (40, 32)]:
         inst = make_instance("layered", n, m, model="power", seed=1)
-        built = build_allotment_lp(inst)
-        rows.append(
-            (inst.n_tasks, m, built.lp.n_variables, built.lp.n_constraints)
-        )
+        arrays = assemble_allotment_arrays(inst)
+        rows.append((inst.n_tasks, m, arrays.n_variables, len(arrays.b_ub)))
     with capsys.disabled():
         print()
         print("=== E4: LP (9) model size ===")
@@ -52,7 +56,7 @@ def test_pipeline_wall_clock_reasonable(benchmark, capsys):
         assert dt < 30.0, f"pipeline too slow at n={n}"
     with capsys.disabled():
         print()
-        print("=== E4: end-to-end wall clock (m=16, scipy backend) ===")
+        print("=== E4: end-to-end wall clock (m=16) ===")
         for n, dt, ratio in timings:
             print(f"n={n:>4}  {dt * 1000:>8.1f} ms  ratio={ratio:.3f}")
 
@@ -60,13 +64,6 @@ def test_pipeline_wall_clock_reasonable(benchmark, capsys):
 def test_bench_lp_solve_n50_m16(benchmark):
     inst = make_instance("layered", 50, 16, model="power", seed=3)
     res = benchmark(solve_allotment_lp, inst)
-    assert res.objective > 0
-
-
-def test_bench_lp_solve_simplex_n20_m8(benchmark):
-    """The no-dependency simplex backend on a small instance."""
-    inst = make_instance("layered", 20, 8, model="power", seed=4)
-    res = benchmark(solve_allotment_lp, inst, "simplex")
     assert res.objective > 0
 
 

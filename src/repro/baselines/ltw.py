@@ -64,12 +64,10 @@ class LTWResult:
         return self.lp.objective
 
 
-def ltw_schedule(
-    instance: Instance, lp_backend: str = "auto"
-) -> LTWResult:
+def ltw_schedule(instance: Instance) -> LTWResult:
     """Run the LTW-style two-phase baseline on ``instance``."""
     params = ltw_parameters(instance.m)
-    lp_result = solve_allotment_lp(instance, backend=lp_backend)
+    lp_result = solve_allotment_lp(instance)
     allot1 = round_fractional_times(instance, lp_result.x, LTW_RHO)
     schedule = list_schedule(instance, allot1, mu=params.mu)
     return LTWResult(

@@ -15,12 +15,11 @@ instead of the per-instance stage extras (LP vectors, stretch reports).
 
 Eligibility is deliberately narrow: the four allotment strategies whose
 batched replicas are proven bit-exact (``jz``, ``ltw``, ``sequential``,
-``full``) composed with the analyzed ``earliest-start`` rule.  LP-based
-strategies additionally need the SciPy backend, since the batched LP
-tier solves its blocks through the same HiGHS seam the per-instance
-path uses.  Everything else falls back to the per-instance pipeline in
-the callers (:class:`repro.engine.batch.BatchRunner`, the service
-broker) — never silently to different numbers.
+``full``) composed with the analyzed ``earliest-start`` rule; the
+batched LP tier solves its blocks through the same HiGHS seam the
+per-instance path uses.  Everything else falls back to the per-instance
+pipeline in the callers (:class:`repro.engine.batch.BatchRunner`, the
+service broker) — never silently to different numbers.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import numpy as np
 from ..baselines.ltw import LTW_RHO
 from ..core.instance import Instance
 from ..core.parameters import resolve_parameters
+from ..lpsolve.scipy_backend import solve_ub_blocks
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
 from ..pipeline.base import SolveReport
@@ -85,19 +85,7 @@ class BatchKernelError(RuntimeError):
     """A group cannot be solved by the batched kernel tier."""
 
 
-def _scipy_available() -> bool:
-    try:
-        import scipy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def eligible_strategy(
-    algorithm: str,
-    priority: str,
-    lp_backend: str = "auto",
-) -> bool:
+def eligible_strategy(algorithm: str, priority: str) -> bool:
     """Whether ``(algorithm, priority)`` has a batched replica.
 
     Accepts registry aliases; unknown names are simply ineligible (the
@@ -108,14 +96,7 @@ def eligible_strategy(
         prio = get_phase2(priority).name
     except Exception:
         return False
-    if prio != ELIGIBLE_PRIORITY or algo not in ELIGIBLE_ALGORITHMS:
-        return False
-    if algo in ("jz", "ltw"):
-        if lp_backend not in ("auto", "scipy"):
-            return False
-        if not _scipy_available():
-            return False
-    return True
+    return prio == ELIGIBLE_PRIORITY and algo in ELIGIBLE_ALGORITHMS
 
 
 def solve_batch(
@@ -125,7 +106,6 @@ def solve_batch(
     *,
     rho: Optional[float] = None,
     mu: Optional[int] = None,
-    lp_backend: str = "auto",
 ) -> List[SolveReport]:
     """Solve every instance in one batched pass; one report per block.
 
@@ -188,17 +168,6 @@ def solve_batch(
 
     lower: Sequence[float]
     if algo in ("jz", "ltw"):
-        if lp_backend not in ("auto", "scipy"):
-            raise BatchKernelError(
-                f"batched LP tier needs the scipy backend, "
-                f"got lp_backend={lp_backend!r}"
-            )
-        try:
-            from ..lpsolve.scipy_backend import solve_ub_blocks
-        except ImportError:
-            raise BatchKernelError(
-                "batched LP tier needs scipy, which is unavailable"
-            )
         with obs_trace.span("lp.assemble", blocks=nb):
             blocks = assemble_batch_lp(sp, bcsr)
         with obs_trace.span(

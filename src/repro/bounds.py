@@ -36,11 +36,9 @@ class LowerBounds:
         return max(self.critical_path, self.work_over_m, self.lp_bound)
 
 
-def lower_bounds(
-    instance: Instance, lp_backend: str = "auto"
-) -> LowerBounds:
+def lower_bounds(instance: Instance) -> LowerBounds:
     """Compute all three lower bounds for ``instance``."""
-    lp = solve_allotment_lp(instance, backend=lp_backend)
+    lp = solve_allotment_lp(instance)
     return LowerBounds(
         critical_path=instance.min_critical_path(),
         work_over_m=instance.min_total_work() / instance.m,

@@ -11,12 +11,7 @@ from .parameters import (
     ratio_bound,
     resolve_parameters,
 )
-from .lp import (
-    AllotmentLp,
-    AllotmentLpResult,
-    build_allotment_lp,
-    solve_allotment_lp,
-)
+from .lp import AllotmentLpResult, solve_allotment_lp
 from .rounding import (
     RoundingReport,
     round_fractional_times,
@@ -51,7 +46,6 @@ from .evolve import (
 )
 
 __all__ = [
-    "AllotmentLp",
     "AllotmentLpResult",
     "AssumptionError",
     "BsearchReport",
@@ -75,7 +69,6 @@ __all__ = [
     "RHO_STAR_PAPER",
     "RoundingReport",
     "WorkSegment",
-    "build_allotment_lp",
     "capped_allotment",
     "extract_heavy_path",
     "jz_parameters",

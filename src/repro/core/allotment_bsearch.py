@@ -13,18 +13,11 @@ quality (both phase-1 formulations relax the same problem) but strictly
 more LP solves for the binary search.
 
 Because the search solves the *same* LP a few dozen times with only the
-deadline changing, the re-solves are warm-started instead of rebuilt from
-scratch:
-
-* the constraint matrix is assembled **once** per instance
-  (:func:`assemble_deadline_arrays`, memoized) — each probe only swaps
-  the completion-variable upper bounds before handing the sparse arrays
-  to HiGHS, which leaves the solution bit-identical to the cold path;
-* with the built-in simplex backend, each probe additionally starts from
-  the previous probe's optimal **basis**
-  (:func:`repro.lpsolve.simplex.solve_with_simplex`'s ``warm_basis``),
-  falling back to the cold two-phase start when the basis is no longer
-  feasible at the new deadline.
+deadline changing, the constraint matrix is assembled **once** per
+instance (:func:`assemble_deadline_arrays`, memoized) and converted to a
+sparse matrix once per search; each probe only swaps the
+completion-variable upper bounds before handing the arrays to HiGHS,
+which leaves the solution bit-identical to a freshly built model.
 
 API
 ---
@@ -42,7 +35,8 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..lpsolve import LinearProgram, LpError
+from ..lpsolve import LpError
+from ..lpsolve.scipy_backend import build_ub_matrix, solve_ub_arrays
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
 from .arrays import memoized_on_instance
@@ -71,12 +65,11 @@ class DeadlineLpResult:
 class DeadlineArrays(NamedTuple):
     """The deadline LP assembled in bulk (``A_ub v <= b_ub`` form).
 
-    Same variable layout as the modeling-layer build of
-    :func:`deadline_work_lp`: ``x_j = 3j``, ``C_j = 3j + 1``,
-    ``w_j = 3j + 2``; rows grouped per task (fit, work segments), then
-    the precedence arcs.  The deadline itself only appears as the upper
-    bound of the ``C_j`` variables (``c_cols``), so one assembly serves
-    every probe of the binary search.
+    Variables ``x_j = 3j``, ``C_j = 3j + 1``, ``w_j = 3j + 2``; rows
+    grouped per task (fit, work segments), then the precedence arcs.
+    The deadline itself only appears as the upper bound of the ``C_j``
+    variables (``c_cols``), so one assembly serves every probe of the
+    binary search.
     """
 
     n_variables: int
@@ -94,10 +87,8 @@ class DeadlineArrays(NamedTuple):
 def assemble_deadline_arrays(instance: Instance) -> DeadlineArrays:
     """Assemble the deadline LP's constraint matrix once, memoized.
 
-    Built from the packed profile arrays and the DAG's CSR edge arrays —
-    the layout matches the modeling-layer path of
-    :func:`deadline_work_lp` row for row, so handing these arrays to the
-    same solver returns the same optimum.
+    Built from the packed profile arrays and the DAG's CSR edge arrays,
+    with no per-task or per-edge Python work.
     """
     from .arrays import instance_arrays
 
@@ -172,40 +163,6 @@ def assemble_deadline_arrays(instance: Instance) -> DeadlineArrays:
     )
 
 
-def _build_deadline_model(
-    instance: Instance, deadline: float
-) -> Tuple[LinearProgram, list]:
-    """Modeling-layer build of the deadline LP (the dense fallback)."""
-    lp = LinearProgram(name=f"deadline-work d={deadline:g}")
-    n = instance.n_tasks
-    x_vars, c_vars, w_vars = [], [], []
-    for j in range(n):
-        t = instance.task(j)
-        x_vars.append(lp.add_variable(f"x{j}", lo=t.min_time, hi=t.max_time))
-        c_vars.append(lp.add_variable(f"C{j}", lo=0.0, hi=deadline))
-        segs = t.segments()
-        w_lo = t.breakpoints[0][0] * t.breakpoints[0][1] if not segs else 0.0
-        w_vars.append(lp.add_variable(f"w{j}", lo=w_lo, obj=1.0))
-        lp.add_constraint(
-            {x_vars[j]: 1.0, c_vars[j]: -1.0}, "<=", 0.0, name=f"fit{j}"
-        )
-        for seg in segs:
-            lp.add_constraint(
-                {x_vars[j]: seg.slope, w_vars[j]: -1.0},
-                "<=",
-                -seg.intercept,
-                name=f"work{j}l{seg.l}",
-            )
-    for (i, j) in instance.dag.edges:
-        lp.add_constraint(
-            {c_vars[i]: 1.0, x_vars[j]: 1.0, c_vars[j]: -1.0},
-            "<=",
-            0.0,
-            name=f"prec{i}-{j}",
-        )
-    return lp, x_vars
-
-
 _PROBES = _METRICS.counter(
     "repro_solver_bsearch_probes_total",
     "Deadline LP probes solved by the binary-search phase 1",
@@ -213,43 +170,16 @@ _PROBES = _METRICS.counter(
 
 
 class _DeadlineSolver:
-    """Warm-start state for the binary search's repeated deadline solves.
+    """Shared state for the binary search's repeated deadline solves.
 
-    With SciPy available (backend ``"auto"``/``"scipy"``) the instance's
-    :class:`DeadlineArrays` are assembled once and every probe only swaps
-    the ``C_j`` upper bounds — solutions are identical to the cold
-    modeling-layer path.  With the built-in simplex the model is rebuilt
-    per probe (it is cheap at simplex-friendly sizes) but each solve
-    starts from the previous probe's optimal basis.  ``warm_start=False``
-    disables both: every probe rebuilds the model and solves cold,
-    exactly the pre-warm-start behavior — which is what the pinning
-    tests compare the warm path against.
+    The instance's :class:`DeadlineArrays` and their sparse matrix are
+    built once; every probe only swaps the ``C_j`` upper bounds.
     """
 
-    def __init__(
-        self,
-        instance: Instance,
-        backend: str = "auto",
-        warm_start: bool = True,
-    ):
+    def __init__(self, instance: Instance):
         self._instance = instance
-        self._backend = backend
-        self._warm_start = bool(warm_start)
-        self._basis: Optional[Tuple[int, ...]] = None
-        self._arrays: Optional[DeadlineArrays] = None
-        self._matrix = None
-        if backend in ("auto", "scipy"):
-            try:
-                from ..lpsolve.scipy_backend import build_ub_matrix
-
-                if warm_start:
-                    self._arrays = assemble_deadline_arrays(instance)
-                    self._matrix = build_ub_matrix(self._arrays)
-            except ImportError:
-                if backend == "scipy":
-                    raise LpError(
-                        "scipy backend requested but unavailable"
-                    ) from None
+        self._arrays = assemble_deadline_arrays(instance)
+        self._matrix = build_ub_matrix(self._arrays)
 
     def solve(self, deadline: float) -> Optional[DeadlineLpResult]:
         """One probe: ``None`` when the deadline is infeasible."""
@@ -263,42 +193,14 @@ class _DeadlineSolver:
     def _probe(self, deadline: float) -> Optional[DeadlineLpResult]:
         instance = self._instance
         n = instance.n_tasks
-        if self._arrays is not None:
-            from ..lpsolve.scipy_backend import solve_ub_arrays
-
-            arr = self._arrays
-            hi = arr.hi.copy()
-            hi[arr.c_cols] = deadline
-            try:
-                sol = solve_ub_arrays(
-                    arr._replace(hi=hi), A_ub=self._matrix
-                )
-            except LpError:
-                return None
-            x = tuple(sol.values[3 * j] for j in range(n))
-        else:
-            # Cold path: rebuild the model per probe (exactly the
-            # pre-warm-start behavior; also the no-SciPy fallback).
-            lp, x_vars = _build_deadline_model(instance, deadline)
-            if self._backend == "simplex":
-                from ..lpsolve.simplex import solve_with_simplex
-
-                try:
-                    sol = solve_with_simplex(
-                        lp,
-                        warm_basis=(
-                            self._basis if self._warm_start else None
-                        ),
-                    )
-                except LpError:
-                    return None
-                self._basis = sol.basis
-            else:
-                try:
-                    sol = lp.solve(backend=self._backend)
-                except LpError:
-                    return None
-            x = tuple(sol[v] for v in x_vars)
+        arr = self._arrays
+        hi = arr.hi.copy()
+        hi[arr.c_cols] = deadline
+        try:
+            sol = solve_ub_arrays(arr._replace(hi=hi), A_ub=self._matrix)
+        except LpError:
+            return None
+        x = tuple(sol.values[3 * j] for j in range(n))
         total = sum(
             instance.task(j).work_of_time(x[j]) for j in range(n)
         )
@@ -306,7 +208,7 @@ class _DeadlineSolver:
 
 
 def deadline_work_lp(
-    instance: Instance, deadline: float, backend: str = "auto"
+    instance: Instance, deadline: float
 ) -> Optional[DeadlineLpResult]:
     """Minimize total work subject to critical path <= ``deadline``.
 
@@ -315,7 +217,7 @@ def deadline_work_lp(
     — repeated solves of the same instance share the memoized matrix
     assembly.
     """
-    return _DeadlineSolver(instance, backend=backend).solve(deadline)
+    return _DeadlineSolver(instance).solve(deadline)
 
 
 @dataclass(frozen=True)
@@ -334,25 +236,19 @@ def bsearch_allotment(
     rho: float,
     rel_tol: float = 1e-4,
     max_iterations: int = 60,
-    backend: str = "auto",
-    warm_start: bool = True,
 ) -> BsearchReport:
     """Phase 1 via deadline binary search, as in [18].
 
     Searches the deadline ``d`` in ``[L_min, Σ p_j(1)]`` for the balance
     point of ``max(d, W(d)/m)`` (``W(d)`` is non-increasing in ``d``,
     ``d`` is increasing, so the max is unimodal), then applies the same
-    critical-point rounding as the direct pipeline.  Every probe after
-    the first is warm-started (see the module docstring); pass
-    ``warm_start=False`` for the cold-start path, which the test suite
-    pins the warm results against.
+    critical-point rounding as the direct pipeline.  Every probe reuses
+    the one assembly of the deadline LP (see the module docstring).
     """
     m = instance.m
     lo = max(instance.min_critical_path(), 1e-12)
     hi = max(instance.sequential_makespan(), lo * (1 + 1e-9))
-    solver = _DeadlineSolver(
-        instance, backend=backend, warm_start=warm_start
-    )
+    solver = _DeadlineSolver(instance)
     solves = 0
 
     def evaluate(d: float) -> Tuple[float, Optional[DeadlineLpResult]]:

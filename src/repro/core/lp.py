@@ -37,9 +37,9 @@ The dropped fit and span rows are implied: ``C_i >= 0`` turns an in-arc
 ``C_i + x_j <= C_j`` into ``x_j <= C_j``, and ``x_k >= p_k(m) > 0``
 chains ``C_j <= C_k <= ... <= C_sink <= L`` along any out-path, so the
 feasible set and ``C*`` are those of the full LP (9).  A task with
-neither predecessor nor successor keeps both rows.  Every other LP (9)
-path — the per-instance assembly, the batched tier, the evolution patch
-and the modeling layer kept for the simplex backend — uses this layout.
+neither predecessor nor successor keeps both rows.  Every LP (9) path
+— the per-instance assembly, the batched tier and the evolution patch —
+uses this layout.
 """
 
 from __future__ import annotations
@@ -49,17 +49,16 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from ..lpsolve import LinearProgram, LpSolution
+from ..lpsolve import LpSolution
+from ..lpsolve.scipy_backend import solve_ub_arrays
 from ..obs import trace as obs_trace
 from .arrays import memoized_on_instance
 from .instance import Instance
 
 __all__ = [
-    "AllotmentLp",
     "AllotmentLpResult",
     "AllotmentArrays",
     "assemble_allotment_arrays",
-    "build_allotment_lp",
     "lp9_arrays",
     "patch_allotment_arrays",
     "solve_allotment_lp",
@@ -102,90 +101,6 @@ class AllotmentLpResult:
     backend: str
 
 
-@dataclass
-class AllotmentLp:
-    """The constructed LP together with its variable handles."""
-
-    lp: LinearProgram
-    x_vars: Tuple[int, ...]
-    c_vars: Tuple[int, ...]
-    w_vars: Tuple[int, ...]
-    l_var: int
-    c_max_var: int
-
-
-def build_allotment_lp(instance: Instance) -> AllotmentLp:
-    """Construct LP (9) for ``instance`` in the modeling layer.
-
-    Row for row the layout of :func:`lp9_arrays`: ``3n + 2`` variables
-    and ``Σ_j (#segments_j) + |E| + #sources + #sinks + 2`` constraints
-    — polynomial in ``n`` and ``m`` as the paper notes.
-    """
-    lp = LinearProgram(name=f"allotment(9) n={instance.n_tasks} m={instance.m}")
-    n = instance.n_tasks
-    m = instance.m
-
-    x_vars = []
-    c_vars = []
-    w_vars = []
-    for j in range(n):
-        t = instance.task(j)
-        x_vars.append(
-            lp.add_variable(f"x{j}", lo=t.min_time, hi=t.max_time)
-        )
-        c_vars.append(lp.add_variable(f"C{j}", lo=0.0))
-        # Rigid tasks (no segments) have constant work; bound w̄ directly.
-        segs = t.segments()
-        w_lo = t.breakpoints[0][0] * t.breakpoints[0][1] if not segs else 0.0
-        w_vars.append(lp.add_variable(f"w{j}", lo=w_lo))
-    l_var = lp.add_variable("L", lo=0.0)
-    c_max_var = lp.add_variable("C", lo=0.0, obj=1.0)
-
-    for j in range(n):
-        # Work linearization: every chord of eq. (8) under-estimates w̄.
-        for seg in instance.task(j).segments():
-            lp.add_constraint(
-                {x_vars[j]: seg.slope, w_vars[j]: -1.0},
-                "<=",
-                -seg.intercept,
-                name=f"work{j}l{seg.l}",
-            )
-
-    for (i, j) in instance.dag.edges:
-        lp.add_constraint(
-            {c_vars[i]: 1.0, x_vars[j]: 1.0, c_vars[j]: -1.0},
-            "<=",
-            0.0,
-            name=f"prec{i}-{j}",
-        )
-
-    for j in instance.dag.sources():
-        lp.add_constraint(
-            {x_vars[j]: 1.0, c_vars[j]: -1.0}, "<=", 0.0, name=f"fit{j}"
-        )
-    for j in instance.dag.sinks():
-        lp.add_constraint(
-            {c_vars[j]: 1.0, l_var: -1.0}, "<=", 0.0, name=f"span{j}"
-        )
-
-    lp.add_constraint({l_var: 1.0, c_max_var: -1.0}, "<=", 0.0, name="L<=C")
-    lp.add_constraint(
-        {**{w: 1.0 for w in w_vars}, c_max_var: -float(m)},
-        "<=",
-        0.0,
-        name="W/m<=C",
-    )
-
-    return AllotmentLp(
-        lp=lp,
-        x_vars=tuple(x_vars),
-        c_vars=tuple(c_vars),
-        w_vars=tuple(w_vars),
-        l_var=l_var,
-        c_max_var=c_max_var,
-    )
-
-
 class AllotmentArrays(NamedTuple):
     """LP (9) assembled in bulk as NumPy arrays (``A_ub v <= b_ub`` form).
 
@@ -196,8 +111,6 @@ class AllotmentArrays(NamedTuple):
     tasks, ``C_j <= L`` of the sink tasks, then ``L <= C`` and
     ``W/m <= C``.  The fit and span rows of the other tasks are implied
     by the arcs (``C_i >= 0`` and ``x_k > 0``), so they are left out.
-    :func:`build_allotment_lp` emits the same rows in the same order, so
-    the sparse matrix handed to the solver is the same in both paths.
     """
 
     n_variables: int
@@ -227,8 +140,7 @@ def lp9_arrays(
     :class:`repro.core.arrays.InstanceArrays` (per task ``p_j(m)``,
     ``p_j(1)`` and the rigid-work bound; per flattened segment its task,
     slope and intercept); ``src``/``dst`` are the arcs' integer
-    endpoints.  Every array path of LP (9) calls this function, and
-    :func:`build_allotment_lp` mirrors it row for row — see
+    endpoints.  Every path of LP (9) calls this function — see
     :class:`AllotmentArrays` for the layout.
     """
     n = len(min_time)
@@ -351,79 +263,39 @@ def patch_allotment_arrays(
     return parent._replace(lo=lo, hi=hi, vals=vals, b_ub=b_ub)
 
 
-def _result_from_values(
-    instance: Instance,
-    x: Tuple[float, ...],
-    completion: Tuple[float, ...],
-    work_bar: Tuple[float, ...],
-    critical_path: float,
-    objective: float,
-    backend: str,
+def _result_from_solution(
+    instance: Instance, sol: LpSolution
 ) -> AllotmentLpResult:
-    work = tuple(
-        instance.task(j).work_of_time(x[j]) for j in range(instance.n_tasks)
-    )
+    """Read an LP (9) optimum back out of the solver's flat vector."""
+    n = instance.n_tasks
+    v = sol.values
+    x = tuple(v[3 * j] for j in range(n))
+    work = tuple(instance.task(j).work_of_time(x[j]) for j in range(n))
     return AllotmentLpResult(
         x=x,
-        completion=completion,
-        work_bar=work_bar,
+        completion=tuple(v[3 * j + 1] for j in range(n)),
+        work_bar=tuple(v[3 * j + 2] for j in range(n)),
         work=work,
-        critical_path=critical_path,
+        critical_path=v[3 * n],
         total_work=sum(work),
-        objective=objective,
-        backend=backend,
-    )
-
-
-def solve_allotment_lp(
-    instance: Instance, backend: str = "auto"
-) -> AllotmentLpResult:
-    """Build and solve LP (9); returns the fractional optimum.
-
-    With ``backend`` ``"auto"`` or ``"scipy"`` (and SciPy importable) the
-    constraint matrix is assembled in bulk via
-    :func:`assemble_allotment_arrays` and handed straight to HiGHS; the
-    layout matches the modeling-layer path exactly, so the result is the
-    same.  Other backends — and environments without SciPy — go through
-    :func:`build_allotment_lp` and :meth:`LinearProgram.solve` as before.
-    """
-    if backend in ("auto", "scipy"):
-        try:
-            from ..lpsolve.scipy_backend import solve_ub_arrays
-        except ImportError:
-            if backend == "scipy":
-                from ..lpsolve import LpError
-
-                raise LpError("scipy backend requested but unavailable")
-        else:
-            with obs_trace.span("lp.assemble", n=instance.n_tasks):
-                arrays = assemble_allotment_arrays(instance)
-            with obs_trace.span(
-                "lp.solve",
-                backend="scipy",
-                rows=len(arrays.b_ub),
-                nnz=len(arrays.vals),
-            ):
-                sol = solve_ub_arrays(arrays)
-            n = instance.n_tasks
-            return _result_from_values(
-                instance,
-                x=tuple(sol.values[3 * j] for j in range(n)),
-                completion=tuple(sol.values[3 * j + 1] for j in range(n)),
-                work_bar=tuple(sol.values[3 * j + 2] for j in range(n)),
-                critical_path=sol.values[3 * n],
-                objective=sol.objective,
-                backend=sol.backend,
-            )
-    with obs_trace.span("lp.assemble", n=instance.n_tasks, layer="model"):
-        built = build_allotment_lp(instance)
-    sol: LpSolution = built.lp.solve(backend=backend)
-    return _result_from_values(
-        instance,
-        x=tuple(sol[v] for v in built.x_vars),
-        completion=tuple(sol[v] for v in built.c_vars),
-        work_bar=tuple(sol[v] for v in built.w_vars),
-        critical_path=sol[built.l_var],
         objective=sol.objective,
         backend=sol.backend,
     )
+
+
+def solve_allotment_lp(instance: Instance) -> AllotmentLpResult:
+    """Assemble and solve LP (9); returns the fractional optimum.
+
+    The constraint matrix is assembled in bulk via
+    :func:`assemble_allotment_arrays` and handed straight to HiGHS.
+    """
+    with obs_trace.span("lp.assemble", n=instance.n_tasks):
+        arrays = assemble_allotment_arrays(instance)
+    with obs_trace.span(
+        "lp.solve",
+        backend="scipy",
+        rows=len(arrays.b_ub),
+        nnz=len(arrays.vals),
+    ):
+        sol = solve_ub_arrays(arrays)
+    return _result_from_solution(instance, sol)

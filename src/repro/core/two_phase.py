@@ -83,7 +83,6 @@ def jz_schedule(
     instance: Instance,
     rho: Optional[float] = None,
     mu: Optional[int] = None,
-    lp_backend: str = "auto",
 ) -> JZResult:
     """Run the Jansen–Zhang two-phase algorithm on ``instance``.
 
@@ -96,8 +95,6 @@ def jz_schedule(
         Override the paper's parameter choices (used by the ablation
         benchmarks); defaults are the Theorem 4.1 values for
         ``m = instance.m``.
-    lp_backend:
-        LP solver selection, forwarded to phase 1.
 
     Returns
     -------
@@ -110,7 +107,7 @@ def jz_schedule(
     params = resolve_parameters(instance.m, rho=rho, mu=mu)
 
     # Phase 1: LP (9) + critical-point rounding.
-    lp_result = solve_allotment_lp(instance, backend=lp_backend)
+    lp_result = solve_allotment_lp(instance)
     report = rounding_stretch_report(instance, lp_result.x, params.rho)
     allot_phase1 = report.allotment
 

@@ -304,8 +304,7 @@ def _solve_one(payload) -> Dict[str, Any]:
     dict (cheap to pickle back) that :class:`BatchRunner` turns into a
     :class:`BatchRecord`.
     """
-    (index, item, algorithm, priority, rho, mu, lp_backend,
-     include_schedule) = payload
+    (index, item, algorithm, priority, rho, mu, include_schedule) = payload
     t0 = time.perf_counter()
     label = str(item) if isinstance(item, (str, Path)) else None
     instance = None
@@ -321,9 +320,7 @@ def _solve_one(payload) -> Dict[str, Any]:
             instance = item
         from ..pipeline import SchedulingPipeline
 
-        pipe = SchedulingPipeline(
-            algorithm, priority, rho=rho, mu=mu, lp_backend=lp_backend
-        )
+        pipe = SchedulingPipeline(algorithm, priority, rho=rho, mu=mu)
         rep = pipe.solve(instance)
         # Which per-instance tier ran: earliest-start goes through
         # list_schedule's loop/array dispatch; every other phase-2 rule
@@ -428,8 +425,6 @@ class BatchRunner:
     rho, mu:
         Optional parameter overrides forwarded to the allotment stage
         (ablation sweeps).
-    lp_backend:
-        LP backend forwarded to LP-based allotment stages.
     chunksize:
         Instances submitted per pool future.  ``None`` (default) picks
         ``ceil(len(instances) / (4 * workers))`` capped to 32 — enough
@@ -472,7 +467,6 @@ class BatchRunner:
     priority: str = "earliest-start"
     rho: Optional[float] = None
     mu: Optional[int] = None
-    lp_backend: str = "auto"
     chunksize: Optional[int] = None
     max_pending: int = field(default=256)
     use_pool: Optional[bool] = None
@@ -546,7 +540,7 @@ class BatchRunner:
         )
         payloads = [
             (i, inst, algorithm, priority, self.rho, self.mu,
-             self.lp_backend, self.include_schedule)
+             self.include_schedule)
             for i, inst in enumerate(instances)
             if i not in batched_idx
         ]
@@ -624,7 +618,7 @@ class BatchRunner:
             solve_batch,
         )
 
-        if not eligible_strategy(algorithm, priority, self.lp_backend):
+        if not eligible_strategy(algorithm, priority):
             return none
         group = [
             i for i, inst in enumerate(instances)
@@ -646,7 +640,6 @@ class BatchRunner:
                 priority,
                 rho=self.rho,
                 mu=self.mu,
-                lp_backend=self.lp_backend,
             )
         except Exception:
             _BK_FALLBACK.inc()
@@ -740,7 +733,6 @@ def solve_many(
     workers: Optional[int] = None,
     rho: Optional[float] = None,
     mu: Optional[int] = None,
-    lp_backend: str = "auto",
     chunksize: Optional[int] = None,
     batch_kernel: str = "auto",
 ) -> BatchResult:
@@ -758,7 +750,6 @@ def solve_many(
         priority=priority,
         rho=rho,
         mu=mu,
-        lp_backend=lp_backend,
         chunksize=chunksize,
         batch_kernel=batch_kernel,
     ).run(instances)
@@ -769,7 +760,6 @@ def jz_schedule_many(
     workers: Optional[int] = None,
     rho: Optional[float] = None,
     mu: Optional[int] = None,
-    lp_backend: str = "auto",
 ) -> BatchResult:
     """Solve a batch with the paper's JZ pipeline (pre-pipeline API).
 
@@ -778,9 +768,7 @@ def jz_schedule_many(
     :func:`repro.jz_schedule` on each instance sequentially, for any
     ``workers`` value.
     """
-    return solve_many(
-        instances, workers=workers, rho=rho, mu=mu, lp_backend=lp_backend
-    )
+    return solve_many(instances, workers=workers, rho=rho, mu=mu)
 
 
 def write_jsonl(records: Iterable[BatchRecord], path: _PathLike) -> int:

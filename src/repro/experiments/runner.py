@@ -223,8 +223,6 @@ class CampaignRunner:
         exception raised here aborts the run *after* the finished wave
         was flushed (that is the point: everything completed stays
         resumable).
-    lp_backend:
-        LP backend forwarded to the pipeline (default ``"auto"``).
     """
 
     def __init__(
@@ -235,7 +233,6 @@ class CampaignRunner:
         output_dir: Optional[_PathLike] = None,
         wave_size: Optional[int] = None,
         on_cell: Optional[Callable[[CellRecord], None]] = None,
-        lp_backend: str = "auto",
     ):
         if wave_size is not None and wave_size < 1:
             raise ValueError(f"wave_size must be >= 1, got {wave_size}")
@@ -247,7 +244,6 @@ class CampaignRunner:
         )
         self.wave_size = wave_size
         self.on_cell = on_cell
-        self.lp_backend = lp_backend
 
     # ------------------------------------------------------------------
     def run(self, *, fresh: bool = False) -> CampaignResult:
@@ -378,7 +374,6 @@ class CampaignRunner:
                     workers=self.workers,
                     algorithm=algorithm,
                     priority=priority,
-                    lp_backend=self.lp_backend,
                     include_schedule=True,
                 )
                 for start in range(0, len(items), wave):

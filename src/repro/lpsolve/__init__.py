@@ -1,12 +1,10 @@
-"""LP substrate: modeling layer, built-in simplex, optional SciPy backend."""
+"""LP substrate: HiGHS (via SciPy) over bulk-assembled ``A_ub v <= b_ub``
+arrays, one-shot or resident for warm re-solves."""
 
-from .model import LinearProgram, LpError, LpSolution, LpStatus
-from .simplex import solve_with_simplex
+from .model import LpError, LpSolution, LpStatus
 
 __all__ = [
-    "LinearProgram",
     "LpError",
     "LpSolution",
     "LpStatus",
-    "solve_with_simplex",
 ]

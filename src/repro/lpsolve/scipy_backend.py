@@ -1,11 +1,9 @@
-"""SciPy/HiGHS backend for the LP modeling layer.
+"""One-shot HiGHS solves of pre-assembled LPs.
 
-Translates a :class:`repro.lpsolve.LinearProgram` into the
-``scipy.optimize.linprog`` calling convention and back.  HiGHS is orders of
-magnitude faster than the built-in dense simplex on the larger benchmark
-sweeps, so :meth:`LinearProgram.solve` prefers it when SciPy is installed;
-the built-in simplex remains the dependency-free fallback and the
-cross-check used by the test suite.
+Hands an ``A_ub v <= b_ub`` LP, bulk-assembled as NumPy arrays (see
+:class:`repro.core.lp.AllotmentArrays`), to
+``scipy.optimize.linprog(method="highs")`` and translates the result
+into an :class:`~repro.lpsolve.model.LpSolution`.
 """
 
 from __future__ import annotations
@@ -14,19 +12,15 @@ from typing import List
 
 import numpy as np
 
-try:  # pragma: no cover - import guard exercised implicitly
-    from scipy.optimize import linprog as _linprog
-    from scipy.sparse import csr_matrix as _csr
-except ImportError as _exc:  # pragma: no cover
-    raise ImportError("scipy is not available") from _exc
+from scipy.optimize import linprog as _linprog
+from scipy.sparse import csr_matrix as _csr
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
-from .model import LinearProgram, LpError, LpSolution, LpStatus
+from .model import LpError, LpSolution, LpStatus
 
 __all__ = [
     "build_ub_matrix",
-    "solve_with_scipy",
     "solve_ub_arrays",
     "solve_ub_blocks",
 ]
@@ -103,57 +97,3 @@ def solve_ub_blocks(blocks) -> List[LpSolution]:
     """
     return [solve_ub_arrays(arrays) for arrays in blocks]
 
-
-def solve_with_scipy(lp: LinearProgram) -> LpSolution:
-    """Solve ``lp`` with ``scipy.optimize.linprog(method="highs")``."""
-    n = lp.n_variables
-    c = np.asarray(lp.objective_coefficients, dtype=float)
-    bounds = list(lp.bounds)
-
-    ub_rows: List[int] = []
-    ub_cols: List[int] = []
-    ub_vals: List[float] = []
-    b_ub: List[float] = []
-    eq_rows: List[int] = []
-    eq_cols: List[int] = []
-    eq_vals: List[float] = []
-    b_eq: List[float] = []
-
-    for coeffs, sense, rhs, _name in lp.constraints:
-        if sense == "==":
-            r = len(b_eq)
-            for v, coef in coeffs.items():
-                eq_rows.append(r)
-                eq_cols.append(v)
-                eq_vals.append(coef)
-            b_eq.append(rhs)
-        else:
-            sign = 1.0 if sense == "<=" else -1.0
-            r = len(b_ub)
-            for v, coef in coeffs.items():
-                ub_rows.append(r)
-                ub_cols.append(v)
-                ub_vals.append(sign * coef)
-            b_ub.append(sign * rhs)
-
-    A_ub = (
-        _csr((ub_vals, (ub_rows, ub_cols)), shape=(len(b_ub), n))
-        if b_ub
-        else None
-    )
-    A_eq = (
-        _csr((eq_vals, (eq_rows, eq_cols)), shape=(len(b_eq), n))
-        if b_eq
-        else None
-    )
-
-    res = _linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=np.asarray(b_ub) if b_ub else None,
-        A_eq=A_eq,
-        b_eq=np.asarray(b_eq) if b_eq else None,
-        bounds=bounds,
-        method="highs",
-    )
-    return _solution_from_linprog(res)

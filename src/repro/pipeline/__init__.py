@@ -41,11 +41,6 @@ from .registry import (
 from .runner import SchedulingPipeline, solve
 from .incremental import DeltaReport, ReplanSession, resolve_delta
 from . import strategies as _builtin_strategies  # noqa: F401  (registers)
-from .adapters import (
-    report_from_bsearch,
-    report_from_jz,
-    report_from_ltw,
-)
 
 __all__ = [
     "AllotmentResult",
@@ -63,9 +58,6 @@ __all__ = [
     "list_strategies",
     "register_allotment",
     "register_phase2",
-    "report_from_bsearch",
-    "report_from_jz",
-    "report_from_ltw",
     "resolve_delta",
     "solve",
     "strategy_names",

@@ -14,8 +14,7 @@ This module pins down the two stage protocols
 allotment stage hands to phase 2 (:class:`AllotmentResult`), and the
 single result type every composition returns (:class:`SolveReport`) —
 the unification of the pre-pipeline ``JZResult`` / ``LTWResult`` /
-``BsearchReport`` trio (see :mod:`repro.pipeline.adapters` for the thin
-conversions from those types).
+``BsearchReport`` trio.
 """
 
 from __future__ import annotations
@@ -69,9 +68,8 @@ class AllotmentStrategy(Protocol):
     """Callable contract of an allotment (phase-1) stage.
 
     Implementations must accept the keyword overrides even when they
-    ignore them (``rho``/``mu`` only matter to the analyzed strategies,
-    ``lp_backend`` only to the LP-based ones) so the pipeline can drive
-    any registered strategy uniformly.
+    ignore them (``rho``/``mu`` only matter to the analyzed strategies)
+    so the pipeline can drive any registered strategy uniformly.
     """
 
     def __call__(
@@ -80,7 +78,6 @@ class AllotmentStrategy(Protocol):
         *,
         rho: Optional[float] = None,
         mu: Optional[int] = None,
-        lp_backend: str = "auto",
     ) -> AllotmentResult: ...
 
 

@@ -38,11 +38,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.evolve import InstanceDelta, apply_operations
 from ..core.instance import Instance
-from ..core.lp import (
-    _result_from_values,
-    assemble_allotment_arrays,
-    solve_allotment_lp,
-)
+from ..core.lp import _result_from_solution, assemble_allotment_arrays
 from ..core.parameters import resolve_parameters
 from ..core.rounding import rounding_stretch_report
 from ..lpsolve import LpError
@@ -99,11 +95,10 @@ class ReplanSession:
         *,
         rho: Optional[float] = None,
         mu: Optional[int] = None,
-        lp_backend: str = "auto",
         max_warm_magnitude: float = 0.25,
     ):
         self._pipeline = SchedulingPipeline(
-            algorithm, priority, rho=rho, mu=mu, lp_backend=lp_backend
+            algorithm, priority, rho=rho, mu=mu
         )
         self._instance = instance
         self._report: Optional[SolveReport] = None
@@ -122,11 +117,7 @@ class ReplanSession:
         return self._report
 
     def _warm_eligible(self) -> bool:
-        return (
-            self._pipeline.algorithm == "jz"
-            and self._pipeline.lp_backend in ("auto", "scipy")
-            and warm_capable()
-        )
+        return self._pipeline.algorithm == "jz" and warm_capable()
 
     # ------------------------------------------------------------------
     def solve(self) -> SolveReport:
@@ -156,16 +147,8 @@ class ReplanSession:
             self._warm_model = WarmUbModel(arrays)
         else:
             edits = self._warm_model.update(arrays)
-        sol = self._warm_model.solve()
-        n = instance.n_tasks
-        lp_result = _result_from_values(
-            instance,
-            x=tuple(sol.values[3 * j] for j in range(n)),
-            completion=tuple(sol.values[3 * j + 1] for j in range(n)),
-            work_bar=tuple(sol.values[3 * j + 2] for j in range(n)),
-            critical_path=sol.values[3 * n],
-            objective=sol.objective,
-            backend=sol.backend,
+        lp_result = _result_from_solution(
+            instance, self._warm_model.solve()
         )
         rounding = rounding_stretch_report(instance, lp_result.x, params.rho)
         t1 = time.perf_counter()

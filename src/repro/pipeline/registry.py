@@ -5,7 +5,7 @@ and **phase2** schedulers (list-scheduling priority rules).  Strategies
 register themselves with the decorators::
 
     @register_allotment("jz", summary="LP (9) + critical-point rounding")
-    def jz_allotment(instance, *, rho=None, mu=None, lp_backend="auto"):
+    def jz_allotment(instance, *, rho=None, mu=None):
         ...
 
     @register_phase2("fifo", summary="smallest task id first")

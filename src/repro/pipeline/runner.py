@@ -68,8 +68,6 @@ class SchedulingPipeline:
     rho, mu:
         Optional parameter overrides forwarded to the allotment stage
         (the analyzed strategies use them; baselines ignore ``rho``).
-    lp_backend:
-        LP solver selection forwarded to LP-based allotment stages.
 
     Raises
     ------
@@ -84,13 +82,11 @@ class SchedulingPipeline:
         *,
         rho: Optional[float] = None,
         mu: Optional[int] = None,
-        lp_backend: str = "auto",
     ):
         self._allotment_stage = get_allotment(algorithm)
         self._phase2_stage = get_phase2(priority)
         self.rho = rho
         self.mu = mu
-        self.lp_backend = lp_backend
 
     @property
     def algorithm(self) -> str:
@@ -129,10 +125,7 @@ class SchedulingPipeline:
             t0 = time.perf_counter()
             with obs_trace.span("phase1.allot", algorithm=self.algorithm):
                 allot = self._allotment_stage.fn(
-                    instance,
-                    rho=self.rho,
-                    mu=self.mu,
-                    lp_backend=self.lp_backend,
+                    instance, rho=self.rho, mu=self.mu
                 )
             t1 = time.perf_counter()
             with obs_trace.span("phase2.list", priority=self.priority):
@@ -183,9 +176,8 @@ def solve(
     *,
     rho: Optional[float] = None,
     mu: Optional[int] = None,
-    lp_backend: str = "auto",
 ) -> SolveReport:
     """One-shot: build a :class:`SchedulingPipeline` and solve."""
-    return SchedulingPipeline(
-        algorithm, priority, rho=rho, mu=mu, lp_backend=lp_backend
-    ).solve(instance)
+    return SchedulingPipeline(algorithm, priority, rho=rho, mu=mu).solve(
+        instance
+    )

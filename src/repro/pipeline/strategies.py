@@ -64,11 +64,10 @@ def jz_strategy(
     *,
     rho: Optional[float] = None,
     mu: Optional[int] = None,
-    lp_backend: str = "auto",
 ) -> AllotmentResult:
     """Jansen–Zhang phase 1 (same call sequence as ``jz_schedule``)."""
     params = resolve_parameters(instance.m, rho=rho, mu=mu)
-    lp_result = solve_allotment_lp(instance, backend=lp_backend)
+    lp_result = solve_allotment_lp(instance)
     report = rounding_stretch_report(instance, lp_result.x, params.rho)
     return AllotmentResult(
         allotment=tuple(report.allotment),
@@ -86,8 +85,8 @@ def jz_strategy(
     "bsearch",
     summary=(
         "deadline-LP binary search over d of max(d, W(d)/m) ([18]'s "
-        "phase 1 the paper avoids), warm-started re-solves, then JZ "
-        "rounding and mu cap"
+        "phase 1 the paper avoids), one LP assembly shared by every "
+        "probe, then JZ rounding and mu cap"
     ),
 )
 def bsearch_strategy(
@@ -95,15 +94,12 @@ def bsearch_strategy(
     *,
     rho: Optional[float] = None,
     mu: Optional[int] = None,
-    lp_backend: str = "auto",
 ) -> AllotmentResult:
-    """Binary-search phase 1; one LP solve per search step, each probe
-    warm-started from the previous one (the matrix is assembled once and
-    only the deadline bounds move; the built-in simplex additionally
-    reuses the previous basis — see
+    """Binary-search phase 1; one LP solve per search step (the matrix
+    is assembled once and only the deadline bounds move — see
     :mod:`repro.core.allotment_bsearch`)."""
     params = resolve_parameters(instance.m, rho=rho, mu=mu)
-    report = bsearch_allotment(instance, params.rho, backend=lp_backend)
+    report = bsearch_allotment(instance, params.rho)
     # The search's best objective is an estimate, not a certified lower
     # bound (the true balance point may sit between probes), so none is
     # claimed here; the pipeline falls back to the combinatorial bound.
@@ -132,13 +128,12 @@ def ltw_strategy(
     *,
     rho: Optional[float] = None,
     mu: Optional[int] = None,
-    lp_backend: str = "auto",
 ) -> AllotmentResult:
     """LTW phase 1 (same call sequence as ``ltw_schedule``)."""
     params = ltw_parameters(instance.m)
     use_rho = LTW_RHO if rho is None else float(rho)
     use_mu = params.mu if mu is None else int(mu)
-    lp_result = solve_allotment_lp(instance, backend=lp_backend)
+    lp_result = solve_allotment_lp(instance)
     allot = round_fractional_times(instance, lp_result.x, use_rho)
     return AllotmentResult(
         allotment=tuple(allot),
@@ -163,9 +158,8 @@ def greedy_critical_path_strategy(
     *,
     rho: Optional[float] = None,
     mu: Optional[int] = None,
-    lp_backend: str = "auto",
 ) -> AllotmentResult:
-    """Greedy critical-path allotment (``rho``/``lp_backend`` unused)."""
+    """Greedy critical-path allotment (``rho`` unused)."""
     alloc = greedy_critical_path_allotment(instance)
     return AllotmentResult(
         allotment=tuple(alloc), mu=None if mu is None else int(mu)
@@ -181,7 +175,6 @@ def sequential_strategy(
     *,
     rho: Optional[float] = None,
     mu: Optional[int] = None,
-    lp_backend: str = "auto",
 ) -> AllotmentResult:
     """All-ones allotment (overrides unused)."""
     return AllotmentResult(
@@ -202,7 +195,6 @@ def full_strategy(
     *,
     rho: Optional[float] = None,
     mu: Optional[int] = None,
-    lp_backend: str = "auto",
 ) -> AllotmentResult:
     """All-``m`` allotment (overrides unused)."""
     return AllotmentResult(

@@ -226,8 +226,6 @@ class SolverService:
         Forwarded to :class:`ResultCache` when ``cache`` is ``None``.
     algorithm, priority:
         Default strategy pair for requests that do not name one.
-    lp_backend:
-        LP backend forwarded to the pipeline.
     batch_kernel:
         ``"auto"`` | ``"on"`` | ``"off"`` — forwarded to
         :class:`repro.engine.BatchRunner` (see its docs).  The broker
@@ -262,7 +260,6 @@ class SolverService:
         spill_dir: Optional[str] = None,
         algorithm: str = "jz",
         priority: str = "earliest-start",
-        lp_backend: str = "auto",
         batch_kernel: str = "auto",
         max_queue_depth: Optional[int] = 256,
         breaker: Optional[CircuitBreaker] = None,
@@ -286,7 +283,6 @@ class SolverService:
         self.workers = workers
         self.algorithm = algorithm
         self.priority = priority
-        self.lp_backend = lp_backend
         self.batch_kernel = batch_kernel
         self.max_queue_depth = max_queue_depth
         self.breaker = breaker if breaker is not None else CircuitBreaker()
@@ -1159,7 +1155,6 @@ class SolverService:
                 workers=self.workers if pool is not None else 0,
                 algorithm=algorithm,
                 priority=priority,
-                lp_backend=self.lp_backend,
                 include_schedule=True,
                 batch_kernel=self.batch_kernel,
             )

@@ -1,16 +1,32 @@
-"""Test-only reference: LP (9) with every fit and span row.
+"""Test-only references for the library's LP assemblies.
 
-The solver assembles LP (9) without the fit rows ``x_j <= C_j`` of
-tasks that have a predecessor and the span rows ``C_j <= L`` of tasks
-that have a successor, because the precedence rows imply them
-(:func:`repro.core.lp.lp9_arrays`).  This module keeps the full row set
-— per task fit, span and work segments, then the arcs, ``L <= C`` and
-``W/m <= C`` — over the same variable layout, so tests can check that
-the trimmed LP has the same optimum and that its solution satisfies
-every row of the full one.
+* :func:`full_allotment_arrays` — LP (9) with every fit and span row.
+  The solver assembles LP (9) without the fit rows ``x_j <= C_j`` of
+  tasks that have a predecessor and the span rows ``C_j <= L`` of tasks
+  that have a successor, because the precedence rows imply them
+  (:func:`repro.core.lp.lp9_arrays`).  This keeps the full row set —
+  per task fit, span and work segments, then the arcs, ``L <= C`` and
+  ``W/m <= C`` — over the same variable layout, so tests can check that
+  the trimmed LP has the same optimum and that its solution satisfies
+  every row of the full one.
+* :func:`build_allotment_lp` — LP (9) written one constraint at a time
+  in the :mod:`lp_oracle` modeling layer, row for row the layout of
+  :func:`repro.core.lp.lp9_arrays`.
+* :func:`build_deadline_model` — the deadline LP of
+  :mod:`repro.core.allotment_bsearch`, likewise one constraint at a
+  time, row for row the layout of
+  :func:`repro.core.allotment_bsearch.assemble_deadline_arrays`.
+
+The per-constraint builds are what the bulk NumPy assemblies replaced;
+tests pin the assemblies to them matrix for matrix and solution for
+solution.
 """
 
+from dataclasses import dataclass
+from typing import List, Tuple
+
 import numpy as np
+from lp_oracle import LinearProgram
 
 from repro.core.arrays import instance_arrays
 from repro.core.lp import AllotmentArrays
@@ -96,3 +112,122 @@ def full_allotment_arrays(instance) -> AllotmentArrays:
         vals=vals,
         b_ub=b_ub,
     )
+
+
+@dataclass
+class AllotmentLp:
+    """LP (9) in the modeling layer together with its variable handles."""
+
+    lp: LinearProgram
+    x_vars: Tuple[int, ...]
+    c_vars: Tuple[int, ...]
+    w_vars: Tuple[int, ...]
+    l_var: int
+    c_max_var: int
+
+
+def build_allotment_lp(instance) -> AllotmentLp:
+    """LP (9) of ``instance``, one constraint at a time.
+
+    ``3n + 2`` variables and
+    ``Σ_j (#segments_j) + |E| + #sources + #sinks + 2`` constraints, in
+    the row order of :func:`repro.core.lp.lp9_arrays`.
+    """
+    lp = LinearProgram(name=f"allotment(9) n={instance.n_tasks} m={instance.m}")
+    n = instance.n_tasks
+    m = instance.m
+
+    x_vars = []
+    c_vars = []
+    w_vars = []
+    for j in range(n):
+        t = instance.task(j)
+        x_vars.append(
+            lp.add_variable(f"x{j}", lo=t.min_time, hi=t.max_time)
+        )
+        c_vars.append(lp.add_variable(f"C{j}", lo=0.0))
+        # Rigid tasks (no segments) have constant work; bound w̄ directly.
+        segs = t.segments()
+        w_lo = t.breakpoints[0][0] * t.breakpoints[0][1] if not segs else 0.0
+        w_vars.append(lp.add_variable(f"w{j}", lo=w_lo))
+    l_var = lp.add_variable("L", lo=0.0)
+    c_max_var = lp.add_variable("C", lo=0.0, obj=1.0)
+
+    for j in range(n):
+        # Work linearization: every chord of eq. (8) under-estimates w̄.
+        for seg in instance.task(j).segments():
+            lp.add_constraint(
+                {x_vars[j]: seg.slope, w_vars[j]: -1.0},
+                "<=",
+                -seg.intercept,
+                name=f"work{j}l{seg.l}",
+            )
+
+    for (i, j) in instance.dag.edges:
+        lp.add_constraint(
+            {c_vars[i]: 1.0, x_vars[j]: 1.0, c_vars[j]: -1.0},
+            "<=",
+            0.0,
+            name=f"prec{i}-{j}",
+        )
+
+    for j in instance.dag.sources():
+        lp.add_constraint(
+            {x_vars[j]: 1.0, c_vars[j]: -1.0}, "<=", 0.0, name=f"fit{j}"
+        )
+    for j in instance.dag.sinks():
+        lp.add_constraint(
+            {c_vars[j]: 1.0, l_var: -1.0}, "<=", 0.0, name=f"span{j}"
+        )
+
+    lp.add_constraint({l_var: 1.0, c_max_var: -1.0}, "<=", 0.0, name="L<=C")
+    lp.add_constraint(
+        {**{w: 1.0 for w in w_vars}, c_max_var: -float(m)},
+        "<=",
+        0.0,
+        name="W/m<=C",
+    )
+
+    return AllotmentLp(
+        lp=lp,
+        x_vars=tuple(x_vars),
+        c_vars=tuple(c_vars),
+        w_vars=tuple(w_vars),
+        l_var=l_var,
+        c_max_var=c_max_var,
+    )
+
+
+def build_deadline_model(
+    instance, deadline: float
+) -> Tuple[LinearProgram, List[int]]:
+    """The deadline LP at ``deadline``, one constraint at a time; returns
+    the model and the handles of the ``x_j`` variables."""
+    lp = LinearProgram(name=f"deadline-work d={deadline:g}")
+    n = instance.n_tasks
+    x_vars, c_vars, w_vars = [], [], []
+    for j in range(n):
+        t = instance.task(j)
+        x_vars.append(lp.add_variable(f"x{j}", lo=t.min_time, hi=t.max_time))
+        c_vars.append(lp.add_variable(f"C{j}", lo=0.0, hi=deadline))
+        segs = t.segments()
+        w_lo = t.breakpoints[0][0] * t.breakpoints[0][1] if not segs else 0.0
+        w_vars.append(lp.add_variable(f"w{j}", lo=w_lo, obj=1.0))
+        lp.add_constraint(
+            {x_vars[j]: 1.0, c_vars[j]: -1.0}, "<=", 0.0, name=f"fit{j}"
+        )
+        for seg in segs:
+            lp.add_constraint(
+                {x_vars[j]: seg.slope, w_vars[j]: -1.0},
+                "<=",
+                -seg.intercept,
+                name=f"work{j}l{seg.l}",
+            )
+    for (i, j) in instance.dag.edges:
+        lp.add_constraint(
+            {c_vars[i]: 1.0, x_vars[j]: 1.0, c_vars[j]: -1.0},
+            "<=",
+            0.0,
+            name=f"prec{i}-{j}",
+        )
+    return lp, x_vars

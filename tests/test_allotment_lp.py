@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from lp9_reference import full_allotment_arrays
+from lp9_reference import build_allotment_lp, full_allotment_arrays
+from lp_oracle import solve_with_scipy, solve_with_simplex
 
 from repro import Instance, MalleableTask
-from repro.core import build_allotment_lp, solve_allotment_lp
+from repro.core import solve_allotment_lp
 from repro.core.lp import assemble_allotment_arrays
+from repro.lpsolve.scipy_backend import solve_ub_arrays
 from repro.dag import chain_dag, diamond_dag, independent_dag
 from repro.models import power_law_profile
 from repro.workloads import make_instance
@@ -63,12 +65,17 @@ class TestSingleTask:
 
 
 class TestOptimumProperties:
-    @pytest.mark.parametrize("backend", ["scipy", "simplex"])
-    def test_backends_agree(self, backend):
+    @pytest.mark.parametrize(
+        "oracle", [solve_with_scipy, solve_with_simplex],
+        ids=["scipy", "simplex"],
+    )
+    def test_backends_agree(self, oracle):
+        """The library's HiGHS path finds the optimum each test-oracle
+        solver finds on the per-constraint build of LP (9)."""
         inst = make_inst(diamond_dag(4), 6)
-        res = solve_allotment_lp(inst, backend=backend)
-        ref = solve_allotment_lp(inst, backend="scipy")
-        assert res.objective == pytest.approx(ref.objective, rel=1e-6)
+        res = solve_allotment_lp(inst)
+        ref = oracle(build_allotment_lp(inst).lp)
+        assert res.objective == pytest.approx(ref.objective, rel=1e-7)
 
     def test_objective_is_max_of_L_and_W_over_m(self):
         inst = make_inst(diamond_dag(5), 8)
@@ -182,9 +189,6 @@ def _dense(arrays):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_trimmed_lp_matches_full_lp(inst):
-    pytest.importorskip("scipy")
-    from repro.lpsolve.scipy_backend import solve_ub_arrays
-
     trimmed = assemble_allotment_arrays(inst)
     full = full_allotment_arrays(inst)
     sol = solve_ub_arrays(trimmed)
@@ -213,3 +217,35 @@ def test_trimmed_lp_matches_full_lp(inst):
         span[[3 * j + 1, 3 * n]] = (1.0, -1.0)
         assert tuple(fit) + (0.0,) in trim_rows
         assert tuple(span) + (0.0,) in trim_rows
+
+
+# ---------------------------------------------------------------------------
+# HiGHS against the independent dense simplex
+# ---------------------------------------------------------------------------
+@st.composite
+def small_lp_instances(draw):
+    return make_instance(
+        draw(
+            st.sampled_from(
+                ["chain", "layered", "erdos_renyi", "fork_join", "independent"]
+            )
+        ),
+        draw(st.integers(2, 8)),
+        draw(st.sampled_from([1, 2, 4, 8])),
+        model=draw(st.sampled_from(["power", "amdahl", "log", "mixed"])),
+        seed=draw(st.integers(0, 10_000)),
+    )
+
+
+@given(inst=small_lp_instances())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_highs_optimum_matches_oracle_simplex(inst):
+    """C* of LP (9) from the library's HiGHS path equals the optimum the
+    test oracle's dense simplex finds on the per-constraint build."""
+    cstar = solve_allotment_lp(inst).objective
+    ref = solve_with_simplex(build_allotment_lp(inst).lp).objective
+    assert cstar == pytest.approx(ref, rel=1e-7)

@@ -58,8 +58,6 @@ from repro.engine import BatchRunner, read_jsonl, write_jsonl
 from repro.pipeline import SchedulingPipeline
 from repro.workloads import make_instance
 
-pytest.importorskip("scipy")
-
 _FAMILIES = ("erdos_renyi", "layered", "fork_join", "chain", "diamond")
 _MODELS = ("power", "amdahl")
 
@@ -320,8 +318,6 @@ def test_solve_batch_edge_cases():
         solve_batch([one], "jz", priority="critical-path")
     with pytest.raises(BatchKernelError):
         solve_batch([one], "greedy")
-    with pytest.raises(BatchKernelError):
-        solve_batch([one], "jz", lp_backend="builtin")
     with pytest.raises(ValueError):
         solve_batch([one], "sequential", mu=99)
 
@@ -333,12 +329,7 @@ def test_eligible_strategy():
     assert eligible_strategy("ltw", "earliest-start")
     assert not eligible_strategy("jz", "critical-path")
     assert not eligible_strategy("greedy", "earliest-start")
-    assert not eligible_strategy("jz", "earliest-start",
-                                 lp_backend="builtin")
     assert not eligible_strategy("no-such", "earliest-start")
-    # Non-LP strategies do not care about the backend.
-    assert eligible_strategy("sequential", "earliest-start",
-                             lp_backend="builtin")
 
 
 # ---------------------------------------------------------------------------

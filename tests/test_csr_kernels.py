@@ -5,7 +5,8 @@ The CSR core (``repro.dag.csr``, the array-native LIST scheduler, the
 bulk LP assemblies) claims *bit-identical* results to the Python
 transcriptions it replaced.  These tests generate random DAGs, profiles
 and allotments with hypothesis and assert exact equality — no
-tolerances — plus the warm-start pinning of the deadline binary search.
+tolerances — plus the pinning of the deadline binary search's probes to
+freshly built models.
 """
 
 import random
@@ -14,9 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lp9_reference import build_allotment_lp, build_deadline_model
+from lp_oracle import solve_with_scipy
 
 from repro.core.allotment_bsearch import (
-    _build_deadline_model,
+    _DeadlineSolver,
     assemble_deadline_arrays,
     bsearch_allotment,
     deadline_work_lp,
@@ -30,7 +33,7 @@ from repro.core.list_variants import (
     _bottom_levels_reference,
     bottom_levels,
 )
-from repro.core.lp import assemble_allotment_arrays, build_allotment_lp
+from repro.core.lp import assemble_allotment_arrays
 from repro.dag import Dag
 from repro.dag.csr import (
     bottom_levels_kernel,
@@ -38,6 +41,7 @@ from repro.dag.csr import (
     reachable_mask,
     topo_order_levels,
 )
+from repro.lpsolve import LpError
 from repro.schedule.timeline import ArrayTimeline, ResourceTimeline
 from repro.workloads import make_instance
 
@@ -249,7 +253,7 @@ def test_deadline_assembly_matches_model_matrix(trial):
     )
     deadline = inst.sequential_makespan() * rng.uniform(0.4, 1.0)
     arrays = assemble_deadline_arrays(inst)
-    lp, _ = _build_deadline_model(inst, deadline)
+    lp, _ = build_deadline_model(inst, deadline)
     hi = arrays.hi.copy()
     hi[arrays.c_cols] = deadline
     a_dense, a_b = _dense_from_arrays(arrays)
@@ -322,12 +326,16 @@ def test_list_schedule_paths_identical_on_random_dags(dag, seed):
 
 
 # ---------------------------------------------------------------------------
-# warm-started deadline re-solves pinned to cold starts
+# deadline probes over the shared assembly pinned to fresh models
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("trial", range(5))
 def test_bsearch_warm_start_pinned_to_cold(trial):
+    """Every probe of the binary search reuses one memoized deadline-LP
+    assembly and its sparse matrix; each probe must equal a freshly
+    built per-constraint model of its deadline solved cold — ``x``
+    bit-exact, and ``None`` exactly where that model is infeasible."""
     rng = random.Random(400 + trial)
     inst = make_instance(
         rng.choice(["layered", "erdos_renyi", "diamond"]),
@@ -336,27 +344,32 @@ def test_bsearch_warm_start_pinned_to_cold(trial):
         model=rng.choice(["power", "amdahl"]),
         seed=trial,
     )
-    warm = bsearch_allotment(inst, 0.26, warm_start=True)
-    cold = bsearch_allotment(inst, 0.26, warm_start=False)
-    assert warm == cold
-
-
-@pytest.mark.parametrize("trial", range(3))
-def test_bsearch_simplex_warm_start_pinned_to_cold(trial):
-    inst = make_instance("diamond", 8, 4, model="power", seed=500 + trial)
-    warm = bsearch_allotment(inst, 0.26, backend="simplex")
-    cold = bsearch_allotment(
-        inst, 0.26, backend="simplex", warm_start=False
-    )
-    assert warm.allotment == cold.allotment
-    assert warm.deadline == cold.deadline
-    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    report = bsearch_allotment(inst, 0.26)
+    lo = inst.min_critical_path()
+    hi = inst.sequential_makespan()
+    deadlines = [0.5 * lo, report.deadline] + [
+        lo + f * (hi - lo) for f in (0.0, 0.05, 0.3, 0.7, 1.0)
+    ]
+    solver = _DeadlineSolver(inst)
+    infeasible = 0
+    for d in deadlines:
+        got = solver.solve(d)
+        lp, x_vars = build_deadline_model(inst, d)
+        try:
+            ref = solve_with_scipy(lp)
+        except LpError:
+            assert got is None
+            infeasible += 1
+            continue
+        assert got is not None
+        assert got.x == tuple(ref[v] for v in x_vars)
+        if d == report.deadline:
+            assert report.x == got.x
+    assert infeasible >= 1  # the deadline below min_critical_path()
 
 
 @pytest.mark.parametrize("trial", range(4))
 def test_deadline_lp_arrays_path_matches_model_solution(trial):
-    from repro.lpsolve.scipy_backend import solve_with_scipy
-
     rng = random.Random(600 + trial)
     inst = make_instance(
         rng.choice(["layered", "chain", "erdos_renyi"]),
@@ -367,10 +380,10 @@ def test_deadline_lp_arrays_path_matches_model_solution(trial):
     )
     d = inst.sequential_makespan() * rng.uniform(0.3, 1.0)
     got = deadline_work_lp(inst, d)
-    lp, x_vars = _build_deadline_model(inst, d)
+    lp, x_vars = build_deadline_model(inst, d)
     try:
         ref = solve_with_scipy(lp)
-    except Exception:
+    except LpError:
         assert got is None
         return
     assert got is not None

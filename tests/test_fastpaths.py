@@ -7,19 +7,20 @@ The optimized implementations must not change results:
   :func:`repro.core.list_scheduler.list_schedule_reference` (literal
   Table 1 transcription);
 * :func:`repro.core.lp.solve_allotment_lp` via bulk NumPy assembly
-  matches the modeling-layer path on the same solver.
+  matches the per-constraint build of the test reference
+  (:func:`lp9_reference.build_allotment_lp`) on the same solver.
 """
 
 import random
 
 import pytest
+from lp9_reference import build_allotment_lp
+from lp_oracle import solve_with_scipy
 
-from repro.core import build_allotment_lp, solve_allotment_lp
+from repro.core import solve_allotment_lp
 from repro.core.list_scheduler import list_schedule, list_schedule_reference
 from repro.core.lp import assemble_allotment_arrays
 from repro.workloads import make_instance
-
-scipy = pytest.importorskip("scipy")
 
 
 def _entries(schedule):
@@ -59,8 +60,6 @@ def test_list_schedule_validates_arguments_like_reference():
 
 @pytest.mark.parametrize("trial", range(6))
 def test_bulk_lp_assembly_matches_model_path(trial):
-    from repro.lpsolve.scipy_backend import solve_with_scipy
-
     rng = random.Random(100 + trial)
     inst = make_instance(
         rng.choice(["layered", "erdos_renyi", "chain", "independent"]),
@@ -84,16 +83,9 @@ def test_assembled_arrays_shape_and_layout():
     arrays = assemble_allotment_arrays(inst)
     assert arrays.n_variables == built.lp.n_variables
     assert len(arrays.b_ub) == built.lp.n_constraints
-    # Same objective vector and bounds as the modeling layer.
+    # Same objective vector and bounds as the per-constraint build.
     assert tuple(arrays.c) == built.lp.objective_coefficients
     assert [tuple(b) for b in zip(arrays.lo, arrays.hi)] == list(
         built.lp.bounds
     )
 
-
-def test_simplex_backend_still_uses_model_path():
-    inst = make_instance("diamond", 6, 4, model="power", seed=1)
-    res = solve_allotment_lp(inst, backend="simplex")
-    assert res.backend == "simplex"
-    auto = solve_allotment_lp(inst)
-    assert auto.objective == pytest.approx(res.objective, rel=1e-6)

@@ -1,14 +1,11 @@
-"""Unit tests for the LP modeling layer and both solver backends."""
+"""Self-tests of the test-only LP oracle (:mod:`lp_oracle`): its
+modeling layer and both of its solvers."""
 
 import numpy as np
 import pytest
+from lp_oracle import LinearProgram, solve_with_simplex
 
-from repro.lpsolve import (
-    LinearProgram,
-    LpError,
-    LpStatus,
-    solve_with_simplex,
-)
+from repro.lpsolve import LpError, LpStatus
 
 BACKENDS = ["simplex", "scipy"]
 

@@ -1,24 +1,22 @@
 """Tests for the pluggable pipeline (:mod:`repro.pipeline`): registry,
-runner, adapters and the bottom-level memoization it relies on."""
+runner, agreement with the legacy entry points and the bottom-level
+memoization it relies on."""
 
 import pytest
 
 from repro import jz_schedule
 from repro.baselines import ltw_schedule
+from repro.baselines.ltw import LTW_RHO
 from repro.core import bsearch_allotment, jz_parameters, list_schedule
 from repro.core.list_variants import bottom_levels, _compute_bottom_levels
 from repro.pipeline import (
     SchedulingPipeline,
-    SolveReport,
     UnknownStrategyError,
     get_allotment,
     get_phase2,
     list_strategies,
     register_allotment,
     register_phase2,
-    report_from_bsearch,
-    report_from_jz,
-    report_from_ltw,
     solve,
     strategy_names,
 )
@@ -98,7 +96,7 @@ class TestRegistry:
 
     def test_custom_registration_and_cleanup(self):
         @register_allotment("test-only-ones", summary="test stub")
-        def ones(instance, *, rho=None, mu=None, lp_backend="auto"):
+        def ones(instance, *, rho=None, mu=None):
             from repro.pipeline import AllotmentResult
 
             return AllotmentResult(allotment=(1,) * instance.n_tasks)
@@ -123,6 +121,7 @@ class TestSchedulingPipeline:
         assert rep.observed_ratio == ref.observed_ratio
         assert rep.allotment == ref.certificate.allotment_phase1
         assert rep.mu == ref.certificate.parameters.mu
+        assert rep.rho == ref.certificate.parameters.rho
 
     def test_overrides_match_legacy(self):
         inst = _inst(seed=4, m=8)
@@ -179,41 +178,25 @@ class TestSchedulingPipeline:
         assert "jz" in repr(SchedulingPipeline())
 
 
-class TestAdapters:
-    def test_jz_adapter_matches_pipeline(self):
-        inst = _inst(seed=6)
-        adapted = report_from_jz(jz_schedule(inst))
-        rep = solve(inst)
-        assert isinstance(adapted, SolveReport)
-        assert _entries(adapted.schedule) == _entries(rep.schedule)
-        assert adapted.makespan == rep.makespan
-        assert adapted.lower_bound == rep.lower_bound
-        assert adapted.ratio_bound == rep.ratio_bound
-        assert adapted.allotment == rep.allotment
-        assert adapted.mu == rep.mu and adapted.rho == rep.rho
-        assert "certificate" in adapted.metadata
-
-    def test_ltw_adapter_matches_pipeline(self):
+class TestLegacyAgreement:
+    def test_ltw_schedule_matches_pipeline(self):
         inst = _inst(seed=7)
-        adapted = report_from_ltw(ltw_schedule(inst))
+        legacy = ltw_schedule(inst)
         rep = solve(inst, "ltw")
-        assert adapted.makespan == rep.makespan
-        assert adapted.lower_bound == rep.lower_bound
-        assert adapted.mu == rep.mu and adapted.rho == rep.rho
+        assert legacy.makespan == rep.makespan
+        assert legacy.lower_bound == rep.lower_bound
+        assert legacy.mu == rep.mu and rep.rho == LTW_RHO
 
-    def test_bsearch_adapter_matches_pipeline(self):
+    def test_bsearch_allotment_matches_pipeline(self):
         inst = _inst(seed=8)
         params = jz_parameters(inst.m)
         report = bsearch_allotment(inst, params.rho)
         sched = list_schedule(inst, report.allotment, mu=params.mu)
-        adapted = report_from_bsearch(
-            inst, report, sched, mu=params.mu, rho=params.rho
-        )
         rep = solve(inst, "bsearch")
-        assert adapted.makespan == rep.makespan
-        assert adapted.lower_bound == rep.lower_bound
-        assert adapted.allotment == rep.allotment
-        assert adapted.metadata["lp_solves"] == rep.metadata["lp_solves"]
+        assert sched.makespan == rep.makespan
+        assert rep.lower_bound == inst.trivial_lower_bound()
+        assert report.allotment == rep.allotment
+        assert report.lp_solves == rep.metadata["lp_solves"]
 
 
 class TestBottomLevelCache:

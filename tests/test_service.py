@@ -229,8 +229,7 @@ class TestSingleFlight:
         calls = []
         release = threading.Event()
 
-        def slow_allotment(instance, *, rho=None, mu=None,
-                           lp_backend="auto"):
+        def slow_allotment(instance, *, rho=None, mu=None):
             calls.append(threading.get_ident())
             release.wait(10.0)
             return AllotmentResult(
@@ -293,8 +292,7 @@ class TestPoolRecovery:
 
         from repro.pipeline import registry
 
-        def crashing_allotment(instance, *, rho=None, mu=None,
-                               lp_backend="auto"):
+        def crashing_allotment(instance, *, rho=None, mu=None):
             _os._exit(13)  # kill the worker process outright
 
         registry._register(
@@ -358,8 +356,7 @@ class TestLifecycle:
 
         release = threading.Event()
 
-        def slow_allotment(instance, *, rho=None, mu=None,
-                           lp_backend="auto"):
+        def slow_allotment(instance, *, rho=None, mu=None):
             release.wait(10.0)
             return AllotmentResult(
                 allotment=tuple([1] * instance.n_tasks)

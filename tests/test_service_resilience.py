@@ -343,8 +343,7 @@ class TestPoolRestartUnderConcurrentLoad:
     def test_no_request_dropped_or_wrong_across_generation_bump(self):
         from repro.pipeline import registry
 
-        def crashing_allotment(instance, *, rho=None, mu=None,
-                               lp_backend="auto"):
+        def crashing_allotment(instance, *, rho=None, mu=None):
             os._exit(13)
 
         registry._register(

@@ -170,12 +170,6 @@ class TestParameterOverrides:
         with pytest.raises(ValueError):
             jz_schedule(inst, mu=0)
 
-    def test_lp_backend_simplex(self):
-        inst = make_inst(diamond_dag(3), 4)
-        res = jz_schedule(inst, lp_backend="simplex")
-        assert res.certificate.lp.backend == "simplex"
-        assert_feasible(inst, res.schedule)
-
 
 class TestSmallMachines:
     def test_m1(self):
