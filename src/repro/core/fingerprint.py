@@ -13,9 +13,15 @@ instance, exactly the representation the solver itself consumes:
 * ``m`` and ``n`` (which also fix the layout of everything below);
 * the processing-time matrix ``p_j(l)`` row by row, as IEEE-754
   big-endian doubles — bit-exact, no decimal round-tripping;
-* the successor CSR of the DAG (``indptr`` + ``indices``), which
-  :class:`repro.dag.Dag` builds deduplicated and sorted at construction,
-  so the edge *input order* and duplicate arcs never reach the hash.
+* the successor CSR of the DAG (``indptr`` + ``indices``), built
+  deduplicated and sorted by :func:`repro.dag.graph.canonical_successors`
+  (for a :class:`repro.dag.Dag` and for raw JSON arcs alike), so the
+  edge *input order* and duplicate arcs never reach the hash.
+
+The image is hashed by :func:`content_digest` alone, whether it comes
+from a built :class:`~repro.core.Instance` (:func:`instance_content_key`)
+or straight from instance JSON (:func:`repro.io.content_key_from_dict`,
+which the service uses to look a request up before building anything).
 
 Deliberately excluded: the instance/task ``name`` labels (display-only)
 and the task ``model`` tag (a validation mode — the two recognized
@@ -39,10 +45,35 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .instance import Instance
 
-__all__ = ["FINGERPRINT_VERSION", "instance_content_key"]
+__all__ = ["FINGERPRINT_VERSION", "content_digest", "instance_content_key"]
 
 #: Version tag mixed into the digest; bump on any byte-layout change.
 FINGERPRINT_VERSION = 1
+
+
+def content_digest(
+    m: int,
+    n: int,
+    times: np.ndarray,
+    succ_indptr: np.ndarray,
+    succ_indices: np.ndarray,
+) -> str:
+    """Hex SHA-256 over the canonical array image — the one digest.
+
+    ``times`` is the ``(n, m)`` processing-time matrix and
+    ``succ_indptr``/``succ_indices`` the canonical successor CSR
+    (:func:`repro.dag.graph.canonical_successors`).  Both keying paths
+    call this: :func:`instance_content_key` on a built instance and
+    :func:`repro.io.content_key_from_dict` straight on the JSON arrays.
+    """
+    h = hashlib.sha256()
+    h.update(b"repro-instance-fingerprint-v%d" % FINGERPRINT_VERSION)
+    h.update(np.asarray([m, n], dtype=">i8").tobytes())
+    # The times matrix in row-major order; n and m above fix the framing.
+    h.update(np.asarray(times, dtype=">f8").tobytes())
+    h.update(np.asarray(succ_indptr, dtype=">i8").tobytes())
+    h.update(np.asarray(succ_indices, dtype=">i8").tobytes())
+    return h.hexdigest()
 
 
 def instance_content_key(instance: "Instance") -> str:
@@ -55,19 +86,14 @@ def instance_content_key(instance: "Instance") -> str:
     """
     from .arrays import instance_arrays
 
-    h = hashlib.sha256()
-    h.update(b"repro-instance-fingerprint-v%d" % FINGERPRINT_VERSION)
-    h.update(
-        np.asarray(
-            [instance.m, instance.n_tasks], dtype=">i8"
-        ).tobytes()
-    )
-    # The (n, m) times matrix in row-major order; n and m above fix the
-    # framing.  The memoized array image is byte-identical to hashing
-    # each task's profile in index order and skips per-task dispatch on
-    # large instances (this sits on the service ingest path).
-    h.update(instance_arrays(instance).times.astype(">f8").tobytes())
+    # The memoized array image is byte-identical to hashing each task's
+    # profile in index order and skips per-task dispatch on large
+    # instances.
     csr = instance.dag.to_csr()
-    h.update(np.asarray(csr.succ_indptr, dtype=">i8").tobytes())
-    h.update(np.asarray(csr.succ_indices, dtype=">i8").tobytes())
-    return h.hexdigest()
+    return content_digest(
+        instance.m,
+        instance.n_tasks,
+        instance_arrays(instance).times,
+        csr.succ_indptr,
+        csr.succ_indices,
+    )

@@ -198,21 +198,19 @@ class DagCsr:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_edge_arrays(
-        cls, n: int, u: np.ndarray, v: np.ndarray
+    def from_succ_arrays(
+        cls, n: int, succ_indptr: np.ndarray, succ_indices: np.ndarray
     ) -> "DagCsr":
-        """Build both CSR directions from (already deduplicated) edge
-        endpoint arrays.  Does not check acyclicity."""
-        u = np.asarray(u, dtype=np.intp)
-        v = np.asarray(v, dtype=np.intp)
-        succ_indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(u, minlength=n), out=succ_indptr[1:])
-        order = np.lexsort((v, u))
-        succ_indices = v[order]
+        """Build from a canonical successor CSR (deduplicated, sorted
+        within each row — see :func:`repro.dag.graph.canonical_successors`)
+        and derive the predecessor direction.  Does not check
+        acyclicity."""
+        u = np.repeat(np.arange(n, dtype=np.intp), np.diff(succ_indptr))
         pred_indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(v, minlength=n), out=pred_indptr[1:])
-        order = np.lexsort((u, v))
-        pred_indices = u[order]
+        np.cumsum(
+            np.bincount(succ_indices, minlength=n), out=pred_indptr[1:]
+        )
+        pred_indices = u[np.lexsort((u, succ_indices))]
         return cls(n, succ_indptr, succ_indices, pred_indptr, pred_indices)
 
     @property

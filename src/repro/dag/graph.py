@@ -18,17 +18,71 @@ all run as NumPy kernels over the CSR arrays instead.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .csr import DagCsr, longest_path_kernel
 
-__all__ = ["CycleError", "Dag"]
+__all__ = ["CycleError", "Dag", "canonical_successors"]
 
 
 class CycleError(ValueError):
     """Raised when the supplied edge set contains a directed cycle."""
+
+
+def canonical_successors(
+    n_nodes: int, edges: Iterable[Tuple[int, int]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The canonical successor CSR ``(indptr, indices)`` of an arc list.
+
+    The one canonicalisation of an arc set over nodes ``0..n_nodes-1``,
+    shared by :class:`Dag` and the instance content key
+    (:func:`repro.io.content_key_from_dict`): every arc must be a pair
+    of in-range endpoints, self-loops raise :class:`CycleError`, and
+    duplicate arcs collapse while the rest sort lexicographically — so
+    neither the input order nor repeats of an arc ever show.
+    Acyclicity is *not* checked here.
+    """
+    try:
+        if isinstance(edges, np.ndarray):
+            e = edges.astype(np.intp, copy=False)
+        else:
+            edges = list(edges)
+            if not set(map(len, edges)) <= {2}:
+                raise TypeError
+            e = np.fromiter(
+                chain.from_iterable(edges), dtype=np.intp,
+                count=2 * len(edges),
+            ).reshape(-1, 2)
+    except OverflowError:
+        raise ValueError(
+            f"edge endpoint out of range for {n_nodes} nodes"
+        ) from None
+    except TypeError:
+        raise ValueError("edges must be (u, v) pairs") from None
+    if e.size == 0:
+        return np.zeros(n_nodes + 1, dtype=np.intp), e.reshape(0)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError(
+            f"edges must be (u, v) pairs, got an array of shape {e.shape}"
+        )
+    u, v = e[:, 0], e[:, 1]
+    if e.min() < 0 or e.max() >= n_nodes:
+        bad = e[(u < 0) | (u >= n_nodes) | (v < 0) | (v >= n_nodes)][0]
+        raise ValueError(
+            f"edge ({bad[0]}, {bad[1]}) out of range for {n_nodes} nodes"
+        )
+    loops = u == v
+    if loops.any():
+        raise CycleError(f"self-loop on node {u[loops][0]}")
+    # One sort of the pair codes u*n + v dedups and orders the arcs
+    # lexicographically.
+    src, dst = np.divmod(np.unique(u * n_nodes + v), n_nodes)
+    indptr = np.zeros(n_nodes + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=n_nodes), out=indptr[1:])
+    return indptr, dst
 
 
 class Dag:
@@ -56,25 +110,9 @@ class Dag:
         if n_nodes < 0:
             raise ValueError(f"n_nodes must be >= 0, got {n_nodes}")
         self._n = int(n_nodes)
-        e = np.asarray(
-            edges if isinstance(edges, np.ndarray) else list(edges),
-            dtype=np.intp,
-        ).reshape(-1, 2)
-        if e.size:
-            if e.min() < 0 or e.max() >= self._n:
-                bad = e[(e[:, 0] < 0) | (e[:, 0] >= self._n)
-                        | (e[:, 1] < 0) | (e[:, 1] >= self._n)][0]
-                raise ValueError(
-                    f"edge ({bad[0]}, {bad[1]}) out of range for "
-                    f"{self._n} nodes"
-                )
-            loops = e[:, 0] == e[:, 1]
-            if loops.any():
-                raise CycleError(
-                    f"self-loop on node {e[loops][0, 0]}"
-                )
-            e = np.unique(e, axis=0)  # dedup + lexicographic sort
-        self._csr = DagCsr.from_edge_arrays(self._n, e[:, 0], e[:, 1])
+        self._csr = DagCsr.from_succ_arrays(
+            self._n, *canonical_successors(self._n, edges)
+        )
         try:
             self._csr.validate_acyclic()
         except ValueError as exc:
@@ -114,13 +152,7 @@ class Dag:
         """
         dag = cls.__new__(cls)
         dag._n = int(n)
-        dag._csr = DagCsr.from_edge_arrays(
-            dag._n,
-            np.repeat(
-                np.arange(dag._n, dtype=np.intp), np.diff(succ_indptr)
-            ),
-            succ_indices,
-        )
+        dag._csr = DagCsr.from_succ_arrays(dag._n, succ_indptr, succ_indices)
         dag._succ = None
         dag._pred = None
         dag._edges = None
@@ -135,7 +167,7 @@ class Dag:
         patched CSR whose acyclicity is already proven — either by the
         forward-arc argument or by an explicit Kahn sweep — and whose
         level decompositions may have been preserved from the parent.
-        Re-running :meth:`DagCsr.from_edge_arrays` here would throw all
+        Re-running :meth:`DagCsr.from_succ_arrays` here would throw all
         of that away.
         """
         dag = cls.__new__(cls)

@@ -17,6 +17,13 @@ re-verified on load — a corrupted or hand-edited file fails loudly
 instead of silently colliding in the service result cache.  Files
 without it (written before the field existed) still load.
 
+Instance shapes are strict: ``m`` and ``n_tasks`` are integers, there
+are exactly ``n_tasks`` tasks, every ``times`` row has ``m`` numeric
+entries (JSON ints or floats; no strings, booleans or nulls) and every
+edge is a ``[u, v]`` pair of integers.  :func:`content_key_from_dict`
+checks the same shapes and hashes the arrays without building an
+:class:`~repro.core.Instance`.
+
 Schedule::
 
     {"format": "repro-schedule", "version": 1, "m": 8, "makespan": ...,
@@ -27,19 +34,25 @@ Schedule::
 from __future__ import annotations
 
 import json
+import numbers
+from itertools import chain
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
 
-from .core.fingerprint import FINGERPRINT_VERSION
+import numpy as np
+
+from .core.fingerprint import FINGERPRINT_VERSION, content_digest
 from .core.instance import Instance
 from .core.task import MalleableTask
 from .dag import Dag
+from .dag.graph import canonical_successors
 from .schedule import Schedule, ScheduledTask
 
 __all__ = [
     "instance_fingerprint",
     "instance_to_dict",
     "instance_from_dict",
+    "content_key_from_dict",
     "dict_to_instance",
     "schedule_to_dict",
     "schedule_from_dict",
@@ -89,54 +102,160 @@ def instance_to_dict(instance: Instance) -> Dict[str, Any]:
 def instance_from_dict(data: Dict[str, Any]) -> Instance:
     """Deserialize an instance; validates format/version and assumptions.
 
-    Invalid processing times (NaN, negative, zero, infinite,
-    non-numeric) raise a :class:`ValueError` that names the offending
-    task on top of the model layer's own diagnostic — the numeric rules
-    live in :class:`MalleableTask` alone, this layer only adds the file
+    Malformed shapes (see the module docstring) and invalid processing
+    times (NaN, negative, zero, infinite, non-numeric) raise a
+    :class:`ValueError`; time errors name the offending task on top of
+    the model layer's own diagnostic — the numeric rules live in
+    :class:`MalleableTask` alone, this layer only adds the file
     context.  When the dict carries a ``fingerprint``, the loaded
     content is re-hashed and a mismatch raises — the file was corrupted
     or edited after it was written.
     """
-    _expect(data, "repro-instance")
+    m, n, rows, edges = _instance_shape(data)
     tasks = []
-    for j, t in enumerate(data["tasks"]):
-        if not isinstance(t, dict):
-            raise ValueError(
-                f"task {j}: expected an object with 'times', "
-                f"got {type(t).__name__}"
-            )
+    for j, (t, times) in enumerate(zip(data["tasks"], rows)):
         try:
-            tasks.append(MalleableTask(t["times"], name=t.get("name")))
-        except KeyError:
-            raise ValueError(
-                f"task {j} ({t.get('name')!r}): missing required "
-                "key 'times'"
-            ) from None
+            tasks.append(MalleableTask(times, name=t.get("name")))
         except (ValueError, TypeError) as exc:
             # Includes AssumptionError; re-raised as ValueError with
             # the task pinpointed for file-level diagnostics.
             raise ValueError(
                 f"task {j} ({t.get('name')!r}): {exc}"
             ) from None
-    dag = Dag(data["n_tasks"], [tuple(e) for e in data["edges"]])
-    instance = Instance(
-        tasks, dag, int(data["m"]), name=data.get("name")
-    )
-    claimed = data.get("fingerprint")
-    claimed_version = data.get("fingerprint_version", FINGERPRINT_VERSION)
-    if (
-        claimed is not None
-        and claimed_version == FINGERPRINT_VERSION
-        and claimed != instance.content_key()
+    instance = Instance(tasks, Dag(n, edges), m, name=data.get("name"))
+    _check_fingerprint(data, instance.content_key)
+    return instance
+
+
+def content_key_from_dict(data: Dict[str, Any]) -> str:
+    """The content key of instance JSON, without building the instance.
+
+    Equal to ``instance_from_dict(data).content_key()`` for every dict
+    that call accepts: the same shape checks, the same canonical arc
+    CSR (:func:`repro.dag.graph.canonical_successors`) and the same
+    digest (:func:`repro.core.fingerprint.content_digest`) over the
+    times matrix read straight from the arrays.  Raises
+    :class:`ValueError` on a malformed shape or when a current-version
+    ``fingerprint`` disagrees with the computed key.
+
+    It skips what only a full parse needs — the per-task value checks
+    (positive, finite, Assumptions 1 and 2), the acyclicity sweep and
+    every object — so a key is no proof of validity.  The service uses
+    it to find instances a full parse has already validated and sends
+    everything else through :func:`instance_from_dict`.
+    """
+    m, n, rows, edges = _instance_shape(data)
+    times = np.fromiter(
+        chain.from_iterable(rows), dtype=float, count=n * m
+    ).reshape(n, m)
+    key = content_digest(m, n, times, *canonical_successors(n, edges))
+    _check_fingerprint(data, lambda: key)
+    return key
+
+
+def _is_int(x: Any) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_number(x: Any) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _instance_shape(
+    data: Any,
+) -> Tuple[int, int, List[Sequence[Any]], Sequence[Any]]:
+    """The wire-shape gate of both instance readers.
+
+    Returns ``(m, n, rows, edges)`` — ``rows[j]`` is task ``j``'s raw
+    ``times`` array — or raises :class:`ValueError` naming the first
+    malformed field.  Values are left to the model layer.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"instance must be an object, got {type(data).__name__}"
+        )
+    _expect(data, "repro-instance")
+    for field in ("m", "n_tasks", "tasks", "edges"):
+        if field not in data:
+            raise ValueError(f"missing required key {field!r}")
+    m, n = data["m"], data["n_tasks"]
+    if not _is_int(m):
+        raise ValueError(f"'m' must be an integer, got {m!r}")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    tasks = data["tasks"]
+    if not isinstance(tasks, (list, tuple)):
+        raise ValueError("'tasks' must be an array")
+    if not _is_int(n) or n != len(tasks):
+        raise ValueError(
+            f"'n_tasks' is {n!r} but {len(tasks)} tasks are given"
+        )
+    rows = []
+    for j, t in enumerate(tasks):
+        if not isinstance(t, dict):
+            raise ValueError(
+                f"task {j}: expected an object with 'times', "
+                f"got {type(t).__name__}"
+            )
+        times = t.get("times")
+        if isinstance(times, (list, tuple)) and len(times) == m:
+            rows.append(times)
+            continue
+        if "times" not in t:
+            what = "missing required key 'times'"
+        elif isinstance(times, (list, tuple)):
+            what = f"profile has {len(times)} entries, instance has m={m}"
+        else:
+            what = f"'times' must be an array, got {type(times).__name__}"
+        raise ValueError(f"task {j} ({t.get('name')!r}): {what}")
+    if not set(map(type, chain.from_iterable(rows))) <= {float, int}:
+        for j, times in enumerate(rows):
+            for l0, x in enumerate(times):
+                if not _is_number(x):
+                    raise ValueError(
+                        f"task {j} ({tasks[j].get('name')!r}): "
+                        f"p({l0 + 1}) = {x!r} is not a number"
+                    )
+    edges = data["edges"]
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError("'edges' must be an array")
+    if not (
+        set(map(type, edges)) <= {list, tuple}
+        and set(map(len, edges)) <= {2}
+        and set(map(type, chain.from_iterable(edges))) <= {int}
     ):
+        for i, e in enumerate(edges):
+            if not (
+                isinstance(e, (list, tuple))
+                and len(e) == 2
+                and all(map(_is_int, e))
+            ):
+                raise ValueError(
+                    f"edge {i}: expected a [u, v] pair of task indices, "
+                    f"got {e!r}"
+                )
+    return m, n, rows, edges
+
+
+def _check_fingerprint(data: Dict[str, Any], key: Callable[[], str]) -> None:
+    """Raise when ``data`` claims a current-version fingerprint that is
+    not ``key()``; ``key`` is called only when there is a claim to check,
+    so a dict without one is not hashed.  A fingerprint from another
+    FINGERPRINT_VERSION is not comparable: the dict stays loadable, only
+    the check is skipped."""
+    claimed = data.get("fingerprint")
+    if claimed is None or (
+        data.get("fingerprint_version", FINGERPRINT_VERSION)
+        != FINGERPRINT_VERSION
+    ):
+        return
+    actual = key()
+    if claimed != actual:
         raise ValueError(
             f"instance fingerprint mismatch: file claims {claimed!r} "
-            f"but the content hashes to {instance.content_key()!r} "
+            f"but the content hashes to {actual!r} "
             "(corrupted or hand-edited instance file?)"
         )
-    # A fingerprint from another FINGERPRINT_VERSION is not comparable:
-    # the file stays loadable, only the integrity check is skipped.
-    return instance
 
 
 def dict_to_instance(data: Dict[str, Any]) -> Instance:

@@ -42,18 +42,31 @@ process never share counts), and ``/stats`` reads its numbers back
 from those same families — the JSON payload and a ``/metrics`` scrape
 can never disagree.
 
-Request keying: ``(instance.content_key(), algorithm, priority)`` with
+Request keying: ``(instance content key, algorithm, priority)`` with
 canonical strategy names, so aliases, task labels, edge input order and
-transport representation never split the cache.
+transport representation never split the cache.  ``POST /solve`` hashes
+the request's JSON arrays first (:func:`repro.io.content_key_from_dict`)
+and looks that key up in the cache's memory tier; only a miss builds
+the :class:`~repro.core.Instance` (:func:`repro.io.instance_from_dict`,
+which validates every value).  Skipping the build is safe because a key
+can only hit content a full parse has already accepted, and a claimed
+fingerprint that disagrees with the arrays never gets a key.  Memory
+hits are answered from a memo of already-serialized reply bodies (with
+their digests), one per cache entry and valid only while the cache
+still holds that very payload object.
 
-Concurrency model: the asyncio loop parses requests and serves hits;
-each miss leader hands the blocking batch call to a small thread pool,
-which in turn drives the process pool (or solves in-process when
-``workers == 0`` — handy for tests and single-core boxes).  Waiters on
-an in-flight key await the leader's future; results are passed as
-``("ok", payload)`` / ``("error", (code, message))`` tuples so an
-abandoned future never logs an unretrieved exception and every failure
-carries a machine-readable ``code``.
+Concurrency model: the asyncio loop reads requests, decodes their JSON
+and writes responses.  Per-request work that grows with the instance —
+the dict key and memory-tier lookup, else the full parse, plus the
+cache's disk tier when one is configured — runs in one hop to a small
+auxiliary thread pool.  Each miss leader hands the blocking batch call
+to a solve thread pool, which in turn drives the process pool (or
+solves in-process when ``workers == 0`` — handy for tests and
+single-core boxes).  Waiters on an in-flight key await the leader's
+future; results are passed as ``("ok", payload)`` /
+``("error", (code, message))`` tuples so an abandoned future never
+logs an unretrieved exception and every failure carries a
+machine-readable ``code``.
 
 Resilience (see ``docs/resilience.md`` for the full semantics):
 
@@ -103,6 +116,7 @@ import json
 import os
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Dict, Optional, Set, Tuple, Union
 
@@ -111,6 +125,7 @@ from ..core.evolve import InstanceDelta, evolve as evolve_instance
 from ..core.instance import Instance
 from ..engine.batch import POOL_FAILURE_PREFIX, BatchRunner
 from ..io import (
+    content_key_from_dict,
     instance_from_dict,
     instance_to_dict,
     schedule_from_dict,
@@ -172,6 +187,25 @@ class _TextBody:
     ):
         self.text = text
         self.content_type = content_type
+
+
+class _EncodedBody:
+    """A JSON response body serialized ahead of time, with the SHA-256
+    that ``X-Repro-Digest`` carries (the memoized cache-hit replies)."""
+
+    __slots__ = ("body", "digest")
+
+    def __init__(self, body: bytes):
+        self.body = body
+        self.digest = hashlib.sha256(body).hexdigest()
+
+
+#: Buckets of ``repro_service_stage_seconds``: request-path stages take
+#: tens of microseconds to tens of milliseconds.
+_STAGE_BUCKETS = (
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+    0.1, 0.25, 1.0,
+)
 
 
 class _BadRequest(ValueError):
@@ -349,6 +383,19 @@ class SolverService:
             "repro_service_solve_seconds",
             "Wall time of cache-miss solves (as recorded by the leader)",
         )
+        self._m_stage_seconds = self.metrics.histogram(
+            "repro_service_stage_seconds",
+            "Wall time of request-path stages: decode (json.loads), key "
+            "(dict content key), parse (full instance build, misses "
+            "only), encode (json.dumps + SHA-256 of a response)",
+            ("stage",),
+            buckets=_STAGE_BUCKETS,
+        )
+        # Serialized cache-hit replies: key -> (the cached payload
+        # object they encode, its encoded body), LRU-bounded by the
+        # cache capacity.
+        self._hit_bodies: "OrderedDict[CacheKey, tuple]" = OrderedDict()
+        self._hit_bodies_lock = threading.Lock()
         self._avg_solve_s: Optional[float] = None
         self.metrics.register_collector(self._collect_runtime)
 
@@ -370,8 +417,8 @@ class SolverService:
             max_workers=max(2, self.workers),
             thread_name_prefix="repro-solve",
         )
-        # Auxiliary pool for loop-unfriendly per-request work: instance
-        # parsing + content hashing (bodies may be tens of MB), and the
+        # Auxiliary pool for loop-unfriendly per-request work: content
+        # keying + instance parsing (bodies may be tens of MB), and the
         # cache's disk tier when one is configured.  Separate from the
         # solve threads, which may all be parked on long solves.
         self._aux_threads = ThreadPoolExecutor(
@@ -566,11 +613,11 @@ class SolverService:
         body = await reader.readexactly(n) if n else b""
         return method, path, headers, body
 
-    @staticmethod
     async def _write_response(
+        self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: Union[Dict[str, Any], _TextBody],
+        payload: Union[Dict[str, Any], _TextBody, _EncodedBody],
         keep_alive: bool,
         fault: Optional[FaultSpec] = None,
     ) -> bool:
@@ -594,15 +641,20 @@ class SolverService:
         if fault is not None and fault.kind == "socket_reset":
             writer.transport.abort()
             return False
-        if isinstance(payload, _TextBody):
-            body = payload.text.encode()
-            content_type = payload.content_type
-            retry_after = None
+        content_type = "application/json"
+        retry_after = None
+        if isinstance(payload, _EncodedBody):
+            body, digest = payload.body, payload.digest
         else:
-            body = json.dumps(payload).encode()
-            content_type = "application/json"
-            retry_after = payload.get("retry_after_s")
-        digest = hashlib.sha256(body).hexdigest()
+            t0 = time.perf_counter()
+            if isinstance(payload, _TextBody):
+                body = payload.text.encode()
+                content_type = payload.content_type
+            else:
+                body = json.dumps(payload).encode()
+                retry_after = payload.get("retry_after_s")
+            digest = hashlib.sha256(body).hexdigest()
+            self._observe_stage("encode", t0)
         extra = ""
         if isinstance(retry_after, (int, float)):
             extra = f"Retry-After: {retry_after:.2f}\r\n"
@@ -638,7 +690,7 @@ class SolverService:
         path: str,
         headers: Dict[str, str],
         body: bytes,
-    ) -> Tuple[int, Union[Dict[str, Any], _TextBody]]:
+    ) -> Tuple[int, Union[Dict[str, Any], _TextBody, _EncodedBody]]:
         self._m_requests.inc()
         if path == "/healthz":
             if method != "GET":
@@ -664,6 +716,7 @@ class SolverService:
         if path in ("/solve", "/evolve", "/replan"):
             if method != "POST":
                 return 405, self._error(f"use POST {path}", "method_not_allowed")
+            t0 = time.perf_counter()
             try:
                 data = json.loads(body.decode())
             except (UnicodeDecodeError, ValueError):
@@ -671,6 +724,7 @@ class SolverService:
                 return 400, self._error(
                     "request body is not valid JSON", "bad_request"
                 )
+            self._observe_stage("decode", t0)
             if not isinstance(data, dict):
                 self._m_errors.inc()
                 return 400, self._error(
@@ -721,18 +775,27 @@ class SolverService:
     # ------------------------------------------------------------------
     async def _handle_solve(
         self, data: Dict[str, Any], deadline: Optional[Deadline] = None
-    ) -> Tuple[int, Dict[str, Any]]:
+    ) -> Tuple[int, Union[Dict[str, Any], _EncodedBody]]:
         loop = asyncio.get_running_loop()
         inst_data = data.get("instance")
         if inst_data is None:
             self._m_errors.inc()
             return 400, self._error("missing 'instance' field", "bad_request")
+        # Bad strategies are reported only after the instance parses, as
+        # an invalid instance takes precedence.
+        strategies: Optional[Tuple[str, str]] = None
+        strategy_error: Optional[Exception] = None
         try:
-            # Parsing + content hashing can be expensive for large
-            # instances: keep them off the loop so concurrent hits and
-            # health probes never stall behind one fat payload.
-            instance, instance_key = await loop.run_in_executor(
-                self._aux_threads, self._parse_instance, inst_data
+            strategies = self._request_strategies(data)
+        except (UnknownStrategyError, ValueError) as exc:
+            strategy_error = exc
+        try:
+            # Keying and parsing can be expensive for large instances:
+            # keep them off the loop so concurrent hits and health
+            # probes never stall behind one fat payload.
+            parsed = await loop.run_in_executor(
+                self._aux_threads, self._lookup_or_parse, inst_data,
+                strategies,
             )
         except Exception as exc:
             # The payload is untrusted wire input: *any* parse failure
@@ -742,13 +805,72 @@ class SolverService:
                 f"invalid instance: {type(exc).__name__}: {exc}",
                 "invalid_instance",
             )
-        try:
-            algorithm, priority = self._request_strategies(data)
-        except (UnknownStrategyError, ValueError) as exc:
+        if isinstance(parsed, _EncodedBody):
+            return 200, parsed
+        if strategies is None:
             self._m_errors.inc()
-            return 400, self._error(str(exc), "unknown_strategy")
+            return 400, self._error(str(strategy_error), "unknown_strategy")
+        instance, instance_key = parsed
         return await self._solve_keyed(
-            instance, instance_key, algorithm, priority, deadline
+            instance, instance_key, *strategies, deadline
+        )
+
+    def _lookup_or_parse(
+        self,
+        inst_data: Any,
+        strategies: Optional[Tuple[str, str]],
+    ) -> Union[_EncodedBody, Tuple[Instance, str]]:
+        """Aux-thread body of ``POST /solve``: the serialized reply of a
+        memory-tier hit, keyed straight from the JSON arrays; otherwise
+        (a malformed or unkeyable payload, bad strategies, a miss) the
+        full parse — the built instance and its content key — for the
+        ordinary cache path.  Raises when the full parse does."""
+        if strategies is not None:
+            t0 = time.perf_counter()
+            try:
+                key: Optional[str] = content_key_from_dict(inst_data)
+            except Exception:
+                key = None  # the full parse below says what is wrong
+            self._observe_stage("key", t0)
+            if key is not None:
+                cache_key: CacheKey = (key, *strategies)
+                payload = self.cache.peek(cache_key)
+                if payload is not None:
+                    return self._hit_body(cache_key, payload)
+        t0 = time.perf_counter()
+        instance = instance_from_dict(inst_data)
+        instance_key = instance.content_key()
+        self._observe_stage("parse", t0)
+        return instance, instance_key
+
+    def _hit_body(
+        self, key: CacheKey, payload: Dict[str, Any]
+    ) -> _EncodedBody:
+        """The cached reply for ``payload``, serialized once per cache
+        entry.  A memo entry serves only while the cache still holds the
+        very payload object it encodes, so a re-solved or reloaded entry
+        is encoded afresh; the memo is bounded like the cache."""
+        with self._hit_bodies_lock:
+            memo = self._hit_bodies.get(key)
+            if memo is not None and memo[0] is payload:
+                self._hit_bodies.move_to_end(key)
+                return memo[1]
+        t0 = time.perf_counter()
+        encoded = _EncodedBody(
+            json.dumps({**payload, "cached": True, "deduped": False}).encode()
+        )
+        self._observe_stage("encode", t0)
+        with self._hit_bodies_lock:
+            self._hit_bodies[key] = (payload, encoded)
+            self._hit_bodies.move_to_end(key)
+            while len(self._hit_bodies) > self.cache.capacity:
+                self._hit_bodies.popitem(last=False)
+        return encoded
+
+    def _observe_stage(self, stage: str, t0: float) -> None:
+        """Record the request-path ``stage`` begun at ``t0``."""
+        self._m_stage_seconds.labels(stage).observe(
+            time.perf_counter() - t0
         )
 
     def _request_strategies(
@@ -945,12 +1067,6 @@ class SolverService:
             self._inflight.pop(key, None)
             if not fut.done():
                 fut.set_result(outcome)
-
-    @staticmethod
-    def _parse_instance(data: Dict[str, Any]) -> Tuple[Instance, str]:
-        """Aux-thread body: build the instance and its content key."""
-        instance = instance_from_dict(data)
-        return instance, instance.content_key()
 
     # ------------------------------------------------------------------
     # evolution endpoints

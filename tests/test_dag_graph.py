@@ -1,8 +1,10 @@
 """Unit tests for the DAG type (:mod:`repro.dag.graph`)."""
 
+import numpy as np
 import pytest
 
 from repro.dag import CycleError, Dag
+from repro.dag.graph import canonical_successors
 
 
 class TestConstruction:
@@ -45,6 +47,26 @@ class TestConstruction:
             Dag(2, [(0, 2)])
         with pytest.raises(ValueError):
             Dag(2, [(-1, 0)])
+
+    def test_out_of_range_edge_beyond_the_index_type(self):
+        with pytest.raises(ValueError, match="out of range"):
+            Dag(2, [(0, 10**30)])
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 2)], [(0,), (1,)], [0, 1], np.array([0, 1]),
+        np.zeros((2, 3), dtype=int),
+    ])
+    def test_non_pair_edges_rejected(self, edges):
+        # Flat or wide input used to be re-paired silently.
+        with pytest.raises(ValueError, match="pairs"):
+            Dag(3, edges)
+
+    def test_canonical_successors_is_the_dag_csr(self):
+        edges = [(2, 3), (0, 2), (0, 1), (2, 3), (1, 3), (0, 1)]
+        indptr, indices = canonical_successors(4, edges)
+        csr = Dag(4, edges).to_csr()
+        assert indptr.tolist() == csr.succ_indptr.tolist() == [0, 2, 3, 4, 4]
+        assert indices.tolist() == csr.succ_indices.tolist() == [1, 2, 3, 3]
 
     def test_negative_node_count(self):
         with pytest.raises(ValueError):

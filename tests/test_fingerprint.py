@@ -6,11 +6,22 @@ import pickle
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.fingerprint import instance_content_key
 from repro.core.instance import Instance
-from repro.dag import Dag
+from repro.core.task import MalleableTask
+from repro.dag import (
+    Dag,
+    chain_dag,
+    erdos_renyi_dag,
+    fork_join_dag,
+    independent_dag,
+    layered_dag,
+)
 from repro.io import (
+    content_key_from_dict,
     dict_to_instance,
     instance_fingerprint,
     instance_from_dict,
@@ -18,7 +29,7 @@ from repro.io import (
     load_instance,
     save_instance,
 )
-from repro.workloads import make_instance
+from repro.workloads import MODELS, make_tasks_for_dag, make_instance
 
 
 def _inst(seed=0, size=14, m=6):
@@ -179,3 +190,206 @@ class TestTimeValidation:
         data["tasks"][1] = "not-a-task"
         with pytest.raises(ValueError, match="task 1"):
             instance_from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# keying straight from the JSON arrays
+# ---------------------------------------------------------------------------
+#: lcm(1..16): p(l) = _LCM * c / l is an integral linear-speedup profile.
+_LCM = 720720
+
+
+def _dag(shape, n, seed):
+    if shape == "chain":
+        return chain_dag(n)
+    if shape == "layered":
+        return layered_dag(n, max(1, n // 4), 0.4, seed=seed)
+    if shape == "erdos_renyi":
+        return erdos_renyi_dag(n, 0.15, seed=seed)
+    if shape == "fork_join":
+        return fork_join_dag(1 + n % 4, 1 + n % 8)
+    return independent_dag(n)
+
+
+def _integral_tasks(dag, m, rng):
+    """Linear-speedup and rigid profiles with integral times, so the
+    JSON carries ints."""
+    return [
+        MalleableTask(
+            [_LCM * c // l for l in range(1, m + 1)]
+            if rng.random() < 0.5 else [c] * m
+        )
+        for c in (rng.randint(1, 9) for _ in range(dag.n_nodes))
+    ]
+
+
+@st.composite
+def _wire_instances(draw):
+    """An instance and a JSON dict of it, varied the ways a client may
+    vary it without changing the content."""
+    shape = draw(st.sampled_from(
+        ["chain", "layered", "erdos_renyi", "fork_join", "independent"]
+    ))
+    n = draw(st.integers(1, 40))
+    m = draw(st.sampled_from([1, 2, 4, 16]))
+    seed = draw(st.integers(0, 10_000))
+    rng = random.Random(seed)
+    dag = _dag(shape, n, seed)
+    profiles = draw(st.sampled_from(MODELS + ("integral",)))
+    tasks = (
+        _integral_tasks(dag, m, rng) if profiles == "integral"
+        else make_tasks_for_dag(dag, m, model=profiles, seed=seed)
+    )
+    inst = Instance(tasks, dag, m, name=f"{shape}-{n}")
+    data = json.loads(json.dumps(instance_to_dict(inst)))
+    for t in data["tasks"]:
+        t["times"] = [int(x) if x.is_integer() else x for x in t["times"]]
+    edges = data["edges"]
+    if draw(st.booleans()):
+        rng.shuffle(edges)
+    if edges and draw(st.booleans()):
+        edges.extend(rng.choice(edges)[:] for _ in range(rng.randint(1, 5)))
+    if draw(st.booleans()):
+        data["name"] = "renamed"
+        for j, t in enumerate(data["tasks"]):
+            t["name"] = None if j % 2 else f"task-{rng.random()}"
+    fingerprint = draw(st.sampled_from(["kept", "dropped", "other-version"]))
+    if fingerprint == "dropped":
+        del data["fingerprint"], data["fingerprint_version"]
+    elif fingerprint == "other-version":
+        data["fingerprint"] = "0" * 64
+        data["fingerprint_version"] = 2
+    return inst, json.loads(json.dumps(data))
+
+
+class TestContentKeyFromDict:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(_wire_instances())
+    def test_equals_the_full_parse_key(self, case):
+        inst, data = case
+        key = content_key_from_dict(data)
+        assert key == instance_from_dict(data).content_key()
+        assert key == inst.content_key()
+
+    def test_empty_instance(self):
+        data = instance_to_dict(Instance([], Dag(0), 3))
+        assert content_key_from_dict(data) == (
+            instance_from_dict(data).content_key()
+        )
+
+    def test_wrong_current_version_fingerprint_rejected(self):
+        data = instance_to_dict(_inst(seed=1, size=8, m=4))
+        data["tasks"][0]["times"] = [
+            2.0 * x for x in data["tasks"][0]["times"]
+        ]
+        with pytest.raises(ValueError, match="fingerprint mismatch"):
+            content_key_from_dict(data)
+
+    def test_skips_the_value_checks(self):
+        # A key is no proof of validity: a cyclic or NaN-timed payload
+        # still hashes, to content no full parse ever accepted.
+        data = instance_to_dict(_inst(seed=2, size=8, m=4))
+        del data["fingerprint"]
+        u, v = data["edges"][0]
+        data["edges"].append([v, u])
+        data["tasks"][0]["times"][0] = math.nan
+        key = content_key_from_dict(data)
+        assert key != _inst(seed=2, size=8, m=4).content_key()
+        with pytest.raises(ValueError):
+            instance_from_dict(data)
+
+
+def _twin(mutate):
+    data = json.loads(json.dumps(instance_to_dict(_inst(seed=3, m=4))))
+    mutate(data)
+    return data
+
+
+def _flatten_edges(d):
+    d["edges"] = [[x for e in d["edges"] for x in e]]
+
+
+def _split_edge(d):
+    u, v = d["edges"].pop()
+    d["edges"] += [[u], [v]]
+
+
+def _set_edge(value):
+    def mutate(d):
+        d["edges"][0] = value
+    return mutate
+
+
+def _set(field, value):
+    def mutate(d):
+        d[field] = value
+    return mutate
+
+
+def _set_time(value):
+    def mutate(d):
+        d["tasks"][2]["times"][1] = value
+    return mutate
+
+
+def _short_row(d):
+    d["tasks"][2]["times"].pop()
+
+
+#: Malformed shapes that older readers silently turned into some
+#: *other* instance (or loaded at all); the embedded fingerprint is
+#: kept, as a client replaying a stored instance would send it.
+MALFORMED = {
+    "flattened-edges": _flatten_edges,
+    "split-edge": _split_edge,
+    "float-endpoint": _set_edge([0, 3.9]),
+    "bool-endpoint": _set_edge([False, True]),
+    "triple-edge": _set_edge([0, 1, 2]),
+    "string-endpoint": _set_edge(["0", "1"]),
+    "float-m": _set("m", 2.9),
+    "half-m": _set("m", 4.5),
+    "bool-m": _set("m", True),
+    "string-m": _set("m", "4"),
+    "float-n": _set("n_tasks", 12.0),
+    "n-mismatch": _set("n_tasks", 11),
+    "short-row": _short_row,
+    "string-time": _set_time("1.5"),
+    "bool-time": _set_time(True),
+    "null-time": _set_time(None),
+    "list-time": _set_time([1.0]),
+    "edges-not-array": _set("edges", {"0": 1}),
+    "tasks-not-array": _set("tasks", "none"),
+}
+
+
+class TestStrictWireShapes:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_both_readers_reject(self, name):
+        data = _twin(MALFORMED[name])
+        with pytest.raises(ValueError):
+            instance_from_dict(data)
+        with pytest.raises(ValueError):
+            content_key_from_dict(data)
+
+    def test_json_ints_stay_valid_times(self):
+        data = instance_to_dict(Instance(
+            [MalleableTask([4, 2]), MalleableTask([3, 3])], Dag(2, [(0, 1)]),
+            2,
+        ))
+        data["tasks"][0]["times"] = [4, 2]
+        assert instance_from_dict(data).tasks[0].times == (4.0, 2.0)
+        assert content_key_from_dict(data) == data["fingerprint"]
+
+    def test_messages_name_the_field(self):
+        with pytest.raises(ValueError, match="edge 0"):
+            instance_from_dict(_twin(_set_edge([0, 3.9])))
+        with pytest.raises(ValueError, match="'m' must be an integer"):
+            instance_from_dict(_twin(_set("m", 4.5)))
+        with pytest.raises(ValueError, match=r"task 2 .*m=4"):
+            instance_from_dict(_twin(_short_row))
+        with pytest.raises(ValueError, match=r"task 2 .*p\(2\) = True"):
+            instance_from_dict(_twin(_set_time(True)))

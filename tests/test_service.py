@@ -7,8 +7,12 @@ is the service contract: bit-identical schedules, cache hit semantics,
 single-flight dedup, clean error codes, graceful shutdown.
 """
 
+import hashlib
+import http.client
 import json
+import random
 import socket
+import sys
 import threading
 import time
 
@@ -345,6 +349,223 @@ class TestCacheIntegration:
                 c.solve(inst)
         key = (inst.content_key(), "jz", "earliest-start")
         assert key in cache
+
+
+def _post_raw(handle, body):
+    """POST /solve with a raw body; returns (status, body bytes, the
+    X-Repro-Digest header)."""
+    conn = http.client.HTTPConnection(handle.host, handle.port, timeout=60)
+    try:
+        conn.request(
+            "POST", "/solve", body=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        resp = conn.getresponse()
+        return resp.status, resp.read(), resp.getheader("X-Repro-Digest")
+    finally:
+        conn.close()
+
+
+def _direct(inst):
+    ref = SchedulingPipeline("jz", "earliest-start").solve(inst)
+    return {
+        "instance_key": inst.content_key(),
+        "makespan": ref.makespan,
+        "lower_bound": ref.lower_bound,
+        "schedule": schedule_to_dict(ref.schedule),
+    }
+
+
+def _served(reply):
+    return {k: reply[k] for k in (
+        "instance_key", "makespan", "lower_bound", "schedule"
+    )}
+
+
+class TestKeyedHitPath:
+    """``POST /solve`` keys the JSON arrays and answers memory-tier hits
+    without building an instance, from memoized reply bytes."""
+
+    def test_hit_never_builds_the_instance(self, client, monkeypatch):
+        from repro.service import broker
+
+        inst = _inst(seed=11)
+        first = client.solve(inst)
+
+        def refuse(data):
+            raise AssertionError("a cache hit built the instance")
+
+        monkeypatch.setattr(broker, "instance_from_dict", refuse)
+        again = client.solve(inst)
+        assert again["cached"] is True
+        assert again["schedule"] == first["schedule"]
+
+    def test_malformed_twins_of_a_cached_instance_are_400(self, client):
+        from repro.io import instance_to_dict
+
+        inst = _inst(seed=12)
+        data = instance_to_dict(inst)
+        client.solve(data)
+        hits = client.stats()["cache"]["hits"]
+
+        def twin(mutate, keep_fingerprint=True):
+            d = json.loads(json.dumps(data))
+            mutate(d)
+            if not keep_fingerprint:
+                del d["fingerprint"]
+            return d
+
+        def wrong_fingerprint(d):
+            d["fingerprint"] = "0" * 64
+
+        def flatten_edges(d):
+            d["edges"] = [[x for e in d["edges"] for x in e]]
+
+        def fractional_m(d):
+            d["m"] = 4.5
+
+        def short_row(d):
+            d["tasks"][3]["times"].pop()
+
+        def true_time(d):
+            d["tasks"][3]["times"][0] = True
+
+        def back_arc(d):
+            u, v = d["edges"][0]
+            d["edges"].append([v, u])
+
+        twins = [
+            twin(wrong_fingerprint),
+            twin(flatten_edges),
+            twin(fractional_m),
+            twin(short_row),
+            twin(true_time),
+            twin(back_arc, keep_fingerprint=False),
+        ]
+        for bad in twins:
+            with pytest.raises(ServiceError) as exc:
+                client.solve(bad)
+            assert exc.value.http_status == 400
+            assert exc.value.code == "invalid_instance"
+        stats = client.stats()
+        assert stats["cache"]["hits"] == hits
+        assert stats["errors"] == len(twins)
+        assert client.solve(data)["cached"] is True
+
+    def test_repeated_hits_are_byte_identical_and_digested(self, daemon):
+        from repro.io import instance_to_dict
+
+        body = {"instance": instance_to_dict(_inst(seed=13))}
+        status, miss, _ = _post_raw(daemon, body)
+        assert status == 200
+        hits = [_post_raw(daemon, body) for _ in range(3)]
+        # The bytes a per-request encoding of the cached payload gives.
+        expected = json.dumps({**json.loads(miss), "cached": True}).encode()
+        for status, raw, digest in hits:
+            assert status == 200
+            assert raw == expected
+            assert digest == "sha256-" + hashlib.sha256(raw).hexdigest()
+
+    def test_respond_faults_damage_a_copy_of_the_memoized_bytes(self):
+        from repro.io import instance_to_dict
+        from repro.resilience import FaultPlan, FaultSpec
+
+        plan = FaultPlan(seed=0, specs=[
+            FaultSpec(kind="corrupt_payload", site="broker.respond", at=[1]),
+            FaultSpec(kind="torn_payload", site="broker.respond", at=[2]),
+        ])
+        body = {"instance": instance_to_dict(_inst(seed=20))}
+        with serve_in_thread(workers=0, faults=plan) as handle:
+            _, miss, _ = _post_raw(handle, body)
+            _, corrupt, digest = _post_raw(handle, body)
+            with pytest.raises((http.client.HTTPException, OSError)):
+                _post_raw(handle, body)  # torn mid-body
+            status, clean, clean_digest = _post_raw(handle, body)
+        expected = json.dumps({**json.loads(miss), "cached": True}).encode()
+        assert corrupt != expected
+        assert digest == "sha256-" + hashlib.sha256(expected).hexdigest()
+        assert status == 200 and clean == expected
+        assert clean_digest == digest
+
+    def test_alternating_instances_on_a_one_entry_cache(self):
+        a, b = _inst(seed=14), _inst(seed=15)
+        want = {id(a): _direct(a), id(b): _direct(b)}
+        with serve_in_thread(workers=0, cache_capacity=1) as handle:
+            with ServiceClient(port=handle.port) as c:
+                for inst in (a, a, b, b, a, b, a, a, b):
+                    assert _served(c.solve(inst)) == want[id(inst)]
+
+    def test_a_re_solved_entry_is_encoded_afresh(self):
+        from repro.io import instance_to_dict
+
+        a, b = _inst(seed=16), _inst(seed=17)
+        with serve_in_thread(workers=0, cache_capacity=1) as handle:
+            with ServiceClient(port=handle.port) as c:
+                first = instance_to_dict(a)
+                first["name"] = "first"
+                c.solve(first)
+                assert c.solve(first)["name"] == "first"  # memoized
+                c.solve(b)  # evicts a
+                second = dict(first, name="second")
+                assert c.solve(second)["cached"] is False
+                # A hit now encodes the re-solved payload, never the
+                # bytes memoized for the evicted one.
+                assert c.solve(first)["name"] == "second"
+
+    def test_hit_body_memo_under_thread_contention(self):
+        service = SolverService(cache_capacity=4)
+        keys = [(f"k{i}", "jz", "earliest-start") for i in range(10)]
+        # Two payload objects per key: a re-solve replaces the cached
+        # object, and its memo entry must follow.
+        payloads = {
+            key: [{"status": "ok", "key": key[0], "round": r}
+                  for r in range(2)]
+            for key in keys
+        }
+        wrong = []
+
+        def hammer(seed):
+            rng = random.Random(seed)
+            for _ in range(400):
+                key = rng.choice(keys)
+                payload = rng.choice(payloads[key])
+                got = service._hit_body(key, payload)
+                if json.loads(got.body) != {
+                    **payload, "cached": True, "deduped": False
+                } or got.digest != hashlib.sha256(got.body).hexdigest():
+                    wrong.append((key, payload))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(s,)) for s in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(service._hit_bodies) <= service.cache.capacity
+
+    def test_spill_tier_hit_counts_one_hit(self, tmp_path):
+        a, b = _inst(seed=18), _inst(seed=19)
+        with serve_in_thread(
+            workers=0, cache_capacity=1, spill_dir=str(tmp_path / "sp")
+        ) as handle:
+            with ServiceClient(port=handle.port) as c:
+                c.solve(a)
+                c.solve(b)  # spills a
+                before = c.stats()["cache"]
+                reply = c.solve(a)
+                after = c.stats()["cache"]
+        assert reply["cached"] is True
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] == before["misses"]
+        assert after["spill_hits"] - before["spill_hits"] == 1
 
 
 class TestLifecycle:
