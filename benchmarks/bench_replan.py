@@ -13,16 +13,19 @@ phase 2, n ∈ {2000, 10000}, m = 8):
 1. cold-solve the parent (primes the session's resident model);
 2. retime one mid-instance task ×1.37 via ``Instance.evolve()``;
 3. time ``resolve_delta`` (the **warm** side — includes arrays
-   patching, LP edits, the warm LP solve, rounding and a full phase 2);
+   patching, LP edits, the warm LP solve, rounding and phase 2 resumed
+   from the parent's LIST run, recording how many LIST steps it
+   replayed as ``list_steps_reused``);
 4. time a from-scratch ``SchedulingPipeline.solve`` of the same child
    (the **cold** side);
-5. assert the two sides agree on allotment and makespan and that the
-   warm schedule is validator-clean.
+5. assert the two sides agree on allotment, makespan and every schedule
+   entry and that the warm schedule is validator-clean.
 
 The committed ``BENCH_replan.json`` comes from a full run;
 ``--smoke`` restricts to n = 2000 for CI, where
 ``check_replan_regression.py`` gates on the within-run speedup
-(hardware-independent) and the correctness flags.
+(hardware-independent), the correctness flags and the replayed LIST
+steps.
 
 Run:  PYTHONPATH=src python benchmarks/bench_replan.py [--smoke] [-o OUT]
 """
@@ -95,6 +98,7 @@ def bench_cell(n, seed=7):
 
     makespan_equal = result.report.makespan == cold.makespan
     allotment_equal = result.report.allotment == cold.allotment
+    schedule_equal = result.report.schedule.entries == cold.schedule.entries
     try:
         validate_schedule(child, result.report.schedule)
         valid = True
@@ -102,6 +106,7 @@ def bench_cell(n, seed=7):
         valid = False
     assert makespan_equal, f"n={n}: warm makespan diverged from cold"
     assert allotment_equal, f"n={n}: warm allotment diverged from cold"
+    assert schedule_equal, f"n={n}: warm schedule diverged from cold"
     assert valid, f"n={n}: warm schedule failed validation"
 
     return {
@@ -113,6 +118,7 @@ def bench_cell(n, seed=7):
         "retimed_task": target,
         "mode": result.mode,
         "lp_edits": result.lp_edits,
+        "list_steps_reused": result.report.metadata["list_steps_reused"],
         "prime_s": prime_s,
         "warm_s": warm_s,
         "cold_s": cold_s,
@@ -126,6 +132,7 @@ def bench_cell(n, seed=7):
         "lower_bound": result.report.lower_bound,
         "makespan_equal": makespan_equal,
         "allotment_equal": allotment_equal,
+        "schedule_equal": schedule_equal,
         "validator_clean": valid,
     }
 
@@ -152,7 +159,8 @@ def main(argv=None):
             f"warm {cell['warm_s']:6.2f}s "
             f"({cell['speedup']:5.1f}x, mode={cell['mode']}, "
             f"lp_edits={cell['lp_edits']}, "
-            f"makespan_equal={cell['makespan_equal']})",
+            f"list_steps_reused={cell['list_steps_reused']}/{n}, "
+            f"schedule_equal={cell['schedule_equal']})",
             flush=True,
         )
 
@@ -165,7 +173,8 @@ def main(argv=None):
         "avg_out_degree": AVG_OUT_DEGREE,
         "note": (
             "warm_s includes array patching, LP edits, the warm LP "
-            "solve, rounding and a full phase 2 — the whole "
+            "solve, rounding and phase 2 resumed from the parent's LIST "
+            "run (list_steps_reused of n steps replayed) — the whole "
             "resolve_delta call, not just the LP"
         ),
         "cells": cells,
@@ -175,6 +184,7 @@ def main(argv=None):
         "all_consistent": all(
             c["makespan_equal"]
             and c["allotment_equal"]
+            and c["schedule_equal"]
             and c["validator_clean"]
             and c["mode"] == "warm"
             for c in cells

@@ -3,10 +3,15 @@
 Checks a ``bench_replan.py`` output (smoke or full):
 
 1. **Correctness flags** — every cell must report ``makespan_equal``,
-   ``allotment_equal`` and ``validator_clean`` (the warm path is an
-   optimization only: any divergence from the cold solve is a bug, not
-   a regression), and must actually have taken the warm path.
-2. **Within-run speedup** (hardware-independent) — each cell measures
+   ``allotment_equal``, ``schedule_equal`` and ``validator_clean`` (the
+   warm path is an optimization only: any divergence from the cold
+   solve is a bug, not a regression), and must actually have taken the
+   warm path.
+2. **LIST resumed** (hardware-independent) — a warm cell must have
+   replayed at least one LIST step from the parent's run
+   (``list_steps_reused > 0``): a single-task retime leaves every step
+   before the retimed task becomes ready unchanged.
+3. **Within-run speedup** (hardware-independent) — each cell measures
    the warm ``resolve_delta`` and a from-scratch solve of the same
    evolved child in the *same* run; the warm side must be at least
    ``--min-speedup`` (default 5×) faster at n >= 10000 and
@@ -40,13 +45,15 @@ def main(argv=None):
         n = cell["n"]
         tag = f"{cell['shape']} n={n}"
         for flag in ("makespan_equal", "allotment_equal",
-                     "validator_clean"):
+                     "schedule_equal", "validator_clean"):
             if not cell.get(flag):
                 failures.append(f"{tag}: {flag} is false")
         if cell.get("mode") != "warm":
             failures.append(
                 f"{tag}: took the {cell.get('mode')!r} path, not warm"
             )
+        elif not cell.get("list_steps_reused"):
+            failures.append(f"{tag}: replayed no LIST step")
         required = (
             args.min_speedup if n >= 10000 else args.smoke_min_speedup
         )

@@ -24,8 +24,20 @@ profitable:
 
 Everything else falls back to a cold solve *through the same resident
 model* when possible (so the next delta is warm again), or through the
-ordinary pipeline otherwise.  Warm or cold, phase 2 always reruns in
-full — LIST is cheap and its output feeds the disturbance report
+ordinary pipeline otherwise.
+
+Phase 2 resumes as well.  With the ``jz`` allotment and the
+``earliest-start`` rule the session keeps the record of its last *free*
+LIST run (:class:`repro.core.list_scheduler.ListRun`) — primed by
+:meth:`solve`, refreshed by every round, never replaced by an anchored
+``replan=True`` schedule — and hands it to the next round's
+:func:`~repro.core.list_scheduler.list_run`, which replays the leading
+steps the delta cannot have changed and decides only the rest.  A
+retime leaves every step before the retimed task becomes ready as it
+was; a structural delta builds a new ``Dag`` and replays nothing.  The
+schedule is the one a from-scratch run produces, entry for entry, and
+``report.metadata["list_steps_reused"]`` says how many steps were
+replayed.  The result feeds the disturbance report
 (:mod:`repro.schedule.replan`) comparing the new schedule against the
 previous one.
 """
@@ -38,6 +50,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.evolve import InstanceDelta, apply_operations
 from ..core.instance import Instance
+from ..core.list_scheduler import ListRun, list_run
 from ..core.lp import _result_from_solution, assemble_allotment_arrays
 from ..core.parameters import resolve_parameters
 from ..core.rounding import rounding_stretch_report
@@ -103,6 +116,8 @@ class ReplanSession:
         self._instance = instance
         self._report: Optional[SolveReport] = None
         self._warm_model: Optional[WarmUbModel] = None
+        # The last free earliest-start LIST run; the next round resumes it.
+        self._list_run: Optional[ListRun] = None
         self.max_warm_magnitude = float(max_warm_magnitude)
 
     # ------------------------------------------------------------------
@@ -152,9 +167,18 @@ class ReplanSession:
         )
         rounding = rounding_stretch_report(instance, lp_result.x, params.rho)
         t1 = time.perf_counter()
-        schedule = self._pipeline.phase2_stage.fn(
-            instance, tuple(rounding.allotment), mu=params.mu
-        )
+        if self._pipeline.priority == "earliest-start":
+            self._list_run = list_run(
+                instance, rounding.allotment, mu=params.mu,
+                previous=self._list_run,
+            )
+            schedule = self._list_run.schedule
+            reused = self._list_run.reused
+        else:
+            schedule = self._pipeline.phase2_stage.fn(
+                instance, tuple(rounding.allotment), mu=params.mu
+            )
+            reused = 0
         t2 = time.perf_counter()
         ratio = (
             params.ratio
@@ -177,6 +201,7 @@ class ReplanSession:
                 "lp": lp_result,
                 "rounding": rounding,
                 "lp_mode": "warm" if warm else "cold",
+                "list_steps_reused": reused,
             },
         )
         return report, edits

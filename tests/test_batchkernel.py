@@ -46,7 +46,6 @@ from repro.batchkernel import (
 )
 from repro.core.arrays import instance_arrays
 from repro.core.list_scheduler import (
-    _TINY_N,
     dispatch_tier,
     list_schedule,
     list_schedule_loop,
@@ -432,15 +431,16 @@ def test_runner_batched_group_falls_back_whole(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# tiny-n dispatch: no batch arrays below _TINY_N
+# tiny-n dispatch: no batch arrays on small instances
 # ---------------------------------------------------------------------------
 def test_tiny_n_dispatch_allocates_no_batch_arrays(monkeypatch):
-    """An n=50 solve must run entirely on the loop tier: no
-    ArrayTimeline, no instance_arrays pack, no CSR-frontier state."""
-    inst = make_instance("erdos_renyi", 50, 4, seed=3)
-    assert inst.n_tasks < _TINY_N
-    assert dispatch_tier(inst) == "loop"
-    expected = _entries(list_schedule_loop(inst, [1] * inst.n_tasks))
+    """Solves below 256 tasks run entirely on the loop tier: no
+    ArrayTimeline, no instance_arrays pack, no level structure."""
+    insts = [make_instance("erdos_renyi", n, 4, seed=3) for n in (50, 200)]
+    expected = [
+        _entries(list_schedule_loop(inst, [1] * inst.n_tasks))
+        for inst in insts
+    ]
 
     def forbidden(*args, **kwargs):
         raise AssertionError(
@@ -451,8 +451,10 @@ def test_tiny_n_dispatch_allocates_no_batch_arrays(monkeypatch):
         "repro.core.list_scheduler.ArrayTimeline", forbidden
     )
     monkeypatch.setattr("repro.core.arrays.instance_arrays", forbidden)
-    got = list_schedule(inst, [1] * inst.n_tasks)
-    assert _entries(got) == expected
+    monkeypatch.setattr("repro.dag.csr.DagCsr.depths", forbidden)
+    for inst, want in zip(insts, expected):
+        assert dispatch_tier(inst) == "loop"
+        assert _entries(list_schedule(inst, [1] * inst.n_tasks)) == want
 
 
 def test_dispatch_tier_array_for_wide_instances():

@@ -1,12 +1,25 @@
-"""Tests for LIST (Table 1) and the μ cap."""
+"""Tests for LIST (Table 1), the μ cap and resuming an earlier run."""
+
+import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro import Dag, Instance, assert_feasible
+from repro import Dag, Instance, MalleableTask, assert_feasible
 from repro.core import capped_allotment, list_schedule
+from repro.core import list_scheduler
+from repro.core.list_scheduler import (
+    dispatch_tier,
+    list_run,
+    list_schedule_reference,
+)
 from repro.dag import chain_dag, diamond_dag, independent_dag, layered_dag
 from repro.models import power_law_profile
+from repro.obs import trace as obs_trace
+from repro.obs.metrics import REGISTRY
 from repro.schedule import busy_profile
+from repro.workloads import make_tasks_for_dag
 
 
 def make_inst(dag, m, d=0.5, p1=10.0):
@@ -142,3 +155,193 @@ class TestListScheduleProperties:
         assert [
             (e.task, e.start, e.processors) for e in a.entries
         ] == [(e.task, e.start, e.processors) for e in b.entries]
+
+
+# ---------------------------------------------------------------------------
+# resuming an earlier run
+# ---------------------------------------------------------------------------
+
+
+def _entries(schedule):
+    return [
+        (e.task, e.start, e.processors, e.duration) for e in schedule.entries
+    ]
+
+
+def _resume_instance(tier, seed):
+    """A random instance on which :func:`dispatch_tier` picks ``tier``
+    (``"tiny"`` is the loop tier below 64 tasks)."""
+    rng = random.Random(seed)
+    m = rng.choice([2, 4, 8])
+    if tier == "tiny":
+        n = rng.randint(2, 63)
+        dag = layered_dag(n, rng.randint(1, max(1, n // 3)), 0.4, seed=seed)
+    elif tier == "loop":
+        dag = layered_dag(rng.randint(256, 320), 25, 0.15, seed=seed)
+    else:
+        dag = layered_dag(rng.randint(290, 320), 3, 0.03, seed=seed)
+    model = rng.choice(["power", "amdahl", "log"])
+    inst = Instance(make_tasks_for_dag(dag, m, model=model, seed=seed), dag, m)
+    assert dispatch_tier(inst) == ("loop" if tier == "tiny" else tier)
+    return inst
+
+
+def _expected_reuse(parent, alloc, mu, order, child, alloc2, mu2):
+    """``k*`` from its definition: the earliest step at which a task
+    whose capped allotment or duration changed becomes ready."""
+    def placed(inst, a, cap):
+        cap = inst.m if cap is None else cap
+        lj = [min(x, cap) for x in a]
+        return lj, [inst.task(j).time(lj[j]) for j in range(inst.n_tasks)]
+
+    (l1, p1), (l2, p2) = placed(parent, alloc, mu), placed(child, alloc2, mu2)
+    pos = {j: i for i, j in enumerate(order)}
+    return min(
+        (
+            max((pos[q] + 1 for q in child.dag.predecessors(j)), default=0)
+            for j in range(child.n_tasks)
+            if (l1[j], p1[j]) != (l2[j], p2[j])
+        ),
+        default=child.n_tasks,
+    )
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.sampled_from(["tiny", "loop", "array"]),
+    st.sampled_from(["retime", "allotment", "mu", "none"]),
+    st.integers(0, 2**16),
+    st.integers(1, 3),
+)
+def test_resumed_run_equals_full_run_and_reference(tier, change, seed, k):
+    """Property: a run resumed from an earlier run's record equals a
+    from-scratch run and the Table 1 reference entry for entry, and
+    replays exactly ``k*`` steps."""
+    rng = random.Random(seed)
+    parent = _resume_instance(tier, seed)
+    n, m = parent.n_tasks, parent.m
+    alloc = [rng.randint(1, m) for _ in range(n)]
+    mu = rng.choice([None, (m + 1) // 2])
+    before = list_run(parent, alloc, mu=mu)
+    child, alloc2, mu2 = parent, list(alloc), mu
+    # Changing a source replays nothing; change tasks with predecessors.
+    inner = [j for j in range(n) if parent.dag.in_degree(j)] or [0]
+    touched = rng.sample(inner, min(k, len(inner)))
+    if change == "retime":
+        evolution = parent.evolve()
+        factor = rng.uniform(0.5, 2.0)
+        for j in touched:
+            evolution.retime(j, [factor * t for t in parent.task(j).times])
+        child, _ = evolution.commit()
+        assert child.dag is parent.dag
+    elif change == "allotment":
+        for j in touched:
+            alloc2[j] = rng.randint(1, m)
+    elif change == "mu":
+        mu2 = m if mu is not None else max(1, m // 2)
+
+    resumed = list_run(child, alloc2, mu=mu2, previous=before)
+    fresh = list_run(child, alloc2, mu=mu2)
+    assert _entries(resumed.schedule) == _entries(fresh.schedule)
+    assert _entries(resumed.schedule) == _entries(
+        list_schedule_reference(child, alloc2, mu=mu2)
+    )
+    assert resumed.order.tolist() == fresh.order.tolist()
+    assert fresh.reused == 0
+    assert resumed.reused == _expected_reuse(
+        parent, alloc, mu, before.order.tolist(), child, alloc2, mu2
+    )
+    if change == "none":
+        assert resumed.reused == n
+
+
+def test_resume_needs_the_same_dag_object_and_machine():
+    dag = layered_dag(30, 5, 0.4, seed=1)
+    inst = make_inst(dag, 4)
+    before = list_run(inst, [2] * 30)
+    same = list_run(inst, [2] * 30, previous=before)
+    assert same.reused == 30
+    copy = Instance(list(inst.tasks), layered_dag(30, 5, 0.4, seed=1), 4)
+    assert copy.dag == dag and copy.dag is not dag
+    assert list_run(copy, [2] * 30, previous=before).reused == 0
+    wider = Instance(
+        [MalleableTask(list(t.times) + [t.times[-1]]) for t in inst.tasks],
+        dag,
+        5,
+    )
+    assert list_run(wider, [2] * 30, previous=before).reused == 0
+
+
+def test_counters_split_decided_and_replayed_steps():
+    """``/metrics`` and an armed tracer count the steps a resumed run
+    decided and the steps it replayed; the two add up to ``n``."""
+    inst = make_inst(layered_dag(40, 8, 0.4, seed=3), 4)
+    before = list_run(inst, [2] * 40)
+    j = max(v for v in range(40) if inst.dag.in_degree(v))
+    child, _ = inst.evolve().retime(
+        j, [2.0 * t for t in inst.task(j).times]
+    ).commit()
+    state = REGISTRY.counter_state()
+    with obs_trace.tracing() as tracer:
+        run = list_run(child, [2] * 40, previous=before)
+    assert 0 < run.reused < 40
+    delta = REGISTRY.counters_since(state)
+    assert delta[("repro_solver_frontier_steps_total", (("tier", "loop"),))] == (
+        40 - run.reused
+    )
+    assert delta[("repro_solver_list_steps_reused_total", ())] == run.reused
+    totals = tracer.counter_totals()
+    assert totals["frontier_steps"] == 40 - run.reused
+    assert totals["list_steps_reused"] == run.reused
+    # Every decided task's start is evaluated at least once.
+    assert totals["timeline_refreshes"] >= 40 - run.reused
+
+
+@pytest.mark.parametrize("tier", ["loop", "array"])
+def test_resume_keeps_the_pick_order_on_a_near_tie(tier):
+    """A (task 1) and B (task 2) are ready together with starts 1e-13
+    apart, inside the selection tolerance: LIST picks the lower id, A,
+    although B starts earlier, so the pick order differs from the
+    ``(start, task)`` order of ``Schedule.entries``.  Retiming A, the
+    earlier pick, and then its successor C must replay exactly the steps
+    taken before each becomes ready."""
+    q = 1.0 - 1e-13
+
+    def task(t):
+        return MalleableTask([t, 0.6 * t])
+
+    # ids: P=0, A=1 (after P), B=2 (after Q), Q=3, C=4 (after A)
+    inst = Instance(
+        [task(1.0), task(0.5), task(0.5), task(q), task(0.5)],
+        Dag(5, [(0, 1), (3, 2), (1, 4)]),
+        2,
+    )
+    alloc = [1] * 5
+
+    def run(instance, previous=None):
+        return list_scheduler._run(instance, alloc, None, previous, tier)
+
+    first = run(inst)
+    assert first.order.tolist() == [0, 3, 1, 2, 4]
+    assert [e.task for e in first.schedule.entries] == [0, 3, 2, 1, 4]
+
+    retimed, _ = inst.evolve().retime(1, [0.7, 0.42]).commit()
+    second = run(retimed, first)
+    assert second.reused == 1  # A is ready after P, the first pick
+    assert second.order.tolist() == [0, 3, 1, 2, 4]
+    assert _entries(second.schedule) == _entries(
+        list_schedule_reference(retimed, alloc)
+    )
+
+    again, _ = retimed.evolve().retime(4, [0.8, 0.48]).commit()
+    third = run(again, second)
+    # C is ready after A, the third pick: the replayed prefix is P, Q, A
+    # — not P, Q, B, the first three entries by (start, task).
+    assert third.reused == 3
+    assert _entries(third.schedule) == _entries(
+        list_schedule_reference(again, alloc)
+    )

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from repro import Instance, MalleableTask
 from repro.cli import main
 from repro.core.evolve import evolve
-from repro.dag import Dag
+from repro.core.list_scheduler import dispatch_tier
+from repro.dag import Dag, erdos_renyi_dag, layered_dag
 from repro.io import save_instance, schedule_from_dict
 from repro.lpsolve.highs_warm import warm_capable
 from repro.pipeline import ReplanSession, SchedulingPipeline
@@ -29,7 +30,7 @@ from repro.schedule import (
     validate_schedule,
 )
 from repro.service import ServiceClient, serve_in_thread
-from repro.workloads import make_instance
+from repro.workloads import make_instance, make_tasks_for_dag
 
 
 def _inst(seed=0, size=12, m=4):
@@ -296,10 +297,11 @@ class TestReplanSession:
     st.integers(0, 2**16),
     st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
     st.floats(min_value=1.05, max_value=3.0),
+    st.sampled_from([10, 64, 256]),
 )
-def test_warm_resolve_pinned_to_cold_solve(seed, tasks, factor):
+def test_warm_resolve_pinned_to_cold_solve(seed, tasks, factor, size):
     """Property: warm re-solves are bit-equal to cold solves."""
-    inst = _inst(seed=seed % 31, size=10 + seed % 9)
+    inst = _inst(seed=seed % 31, size=size + seed % 9)
     session = ReplanSession(inst)
     session.solve()
     ops = _retime_ops(
@@ -312,6 +314,76 @@ def test_warm_resolve_pinned_to_cold_solve(seed, tasks, factor):
     assert result.report.allotment == cold.allotment
     assert result.report.makespan == cold.makespan
     assert result.report.schedule.entries == cold.schedule.entries
+
+
+def _chain_instance(shape):
+    """An n >= 256 instance per LIST tier.  Tasks 0 and 1 carry the
+    profiles of :meth:`TestReplanSession.test_segment_count_swap_goes_cold`
+    so the chain can swap their segment counts."""
+    if shape == "layered":
+        dag = layered_dag(300, 30, 0.15, seed=5)
+    else:
+        dag = erdos_renyi_dag(400, 0.0015, seed=2)
+    tasks = make_tasks_for_dag(dag, 4, model="power", seed=3)
+    tasks[0] = MalleableTask([10.0, 6.0, 5.0, 5.0])
+    tasks[1] = MalleableTask([8.0, 8.0, 8.0, 8.0])
+    return Instance(tasks, dag, 4)
+
+
+@pytest.mark.skipif(not warm_capable(), reason="HiGHS binding unavailable")
+@pytest.mark.parametrize(
+    "shape, tier", [("layered", "loop"), ("erdos_renyi", "array")]
+)
+def test_session_chain_pinned_to_cold_solves(shape, tier):
+    """Every round of a multi-round session — warm retimes resuming
+    LIST, a structural cold fallback, the segment-count swap, an
+    anchored round and the free round after it — equals a cold solve of
+    that round's instance."""
+    inst = _chain_instance(shape)
+    assert dispatch_tier(inst) == tier
+    pipe = SchedulingPipeline("jz", "earliest-start")
+    session = ReplanSession(inst)
+    first = session.solve()
+    assert first.schedule.entries == pipe.solve(inst).schedule.entries
+    # Late tasks with predecessors: LIST replays the steps before them.
+    late = [j for j in range(inst.n_tasks - 1, 0, -7)
+            if inst.dag.in_degree(j)]
+
+    def retimes(*tasks):
+        return _retime_ops(session.instance, tasks, 1.37)
+
+    rounds = [
+        ("warm", lambda: retimes(late[0]), False),
+        ("warm", lambda: retimes(late[1], late[2]), False),
+        ("cold", lambda: [{"op": "add_task",
+                           "times": _scaled_times(session.instance, 2),
+                           "predecessors": [late[3]]}], False),
+        ("warm", lambda: retimes(late[4]), False),
+        ("cold", lambda: [
+            {"op": "retime", "task": 0, "times": [10.0] * 4},
+            {"op": "retime", "task": 1, "times": [8.0, 5.0, 4.0, 4.0]},
+        ], False),
+        ("anchored", lambda: [
+            {"op": "complete", "task": e.task, "start": e.start}
+            for e in session.report.schedule.entries[:3]
+        ] + retimes(late[5]), True),
+        ("warm", lambda: retimes(late[6]), False),
+    ]
+    for mode, ops, replan in rounds:
+        result = session.apply(ops(), replan=replan)
+        assert result.mode == mode
+        cold = pipe.solve(session.instance)
+        report = result.report
+        assert report.allotment == cold.allotment
+        reused = report.metadata["list_steps_reused"]
+        if mode == "anchored":
+            validate_schedule(session.instance, report.schedule)
+            continue
+        assert report.schedule.entries == cold.schedule.entries
+        if mode == "warm":
+            assert reused > 0
+        elif result.delta.is_structural:
+            assert reused == 0
 
 
 # ---------------------------------------------------------------------------
