@@ -12,13 +12,8 @@ Expected shape (asserted):
 Run:  pytest benchmarks/bench_baselines.py --benchmark-only -s
 """
 
-from repro import jz_schedule
-from repro.baselines import (
-    full_allotment_schedule,
-    greedy_critical_path_schedule,
-    ltw_schedule,
-    sequential_allotment_schedule,
-)
+from repro import jz_schedule, solve
+from repro.baselines import ltw_schedule
 from repro.workloads import make_instance
 
 SCENARIOS = [
@@ -36,10 +31,10 @@ def run_all(family, size, m, seed=0):
     out = {
         "jz": jz.makespan,
         "ltw": ltw_schedule(inst).makespan,
-        "seq": sequential_allotment_schedule(inst).makespan,
-        "full": full_allotment_schedule(inst).makespan,
-        "greedy": greedy_critical_path_schedule(inst).makespan,
-        "lb": jz.certificate.lower_bound,
+        "seq": solve(inst, "sequential").makespan,
+        "full": solve(inst, "full").makespan,
+        "greedy": solve(inst, "greedy").makespan,
+        "lb": jz.lower_bound,
     }
     return out
 
@@ -98,7 +93,7 @@ def test_jz_vs_ltw_average(benchmark, capsys):
                 )
                 jz = jz_schedule(inst)
                 ltw = ltw_schedule(inst)
-                lb = jz.certificate.lower_bound
+                lb = jz.lower_bound
                 jz_total += jz.makespan / lb
                 ltw_total += ltw.makespan / lb
                 n += 1

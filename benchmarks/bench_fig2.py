@@ -22,7 +22,7 @@ def scenario():
 
 def test_fig2_heavy_path_covers_light_slots(benchmark, capsys):
     inst, res = scenario()
-    mu = res.certificate.parameters.mu
+    mu = res.mu
     hp = benchmark(extract_heavy_path, inst, res.schedule, mu)
     assert hp.covers_all_light_slots
     sc = slot_classes(res.schedule, mu)
@@ -44,7 +44,7 @@ def test_fig2_heavy_path_covers_light_slots(benchmark, capsys):
 
 def test_fig2_path_tasks_use_at_most_mu(benchmark, capsys):
     inst, res = benchmark(scenario)
-    mu = res.certificate.parameters.mu
+    mu = res.mu
     hp = extract_heavy_path(inst, res.schedule, mu)
     for j in hp.tasks:
         assert res.schedule[j].processors <= mu

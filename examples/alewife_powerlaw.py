@@ -22,6 +22,7 @@ Run:  python examples/alewife_powerlaw.py
 """
 
 from repro import Instance, MalleableTask, assert_feasible, jz_schedule
+from repro.core import capped_allotment
 from repro.dag import layered_dag
 from repro.models import power_law_profile
 
@@ -63,11 +64,11 @@ def sweep_exponent(m: int = 8) -> None:
         )
         res = jz_schedule(inst)
         assert_feasible(inst, res.schedule)
-        alloc = res.certificate.allotment_final
+        alloc = capped_allotment(res.allotment, res.mu)
         mean_alloc = sum(alloc) / len(alloc)
         print(
             f"{d:>5.2f} {mean_alloc:>10.2f} "
-            f"{res.certificate.lower_bound:>8.2f} {res.makespan:>9.2f} "
+            f"{res.lower_bound:>8.2f} {res.makespan:>9.2f} "
             f"{res.observed_ratio:>6.3f}"
         )
     print()

@@ -16,12 +16,8 @@ weaknesses are complementary (work vs critical path).
 Run:  python examples/cholesky_factorization.py
 """
 
-from repro import Instance, MalleableTask, assert_feasible, jz_schedule
-from repro.baselines import (
-    full_allotment_schedule,
-    ltw_schedule,
-    sequential_allotment_schedule,
-)
+from repro import Instance, MalleableTask, assert_feasible, jz_schedule, solve
+from repro.baselines import ltw_schedule
 from repro.dag import cholesky_dag
 from repro.models import power_law_profile
 
@@ -54,9 +50,9 @@ def main() -> None:
         assert_feasible(inst, jz.schedule)
         ltw = ltw_schedule(inst)
         assert_feasible(inst, ltw.schedule)
-        seq = sequential_allotment_schedule(inst)
-        full = full_allotment_schedule(inst)
-        lb = jz.certificate.lower_bound
+        seq = solve(inst, "sequential")
+        full = solve(inst, "full")
+        lb = jz.lower_bound
         print(
             f"{tiles:>5} {dag.n_nodes:>5} {lb:>9.2f} {jz.makespan:>8.2f} "
             f"{ltw.makespan:>8.2f} {seq.makespan:>8.2f} "

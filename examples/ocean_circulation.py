@@ -49,11 +49,10 @@ def main() -> None:
         inst = build_instance(m)
         res = jz_schedule(inst)
         assert_feasible(inst, res.schedule)
-        cert = res.certificate
         print(
-            f"{m:>3} {cert.parameters.rho:>6.3f} {cert.parameters.mu:>3} "
-            f"{cert.lower_bound:>8.2f} {res.makespan:>9.2f} "
-            f"{res.observed_ratio:>6.3f} {cert.ratio_bound:>6.3f} "
+            f"{m:>3} {res.rho:>6.3f} {res.mu:>3} "
+            f"{res.lower_bound:>8.2f} {res.makespan:>9.2f} "
+            f"{res.observed_ratio:>6.3f} {res.ratio_bound:>6.3f} "
             f"{average_utilization(res.schedule):>5.2f}"
         )
     print()

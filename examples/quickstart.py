@@ -5,8 +5,8 @@ Demonstrates the core public API:
 * defining malleable tasks from processing-time profiles,
 * declaring precedence constraints as a DAG,
 * running the paper's two-phase approximation algorithm,
-* reading the certificate (LP lower bound, proven ratio) and validating
-  the schedule.
+* reading the solve report (LP lower bound, proven ratio, allotments)
+  and validating the schedule.
 
 Run:  python examples/quickstart.py
 """
@@ -19,6 +19,7 @@ from repro import (
     jz_schedule,
     render_gantt,
 )
+from repro.core import capped_allotment
 from repro.models import amdahl_profile, power_law_profile
 
 
@@ -47,20 +48,20 @@ def main() -> None:
     instance = Instance(tasks, dag, m, name="quickstart")
 
     result = jz_schedule(instance)
-    cert = result.certificate
 
     print(f"instance       : {instance!r}")
-    print(
-        f"parameters     : rho={cert.parameters.rho}, mu={cert.parameters.mu}"
-    )
-    print(f"LP lower bound : {cert.lower_bound:.3f}  (C* <= OPT)")
+    print(f"parameters     : rho={result.rho}, mu={result.mu}")
+    print(f"LP lower bound : {result.lower_bound:.3f}  (C* <= OPT)")
     print(f"makespan       : {result.makespan:.3f}")
     print(
         f"observed ratio : {result.observed_ratio:.3f}  "
-        f"(proven bound r(m) = {cert.ratio_bound:.3f})"
+        f"(proven bound r(m) = {result.ratio_bound:.3f})"
     )
-    print(f"allotment α'   : {list(cert.allotment_phase1)}")
-    print(f"allotment α    : {list(cert.allotment_final)} (after mu cap)")
+    print(f"allotment α'   : {list(result.allotment)}")
+    print(
+        f"allotment α    : {capped_allotment(result.allotment, result.mu)}"
+        " (after mu cap)"
+    )
 
     # Always validate — raises on any capacity/precedence violation.
     assert_feasible(instance, result.schedule)

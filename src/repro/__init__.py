@@ -13,15 +13,19 @@ Model building::
 Solving::
 
     from repro import jz_schedule
-    result = jz_schedule(instance)          # the paper's 3.2919-approx alg.
-    result.schedule.makespan
-    result.certificate.lower_bound          # LP (9) optimum  <= OPT
-    result.certificate.ratio_bound          # proven r(m) of Theorem 4.1
+    report = jz_schedule(instance)          # the paper's 3.2919-approx alg.
+    report.schedule.makespan
+    report.lower_bound                      # LP (9) optimum  <= OPT
+    report.ratio_bound                      # proven r(m) of Theorem 4.1
+    report.allotment, report.mu, report.rho # phase-1 α′, cap, rounding
 
-Theory (Tables 2/3/4 and the asymptotics of Section 4.3) lives in
-:mod:`repro.theory`; baselines (Lepère–Trystram–Woeginger and naive
-schedulers, plus an exact branch-and-bound for tiny instances) live in
-:mod:`repro.baselines`.
+``jz_schedule`` is the ``jz`` × ``earliest-start`` pipeline below and
+returns its :class:`SolveReport`.  Theory (Tables 2/3/4 and the
+asymptotics of Section 4.3) lives in :mod:`repro.theory`; baselines
+(Lepère–Trystram–Woeginger, the greedy critical-path allotment, and an
+exact branch-and-bound for tiny instances) live in
+:mod:`repro.baselines`, and the naive anchors are the ``sequential``,
+``full`` and ``greedy`` strategies.
 
 Pipeline API (:mod:`repro.pipeline`) — every solver as a registered
 strategy pair::
@@ -73,10 +77,11 @@ Batch API (:mod:`repro.engine`)::
 
 The batch engine preserves input order, isolates failures (one bad
 instance yields an ``"error"`` record instead of poisoning the batch) and
-returns makespans and certificate bounds bit-identical to the sequential
-path for any worker count — for *any* registered strategy combination.
-``python -m repro batch --algorithm NAME --priority RULE`` exposes the
-same engine on the command line with schema-versioned JSON-lines output.
+returns makespans, lower bounds and ratio bounds bit-identical to the
+sequential path for any worker count — for *any* registered strategy
+combination.  ``python -m repro batch --algorithm NAME --priority RULE``
+exposes the same engine on the command line with schema-versioned
+JSON-lines output.
 
 Service API (:mod:`repro.service`) — the resident solver daemon::
 
@@ -117,14 +122,11 @@ from .core import (
     Instance,
     InstanceDelta,
     InstanceEvolution,
-    JZCertificate,
     JZParameters,
-    JZResult,
     MalleableTask,
     evolve,
     extract_heavy_path,
     jz_parameters,
-    jz_schedule,
     list_schedule,
     ratio_bound,
     solve_allotment_lp,
@@ -144,6 +146,7 @@ from .pipeline import (
     SchedulingPipeline,
     SolveReport,
     UnknownStrategyError,
+    jz_schedule,
     list_strategies,
     solve,
 )
@@ -171,9 +174,7 @@ __all__ = [
     "Instance",
     "InstanceDelta",
     "InstanceEvolution",
-    "JZCertificate",
     "JZParameters",
-    "JZResult",
     "LowerBounds",
     "MalleableTask",
     "ReplanSession",

@@ -1,12 +1,7 @@
 """Baseline schedulers: LTW [18], naive anchors, exact branch-and-bound."""
 
-from .ltw import LTWResult, ltw_schedule
-from .naive import (
-    full_allotment_schedule,
-    greedy_critical_path_allotment,
-    greedy_critical_path_schedule,
-    sequential_allotment_schedule,
-)
+from .ltw import ltw_schedule
+from .naive import greedy_critical_path_allotment
 from .optimal import (
     SearchBudgetExceeded,
     optimal_makespan,
@@ -14,13 +9,9 @@ from .optimal import (
 )
 
 __all__ = [
-    "LTWResult",
     "SearchBudgetExceeded",
-    "full_allotment_schedule",
     "greedy_critical_path_allotment",
-    "greedy_critical_path_schedule",
     "ltw_schedule",
     "optimal_makespan",
     "optimal_schedule",
-    "sequential_allotment_schedule",
 ]

@@ -26,55 +26,17 @@ Jansen–Zhang algorithm:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 from ..core.instance import Instance
-from ..core.lp import AllotmentLpResult, solve_allotment_lp
-from ..core.list_scheduler import capped_allotment, list_schedule
-from ..core.rounding import round_fractional_times
-from ..schedule import Schedule
-from ..theory.ltw import ltw_parameters
+from ..pipeline.base import SolveReport
+from ..pipeline.runner import SchedulingPipeline
 
-__all__ = ["LTWResult", "ltw_schedule"]
+__all__ = ["ltw_schedule"]
 
 #: Skutella-symmetric rounding parameter used by [18].
 LTW_RHO = 0.5
 
 
-@dataclass(frozen=True)
-class LTWResult:
-    """Schedule and accounting for the LTW baseline."""
-
-    schedule: Schedule
-    lp: AllotmentLpResult
-    mu: int
-    ratio_bound: float
-    allotment_phase1: Tuple[int, ...]
-    allotment_final: Tuple[int, ...]
-
-    @property
-    def makespan(self) -> float:
-        """Makespan of the delivered schedule."""
-        return self.schedule.makespan
-
-    @property
-    def lower_bound(self) -> float:
-        """LP (9) optimum — same certified bound as the JZ pipeline."""
-        return self.lp.objective
-
-
-def ltw_schedule(instance: Instance) -> LTWResult:
-    """Run the LTW-style two-phase baseline on ``instance``."""
-    params = ltw_parameters(instance.m)
-    lp_result = solve_allotment_lp(instance)
-    allot1 = round_fractional_times(instance, lp_result.x, LTW_RHO)
-    schedule = list_schedule(instance, allot1, mu=params.mu)
-    return LTWResult(
-        schedule=schedule,
-        lp=lp_result,
-        mu=params.mu,
-        ratio_bound=params.ratio,
-        allotment_phase1=tuple(allot1),
-        allotment_final=tuple(capped_allotment(allot1, params.mu)),
-    )
+def ltw_schedule(instance: Instance) -> SolveReport:
+    """Run the LTW-style two-phase baseline on ``instance`` (the ``ltw``
+    strategy of :mod:`repro.pipeline.strategies` × ``earliest-start``)."""
+    return SchedulingPipeline("ltw").solve(instance)

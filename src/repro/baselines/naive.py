@@ -1,20 +1,25 @@
-"""Naive baseline schedulers.
+"""Naive baseline allotments.
 
 Sanity anchors for the empirical benchmarks: any reasonable malleable
 scheduler should beat these on workloads with real parallelism structure,
 and the *shapes* of where each wins are predictable:
 
-* :func:`sequential_allotment_schedule` — every task on one processor, then
-  Graham list scheduling.  Minimizes total work but ignores the critical
-  path; wins only when the DAG is wide and flat.
-* :func:`full_allotment_schedule` — every task on all ``m`` processors;
-  tasks execute one after another.  Minimizes the critical path but
-  maximizes work; wins only on chain-like DAGs.
-* :func:`greedy_critical_path_schedule` — a non-LP heuristic: start from
-  the all-ones allotment and greedily accelerate the task on the current
-  critical path with the best time-saved-per-work-added ratio, while the
-  bound ``max(L, W/m)`` keeps improving; then list schedule.  A decent
+* ``sequential`` — every task on one processor, then Graham list
+  scheduling.  Minimizes total work but ignores the critical path; wins
+  only when the DAG is wide and flat.
+* ``full`` — every task on all ``m`` processors; tasks execute one after
+  another.  Minimizes the critical path but maximizes work; wins only on
+  chain-like DAGs.
+* ``greedy-critical-path`` — a non-LP heuristic
+  (:func:`greedy_critical_path_allotment`): start from the all-ones
+  allotment and greedily accelerate the task on the current critical
+  path with the best time-saved-per-work-added ratio, while the bound
+  ``max(L, W/m)`` keeps improving; then list schedule.  A decent
   practical straw man that needs no LP.
+
+Each is a registered allotment strategy of
+:mod:`repro.pipeline.strategies`; run one with
+``repro.solve(instance, "sequential")`` (or ``"full"``, ``"greedy"``).
 """
 
 from __future__ import annotations
@@ -22,28 +27,8 @@ from __future__ import annotations
 from typing import List
 
 from ..core.instance import Instance
-from ..core.list_scheduler import list_schedule
-from ..schedule import Schedule
 
-__all__ = [
-    "sequential_allotment_schedule",
-    "full_allotment_schedule",
-    "greedy_critical_path_schedule",
-    "greedy_critical_path_allotment",
-]
-
-
-def sequential_allotment_schedule(instance: Instance) -> Schedule:
-    """All tasks on 1 processor + list scheduling (work-optimal baseline)."""
-    return list_schedule(instance, [1] * instance.n_tasks, mu=None)
-
-
-def full_allotment_schedule(instance: Instance) -> Schedule:
-    """All tasks on ``m`` processors + list scheduling (path-optimal
-    baseline; tasks serialize)."""
-    return list_schedule(
-        instance, [instance.m] * instance.n_tasks, mu=None
-    )
+__all__ = ["greedy_critical_path_allotment"]
 
 
 def greedy_critical_path_allotment(
@@ -87,10 +72,3 @@ def greedy_critical_path_allotment(
             break
         current = new
     return alloc
-
-
-def greedy_critical_path_schedule(instance: Instance) -> Schedule:
-    """Greedy critical-path allotment + list scheduling."""
-    return list_schedule(
-        instance, greedy_critical_path_allotment(instance), mu=None
-    )

@@ -172,7 +172,7 @@ class BatchTimeline:
         not per entry); each entry then needs only its covering index
         and the stay test — the same candidates, in the same order,
         with the same float comparisons as
-        ``ArrayTimeline.earliest_start``.
+        ``ArrayTimeline.earliest_start_many``.
 
         ``ready`` may be a stale cached start that has fallen below
         the row's first retained breakpoint (watermark compaction).

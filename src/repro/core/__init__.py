@@ -1,4 +1,5 @@
-"""Core algorithm: task model, LP (9), rounding, LIST, two-phase pipeline."""
+"""Core algorithm: task model, LP (9), rounding, LIST, the paper's
+parameters; :mod:`repro.pipeline` composes them into solvers."""
 
 from .task import AssumptionError, MalleableTask, WorkSegment
 from .instance import Instance
@@ -37,7 +38,6 @@ from .allotment_bsearch import (
     deadline_work_lp,
 )
 from .heavy_path import HeavyPath, extract_heavy_path
-from .two_phase import JZCertificate, JZResult, jz_schedule
 from .evolve import (
     InstanceDelta,
     InstanceEvolution,
@@ -62,9 +62,7 @@ __all__ = [
     "InstanceEvolution",
     "apply_operations",
     "evolve",
-    "JZCertificate",
     "JZParameters",
-    "JZResult",
     "MalleableTask",
     "RHO_STAR_PAPER",
     "RoundingReport",
@@ -72,7 +70,6 @@ __all__ = [
     "capped_allotment",
     "extract_heavy_path",
     "jz_parameters",
-    "jz_schedule",
     "instance_arrays",
     "list_schedule",
     "list_schedule_loop",

@@ -29,9 +29,9 @@ without letting one bad instance poison the run.  This module provides:
 
 Determinism: every record is computed by the same
 :class:`repro.pipeline.SchedulingPipeline` code path as a direct solve
-of that instance, and records are keyed by input position — so makespans
-and certificate bounds are bit-identical to the sequential path for
-*any* worker count (asserted in the test suite).
+of that instance, and records are keyed by input position — so
+makespans, lower bounds and ratio bounds are bit-identical to the
+sequential path for *any* worker count (asserted in the test suite).
 
 Example::
 
@@ -761,12 +761,13 @@ def jz_schedule_many(
     rho: Optional[float] = None,
     mu: Optional[int] = None,
 ) -> BatchResult:
-    """Solve a batch with the paper's JZ pipeline (pre-pipeline API).
+    """Solve a batch with the paper's JZ pipeline.
 
-    Equivalent to :func:`solve_many` with the default strategies;
-    makespans and certificate bounds are bit-identical to calling
-    :func:`repro.jz_schedule` on each instance sequentially, for any
-    ``workers`` value.
+    Equivalent to :func:`solve_many` with the default strategies; each
+    record's makespan, lower bound and ratio bound are bit-identical to
+    the :class:`~repro.pipeline.SolveReport` of
+    :func:`repro.jz_schedule` on that instance, for any ``workers``
+    value.
     """
     return solve_many(instances, workers=workers, rho=rho, mu=mu)
 

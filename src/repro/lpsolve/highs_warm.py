@@ -26,8 +26,6 @@ through the ordinary SciPy backend.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..obs import trace as obs_trace

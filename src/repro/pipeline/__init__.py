@@ -38,7 +38,7 @@ from .registry import (
     register_phase2,
     strategy_names,
 )
-from .runner import SchedulingPipeline, solve
+from .runner import SchedulingPipeline, jz_schedule, solve
 from .incremental import DeltaReport, ReplanSession, resolve_delta
 from . import strategies as _builtin_strategies  # noqa: F401  (registers)
 
@@ -55,6 +55,7 @@ __all__ = [
     "canonical_strategy_pair",
     "get_allotment",
     "get_phase2",
+    "jz_schedule",
     "list_strategies",
     "register_allotment",
     "register_phase2",

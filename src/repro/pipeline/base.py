@@ -12,9 +12,9 @@ Every solver in this repository is a two-stage composition:
 This module pins down the two stage protocols
 (:class:`AllotmentStrategy`, :class:`Phase2Scheduler`), the value an
 allotment stage hands to phase 2 (:class:`AllotmentResult`), and the
-single result type every composition returns (:class:`SolveReport`) —
-the unification of the pre-pipeline ``JZResult`` / ``LTWResult`` /
-``BsearchReport`` trio.
+single result type every solve returns (:class:`SolveReport`) — the
+pipeline's, and therefore :func:`repro.jz_schedule`'s and
+:func:`repro.baselines.ltw_schedule`'s.
 """
 
 from __future__ import annotations
@@ -102,9 +102,13 @@ class Phase2Scheduler(Protocol):
 class SolveReport:
     """Unified outcome of one pipeline run on one instance.
 
-    Subsumes the pre-pipeline result dataclasses: the schedule and the
-    certified numbers every consumer (batch engine, CLI, benchmarks)
-    reads live here under one name regardless of which strategies ran.
+    The schedule and the certified numbers every consumer (batch
+    engine, CLI, benchmarks) reads live here under one name regardless
+    of which strategies ran.  For the analyzed strategies the rest of
+    the paper's accounting is one call away: the phase-2 allotment is
+    ``capped_allotment(report.allotment, report.mu)`` and the slot
+    classes of Lemmas 4.3/4.4 are ``slot_classes(report.schedule,
+    min(report.mu, (m + 1) // 2))``.
     """
 
     schedule: Schedule
@@ -126,7 +130,9 @@ class SolveReport:
     #: per-stage wall-clock seconds.
     allotment_time: float
     schedule_time: float
-    #: stage extras (LP result, rounding report, certificate, ...).
+    #: stage extras: ``jz`` carries ``"parameters"``, ``"lp"`` and
+    #: ``"rounding"`` (Lemma 4.2's stretch report), ``ltw`` the first
+    #: two, ``bsearch`` its search trace.
     metadata: Mapping[str, Any] = field(default_factory=dict)
 
     @property

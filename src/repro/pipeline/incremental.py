@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from ..core.evolve import InstanceDelta, apply_operations
 from ..core.instance import Instance

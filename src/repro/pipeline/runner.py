@@ -4,10 +4,11 @@ stage and time both.
 :class:`SchedulingPipeline` resolves its two stages from the registry
 once (so unknown names fail fast, before any instance is touched) and
 then solves instances one at a time; :func:`solve` is the one-shot
-convenience.  The batch engine (:mod:`repro.engine.batch`) runs exactly
-this object inside its worker processes, which is what makes every
-registered strategy combination available to the process-pool fan-out,
-the JSONL export and the CLI for free.
+convenience and :func:`jz_schedule` the paper's algorithm by name.  The
+batch engine (:mod:`repro.engine.batch`) runs exactly this object
+inside its worker processes, which is what makes every registered
+strategy combination available to the process-pool fan-out, the JSONL
+export and the CLI for free.
 
 Example::
 
@@ -41,7 +42,7 @@ from ..obs.metrics import REGISTRY as _METRICS
 from .base import SolveReport
 from .registry import StrategyInfo, get_allotment, get_phase2
 
-__all__ = ["SchedulingPipeline", "solve"]
+__all__ = ["SchedulingPipeline", "jz_schedule", "solve"]
 
 _SOLVES = _METRICS.counter(
     "repro_solver_solves_total",
@@ -181,3 +182,21 @@ def solve(
     return SchedulingPipeline(algorithm, priority, rho=rho, mu=mu).solve(
         instance
     )
+
+
+def jz_schedule(
+    instance: Instance,
+    rho: Optional[float] = None,
+    mu: Optional[int] = None,
+) -> SolveReport:
+    """The Jansen–Zhang two-phase algorithm: ``jz`` × ``earliest-start``.
+
+    Phase 1 solves LP (9) and rounds at the critical point with ``ρ``;
+    phase 2 runs LIST with every allotment capped at ``μ``.  ``rho`` and
+    ``mu`` override the Theorem 4.1 values for ``m = instance.m``.  The
+    makespan is at most ``report.ratio_bound · OPT``; the report also
+    carries the LP optimum ``report.lower_bound`` and, in
+    ``report.metadata``, the ``"parameters"``, the ``"lp"`` result and
+    the ``"rounding"`` report (Lemma 4.2's stretches).
+    """
+    return SchedulingPipeline("jz", rho=rho, mu=mu).solve(instance)

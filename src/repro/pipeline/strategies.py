@@ -5,12 +5,13 @@ Allotment (phase-1) strategies:
 
 * ``jz`` — LP (9) + critical-point rounding at the Theorem 4.1
   parameters; the paper's phase 1.  Composed with ``earliest-start``
-  this reproduces :func:`repro.jz_schedule` bit-identically (asserted
-  by the conformance suite).
+  it is the paper's algorithm, :func:`repro.jz_schedule` (pinned to a
+  step-by-step transcription by the conformance suite).
 * ``bsearch`` — the deadline-LP binary search of [18] that the paper's
   Remark in Section 3.1 avoids, with the JZ μ cap.
 * ``ltw`` — Lepère–Trystram–Woeginger: Skutella-symmetric rounding
-  (ρ = 1/2) and [18]'s μ minimizer.
+  (ρ = 1/2) and [18]'s μ minimizer; with ``earliest-start`` it is
+  :func:`repro.baselines.ltw_schedule`.
 * ``greedy-critical-path`` (alias ``greedy``) — LP-free greedy
   acceleration of the critical path.
 * ``sequential`` — every task on one processor (work-optimal anchor).
@@ -65,7 +66,8 @@ def jz_strategy(
     rho: Optional[float] = None,
     mu: Optional[int] = None,
 ) -> AllotmentResult:
-    """Jansen–Zhang phase 1 (same call sequence as ``jz_schedule``)."""
+    """Jansen–Zhang phase 1: LP (9), then critical-point rounding at
+    ``ρ(m)``; reports ``μ(m)`` as the phase-2 cap."""
     params = resolve_parameters(instance.m, rho=rho, mu=mu)
     lp_result = solve_allotment_lp(instance)
     report = rounding_stretch_report(instance, lp_result.x, params.rho)
@@ -111,7 +113,6 @@ def bsearch_strategy(
             "deadline": report.deadline,
             "objective": report.objective,
             "lp_solves": report.lp_solves,
-            "warm_started": True,
         },
     )
 
@@ -129,7 +130,8 @@ def ltw_strategy(
     rho: Optional[float] = None,
     mu: Optional[int] = None,
 ) -> AllotmentResult:
-    """LTW phase 1 (same call sequence as ``ltw_schedule``)."""
+    """LTW phase 1: LP (9), then rounding at ``ρ = 1/2``; reports
+    [18]'s ``μ`` as the phase-2 cap."""
     params = ltw_parameters(instance.m)
     use_rho = LTW_RHO if rho is None else float(rho)
     use_mu = params.mu if mu is None else int(mu)

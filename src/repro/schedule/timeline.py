@@ -144,44 +144,25 @@ class ArrayTimeline:
     breakpoint, and the only arithmetic performed on times is the
     ``start + duration`` window-end sum — the identical IEEE operations
     of the scalar class, so both produce bit-identical answers (asserted
-    by the property suite).
-
-    What it adds is :meth:`earliest_start_batch`: the array-native LIST
-    scheduler revalidates its ready frontier in *groups* of tasks that
-    share a cached start time and a processor demand, and the batch query
-    answers a whole group with one suffix sweep over the profile arrays
-    instead of one Python walk per task.
+    by the property suite).  Its one query, :meth:`earliest_start_many`,
+    answers a whole LIST step's windows at once.
     """
 
     __slots__ = ("_m", "_times", "_usage", "_size")
 
-    def __init__(self, m: int, capacity: int = 64):
+    def __init__(self, m: int):
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self._m = int(m)
-        # Breakpoint storage grows by doubling; callers that know their
-        # schedules stay small (the batch engine's tiny-instance
-        # groups) pass a smaller initial capacity to skip the default
-        # 64-slot allocation.
-        self._times = np.zeros(capacity, dtype=float)
-        self._usage = np.zeros(capacity, dtype=np.int64)
+        # Breakpoint storage grows by doubling.
+        self._times = np.zeros(64, dtype=float)
+        self._usage = np.zeros(64, dtype=np.int64)
         self._size = 1  # breakpoint t=0 with zero usage
 
     @property
     def m(self) -> int:
         """Total processor count."""
         return self._m
-
-    def usage_at(self, t: float) -> int:
-        """Busy processors at time ``t`` (right-continuous)."""
-        if t < 0:
-            return 0
-        k = int(
-            np.searchsorted(self._times[: self._size], t, side="right")
-        ) - 1
-        return int(self._usage[k]) if k >= 0 else 0
 
     def profile(self) -> List[Tuple[float, int]]:
         """Copy of the (time, usage) breakpoint list."""
@@ -240,17 +221,6 @@ class ArrayTimeline:
         window += amount
 
     # ------------------------------------------------------------------
-    def earliest_start(
-        self, ready: float, duration: float, amount: int
-    ) -> float:
-        """Earliest ``t >= ready`` with ``amount`` processors free on the
-        whole window ``[t, t + duration)`` — scalar form of the batch
-        query, same answers as :meth:`ResourceTimeline.earliest_start`."""
-        out = self.earliest_start_batch(
-            ready, np.asarray([duration], dtype=float), amount
-        )
-        return float(out[0])
-
     def earliest_start_many(
         self,
         ready: np.ndarray,
@@ -264,7 +234,8 @@ class ArrayTimeline:
         computed **once per distinct demand**, and each (demand, ready)
         subgroup is answered with the shared suffix — the same candidates
         and float comparisons as the scalar sweep, so results are
-        bit-identical to calling :meth:`earliest_start` per entry.
+        bit-identical to calling :meth:`ResourceTimeline.earliest_start`
+        per entry.
 
         Preconditions held by the LIST scheduler (and asserted by the
         property suite's comparisons): ``ready >= 0``, ``durations > 0``
@@ -330,58 +301,4 @@ class ArrayTimeline:
                 kk = ke
             k = ka
         out[order] = res
-        return out
-
-    def earliest_start_batch(
-        self, ready: float, durations: np.ndarray, amount: int
-    ) -> np.ndarray:
-        """Earliest feasible starts for a *group* of windows that share
-        the ready time and the processor demand but differ in duration.
-
-        One suffix sweep serves the whole group: with ``nbt[k]`` the time
-        of the first over-full segment at or after tail position ``k``,
-        the group's member with duration ``d`` may stay at ``ready`` iff
-        ``ready + d <= nbt[0]``, and otherwise starts at the first later
-        breakpoint ``s`` with ``s + d <= nbt(s)`` — the same candidates,
-        in the same order, with the same float comparisons as the scalar
-        sweep.
-        """
-        if not (1 <= amount <= self._m):
-            raise ValueError(f"amount {amount} outside [1, {self._m}]")
-        ready = max(0.0, ready)
-        d = np.ascontiguousarray(durations, dtype=float)
-        out = np.empty(len(d), dtype=float)
-        trivial = d <= 0
-        if trivial.all():
-            out[:] = ready
-            return out
-        size = self._size
-        times = self._times[:size]
-        i = int(np.searchsorted(times, ready, side="right")) - 1
-        times_tail = times[i:]
-        blocked = self._usage[i:size] > self._m - amount
-        if not blocked.any():
-            # Whole suffix is free: everyone stays at the ready time.
-            out[:] = ready
-            return out
-        nbt = np.where(blocked, times_tail, np.inf)
-        np.minimum.accumulate(nbt[::-1], out=nbt[::-1])
-        stay = ready + d <= nbt[0]
-        out[stay] = ready
-        rest = ~stay & ~trivial
-        if rest.any():
-            cand = times_tail[1:]
-            limit = nbt[1:]
-            d_rest = d[rest]
-            # Guard the (group × tail) broadcast; chunk if it would blow
-            # past a few MB (deep tails with huge groups are rare).
-            step = max(1, int(4_000_000 // max(1, len(cand))))
-            firsts = np.empty(len(d_rest), dtype=np.intp)
-            for a in range(0, len(d_rest), step):
-                block = d_rest[a:a + step, None]
-                firsts[a:a + step] = np.argmax(
-                    cand[None, :] + block <= limit[None, :], axis=1
-                )
-            out[rest] = cand[firsts]
-        out[trivial] = ready
         return out

@@ -2,17 +2,15 @@
 
 import pytest
 
-from repro import Instance, assert_feasible, jz_schedule
+from repro import Instance, assert_feasible, jz_schedule, solve
 from repro.baselines import (
     SearchBudgetExceeded,
-    full_allotment_schedule,
     greedy_critical_path_allotment,
-    greedy_critical_path_schedule,
     ltw_schedule,
     optimal_makespan,
     optimal_schedule,
-    sequential_allotment_schedule,
 )
+from repro.core import capped_allotment
 from repro.dag import (
     chain_dag,
     diamond_dag,
@@ -31,21 +29,16 @@ def make_inst(dag, m, d=0.6, p1=10.0):
 
 class TestNaiveBaselines:
     @pytest.mark.parametrize(
-        "fn",
-        [
-            sequential_allotment_schedule,
-            full_allotment_schedule,
-            greedy_critical_path_schedule,
-        ],
+        "algorithm", ["sequential", "full", "greedy-critical-path"]
     )
     @pytest.mark.parametrize("seed", range(3))
-    def test_feasible(self, fn, seed):
+    def test_feasible(self, algorithm, seed):
         inst = make_inst(layered_dag(14, 4, 0.5, seed=seed), 6)
-        assert_feasible(inst, fn(inst))
+        assert_feasible(inst, solve(inst, algorithm).schedule)
 
     def test_full_allotment_serializes(self):
         inst = make_inst(independent_dag(3), 4)
-        s = full_allotment_schedule(inst)
+        s = solve(inst, "full").schedule
         assert s.makespan == pytest.approx(
             3 * inst.task(0).time(4)
         )
@@ -55,16 +48,16 @@ class TestNaiveBaselines:
         (work-)optimal while full allotment serializes."""
         m = 4
         inst = make_inst(independent_dag(8), m, d=0.5)
-        seq = sequential_allotment_schedule(inst)
-        full = full_allotment_schedule(inst)
+        seq = solve(inst, "sequential").schedule
+        full = solve(inst, "full").schedule
         assert seq.makespan < full.makespan
 
     def test_full_wins_on_chains(self):
         """On a chain, parallelizing each task is the only speedup."""
         m = 4
         inst = make_inst(chain_dag(5), m, d=0.9)
-        seq = sequential_allotment_schedule(inst)
-        full = full_allotment_schedule(inst)
+        seq = solve(inst, "sequential").schedule
+        full = solve(inst, "full").schedule
         assert full.makespan < seq.makespan
 
     def test_greedy_allotment_improves_bound(self):
@@ -106,10 +99,11 @@ class TestLTW:
     def test_allotments_recorded(self):
         inst = make_inst(diamond_dag(4), 8)
         out = ltw_schedule(inst)
-        assert len(out.allotment_phase1) == inst.n_tasks
-        assert all(
-            a <= out.mu for a in out.allotment_final
+        assert len(out.allotment) == inst.n_tasks
+        assert out.schedule.allotment(inst.n_tasks) == capped_allotment(
+            out.allotment, out.mu
         )
+        assert all(e.processors <= out.mu for e in out.schedule.entries)
 
 
 class TestExactBnB:
@@ -148,9 +142,9 @@ class TestExactBnB:
         inst = make_inst(diamond_dag(3), 3, d=0.6)
         opt = optimal_makespan(inst)
         for s in (
-            sequential_allotment_schedule(inst),
-            full_allotment_schedule(inst),
-            greedy_critical_path_schedule(inst),
+            solve(inst, "sequential").schedule,
+            solve(inst, "full").schedule,
+            solve(inst, "greedy-critical-path").schedule,
             jz_schedule(inst).schedule,
         ):
             assert opt <= s.makespan + 1e-9
@@ -170,7 +164,7 @@ class TestExactBnB:
             inst = make_inst(layered_dag(6, 3, 0.5, seed=seed), 3, d=d)
             res = jz_schedule(inst)
             opt = optimal_makespan(inst)
-            assert res.makespan <= res.certificate.ratio_bound * opt + 1e-9
+            assert res.makespan <= res.ratio_bound * opt + 1e-9
 
     def test_budget_guard(self):
         inst = make_inst(layered_dag(12, 3, 0.5, seed=0), 4)

@@ -39,7 +39,6 @@ from repro.batchkernel import (
     batched_round,
     batched_trivial_lower_bounds,
     eligible_strategy,
-    extract_block_x,
     pack_csrs,
     solve_batch,
     stack_profiles,
@@ -463,15 +462,3 @@ def test_dispatch_tier_array_for_wide_instances():
     # Deep-and-thin stays on the loop tier even above the tiny cutoff.
     deep = make_instance("chain", 300, 4, seed=0)
     assert dispatch_tier(deep) == "loop"
-
-
-def test_array_timeline_capacity_parameter():
-    from repro.schedule.timeline import ArrayTimeline
-
-    t = ArrayTimeline(4, capacity=1)
-    t.reserve(0.0, 1.0, 2)
-    t.reserve(1.0, 2.0, 4)
-    t.reserve(2.0, 9.0, 3)  # grows past the tiny initial capacity
-    assert t.earliest_start(0.0, 2.0, 3) == 9.0
-    with pytest.raises(ValueError):
-        ArrayTimeline(4, capacity=0)

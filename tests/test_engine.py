@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from two_phase_reference import jz_reference
 
-from repro import jz_schedule, jz_schedule_many, solve_many
+from repro import jz_schedule_many, solve_many
 from repro.engine import (
     SCHEMA_VERSION,
     BatchRunner,
@@ -25,15 +26,15 @@ def _instances(count=4, size=10, m=4, seed0=0):
 class TestDeterminism:
     def test_bit_identical_across_worker_counts(self):
         instances = _instances(4)
-        seq = [jz_schedule(i) for i in instances]
+        seq = [jz_reference(i) for i in instances]
         for workers in (0, 1, 2):
             res = jz_schedule_many(instances, workers=workers)
             assert res.n_errors == 0
             assert [r.index for r in res.records] == [0, 1, 2, 3]
             for rec, ref in zip(res.records, seq):
                 assert rec.makespan == ref.makespan
-                assert rec.lower_bound == ref.certificate.lower_bound
-                assert rec.ratio_bound == ref.certificate.ratio_bound
+                assert rec.lower_bound == ref.lower_bound
+                assert rec.ratio_bound == ref.ratio_bound
                 assert rec.observed_ratio == ref.observed_ratio
 
     def test_forced_pool_matches_in_process(self):
@@ -49,7 +50,7 @@ class TestDeterminism:
         res = jz_schedule_many([inst], workers=0, rho=0.3, mu=2)
         rec = res.records[0]
         assert rec.rho == 0.3 and rec.mu == 2
-        ref = jz_schedule(inst, rho=0.3, mu=2)
+        ref = jz_reference(inst, rho=0.3, mu=2)
         assert rec.makespan == ref.makespan
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core import Instance, MalleableTask
 from repro.core.arrays import instance_arrays
-from repro.core.evolve import InstanceEvolution, apply_operations, evolve
+from repro.core.evolve import evolve
 from repro.core.lp import assemble_allotment_arrays
 from repro.dag import CycleError, Dag
 from repro.workloads import make_instance

@@ -142,5 +142,5 @@ class TestPipelineUnderGeneralizedModel:
         res = jz_schedule(inst)
         assert_feasible(inst, res.schedule)
         assert res.makespan <= (
-            res.certificate.ratio_bound * res.certificate.lower_bound
+            res.ratio_bound * res.lower_bound
         ) * (1 + 1e-9)

@@ -20,9 +20,7 @@ class TestHeavyPath:
         m = 8
         inst = make_inst(layered_dag(18, 5, 0.5, seed=seed), m)
         res = jz_schedule(inst)
-        hp = extract_heavy_path(
-            inst, res.schedule, res.certificate.parameters.mu
-        )
+        hp = extract_heavy_path(inst, res.schedule, res.mu)
         assert hp.covers_all_light_slots, hp
 
     @pytest.mark.parametrize("seed", range(3))
@@ -30,9 +28,7 @@ class TestHeavyPath:
         m = 6
         inst = make_inst(layered_dag(14, 4, 0.5, seed=seed), m)
         res = jz_schedule(inst)
-        hp = extract_heavy_path(
-            inst, res.schedule, res.certificate.parameters.mu
-        )
+        hp = extract_heavy_path(inst, res.schedule, res.mu)
         # Consecutive path tasks must be connected by a directed path in
         # the DAG (the construction may hop over transitive predecessors).
         for a, b in zip(hp.tasks, hp.tasks[1:]):
@@ -42,9 +38,7 @@ class TestHeavyPath:
         m = 6
         inst = make_inst(layered_dag(14, 4, 0.5, seed=9), m)
         res = jz_schedule(inst)
-        hp = extract_heavy_path(
-            inst, res.schedule, res.certificate.parameters.mu
-        )
+        hp = extract_heavy_path(inst, res.schedule, res.mu)
         assert res.schedule[hp.tasks[-1]].end == pytest.approx(
             res.makespan
         )
@@ -53,9 +47,7 @@ class TestHeavyPath:
         m = 6
         inst = make_inst(layered_dag(14, 4, 0.5, seed=10), m)
         res = jz_schedule(inst)
-        hp = extract_heavy_path(
-            inst, res.schedule, res.certificate.parameters.mu
-        )
+        hp = extract_heavy_path(inst, res.schedule, res.mu)
         for a, b in zip(hp.tasks, hp.tasks[1:]):
             assert (
                 res.schedule[a].end <= res.schedule[b].start + 1e-9
@@ -67,7 +59,7 @@ class TestHeavyPath:
         m = 4
         inst = make_inst(chain_dag(4), m)
         res = jz_schedule(inst)
-        mu = res.certificate.parameters.mu
+        mu = res.mu
         hp = extract_heavy_path(inst, res.schedule, mu)
         assert len(hp.tasks) == 4
 
@@ -92,10 +84,9 @@ class TestHeavyPath:
         m = 8
         inst = make_inst(layered_dag(18, 5, 0.5, seed=11), m)
         res = jz_schedule(inst)
-        cert = res.certificate
-        rho, mu = cert.parameters.rho, cert.parameters.mu
+        rho, mu = res.rho, res.mu
         hp = extract_heavy_path(inst, res.schedule, mu)
         stretch = max(2 / (1 + rho), m / mu)
-        assert hp.total_t1_t2 / stretch <= cert.lower_bound + 1e-6 * (
-            1 + cert.lower_bound
+        assert hp.total_t1_t2 / stretch <= res.lower_bound + 1e-6 * (
+            1 + res.lower_bound
         )

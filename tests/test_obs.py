@@ -15,7 +15,6 @@ from repro.engine import BatchRunner
 from repro.obs import log as obs_log
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import (
-    REGISTRY,
     MetricsRegistry,
     flatten_counters,
     lint_exposition,

@@ -1,8 +1,10 @@
 """Tests for the pluggable pipeline (:mod:`repro.pipeline`): registry,
-runner, agreement with the legacy entry points and the bottom-level
-memoization it relies on."""
+runner, agreement with the step-by-step two-phase references
+(:mod:`two_phase_reference`) and the bottom-level memoization it relies
+on."""
 
 import pytest
+from two_phase_reference import jz_reference, ltw_reference
 
 from repro import jz_schedule
 from repro.baselines import ltw_schedule
@@ -112,23 +114,30 @@ class TestRegistry:
 class TestSchedulingPipeline:
     def test_jz_bit_identical_to_legacy(self):
         inst = _inst(seed=3)
-        ref = jz_schedule(inst)
+        ref = jz_reference(inst)
         rep = SchedulingPipeline().solve(inst)
         assert _entries(rep.schedule) == _entries(ref.schedule)
         assert rep.makespan == ref.makespan
-        assert rep.lower_bound == ref.certificate.lower_bound
-        assert rep.ratio_bound == ref.certificate.ratio_bound
+        assert rep.lower_bound == ref.lower_bound
+        assert rep.ratio_bound == ref.ratio_bound
         assert rep.observed_ratio == ref.observed_ratio
-        assert rep.allotment == ref.certificate.allotment_phase1
-        assert rep.mu == ref.certificate.parameters.mu
-        assert rep.rho == ref.certificate.parameters.rho
+        assert rep.allotment == ref.allotment
+        assert rep.mu == ref.mu
+        assert rep.rho == ref.rho
+        facade = jz_schedule(inst)
+        assert _entries(facade.schedule) == _entries(ref.schedule)
+        assert facade.allotment == ref.allotment
 
     def test_overrides_match_legacy(self):
         inst = _inst(seed=4, m=8)
-        ref = jz_schedule(inst, rho=0.3, mu=2)
-        rep = SchedulingPipeline("jz", rho=0.3, mu=2).solve(inst)
-        assert rep.makespan == ref.makespan
-        assert rep.rho == 0.3 and rep.mu == 2
+        ref = jz_reference(inst, rho=0.3, mu=2)
+        for rep in (
+            SchedulingPipeline("jz", rho=0.3, mu=2).solve(inst),
+            jz_schedule(inst, rho=0.3, mu=2),
+        ):
+            assert _entries(rep.schedule) == _entries(ref.schedule)
+            assert rep.allotment == ref.allotment
+            assert rep.rho == 0.3 and rep.mu == 2
 
     def test_invalid_override_rejected(self):
         with pytest.raises(ValueError):
@@ -180,12 +189,14 @@ class TestSchedulingPipeline:
 
 class TestLegacyAgreement:
     def test_ltw_schedule_matches_pipeline(self):
-        inst = _inst(seed=7)
-        legacy = ltw_schedule(inst)
-        rep = solve(inst, "ltw")
-        assert legacy.makespan == rep.makespan
-        assert legacy.lower_bound == rep.lower_bound
-        assert legacy.mu == rep.mu and rep.rho == LTW_RHO
+        for inst in (_inst(seed=7), _inst(seed=7, size=16, m=8)):
+            ref = ltw_reference(inst)
+            for rep in (ltw_schedule(inst), solve(inst, "ltw")):
+                assert _entries(rep.schedule) == _entries(ref.schedule)
+                assert rep.lower_bound == ref.lower_bound
+                assert rep.ratio_bound == ref.ratio_bound
+                assert rep.allotment == ref.allotment
+                assert rep.mu == ref.mu and rep.rho == LTW_RHO
 
     def test_bsearch_allotment_matches_pipeline(self):
         inst = _inst(seed=8)
@@ -196,7 +207,10 @@ class TestLegacyAgreement:
         assert sched.makespan == rep.makespan
         assert rep.lower_bound == inst.trivial_lower_bound()
         assert report.allotment == rep.allotment
-        assert report.lp_solves == rep.metadata["lp_solves"]
+        assert set(rep.metadata) == {"deadline", "objective", "lp_solves"}
+        assert rep.metadata["deadline"] == report.deadline
+        assert rep.metadata["objective"] == report.objective
+        assert rep.metadata["lp_solves"] == report.lp_solves
 
 
 class TestBottomLevelCache:

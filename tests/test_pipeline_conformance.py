@@ -10,11 +10,13 @@ later — is exercised on one shared pool of generated instances covering
 * honest bookkeeping (canonical names, non-negative stage times).
 
 The JZ composition is additionally pinned bit-identical to the
-pre-pipeline :func:`repro.jz_schedule` on the whole pool, so the refactor
-can never drift from the paper's algorithm.
+step-by-step transcription of the paper's algorithm
+(:func:`two_phase_reference.jz_reference`) on the whole pool, so the
+pipeline can never drift from it.
 """
 
 import pytest
+from two_phase_reference import jz_reference
 
 from repro import jz_schedule
 from repro.pipeline import SchedulingPipeline, list_strategies
@@ -89,17 +91,18 @@ class TestJZEquivalence:
     def test_bit_identical_to_prerefactor_on_full_pool(self, pool):
         pipe = SchedulingPipeline("jz", "earliest-start")
         for inst in pool:
-            ref = jz_schedule(inst)
-            rep = pipe.solve(inst)
-            assert [
-                (e.task, e.start, e.processors, e.duration)
-                for e in rep.schedule.entries
-            ] == [
-                (e.task, e.start, e.processors, e.duration)
-                for e in ref.schedule.entries
-            ], f"JZ pipeline diverged from jz_schedule on {inst.name}"
-            assert rep.makespan == ref.makespan
-            assert rep.lower_bound == ref.certificate.lower_bound
-            assert rep.ratio_bound == ref.certificate.ratio_bound
-            assert rep.observed_ratio == ref.observed_ratio
-            assert rep.allotment == ref.certificate.allotment_phase1
+            ref = jz_reference(inst)
+            for rep in (pipe.solve(inst), jz_schedule(inst)):
+                assert [
+                    (e.task, e.start, e.processors, e.duration)
+                    for e in rep.schedule.entries
+                ] == [
+                    (e.task, e.start, e.processors, e.duration)
+                    for e in ref.schedule.entries
+                ], f"JZ pipeline diverged from the reference on {inst.name}"
+                assert rep.makespan == ref.makespan
+                assert rep.lower_bound == ref.lower_bound
+                assert rep.ratio_bound == ref.ratio_bound
+                assert rep.observed_ratio == ref.observed_ratio
+                assert rep.allotment == ref.allotment
+                assert (rep.mu, rep.rho) == (ref.mu, ref.rho)

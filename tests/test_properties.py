@@ -200,10 +200,10 @@ def test_jz_schedule_feasible_and_bounded(n, m, seed):
     )
     res = jz_schedule(inst)
     assert validate_schedule(inst, res.schedule) == []
-    bound = res.certificate.ratio_bound * res.certificate.lower_bound
+    bound = res.ratio_bound * res.lower_bound
     assert res.makespan <= bound * (1 + 1e-9)
     # eq. (11): the LP bound is itself sandwiched correctly.
-    assert res.certificate.lower_bound >= inst.trivial_lower_bound() - 1e-6
+    assert res.lower_bound >= inst.trivial_lower_bound() - 1e-6
 
 
 # ---------------------------------------------------------------------------

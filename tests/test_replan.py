@@ -386,6 +386,38 @@ def test_session_chain_pinned_to_cold_solves(shape, tier):
             assert reused == 0
 
 
+def test_session_without_highs_binding_goes_cold(monkeypatch):
+    """A SciPy without ``scipy.optimize._highspy`` cannot keep a model
+    resident: every round — a cold solve, two retimes, a structural
+    delta — is a cold pipeline solve of that round's instance."""
+    monkeypatch.setattr("repro.lpsolve.highs_warm._highs_core", None)
+    assert not warm_capable()
+    pipe = SchedulingPipeline("jz", "earliest-start")
+
+    def assert_cold_solve(report, instance):
+        cold = pipe.solve(instance)
+        assert report.schedule.entries == cold.schedule.entries
+        assert report.lower_bound == cold.lower_bound
+        assert report.allotment == cold.allotment
+
+    inst = _inst(seed=2, size=16)
+    session = ReplanSession(inst)
+    assert_cold_solve(session.solve(), inst)
+    rounds = [
+        lambda: _retime_ops(session.instance, [2]),
+        lambda: _retime_ops(session.instance, [5, 7], 1.7),
+        lambda: [{"op": "add_task",
+                  "times": _scaled_times(session.instance, 0),
+                  "predecessors": [session.instance.dag.sinks()[0]]}],
+    ]
+    for ops in rounds:
+        result = session.apply(ops())
+        assert result.mode == "cold"
+        assert result.lp_edits == 0
+        assert_cold_solve(result.report, session.instance)
+    assert result.delta.is_structural
+
+
 # ---------------------------------------------------------------------------
 # service endpoints
 # ---------------------------------------------------------------------------
