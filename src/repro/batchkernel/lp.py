@@ -4,8 +4,8 @@
 the one LP (9) assembly function, :func:`repro.core.lp.lp9_arrays`,
 over the block's slices of the stacked profiles and the packed arcs —
 so each block's arrays are element-for-element the per-instance
-assembly (asserted by the property suite), and solving them through
-the same backend yields bit-identical LP solutions.
+assembly (asserted by the property suite), and solving each in a
+fresh HiGHS model yields bit-identical LP solutions.
 
 :func:`batched_round` is the vectorized twin of
 :func:`repro.core.rounding.round_fractional_times` +

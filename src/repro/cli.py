@@ -66,7 +66,8 @@ examples:
   %(prog)s --port 0 -w 4            # ephemeral port, 4 solver processes
   %(prog)s --cache-size 4096 --spill-dir /var/tmp/repro-cache
 
-endpoints: POST /solve  GET /stats  GET /healthz  POST /shutdown
+endpoints: POST /solve  POST /evolve  POST /replan  GET /stats
+           GET /metrics  GET /healthz  POST /shutdown
 client:    python -c "from repro.service import ServiceClient; ..."
 """
 

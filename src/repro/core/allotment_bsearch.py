@@ -14,10 +14,9 @@ more LP solves for the binary search.
 
 Because the search solves the *same* LP a few dozen times with only the
 deadline changing, the constraint matrix is assembled **once** per
-instance (:func:`assemble_deadline_arrays`, memoized) and converted to a
-sparse matrix once per search; each probe only swaps the
-completion-variable upper bounds before handing the arrays to HiGHS,
-which leaves the solution bit-identical to a freshly built model.
+instance (:func:`assemble_deadline_arrays`, memoized); each probe only
+swaps the completion-variable upper bounds and solves the result in a
+fresh HiGHS model, cold, so no probe depends on the ones before it.
 
 API
 ---
@@ -36,7 +35,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..lpsolve import LpError
-from ..lpsolve.scipy_backend import build_ub_matrix, solve_ub_arrays
+from ..lpsolve.scipy_backend import solve_ub_arrays
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
 from .arrays import memoized_on_instance
@@ -172,14 +171,13 @@ _PROBES = _METRICS.counter(
 class _DeadlineSolver:
     """Shared state for the binary search's repeated deadline solves.
 
-    The instance's :class:`DeadlineArrays` and their sparse matrix are
-    built once; every probe only swaps the ``C_j`` upper bounds.
+    The instance's :class:`DeadlineArrays` are built once; every probe
+    only swaps the ``C_j`` upper bounds.
     """
 
     def __init__(self, instance: Instance):
         self._instance = instance
         self._arrays = assemble_deadline_arrays(instance)
-        self._matrix = build_ub_matrix(self._arrays)
 
     def solve(self, deadline: float) -> Optional[DeadlineLpResult]:
         """One probe: ``None`` when the deadline is infeasible."""
@@ -197,7 +195,7 @@ class _DeadlineSolver:
         hi = arr.hi.copy()
         hi[arr.c_cols] = deadline
         try:
-            sol = solve_ub_arrays(arr._replace(hi=hi), A_ub=self._matrix)
+            sol = solve_ub_arrays(arr._replace(hi=hi))
         except LpError:
             return None
         x = tuple(sol.values[3 * j] for j in range(n))

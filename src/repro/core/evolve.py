@@ -119,7 +119,7 @@ class InstanceDelta:
     def magnitude(self) -> float:
         """Fraction of the parent the mutation touched (>= 0; may
         exceed 1 for bulk edits).  The incremental solver falls back to
-        a cold solve above its ``max_warm_magnitude``."""
+        a cold solve above its ``MAX_WARM_MAGNITUDE``."""
         touched = (
             len(self.added_tasks)
             + len(self.removed_tasks)

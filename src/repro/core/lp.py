@@ -291,11 +291,4 @@ def solve_allotment_lp(instance: Instance) -> AllotmentLpResult:
     """
     with obs_trace.span("lp.assemble", n=instance.n_tasks):
         arrays = assemble_allotment_arrays(instance)
-    with obs_trace.span(
-        "lp.solve",
-        backend="scipy",
-        rows=len(arrays.b_ub),
-        nnz=len(arrays.vals),
-    ):
-        sol = solve_ub_arrays(arrays)
-    return _result_from_solution(instance, sol)
+    return _result_from_solution(instance, solve_ub_arrays(arrays))

@@ -101,6 +101,11 @@ BatchItem = Union[Instance, str, Path]
 #: the two in sync through this constant, never a literal.
 POOL_FAILURE_PREFIX = "worker/pool failure"
 
+#: Cap on in-flight *instances* of a pool run (chunk futures are
+#: throttled to ``max(1, MAX_PENDING // chunksize)``); bounds memory on
+#: huge batches.
+MAX_PENDING = 256
+
 _KERNEL_TIER = _METRICS.counter(
     "repro_solver_kernel_tier_total",
     "Batch records solved per kernel tier (batched/array/loop)",
@@ -432,10 +437,6 @@ class BatchRunner:
         result pickling stop dominating small solves (the 2-worker
         regression visible in earlier BENCH_engine runs).  Ignored for
         in-process execution.
-    max_pending:
-        Cap on in-flight *instances* (chunk futures are throttled to
-        ``max(1, max_pending // chunksize)``); bounds memory on huge
-        batches.
     use_pool:
         ``None`` (default) spawns a pool only when ``workers > 1``;
         ``True`` forces a pool even for one worker (pool-to-pool scaling
@@ -468,7 +469,6 @@ class BatchRunner:
     rho: Optional[float] = None
     mu: Optional[int] = None
     chunksize: Optional[int] = None
-    max_pending: int = field(default=256)
     use_pool: Optional[bool] = None
     include_schedule: bool = False
     batch_kernel: str = "auto"
@@ -664,7 +664,7 @@ class BatchRunner:
         chunks = [
             payloads[k:k + size] for k in range(0, len(payloads), size)
         ]
-        pending_cap = max(1, self.max_pending // size)
+        pending_cap = max(1, MAX_PENDING // size)
         with obs_trace.span(
             "pool.dispatch",
             chunks=len(chunks),

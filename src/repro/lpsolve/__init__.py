@@ -1,5 +1,6 @@
-"""LP substrate: HiGHS (via SciPy) over bulk-assembled ``A_ub v <= b_ub``
-arrays, one-shot or resident for warm re-solves."""
+"""LP substrate: one HiGHS model class (SciPy's vendored binding) over
+bulk-assembled ``A_ub v <= b_ub`` arrays, solved cold once or kept
+resident for warm re-solves."""
 
 from .model import LpError, LpSolution, LpStatus
 

@@ -2,10 +2,10 @@
 
 The allotment phase of the paper's algorithm solves linear program (9).
 :mod:`repro.core.lp` assembles it in bulk as NumPy arrays and hands it
-to HiGHS (vendored inside SciPy): one-shot through
-:mod:`repro.lpsolve.scipy_backend`, or kept resident for warm
-re-solves through :mod:`repro.lpsolve.highs_warm`.  Both report their
-outcome with the types defined here.
+to HiGHS (vendored inside SciPy) through
+:class:`repro.lpsolve.scipy_backend.HighsModel`, solved cold once or
+kept resident for warm re-solves.  Its outcome is reported with the
+types defined here.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ class LpSolution:
     values:
         Optimal variable values indexed like the model's variables.
     backend:
-        Which solver produced the solution (``"scipy"`` for a one-shot
-        HiGHS solve, ``"highs-warm"`` for a resident model).
+        Which solver produced the solution (``"highs"`` for
+        :class:`~repro.lpsolve.scipy_backend.HighsModel`).
     iterations:
-        Pivot/iteration count reported by the backend (0 if unknown).
+        Pivot/iteration count reported by the solver (0 if unknown).
     """
 
     status: str

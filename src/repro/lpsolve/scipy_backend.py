@@ -1,9 +1,24 @@
-"""One-shot HiGHS solves of pre-assembled LPs.
+"""HiGHS through the binding SciPy vendors (``scipy.optimize._highspy``).
 
-Hands an ``A_ub v <= b_ub`` LP, bulk-assembled as NumPy arrays (see
-:class:`repro.core.lp.AllotmentArrays`), to
-``scipy.optimize.linprog(method="highs")`` and translates the result
-into an :class:`~repro.lpsolve.model.LpSolution`.
+Every LP of the package is an ``A_ub v <= b_ub`` model bulk-assembled
+as NumPy arrays (see :class:`repro.core.lp.AllotmentArrays`), and every
+one is solved by loading it into a :class:`HighsModel`:
+
+* a one-shot solve — LP (9), a block of the batched tier, a probe of
+  the deadline binary search — is a fresh model's cold
+  :meth:`HighsModel.solve` (:func:`solve_ub_arrays`,
+  :func:`solve_ub_blocks`);
+* the incremental path (:mod:`repro.pipeline.incremental`) keeps its
+  model resident.  An evolution that retimes one task perturbs a
+  handful of variable bounds and segment coefficients of LP (9);
+  :meth:`HighsModel.update` pushes exactly those edits through HiGHS's
+  modification API, which preserves the factorized basis, and the dual
+  simplex restarted from the previous optimum re-proves optimality in a
+  few pivots instead of thousands.
+
+Presolve runs on a model's first solve only: re-presolving would
+discard the basis and cost more than the handful of warm pivots it
+saves.
 """
 
 from __future__ import annotations
@@ -12,78 +27,185 @@ from typing import List
 
 import numpy as np
 
-from scipy.optimize import linprog as _linprog
-from scipy.sparse import csr_matrix as _csr
+from scipy.optimize._highspy import _core as _highs_core
 
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
 from .model import LpError, LpSolution, LpStatus
 
 __all__ = [
-    "build_ub_matrix",
+    "HighsModel",
     "solve_ub_arrays",
     "solve_ub_blocks",
 ]
 
+_INF = float("inf")
+
 _PIVOTS = _METRICS.counter(
     "repro_solver_lp_pivots_total",
-    "LP pivots/iterations by backend",
-    ("backend",),
+    "LP pivots/iterations",
+)
+_WARM = _METRICS.counter(
+    "repro_solver_warm_starts_total",
+    "LP solves that started from a previous basis/model",
 )
 
 
-def _solution_from_linprog(res) -> LpSolution:
-    """Translate a ``scipy.optimize.OptimizeResult`` into an LpSolution."""
-    if res.status == 2:
-        raise LpError(LpStatus.INFEASIBLE)
-    if res.status == 3:
-        raise LpError(LpStatus.UNBOUNDED)
-    if not res.success:  # pragma: no cover - solver-internal failures
-        raise LpError(f"scipy/highs failed: {res.message}")
-    iterations = int(getattr(res, "nit", 0) or 0)
-    obs_trace.add("lp_pivots", iterations)
-    _PIVOTS.labels("scipy").inc(iterations)
-    return LpSolution(
-        status=LpStatus.OPTIMAL,
-        objective=float(res.fun),
-        values=tuple(float(v) for v in res.x),
-        backend="scipy",
-        iterations=iterations,
+def _same(a, b) -> bool:
+    """Equal index arrays; patched assemblies share the parent's."""
+    return a is b or np.array_equal(a, b)
+
+
+def _to_colwise(arrays):
+    """COO triplets → CSC (start, index, value) for HiGHS kColwise."""
+    order = np.lexsort((arrays.rows, arrays.cols))
+    cols = np.asarray(arrays.cols)[order]
+    start = np.zeros(arrays.n_variables + 1, dtype=np.int32)
+    np.cumsum(
+        np.bincount(cols, minlength=arrays.n_variables), out=start[1:]
+    )
+    return (
+        start,
+        np.asarray(arrays.rows, dtype=np.int32)[order],
+        np.asarray(arrays.vals, dtype=float)[order],
     )
 
 
-def build_ub_matrix(arrays):
-    """The ``scipy.sparse.csr_matrix`` of a pre-assembled LP's COO
-    triplets (``None`` for a constraint-free model).  Split out so warm
-    re-solvers (the deadline binary search) can build it once and reuse
-    it across probes that only change bounds or right-hand sides."""
-    if not len(arrays.b_ub):
-        return None
-    return _csr(
-        (arrays.vals, (arrays.rows, arrays.cols)),
-        shape=(len(arrays.b_ub), arrays.n_variables),
-    )
+class HighsModel:
+    """A HiGHS model loaded with a pre-assembled ``A_ub v <= b_ub`` LP.
 
-
-def solve_ub_arrays(arrays, A_ub=None) -> LpSolution:
-    """Solve a pre-assembled ``A_ub v <= b_ub`` LP with HiGHS.
-
-    ``arrays`` is an :class:`repro.core.lp.AllotmentArrays`-shaped tuple
-    (COO triplets plus objective and bounds) produced by bulk NumPy
-    assembly — no per-constraint Python conversion happens here.  Pass a
-    prebuilt ``A_ub`` (from :func:`build_ub_matrix`) to skip even the
-    sparse-matrix construction on repeated solves.
+    Parameters
+    ----------
+    arrays:
+        An :class:`repro.core.lp.AllotmentArrays`-shaped tuple (COO
+        triplets, objective, bounds).  The model keeps a reference: the
+        sparsity pattern is fixed for the model's lifetime, and
+        :meth:`update` accepts only assemblies with the identical
+        pattern (same rows/cols — exactly what
+        :func:`repro.core.lp.patch_allotment_arrays` produces).
     """
-    if A_ub is None:
-        A_ub = build_ub_matrix(arrays)
-    res = _linprog(
-        arrays.c,
-        A_ub=A_ub,
-        b_ub=arrays.b_ub if len(arrays.b_ub) else None,
-        bounds=np.column_stack([arrays.lo, arrays.hi]),
-        method="highs",
-    )
-    return _solution_from_linprog(res)
+
+    def __init__(self, arrays):
+        self._arrays = arrays
+        self._solved_once = False
+        n_rows = len(arrays.b_ub)
+
+        lp = _highs_core.HighsLp()
+        lp.num_col_ = int(arrays.n_variables)
+        lp.num_row_ = int(n_rows)
+        lp.col_cost_ = np.asarray(arrays.c, dtype=float)
+        lp.col_lower_ = np.asarray(arrays.lo, dtype=float)
+        lp.col_upper_ = np.asarray(arrays.hi, dtype=float)
+        lp.row_lower_ = np.full(n_rows, -_INF)
+        lp.row_upper_ = np.asarray(arrays.b_ub, dtype=float)
+        start, index, value = _to_colwise(arrays)
+        lp.a_matrix_.format_ = _highs_core.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
+
+        h = _highs_core._Highs()
+        h.setOptionValue("output_flag", False)
+        h.passModel(lp)
+        self._h = h
+
+    # ------------------------------------------------------------------
+    def update(self, arrays) -> int:
+        """Push the diff between the loaded assembly and ``arrays``.
+
+        Returns the number of individual modifications applied.  The
+        new assembly must share the loaded one's sparsity pattern
+        (rows/cols identical, else :class:`LpError`); only
+        ``lo``/``hi``, ``vals`` and ``b_ub`` entries may differ.  The
+        solver's basis survives the edits, so the next :meth:`solve` is
+        warm.
+        """
+        old = self._arrays
+        if not (
+            arrays.n_variables == old.n_variables
+            and len(arrays.b_ub) == len(old.b_ub)
+            and _same(arrays.rows, old.rows)
+            and _same(arrays.cols, old.cols)
+        ):
+            raise LpError(
+                "warm update requires an identical sparsity pattern"
+            )
+        h = self._h
+        edits = 0
+        changed_cols = np.flatnonzero(
+            (arrays.lo != old.lo) | (arrays.hi != old.hi)
+        )
+        for col in changed_cols:
+            h.changeColBounds(
+                int(col), float(arrays.lo[col]), float(arrays.hi[col])
+            )
+        edits += len(changed_cols)
+        changed_nz = np.flatnonzero(arrays.vals != old.vals)
+        for k in changed_nz:
+            h.changeCoeff(
+                int(old.rows[k]), int(old.cols[k]), float(arrays.vals[k])
+            )
+        edits += len(changed_nz)
+        changed_rows = np.flatnonzero(arrays.b_ub != old.b_ub)
+        for r in changed_rows:
+            h.changeRowBounds(int(r), -_INF, float(arrays.b_ub[r]))
+        edits += len(changed_rows)
+        self._arrays = arrays
+        return edits
+
+    def solve(self) -> LpSolution:
+        """Run the solver: cold with presolve the first time, warm from
+        the previous basis afterwards.  Raises :class:`LpError` on
+        infeasible/unbounded models."""
+        h = self._h
+        warm = self._solved_once
+        arrays = self._arrays
+        with obs_trace.span(
+            "lp.solve",
+            rows=len(arrays.b_ub),
+            nnz=len(arrays.vals),
+            warm=warm,
+        ):
+            h.run()
+            status = h.getModelStatus()
+            Status = _highs_core.HighsModelStatus
+            if status == Status.kInfeasible:
+                raise LpError(LpStatus.INFEASIBLE)
+            if status in (Status.kUnbounded, Status.kUnboundedOrInfeasible):
+                raise LpError(LpStatus.UNBOUNDED)
+            if status != Status.kOptimal:  # pragma: no cover - solver quirks
+                raise LpError(
+                    f"HiGHS solve failed: {h.modelStatusToString(status)}"
+                )
+            if not warm:
+                # Presolve would run again on every re-solve and discard
+                # the basis; from here on the warm pivots are the point.
+                h.setOptionValue("presolve", "off")
+                self._solved_once = True
+            iterations = int(h.getInfoValue("simplex_iteration_count")[1])
+            obs_trace.add("lp_pivots", iterations)
+            _PIVOTS.inc(iterations)
+            if warm:
+                obs_trace.add("warm_starts", 1)
+                _WARM.inc()
+        return LpSolution(
+            status=LpStatus.OPTIMAL,
+            objective=float(h.getObjectiveValue()),
+            values=tuple(float(v) for v in h.getSolution().col_value),
+            backend="highs",
+            iterations=iterations,
+        )
+
+    @property
+    def arrays(self):
+        """The assembly currently loaded in the model."""
+        return self._arrays
+
+
+def solve_ub_arrays(arrays) -> LpSolution:
+    """Solve a pre-assembled ``A_ub v <= b_ub`` LP: a fresh
+    :class:`HighsModel`'s cold solve."""
+    return HighsModel(arrays).solve()
 
 
 def solve_ub_blocks(blocks) -> List[LpSolution]:
@@ -92,8 +214,7 @@ def solve_ub_blocks(blocks) -> List[LpSolution]:
     The blocks of a batch (see
     :func:`repro.batchkernel.lp.assemble_batch_lp`) share no variables
     or rows, so the joint optimum is exactly the per-block optima;
-    solving them back to back, one HiGHS call each, keeps each block's
+    solving them back to back, one HiGHS model each, keeps each block's
     result bit-identical to a standalone :func:`solve_ub_arrays` call.
     """
     return [solve_ub_arrays(arrays) for arrays in blocks]
-

@@ -3,8 +3,8 @@
 :class:`~repro.pipeline.runner.SchedulingPipeline` is stateless — every
 ``solve()`` pays the full LP from scratch.  :class:`ReplanSession` is
 the stateful counterpart for online use: it solves an instance once,
-keeps the LP solver resident (:class:`repro.lpsolve.highs_warm
-.WarmUbModel`, basis and factorization intact), and then answers each
+keeps the LP solver resident (:class:`repro.lpsolve.scipy_backend
+.HighsModel`, basis and factorization intact), and then answers each
 :meth:`resolve_delta` by pushing only the *changed* bounds and
 coefficients of LP (9) into the live model.  A single-task retime
 perturbs a handful of entries; the dual simplex re-proves optimality in
@@ -15,16 +15,14 @@ The warm path is taken only when it is provably safe and plausibly
 profitable:
 
 * the allotment stage is ``jz`` (the one whose LP the session owns);
-* SciPy's vendored HiGHS binding is available
-  (:func:`repro.lpsolve.highs_warm.warm_capable`);
 * the delta is non-structural — same tasks, same arcs — so the LP's
   sparsity pattern is unchanged;
-* the delta is small (``magnitude <= max_warm_magnitude``): bulk edits
+* the delta is small (``magnitude <= MAX_WARM_MAGNITUDE``): bulk edits
   re-enter cold, where presolve earns its keep.
 
-Everything else falls back to a cold solve *through the same resident
-model* when possible (so the next delta is warm again), or through the
-ordinary pipeline otherwise.
+Everything else is a cold solve: for ``jz`` in a fresh resident model
+(so the next delta is warm again), for other algorithms through the
+ordinary pipeline.
 
 Phase 2 resumes as well.  With the ``jz`` allotment and the
 ``earliest-start`` rule the session keeps the record of its last *free*
@@ -55,12 +53,16 @@ from ..core.lp import _result_from_solution, assemble_allotment_arrays
 from ..core.parameters import resolve_parameters
 from ..core.rounding import rounding_stretch_report
 from ..lpsolve import LpError
-from ..lpsolve.highs_warm import WarmUbModel, warm_capable
+from ..lpsolve.scipy_backend import HighsModel
 from ..schedule.replan import ScheduleDiff, diff_schedules, replan_schedule
 from .base import SolveReport
 from .runner import SchedulingPipeline
 
 __all__ = ["DeltaReport", "ReplanSession", "resolve_delta"]
+
+#: Largest delta (fraction of parent tasks touched) a session answers
+#: warm; a larger one re-solves cold.
+MAX_WARM_MAGNITUDE = 0.25
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,7 @@ class DeltaReport:
 class ReplanSession:
     """Stateful solver for an evolving instance.
 
-    Parameters mirror :class:`SchedulingPipeline`; ``max_warm_magnitude``
-    caps the delta size (fraction of parent tasks touched) the warm
-    path accepts before falling back to a cold solve.
+    Parameters mirror :class:`SchedulingPipeline`.
     """
 
     def __init__(
@@ -108,17 +108,15 @@ class ReplanSession:
         *,
         rho: Optional[float] = None,
         mu: Optional[int] = None,
-        max_warm_magnitude: float = 0.25,
     ):
         self._pipeline = SchedulingPipeline(
             algorithm, priority, rho=rho, mu=mu
         )
         self._instance = instance
         self._report: Optional[SolveReport] = None
-        self._warm_model: Optional[WarmUbModel] = None
+        self._warm_model: Optional[HighsModel] = None
         # The last free earliest-start LIST run; the next round resumes it.
         self._list_run: Optional[ListRun] = None
-        self.max_warm_magnitude = float(max_warm_magnitude)
 
     # ------------------------------------------------------------------
     @property
@@ -130,9 +128,6 @@ class ReplanSession:
     def report(self) -> Optional[SolveReport]:
         """The latest round's report (``None`` before :meth:`solve`)."""
         return self._report
-
-    def _warm_eligible(self) -> bool:
-        return self._pipeline.algorithm == "jz" and warm_capable()
 
     # ------------------------------------------------------------------
     def solve(self) -> SolveReport:
@@ -149,7 +144,7 @@ class ReplanSession:
 
     def _solve_current(self, warm: bool) -> Tuple[SolveReport, int]:
         instance = self._instance
-        if not self._warm_eligible():
+        if self._pipeline.algorithm != "jz":
             return self._pipeline.solve(instance), 0
 
         t0 = time.perf_counter()
@@ -159,7 +154,7 @@ class ReplanSession:
         arrays = assemble_allotment_arrays(instance)
         edits = 0
         if self._warm_model is None or not warm:
-            self._warm_model = WarmUbModel(arrays)
+            self._warm_model = HighsModel(arrays)
         else:
             edits = self._warm_model.update(arrays)
         lp_result = _result_from_solution(
@@ -233,10 +228,9 @@ class ReplanSession:
             )
         previous_report = self._report
         take_warm = (
-            self._warm_eligible()
-            and self._warm_model is not None
+            self._warm_model is not None
             and not delta.is_structural
-            and delta.magnitude <= self.max_warm_magnitude
+            and delta.magnitude <= MAX_WARM_MAGNITUDE
         )
         self._instance = child
         mode = "warm" if take_warm else "cold"

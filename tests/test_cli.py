@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import asyncio
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.service import SolverService
 
 
 class TestParser:
@@ -16,6 +18,20 @@ class TestParser:
         args = build_parser().parse_args(["demo"])
         assert args.family == "layered"
         assert args.processors == 8
+
+    def test_serve_help_lists_every_endpoint(self, capsys):
+        """``serve --help`` names exactly the paths the daemon's 404
+        reply lists as known."""
+        status, reply = asyncio.run(
+            SolverService()._dispatch("GET", "/no-such-path", {}, b"")
+        )
+        assert status == 404
+        known = set(reply["error"].split("known:")[1].split())
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        help_text = capsys.readouterr().out
+        listed = help_text.split("endpoints:")[1].split("client:")[0]
+        assert {w for w in listed.split() if w.startswith("/")} == known
 
 
 class TestCommands:

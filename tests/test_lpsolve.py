@@ -1,11 +1,20 @@
 """Self-tests of the test-only LP oracle (:mod:`lp_oracle`): its
-modeling layer and both of its solvers."""
+modeling layer and both of its solvers.  Plus the pin of the package's
+one HiGHS path (:class:`repro.lpsolve.scipy_backend.HighsModel`) to the
+``scipy.optimize.linprog`` call it replaced."""
 
 import numpy as np
 import pytest
 from lp_oracle import LinearProgram, solve_with_simplex
+from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
-from repro.lpsolve import LpError, LpStatus
+from repro.batchkernel import assemble_batch_lp, pack_csrs, stack_profiles
+from repro.core.allotment_bsearch import _DeadlineSolver
+from repro.core.lp import solve_allotment_lp
+from repro.lpsolve import LpError, LpSolution, LpStatus
+from repro.lpsolve.scipy_backend import HighsModel, solve_ub_blocks
+from repro.workloads import make_instance
 
 BACKENDS = ["simplex", "scipy"]
 
@@ -174,3 +183,110 @@ class TestBackendAgreement:
         lp.add_variable("x", lo=float("-inf"), obj=1.0)
         with pytest.raises(LpError):
             solve_with_simplex(lp)
+
+
+# ---------------------------------------------------------------------------
+# the one HiGHS path, pinned to the linprog call it replaced
+# ---------------------------------------------------------------------------
+_FAMILIES = ("layered", "erdos_renyi", "chain", "fork_join")
+
+
+def solve_with_linprog(arrays) -> LpSolution:
+    """The reference: the one-shot ``linprog(method="highs")`` call,
+    over a CSR matrix, that solved every cold LP of the package before
+    :class:`HighsModel` became the only way into HiGHS."""
+    a_ub = csr_matrix(
+        (arrays.vals, (arrays.rows, arrays.cols)),
+        shape=(len(arrays.b_ub), arrays.n_variables),
+    )
+    res = linprog(
+        arrays.c,
+        A_ub=a_ub,
+        b_ub=arrays.b_ub,
+        bounds=np.column_stack([arrays.lo, arrays.hi]),
+        method="highs",
+    )
+    if res.status == 2:
+        raise LpError(LpStatus.INFEASIBLE)
+    if not res.success:
+        raise LpError(res.message)
+    return LpSolution(
+        status=LpStatus.OPTIMAL,
+        objective=float(res.fun),
+        values=tuple(float(v) for v in res.x),
+        backend="linprog",
+        iterations=int(res.nit or 0),
+    )
+
+
+@pytest.fixture()
+def highs_runs(monkeypatch):
+    """Every :meth:`HighsModel.solve` the test makes, as ``(arrays
+    loaded, LpSolution or the LpError raised)``."""
+    runs = []
+    solve = HighsModel.solve
+
+    def recorded(model):
+        arrays = model.arrays
+        try:
+            sol = solve(model)
+        except LpError as exc:
+            runs.append((arrays, exc))
+            raise
+        runs.append((arrays, sol))
+        return sol
+
+    monkeypatch.setattr(HighsModel, "solve", recorded)
+    return runs
+
+
+def assert_runs_match_linprog(runs):
+    for arrays, got in runs:
+        if isinstance(got, LpError):
+            with pytest.raises(LpError):
+                solve_with_linprog(arrays)
+            continue
+        ref = solve_with_linprog(arrays)
+        assert got.values == ref.values
+        assert got.objective == ref.objective
+        assert got.iterations == ref.iterations
+
+
+class TestOneHighsPath:
+    """Every cold HiGHS solve — LP (9), a deadline probe of the binary
+    search, a block of the batched tier — equals the ``linprog`` call
+    on the same arrays: values, objective and iteration count."""
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_lp9_assemblies(self, family, highs_runs):
+        for n, m, seed in ((24, 4, 1), (150, 8, 2), (500, 16, 3)):
+            solve_allotment_lp(make_instance(family, n, m, seed=seed))
+        assert len(highs_runs) == 3
+        assert_runs_match_linprog(highs_runs)
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_deadline_probes(self, family, highs_runs):
+        """One search's probe ladder, from below the all-``m`` critical
+        path (infeasible) up to the sequential makespan."""
+        inst = make_instance(family, 60, 8, seed=4)
+        low, high = inst.min_critical_path(), inst.sequential_makespan()
+        deadlines = [0.5 * low, 0.99 * low, *np.linspace(low, high, 8)]
+        solver = _DeadlineSolver(inst)
+        results = [solver.solve(d) for d in deadlines]
+        assert results[0] is None and results[1] is None
+        assert results[-1] is not None
+        assert len(highs_runs) == len(deadlines)
+        assert_runs_match_linprog(highs_runs)
+
+    def test_batched_blocks(self, highs_runs):
+        batch = [
+            make_instance(family, 80, m, seed=5)
+            for family in _FAMILIES
+            for m in (4, 16)
+        ]
+        blocks = assemble_batch_lp(
+            stack_profiles(batch), pack_csrs([i.dag.to_csr() for i in batch])
+        )
+        solve_ub_blocks(blocks)
+        assert len(highs_runs) == len(blocks)
+        assert_runs_match_linprog(highs_runs)

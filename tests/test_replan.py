@@ -18,9 +18,11 @@ from repro import Instance, MalleableTask
 from repro.cli import main
 from repro.core.evolve import evolve
 from repro.core.list_scheduler import dispatch_tier
+from repro.core.lp import assemble_allotment_arrays
 from repro.dag import Dag, erdos_renyi_dag, layered_dag
 from repro.io import save_instance, schedule_from_dict
-from repro.lpsolve.highs_warm import warm_capable
+from repro.obs import trace as obs_trace
+from repro.obs.metrics import REGISTRY
 from repro.pipeline import ReplanSession, SchedulingPipeline
 from repro.schedule import (
     Schedule,
@@ -188,9 +190,6 @@ class TestReplanSession:
         assert report.lower_bound == ref.lower_bound
         assert report.allotment == ref.allotment
 
-    @pytest.mark.skipif(
-        not warm_capable(), reason="HiGHS binding unavailable"
-    )
     def test_warm_delta_matches_cold(self):
         inst = _inst(seed=1, size=16)
         session = ReplanSession(inst)
@@ -204,6 +203,28 @@ class TestReplanSession:
         assert result.report.makespan == cold.makespan
         validate_schedule(child, result.report.schedule)
         assert result.disturbance is not None
+
+    def test_traced_warm_retime_opens_one_lp_solve_span(self):
+        """A warm round's HiGHS run is one ``lp.solve`` span (``warm``)
+        holding every pivot of the round, as the metric counts them."""
+        inst = _inst(seed=4, size=60)
+        session = ReplanSession(inst)
+        session.solve()
+        before = REGISTRY.counter_state()
+        with obs_trace.tracing() as tracer:
+            result = session.apply(_retime_ops(inst, [1, 10], 2.5))
+        assert result.mode == "warm"
+        pivots = REGISTRY.counters_since(before)[
+            ("repro_solver_lp_pivots_total", ())
+        ]
+        assert pivots > 0
+        (span,) = [s for s in tracer.spans() if s.name == "lp.solve"]
+        arrays = assemble_allotment_arrays(session.instance)
+        assert span.args == {
+            "rows": len(arrays.b_ub), "nnz": len(arrays.vals), "warm": True,
+        }
+        assert span.counters == {"lp_pivots": pivots, "warm_starts": 1}
+        assert tracer.counter_totals()["lp_pivots"] == pivots
 
     def test_structural_delta_goes_cold(self):
         inst = _inst()
@@ -287,7 +308,6 @@ class TestReplanSession:
         assert result.mode == "cold"
 
 
-@pytest.mark.skipif(not warm_capable(), reason="HiGHS binding unavailable")
 @settings(
     max_examples=15,
     deadline=None,
@@ -330,7 +350,6 @@ def _chain_instance(shape):
     return Instance(tasks, dag, 4)
 
 
-@pytest.mark.skipif(not warm_capable(), reason="HiGHS binding unavailable")
 @pytest.mark.parametrize(
     "shape, tier", [("layered", "loop"), ("erdos_renyi", "array")]
 )
@@ -384,38 +403,6 @@ def test_session_chain_pinned_to_cold_solves(shape, tier):
             assert reused > 0
         elif result.delta.is_structural:
             assert reused == 0
-
-
-def test_session_without_highs_binding_goes_cold(monkeypatch):
-    """A SciPy without ``scipy.optimize._highspy`` cannot keep a model
-    resident: every round — a cold solve, two retimes, a structural
-    delta — is a cold pipeline solve of that round's instance."""
-    monkeypatch.setattr("repro.lpsolve.highs_warm._highs_core", None)
-    assert not warm_capable()
-    pipe = SchedulingPipeline("jz", "earliest-start")
-
-    def assert_cold_solve(report, instance):
-        cold = pipe.solve(instance)
-        assert report.schedule.entries == cold.schedule.entries
-        assert report.lower_bound == cold.lower_bound
-        assert report.allotment == cold.allotment
-
-    inst = _inst(seed=2, size=16)
-    session = ReplanSession(inst)
-    assert_cold_solve(session.solve(), inst)
-    rounds = [
-        lambda: _retime_ops(session.instance, [2]),
-        lambda: _retime_ops(session.instance, [5, 7], 1.7),
-        lambda: [{"op": "add_task",
-                  "times": _scaled_times(session.instance, 0),
-                  "predecessors": [session.instance.dag.sinks()[0]]}],
-    ]
-    for ops in rounds:
-        result = session.apply(ops())
-        assert result.mode == "cold"
-        assert result.lp_edits == 0
-        assert_cold_solve(result.report, session.instance)
-    assert result.delta.is_structural
 
 
 # ---------------------------------------------------------------------------
