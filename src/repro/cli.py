@@ -207,7 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--output", help="write here instead of stdout")
 
-    v = sub.add_parser("validate", help="validate schedule vs instance")
+    v = sub.add_parser(
+        "validate",
+        help="validate schedule vs instance",
+        description=(
+            "Check a schedule against an instance.  Exit codes: 0 "
+            "feasible, 1 infeasible, 2 a file cannot be loaded."
+        ),
+    )
     v.add_argument("instance")
     v.add_argument("schedule")
 
@@ -364,14 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "spill evicted cache entries to this directory as JSON "
             "(default: no disk tier)"
-        ),
-    )
-    sv.add_argument(
-        "--batch-kernel", choices=["auto", "on", "off"], default="auto",
-        help=(
-            "batched kernel tier routing forwarded to the solve "
-            "engine; per-request tier counts appear in GET /stats "
-            "(default: auto)"
         ),
     )
     sv.add_argument(
@@ -659,8 +658,25 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from .io import load_instance, load_schedule
     from .schedule import validate_schedule
 
-    inst = load_instance(args.instance)
-    sched = load_schedule(args.schedule)
+    loaded = []
+    for what, path, load in (
+        ("instance", args.instance, load_instance),
+        ("schedule", args.schedule, load_schedule),
+    ):
+        try:
+            loaded.append(load(path))
+        except Exception as exc:
+            # Exit 1 means INFEASIBLE, so an unreadable input is a
+            # usage error (2) with a one-line diagnostic.
+            reason = (
+                f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            )
+            print(
+                f"validate: cannot load {what} {path!r}: {reason}",
+                file=sys.stderr,
+            )
+            return 2
+    inst, sched = loaded
     bad = validate_schedule(inst, sched)
     if bad:
         print("INFEASIBLE:")
@@ -1087,7 +1103,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             spill_dir=args.spill_dir,
             algorithm=args.algorithm,
             priority=args.priority,
-            batch_kernel=args.batch_kernel,
             max_queue_depth=(
                 None if args.max_queue_depth == 0 else args.max_queue_depth
             ),

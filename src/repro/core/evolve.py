@@ -25,17 +25,17 @@ changed::
 The commit is engineered for the incremental re-solve path
 (:mod:`repro.pipeline.incremental`):
 
-* the precedence DAG is patched **incrementally** via
-  :func:`repro.dag.patch.patch_csr` — CSR ``indptr``/``indices``
-  splicing instead of a rebuild, preserving the cached level
-  decompositions whenever the mutation provably cannot move a level
-  (a graph-untouched commit shares the parent's :class:`~repro.dag.Dag`
-  object outright);
-* the memoized array assemblies (:func:`repro.core.arrays
-  .instance_arrays`, :func:`repro.core.lp.assemble_allotment_arrays`)
-  are *seeded* for the child by patching the parent's cached arrays in
-  the retimed rows, so a small mutation never pays a from-scratch
-  assembly;
+* a structural commit (tasks or arcs added or removed) builds the
+  child's DAG like any other: the parent's arcs, mapped through
+  ``node_map``, go to the :class:`~repro.dag.Dag` constructor, which
+  canonicalizes them and validates acyclicity;
+* a retime/completion commit shares the parent's
+  :class:`~repro.dag.Dag` object outright, cached level decompositions
+  included, and *seeds* the child's memoized array assemblies
+  (:func:`repro.core.arrays.instance_arrays`,
+  :func:`repro.core.lp.assemble_allotment_arrays`) by patching the
+  parent's cached arrays in the retimed rows, so retiming a solved
+  parent skips the from-scratch LP assembly;
 * the child's content key is recomputed from its actual content (the
   memo starts empty — it is never copied from the parent), keeping the
   service cache and the campaign resume store honest under edits.
@@ -66,7 +66,6 @@ import numpy as np
 
 from ..dag import Dag
 from ..dag.graph import CycleError
-from ..dag.patch import patch_csr
 from .instance import Instance
 from .task import MalleableTask
 
@@ -345,32 +344,24 @@ class InstanceEvolution:
                 )
             seen_added.add((cu, cv))
             added_child_edges.append((cu, cv))
-        surviving_removed_edges = [
-            (int(node_map[u]), int(node_map[v]))
-            for (u, v) in dict.fromkeys(self._removed_edges)
-            if node_map[u] >= 0 and node_map[v] >= 0
-        ]
 
-        structural_nodes = bool(removed or self._added)
-        graph_changed = bool(
-            structural_nodes
-            or added_child_edges
-            or surviving_removed_edges
-        )
-        if graph_changed:
-            try:
-                patched = patch_csr(
-                    parent.dag.to_csr(),
-                    n_new=n_child if structural_nodes else None,
-                    node_map=node_map if structural_nodes else None,
-                    added_edges=added_child_edges,
-                    removed_edges=surviving_removed_edges,
+        if removed or self._added or added_child_edges or self._removed_edges:
+            # The parent's arcs through the id map, minus those touching
+            # a removed task and the removed arcs, plus the added ones;
+            # ``Dag`` validates acyclicity and raises CycleError.
+            csr = parent.dag.to_csr()
+            src, dst = csr.edge_sources(), csr.succ_indices
+            keep = (node_map[src] >= 0) & (node_map[dst] >= 0)
+            if self._removed_edges:
+                gone = np.asarray(self._removed_edges, dtype=np.intp)
+                keep &= ~np.isin(
+                    src * n_parent + dst, gone[:, 0] * n_parent + gone[:, 1]
                 )
-            except ValueError as exc:
-                if "cycle" in str(exc):
-                    raise CycleError(str(exc)) from None
-                raise
-            child_dag = Dag._from_trusted_csr(patched)
+            arcs = np.concatenate((
+                np.stack((node_map[src[keep]], node_map[dst[keep]]), axis=1),
+                np.asarray(added_child_edges, dtype=np.intp).reshape(-1, 2),
+            ))
+            child_dag = Dag(n_child, arcs)
         else:
             # Pure retime/completion: the graph object — and with it
             # every cached level decomposition — is shared outright.

@@ -44,8 +44,10 @@ uses this layout.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import NamedTuple, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -283,6 +285,29 @@ def _result_from_solution(
     )
 
 
+#: The call :func:`solve_allotment_lp` hands the assembled LP (9) to;
+#: ``None`` means a fresh HiGHS model (:func:`solve_ub_arrays`).  Set
+#: only through :func:`_lp9_solver`.
+_LP9_SOLVE: ContextVar[Optional[Callable[[AllotmentArrays], LpSolution]]] = (
+    ContextVar("lp9_solve", default=None)
+)
+
+
+@contextmanager
+def _lp9_solver(
+    solve: Optional[Callable[[AllotmentArrays], LpSolution]],
+) -> Iterator[None]:
+    """Solve LP (9) with ``solve`` inside the block (``None``: a fresh
+    model).  :class:`repro.pipeline.incremental.ReplanSession` passes
+    its resident HiGHS model's solve through
+    ``SchedulingPipeline._solve``."""
+    token = _LP9_SOLVE.set(solve)
+    try:
+        yield
+    finally:
+        _LP9_SOLVE.reset(token)
+
+
 def solve_allotment_lp(instance: Instance) -> AllotmentLpResult:
     """Assemble and solve LP (9); returns the fractional optimum.
 
@@ -291,4 +316,5 @@ def solve_allotment_lp(instance: Instance) -> AllotmentLpResult:
     """
     with obs_trace.span("lp.assemble", n=instance.n_tasks):
         arrays = assemble_allotment_arrays(instance)
-    return _result_from_solution(instance, solve_ub_arrays(arrays))
+    solve = _LP9_SOLVE.get() or solve_ub_arrays
+    return _result_from_solution(instance, solve(arrays))

@@ -159,26 +159,6 @@ class Dag:
         dag._topo_order = None
         return dag
 
-    @classmethod
-    def _from_trusted_csr(cls, csr: DagCsr) -> "Dag":
-        """Wrap an already-validated :class:`DagCsr` without rebuilding.
-
-        The evolution fast path (:mod:`repro.dag.patch`) produces a
-        patched CSR whose acyclicity is already proven — either by the
-        forward-arc argument or by an explicit Kahn sweep — and whose
-        level decompositions may have been preserved from the parent.
-        Re-running :meth:`DagCsr.from_succ_arrays` here would throw all
-        of that away.
-        """
-        dag = cls.__new__(cls)
-        dag._n = csr.n
-        dag._csr = csr
-        dag._succ = None
-        dag._pred = None
-        dag._edges = None
-        dag._topo_order = None
-        return dag
-
     def __reduce__(self):
         # Pickle only the successor CSR (two compact NumPy arrays) — the
         # predecessor CSR and all lazy caches are rebuilt on load.  This

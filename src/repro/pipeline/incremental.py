@@ -42,18 +42,15 @@ previous one.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from ..core.evolve import InstanceDelta, apply_operations
 from ..core.instance import Instance
 from ..core.list_scheduler import ListRun, list_run
-from ..core.lp import _result_from_solution, assemble_allotment_arrays
-from ..core.parameters import resolve_parameters
-from ..core.rounding import rounding_stretch_report
-from ..lpsolve import LpError
+from ..lpsolve import LpError, LpSolution
 from ..lpsolve.scipy_backend import HighsModel
+from ..schedule import Schedule
 from ..schedule.replan import ScheduleDiff, diff_schedules, replan_schedule
 from .base import SolveReport
 from .runner import SchedulingPipeline
@@ -143,63 +140,46 @@ class ReplanSession:
         return report
 
     def _solve_current(self, warm: bool) -> Tuple[SolveReport, int]:
-        instance = self._instance
+        """One round through :meth:`SchedulingPipeline._solve`, with the
+        session's resident HiGHS model solving LP (9) and, for
+        ``earliest-start``, LIST resuming the last free run; returns
+        the report and the number of LP edits pushed."""
         if self._pipeline.algorithm != "jz":
-            return self._pipeline.solve(instance), 0
-
-        t0 = time.perf_counter()
-        params = resolve_parameters(
-            instance.m, rho=self._pipeline.rho, mu=self._pipeline.mu
-        )
-        arrays = assemble_allotment_arrays(instance)
+            return self._pipeline.solve(self._instance), 0
         edits = 0
-        if self._warm_model is None or not warm:
-            self._warm_model = HighsModel(arrays)
-        else:
-            edits = self._warm_model.update(arrays)
-        lp_result = _result_from_solution(
-            instance, self._warm_model.solve()
+
+        def lp_solve(arrays) -> LpSolution:
+            nonlocal edits
+            if self._warm_model is None or not warm:
+                self._warm_model = HighsModel(arrays)
+            else:
+                edits = self._warm_model.update(arrays)
+            return self._warm_model.solve()
+
+        resume = self._pipeline.priority == "earliest-start"
+        report = self._pipeline._solve(
+            self._instance,
+            lp_solve=lp_solve,
+            phase2=self._resume_list if resume else None,
         )
-        rounding = rounding_stretch_report(instance, lp_result.x, params.rho)
-        t1 = time.perf_counter()
-        if self._pipeline.priority == "earliest-start":
-            self._list_run = list_run(
-                instance, rounding.allotment, mu=params.mu,
-                previous=self._list_run,
-            )
-            schedule = self._list_run.schedule
-            reused = self._list_run.reused
-        else:
-            schedule = self._pipeline.phase2_stage.fn(
-                instance, tuple(rounding.allotment), mu=params.mu
-            )
-            reused = 0
-        t2 = time.perf_counter()
-        ratio = (
-            params.ratio
-            if self._pipeline.phase2_stage.carries_guarantee
-            else None
+        metadata = {
+            **report.metadata,
+            "lp_mode": "warm" if warm else "cold",
+            "list_steps_reused": self._list_run.reused if resume else 0,
+        }
+        return replace(report, metadata=metadata), edits
+
+    def _resume_list(
+        self,
+        instance: Instance,
+        allotment: Sequence[int],
+        mu: Optional[int] = None,
+    ) -> Schedule:
+        """The ``earliest-start`` stage, resumed from the last run."""
+        self._list_run = list_run(
+            instance, allotment, mu=mu, previous=self._list_run
         )
-        report = SolveReport(
-            schedule=schedule,
-            algorithm=self._pipeline.algorithm,
-            priority=self._pipeline.priority,
-            allotment=tuple(rounding.allotment),
-            mu=params.mu,
-            rho=params.rho,
-            lower_bound=lp_result.objective,
-            ratio_bound=ratio,
-            allotment_time=t1 - t0,
-            schedule_time=t2 - t1,
-            metadata={
-                "parameters": params,
-                "lp": lp_result,
-                "rounding": rounding,
-                "lp_mode": "warm" if warm else "cold",
-                "list_steps_reused": reused,
-            },
-        )
-        return report, edits
+        return self._list_run.schedule
 
     # ------------------------------------------------------------------
     def resolve_delta(
@@ -256,21 +236,9 @@ class ReplanSession:
                     completed=delta.completed,
                     mu=report.mu,
                 )
-                report = SolveReport(
-                    schedule=schedule,
-                    algorithm=report.algorithm,
-                    priority=report.priority,
-                    allotment=report.allotment,
-                    mu=report.mu,
-                    rho=report.rho,
-                    lower_bound=report.lower_bound,
-                    # The anchored schedule trades makespan for
-                    # stability; the worst-case guarantee is voided.
-                    ratio_bound=None,
-                    allotment_time=report.allotment_time,
-                    schedule_time=report.schedule_time,
-                    metadata=report.metadata,
-                )
+                # The anchored schedule trades makespan for stability;
+                # the worst-case guarantee is voided.
+                report = replace(report, schedule=schedule, ratio_bound=None)
                 mode = "anchored"
             disturbance = diff_schedules(
                 previous_report.schedule,

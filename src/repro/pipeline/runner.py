@@ -34,11 +34,14 @@ the ``[[strategies]]`` tables of a campaign spec.
 from __future__ import annotations
 
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from ..core.instance import Instance
+from ..core.lp import _lp9_solver
+from ..lpsolve import LpSolution
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
+from ..schedule import Schedule
 from .base import SolveReport
 from .registry import StrategyInfo, get_allotment, get_phase2
 
@@ -116,6 +119,19 @@ class SchedulingPipeline:
         OPT: the one the allotment stage produced when it solved an LP,
         the combinatorial ``max(L_min, W_min/m)`` otherwise.
         """
+        return self._solve(instance)
+
+    def _solve(
+        self,
+        instance: Instance,
+        lp_solve: Optional[Callable[..., LpSolution]] = None,
+        phase2: Optional[Callable[..., Schedule]] = None,
+    ) -> SolveReport:
+        """:meth:`solve` with two stand-ins, the hook a
+        :class:`~repro.pipeline.incremental.ReplanSession` round runs
+        through: ``lp_solve`` solves the assembled LP (9) (default: a
+        fresh HiGHS model) and ``phase2`` replaces the phase-2 stage."""
+        phase2 = phase2 or self._phase2_stage.fn
         with obs_trace.span(
             "solve",
             algorithm=self.algorithm,
@@ -124,15 +140,15 @@ class SchedulingPipeline:
             m=instance.m,
         ):
             t0 = time.perf_counter()
-            with obs_trace.span("phase1.allot", algorithm=self.algorithm):
+            with obs_trace.span(
+                "phase1.allot", algorithm=self.algorithm
+            ), _lp9_solver(lp_solve):
                 allot = self._allotment_stage.fn(
                     instance, rho=self.rho, mu=self.mu
                 )
             t1 = time.perf_counter()
             with obs_trace.span("phase2.list", priority=self.priority):
-                schedule = self._phase2_stage.fn(
-                    instance, allot.allotment, mu=allot.mu
-                )
+                schedule = phase2(instance, allot.allotment, mu=allot.mu)
             t2 = time.perf_counter()
         _SOLVES.labels(self.algorithm).inc()
         _SOLVE_SECONDS.observe(t2 - t0)

@@ -260,14 +260,6 @@ class SolverService:
         Forwarded to :class:`ResultCache` when ``cache`` is ``None``.
     algorithm, priority:
         Default strategy pair for requests that do not name one.
-    batch_kernel:
-        ``"auto"`` | ``"on"`` | ``"off"`` — forwarded to
-        :class:`repro.engine.BatchRunner` (see its docs).  The broker
-        solves one instance per request, so ``"auto"`` stays on the
-        per-instance tiers; ``"on"`` forces the batched tier for
-        eligible requests (useful to exercise it through the service),
-        ``"off"`` pins the per-instance path.  Per-request tier counts
-        are served under ``kernel_tiers`` in ``GET /stats``.
     max_queue_depth:
         Admission-control bound on concurrent solve *leaders* (cache
         hits and single-flight waiters are not counted).  A miss
@@ -294,7 +286,6 @@ class SolverService:
         spill_dir: Optional[str] = None,
         algorithm: str = "jz",
         priority: str = "earliest-start",
-        batch_kernel: str = "auto",
         max_queue_depth: Optional[int] = 256,
         breaker: Optional[CircuitBreaker] = None,
         faults: Union[FaultClock, Dict[str, Any], None] = None,
@@ -305,11 +296,6 @@ class SolverService:
             raise ValueError(f"workers must be >= 0, got {workers}")
         # Fail fast on a misconfigured default strategy pair.
         canonical_strategy_pair(algorithm, priority)
-        if batch_kernel not in ("auto", "on", "off"):
-            raise ValueError(
-                "batch_kernel must be 'auto', 'on' or 'off', "
-                f"got {batch_kernel!r}"
-            )
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1 or None, got {max_queue_depth}"
@@ -317,7 +303,6 @@ class SolverService:
         self.workers = workers
         self.algorithm = algorithm
         self.priority = priority
-        self.batch_kernel = batch_kernel
         self.max_queue_depth = max_queue_depth
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.faults = as_clock(faults)
@@ -1272,7 +1257,6 @@ class SolverService:
                 algorithm=algorithm,
                 priority=priority,
                 include_schedule=True,
-                batch_kernel=self.batch_kernel,
             )
             result = runner.run([instance], executor=pool)
             rec = result.records[0]
@@ -1424,7 +1408,6 @@ class SolverService:
             "pool_restarts": int(self._m_pool_restarts.value),
             "default_algorithm": self.algorithm,
             "default_priority": self.priority,
-            "batch_kernel": self.batch_kernel,
             "requests": int(self._m_requests.value),
             "solved": int(self._m_solved.value),
             "deduped": int(self._m_deduped.value),

@@ -166,6 +166,43 @@ class TestCommands:
         assert main(["validate", str(inst_path), str(sched_path)]) == 1
         assert "INFEASIBLE" in capsys.readouterr().out
 
+    def _solved_pair(self, tmp_path):
+        inst_path = tmp_path / "inst.json"
+        sched_path = tmp_path / "sched.json"
+        main(
+            ["generate", "--family", "diamond", "--size", "6", "-m", "4",
+             "-o", str(inst_path)]
+        )
+        main(["solve", str(inst_path), "-o", str(sched_path)])
+        return inst_path, sched_path
+
+    def test_validate_missing_file_is_a_load_error(self, tmp_path, capsys):
+        """Exit 1 means INFEASIBLE; an input that cannot be read is 2."""
+        inst_path, sched_path = self._solved_pair(tmp_path)
+        capsys.readouterr()
+        missing = tmp_path / "missing.json"
+        assert main(["validate", str(missing), str(sched_path)]) == 2
+        assert main(["validate", str(inst_path), str(missing)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("validate: cannot load instance ")
+        assert err[1].startswith("validate: cannot load schedule ")
+        assert all(str(missing) in line for line in err)
+
+    def test_validate_entry_without_start_is_a_load_error(
+        self, tmp_path, capsys
+    ):
+        inst_path, sched_path = self._solved_pair(tmp_path)
+        data = json.loads(sched_path.read_text())
+        del data["entries"][0]["start"]
+        sched_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["validate", str(inst_path), str(sched_path)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            f"validate: cannot load schedule {str(sched_path)!r}: "
+            "missing field 'start'"
+        )
+
 
 class TestSolveErrorPaths:
     """`solve` must exit non-zero with a diagnostic, never a traceback."""

@@ -7,7 +7,9 @@ batch engine and the service daemon (``/stats`` ↔ ``GET /metrics``).
 import io
 import json
 import logging
+import re
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +23,10 @@ from repro.obs.metrics import (
     render_registries,
 )
 from repro.pipeline import SchedulingPipeline
-from repro.service import ServiceClient, serve_in_thread
+from repro.service import ServiceClient, SolverService, serve_in_thread
 from repro.workloads import make_instance
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _inst(seed=0, size=12, m=4):
@@ -274,7 +278,7 @@ class TestServiceObservability:
                 stats = client.stats()
         assert set(stats) == {
             "status", "version", "uptime", "workers", "pool_restarts",
-            "default_algorithm", "default_priority", "batch_kernel",
+            "default_algorithm", "default_priority",
             "requests", "solved", "deduped", "errors", "kernel_tiers",
             "inflight", "cache", "resilience",
         }
@@ -287,6 +291,16 @@ class TestServiceObservability:
         assert stats["kernel_tiers"] == {"loop": 1}
         assert stats["resilience"]["avg_solve_s"] > 0
         assert isinstance(stats["cache"]["hit_ratio"], float)
+
+    def test_stats_doc_table_names_every_key(self):
+        """The field table under ``### GET /stats`` in docs/service.md
+        lists exactly the keys ``/stats`` serves, so a removed field
+        cannot leave a stale row (nor an added one go undocumented)."""
+        doc = (_ROOT / "docs" / "service.md").read_text()
+        section = doc.split("### GET /stats\n", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        assert len(rows) == len(set(rows))
+        assert set(rows) == set(SolverService(workers=0).stats())
 
     def test_metrics_endpoint_serves_lintable_prometheus_text(self):
         with serve_in_thread(workers=0) as handle:

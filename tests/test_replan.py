@@ -226,6 +226,33 @@ class TestReplanSession:
         assert span.counters == {"lp_pivots": pivots, "warm_starts": 1}
         assert tracer.counter_totals()["lp_pivots"] == pivots
 
+    def test_traced_warm_retime_is_traced_and_counted_like_a_solve(self):
+        """A warm round runs the pipeline's own solve: the spans of
+        ``SchedulingPipeline("jz").solve`` on the same child, the warm
+        ``lp.solve`` inside ``phase1.allot``, and one counted jz solve."""
+        inst = _inst(seed=4, size=60)
+        session = ReplanSession(inst)
+        session.solve()
+        child, delta = evolve(inst, _retime_ops(inst, [1, 10], 2.5))
+        solves = ("repro_solver_solves_total", (("algorithm", "jz"),))
+        before = REGISTRY.counter_state()
+        with obs_trace.tracing() as tracer:
+            result = session.resolve_delta(child, delta)
+        assert result.mode == "warm"
+        assert REGISTRY.counters_since(before).get(solves) == 1
+        with obs_trace.tracing() as reference:
+            SchedulingPipeline("jz").solve(child)
+
+        def names(tr):
+            return sorted(s.name for s in tr.spans())
+
+        assert names(tracer) == names(reference)
+        (allot,) = [s for s in tracer.spans() if s.name == "phase1.allot"]
+        (lp,) = [s for s in tracer.spans() if s.name == "lp.solve"]
+        assert lp.args["warm"] is True
+        assert allot.ts_us <= lp.ts_us
+        assert lp.ts_us + lp.dur_us <= allot.ts_us + allot.dur_us
+
     def test_structural_delta_goes_cold(self):
         inst = _inst()
         session = ReplanSession(inst)
