@@ -12,10 +12,10 @@ phase 2, n ∈ {2000, 10000}, m = 8):
 
 1. cold-solve the parent (primes the session's resident model);
 2. retime one mid-instance task ×1.37 via ``Instance.evolve()``;
-3. time ``resolve_delta`` (the **warm** side — includes arrays
-   patching, LP edits, the warm LP solve, rounding and phase 2 resumed
-   from the parent's LIST run, recording how many LIST steps it
-   replayed as ``list_steps_reused``);
+3. time ``resolve_delta`` (the **warm** side — includes the child's
+   LP (9) assembly, LP edits, the warm LP solve, rounding and phase 2
+   resumed from the parent's LIST run, recording how many LIST steps
+   it replayed as ``list_steps_reused``);
 4. time a from-scratch ``SchedulingPipeline.solve`` of the same child
    (the **cold** side);
 5. assert the two sides agree on allotment, makespan and every schedule
@@ -165,10 +165,10 @@ def main(argv=None):
         "m": M,
         "avg_out_degree": AVG_OUT_DEGREE,
         "note": (
-            "warm_s includes array patching, LP edits, the warm LP "
-            "solve, rounding and phase 2 resumed from the parent's LIST "
-            "run (list_steps_reused of n steps replayed) — the whole "
-            "resolve_delta call, not just the LP"
+            "warm_s includes the child's LP (9) assembly, LP edits, "
+            "the warm LP solve, rounding and phase 2 resumed from the "
+            "parent's LIST run (list_steps_reused of n steps replayed) "
+            "— the whole resolve_delta call, not just the LP"
         ),
         "cells": cells,
         "speedup_at_n10000": next(

@@ -30,10 +30,12 @@ from ..core.instance import Instance
 
 __all__ = ["greedy_critical_path_allotment"]
 
+#: Most allotment increments one greedy run makes (the "bound stops
+#: improving" test usually stops it well before).
+MAX_ITERATIONS = 100000
 
-def greedy_critical_path_allotment(
-    instance: Instance, max_iterations: int = 100000
-) -> List[int]:
+
+def greedy_critical_path_allotment(instance: Instance) -> List[int]:
     """Greedy allotment: repeatedly speed up the best critical-path task.
 
     Starts from ``l_j = 1`` and, while it improves the scheduling bound
@@ -50,7 +52,7 @@ def greedy_critical_path_allotment(
         return max(L, W / m)
 
     current = bound(alloc)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         weights = [instance.task(j).time(alloc[j]) for j in range(n)]
         path = instance.dag.longest_path(weights)
         best_j, best_gain = -1, 0.0

@@ -119,15 +119,40 @@ campaign cache (content-fingerprint keyed); --fresh re-solves all.
 
 
 def _workers_arg(value: str):
-    """``--workers`` parser: an integer, or 'auto' for the cpu count."""
+    """``--workers`` parser: a count >= 0, or 'auto' for the cpu count."""
     if value.strip().lower() == "auto":
         return None
     try:
-        return int(value)
+        workers = int(value)
     except ValueError:
+        workers = -1
+    if workers < 0:
         raise argparse.ArgumentTypeError(
-            f"workers must be an integer or 'auto', got {value!r}"
-        ) from None
+            f"workers must be an integer >= 0 or 'auto', got {value!r}"
+        )
+    return workers
+
+
+def _add_workload_options(
+    sub: argparse.ArgumentParser, size: int = 24
+) -> None:
+    """--family/--size/-m/--model/--seed: a generated workload
+    (:func:`repro.workloads.make_instance`), shared by demo, generate
+    and trace.  An unknown family or model is a usage error (exit 2)."""
+    from .dag import FAMILIES
+    from .workloads import MODELS
+
+    sub.add_argument(
+        "--family", default="layered", choices=FAMILIES, metavar="FAMILY",
+        help="DAG family: %(choices)s (default: %(default)s)",
+    )
+    sub.add_argument("--size", type=int, default=size)
+    sub.add_argument("-m", "--processors", type=int, default=8)
+    sub.add_argument(
+        "--model", default="power", choices=MODELS, metavar="MODEL",
+        help="speedup model: %(choices)s (default: %(default)s)",
+    )
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def _add_strategy_options(sub: argparse.ArgumentParser) -> None:
@@ -151,6 +176,8 @@ def _add_strategy_options(sub: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     from . import __version__
+    from .dag import FAMILIES
+    from .workloads import MODELS
 
     p = argparse.ArgumentParser(
         prog="repro-sched",
@@ -166,11 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("demo", help="run a pipeline on a random instance")
-    d.add_argument("--family", default="layered")
-    d.add_argument("--size", type=int, default=24)
-    d.add_argument("-m", "--processors", type=int, default=8)
-    d.add_argument("--model", default="power")
-    d.add_argument("--seed", type=int, default=0)
+    _add_workload_options(d)
     _add_strategy_options(d)
 
     s = sub.add_parser(
@@ -200,11 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("m", type=int)
 
     g = sub.add_parser("generate", help="emit a workload instance JSON")
-    g.add_argument("--family", default="layered")
-    g.add_argument("--size", type=int, default=24)
-    g.add_argument("-m", "--processors", type=int, default=8)
-    g.add_argument("--model", default="power")
-    g.add_argument("--seed", type=int, default=0)
+    _add_workload_options(g)
     g.add_argument("-o", "--output", help="write here instead of stdout")
 
     v = sub.add_parser(
@@ -238,11 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="instance JSON to solve (default: generate a workload "
              "from --family/--size/--seed)",
     )
-    tr.add_argument("--family", default="layered")
-    tr.add_argument("--size", type=int, default=200)
-    tr.add_argument("-m", "--processors", type=int, default=8)
-    tr.add_argument("--model", default="power")
-    tr.add_argument("--seed", type=int, default=0)
+    _add_workload_options(tr, size=200)
     tr.add_argument(
         "-o", "--output", default="trace.json", metavar="FILE",
         help="trace-event JSON destination (default: trace.json)",
@@ -330,14 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", help="write JSON-lines records here"
     )
     b.add_argument(
-        "--generate", metavar="FAMILY",
-        help="generate a sweep of this DAG family instead of reading files",
+        "--generate", choices=FAMILIES, metavar="FAMILY",
+        help="generate a sweep of this DAG family instead of reading "
+             "files: %(choices)s",
     )
     b.add_argument("--count", type=int, default=8,
                    help="number of generated instances (with --generate)")
     b.add_argument("--size", type=int, default=24)
     b.add_argument("-m", "--processors", type=int, default=8)
-    b.add_argument("--model", default="power")
+    b.add_argument("--model", default="power", choices=MODELS,
+                   metavar="MODEL", help="speedup model: %(choices)s")
     b.add_argument("--seed", type=int, default=0)
     _add_strategy_options(b)
 

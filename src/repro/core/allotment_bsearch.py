@@ -162,6 +162,10 @@ def assemble_deadline_arrays(instance: Instance) -> DeadlineArrays:
     )
 
 
+#: Most bisection steps one :func:`bsearch_allotment` takes (the
+#: ``rel_tol`` interval test usually stops it well before).
+MAX_ITERATIONS = 60
+
 _PROBES = _METRICS.counter(
     "repro_solver_bsearch_probes_total",
     "Deadline LP probes solved by the binary-search phase 1",
@@ -233,7 +237,6 @@ def bsearch_allotment(
     instance: Instance,
     rho: float,
     rel_tol: float = 1e-4,
-    max_iterations: int = 60,
 ) -> BsearchReport:
     """Phase 1 via deadline binary search, as in [18].
 
@@ -241,8 +244,13 @@ def bsearch_allotment(
     point of ``max(d, W(d)/m)`` (``W(d)`` is non-increasing in ``d``,
     ``d`` is increasing, so the max is unimodal), then applies the same
     critical-point rounding as the direct pipeline.  Every probe reuses
-    the one assembly of the deadline LP (see the module docstring).
+    the one assembly of the deadline LP (see the module docstring).  An
+    empty instance has nothing to search: no probe, no allotment.
     """
+    if instance.n_tasks == 0:
+        return BsearchReport(
+            allotment=(), x=(), deadline=0.0, objective=0.0, lp_solves=0
+        )
     m = instance.m
     lo = max(instance.min_critical_path(), 1e-12)
     hi = max(instance.sequential_makespan(), lo * (1 + 1e-9))
@@ -259,7 +267,7 @@ def bsearch_allotment(
 
     best_obj, best = evaluate(hi)
     # Binary search: if W(d)/m > d the balance point is to the right.
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if hi - lo <= rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
@@ -273,7 +281,7 @@ def bsearch_allotment(
             lo = mid
         else:
             hi = mid
-    if best is None:  # pragma: no cover - hi is always feasible
+    if best is None:
         raise RuntimeError("binary search found no feasible deadline")
     allot = round_fractional_times(instance, best.x, rho)
     return BsearchReport(

@@ -10,10 +10,10 @@ work-segment chords of eq. (8) — so the array-native kernels (LP
 assembly, the LIST duration lookup, rounding sweeps) index instead of
 calling.
 
-Results are memoized per instance with the same weak-reference pattern
-as the bottom-level cache in :mod:`repro.core.list_variants`: pipeline
-stages and repeated solves of the same instance share one build, and the
-cache entry dies with the instance's last strong reference.
+Results are memoized per instance, weakly (:func:`memoized_on_instance`):
+pipeline stages and repeated solves of the same instance share one
+build, and the cache entry dies with the instance's last strong
+reference.
 """
 
 from __future__ import annotations
@@ -36,19 +36,11 @@ def memoized_on_instance(
 ) -> Callable[[Instance], _T]:
     """Memoize a pure ``fn(instance)`` on the instance, weakly.
 
-    The weak-reference pattern of the bottom-level cache, packaged once:
-    the cache entry dies with the instance's last strong reference, and
+    The cache entry dies with the instance's last strong reference, and
     un-weakref-able instance-like stand-ins (some test doubles) simply
     recompute.  Used by every per-instance array assembly
     (:func:`instance_arrays`, the LP (9) and deadline-LP assemblies).
-
-    The wrapper exposes the cache for the evolution fast path
-    (:mod:`repro.core.evolve`): ``wrapper.seed(instance, value)`` plants
-    a precomputed entry — an evolved instance whose arrays were patched
-    from the parent's never pays the from-scratch assembly — and
-    ``wrapper.peek(instance)`` reads the entry without computing.  A
-    seeded value must equal what ``fn(instance)`` would build; the
-    evolve test suite asserts exactly that.
+    An evolved instance starts with an empty entry and builds its own.
     """
     cache: "weakref.WeakKeyDictionary[Instance, _T]" = (
         weakref.WeakKeyDictionary()
@@ -65,20 +57,6 @@ def memoized_on_instance(
             cache[instance] = cached
         return cached
 
-    def seed(instance: Instance, value: _T) -> None:
-        try:
-            cache[instance] = value
-        except TypeError:  # un-weakref-able stand-in: nothing to seed
-            pass
-
-    def peek(instance: Instance):
-        try:
-            return cache.get(instance)
-        except TypeError:
-            return None
-
-    wrapper.seed = seed  # type: ignore[attr-defined]
-    wrapper.peek = peek  # type: ignore[attr-defined]
     return wrapper
 
 

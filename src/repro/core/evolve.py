@@ -31,11 +31,13 @@ The commit is engineered for the incremental re-solve path
   canonicalizes them and validates acyclicity;
 * a retime/completion commit shares the parent's
   :class:`~repro.dag.Dag` object outright, cached level decompositions
-  included, and *seeds* the child's memoized array assemblies
+  included (the resumed LIST run of
+  :class:`~repro.pipeline.incremental.ReplanSession` keys on that
+  object); the child's array assemblies
   (:func:`repro.core.arrays.instance_arrays`,
-  :func:`repro.core.lp.assemble_allotment_arrays`) by patching the
-  parent's cached arrays in the retimed rows, so retiming a solved
-  parent skips the from-scratch LP assembly;
+  :func:`repro.core.lp.assemble_allotment_arrays`) are built from its
+  own tasks like any instance's, and the warm LP update diffs them
+  against the parent's;
 * the child's content key is recomputed from its actual content (the
   memo starts empty — it is never copied from the parent), keeping the
   service cache and the campaign resume store honest under edits.
@@ -399,80 +401,7 @@ class InstanceEvolution:
             added_edges=tuple(added_child_edges),
             removed_edges=tuple(dict.fromkeys(self._removed_edges)),
         )
-        if not delta.is_structural:
-            _seed_child_arrays(parent, child, self._retimes)
         return child, delta
-
-
-def _seed_child_arrays(
-    parent: Instance,
-    child: Instance,
-    retimes: Mapping[int, MalleableTask],
-) -> None:
-    """Plant patched array assemblies on a non-structural child.
-
-    Only caches the parent actually materialized are patched — evolving
-    a never-solved instance seeds nothing.  When a retimed profile
-    changed its work-segment count the flattened segment layout moves,
-    so seeding is skipped and the child assembles lazily from scratch.
-    """
-    from .arrays import instance_arrays
-    from .lp import assemble_allotment_arrays, patch_allotment_arrays
-
-    parent_arr = instance_arrays.peek(parent)
-    if parent_arr is None:
-        return
-    if not retimes:
-        # Identical profile content: the assembly is shared as-is.
-        instance_arrays.seed(child, parent_arr)
-        lp_arr = assemble_allotment_arrays.peek(parent)
-        if lp_arr is not None:
-            assemble_allotment_arrays.seed(child, lp_arr)
-        return
-    seg_lists = {j: t.segments() for j, t in retimes.items()}
-    if any(
-        len(seg_lists[j]) != int(parent_arr.nseg[j]) for j in retimes
-    ):
-        return  # segment layout moved: lazily rebuild instead
-    times = parent_arr.times.copy()
-    min_time = parent_arr.min_time.copy()
-    max_time = parent_arr.max_time.copy()
-    work_lo = parent_arr.work_lo.copy()
-    seg_slope = parent_arr.seg_slope.copy()
-    seg_intercept = parent_arr.seg_intercept.copy()
-    seg_start = np.zeros(parent_arr.n + 1, dtype=np.intp)
-    np.cumsum(parent_arr.nseg, out=seg_start[1:])
-    for j, task in retimes.items():
-        times[j] = task.times
-        min_time[j] = times[j, parent_arr.m - 1]
-        max_time[j] = times[j, 0]
-        segs = seg_lists[j]
-        work_lo[j] = (
-            task.breakpoints[0][0] * task.breakpoints[0][1]
-            if not segs
-            else 0.0
-        )
-        base = int(seg_start[j])
-        for k, seg in enumerate(segs):
-            seg_slope[base + k] = seg.slope
-            seg_intercept[base + k] = seg.intercept
-    child_arr = parent_arr._replace(
-        times=times,
-        min_time=min_time,
-        max_time=max_time,
-        work_lo=work_lo,
-        seg_slope=seg_slope,
-        seg_intercept=seg_intercept,
-    )
-    instance_arrays.seed(child, child_arr)
-    lp_parent = assemble_allotment_arrays.peek(parent)
-    if lp_parent is not None:
-        assemble_allotment_arrays.seed(
-            child,
-            patch_allotment_arrays(
-                lp_parent, child_arr, sorted(retimes)
-            ),
-        )
 
 
 # ---------------------------------------------------------------------------

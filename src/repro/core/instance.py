@@ -34,8 +34,8 @@ class Instance:
         Optional label for reports.
     """
 
-    # __weakref__ lets per-instance caches (e.g. the bottom-level memo in
-    # repro.core.list_variants) key on the instance without pinning it.
+    # __weakref__ lets the per-instance array memos (repro.core.arrays)
+    # key on the instance without pinning it.
     __slots__ = (
         "_tasks", "_dag", "_m", "_name", "_content_key", "__weakref__"
     )

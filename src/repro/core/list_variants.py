@@ -23,8 +23,7 @@ carries the paper's worst-case guarantee.
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..schedule import ResourceTimeline, Schedule, ScheduledTask
 from .instance import Instance
@@ -41,9 +40,9 @@ PRIORITY_RULES = (
 )
 
 
-def _compute_bottom_levels(
+def bottom_levels(
     instance: Instance, durations: Sequence[float]
-) -> List[float]:
+) -> Tuple[float, ...]:
     """Longest remaining-path length starting at each task (inclusive).
 
     Runs as the CSR array kernel
@@ -53,59 +52,21 @@ def _compute_bottom_levels(
     """
     from ..dag.csr import bottom_levels_kernel
 
-    return bottom_levels_kernel(
-        instance.dag.to_csr(), durations
-    ).tolist()
+    return tuple(
+        bottom_levels_kernel(instance.dag.to_csr(), durations).tolist()
+    )
 
 
 def _bottom_levels_reference(
     instance: Instance, durations: Sequence[float]
 ) -> List[float]:
-    """Per-node Python reference for :func:`_compute_bottom_levels`."""
+    """Per-node Python reference for :func:`bottom_levels`."""
     dag = instance.dag
     level = [0.0] * instance.n_tasks
     for v in reversed(dag.topological_order()):
         succ = max((level[s] for s in dag.successors(v)), default=0.0)
         level[v] = durations[v] + succ
     return level
-
-
-#: instance -> {durations -> levels}; weak keys so cached instances die
-#: with their last strong reference.
-_BOTTOM_LEVEL_CACHE: "weakref.WeakKeyDictionary[Instance, Dict[Tuple[float, ...], Tuple[float, ...]]]" = (  # noqa: E501
-    weakref.WeakKeyDictionary()
-)
-#: Distinct duration vectors memoized per instance.  The pipeline asks
-#: for a handful of allotments per instance (one per strategy), so a
-#: small cap bounds memory while keeping every realistic reuse a hit.
-_BOTTOM_LEVEL_CACHE_MAX = 32
-
-
-def bottom_levels(
-    instance: Instance, durations: Sequence[float]
-) -> Tuple[float, ...]:
-    """Bottom levels under ``durations``, memoized per instance.
-
-    The levels are pure in ``(instance, durations)`` and every
-    critical-path-priority schedule of the same capped allotment needs
-    the same vector, so results are cached on the instance (weakly) and
-    keyed by the duration tuple.
-    """
-    key = tuple(durations)
-    try:
-        per_instance = _BOTTOM_LEVEL_CACHE.get(instance)
-    except TypeError:  # un-weakref-able instance-like stand-in
-        return tuple(_compute_bottom_levels(instance, key))
-    if per_instance is None:
-        per_instance = {}
-        _BOTTOM_LEVEL_CACHE[instance] = per_instance
-    levels = per_instance.get(key)
-    if levels is None:
-        if len(per_instance) >= _BOTTOM_LEVEL_CACHE_MAX:
-            per_instance.clear()
-        levels = tuple(_compute_bottom_levels(instance, key))
-        per_instance[key] = levels
-    return levels
 
 
 def list_schedule_with_priority(

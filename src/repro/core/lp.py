@@ -38,8 +38,8 @@ The dropped fit and span rows are implied: ``C_i >= 0`` turns an in-arc
 chains ``C_j <= C_k <= ... <= C_sink <= L`` along any out-path, so the
 feasible set and ``C*`` are those of the full LP (9).  A task with
 neither predecessor nor successor keeps both rows.  Every LP (9) path
-— the per-instance assembly, the batched tier and the evolution patch —
-uses this layout.
+— the per-instance assembly, evolved children included, and the
+batched tier — uses this layout.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ __all__ = [
     "AllotmentArrays",
     "assemble_allotment_arrays",
     "lp9_arrays",
-    "patch_allotment_arrays",
     "solve_allotment_lp",
 ]
 
@@ -233,36 +232,6 @@ def assemble_allotment_arrays(instance: Instance) -> AllotmentArrays:
         csr.edge_sources(),
         csr.succ_indices,
     )
-
-
-def patch_allotment_arrays(
-    parent: AllotmentArrays,
-    child_arr: "InstanceArrays",
-    retimed: "Sequence[int]",
-) -> AllotmentArrays:
-    """The child's LP (9) assembly, patched from the parent's.
-
-    For a non-structural evolution (same tasks, same arcs, same per-task
-    segment counts) the constraint matrix's sparsity pattern is
-    unchanged — only the bounds of the retimed ``x_j``/``w_j`` columns,
-    the slopes of their work-segment rows and the matching right-hand
-    sides move.  ``child_arr`` must be the child's packed profile arrays
-    and ``retimed`` the child-space ids whose profile changed.
-    """
-    retimed_arr = np.asarray(sorted(retimed), dtype=np.intp)
-    xs = retimed_arr * 3
-    lo = parent.lo.copy()
-    hi = parent.hi.copy()
-    lo[xs] = child_arr.min_time[retimed_arr]
-    hi[xs] = child_arr.max_time[retimed_arr]
-    lo[xs + 2] = child_arr.work_lo[retimed_arr]
-    # Segment p is row p; its slope is vals[2p] (see lp9_arrays).
-    p = np.flatnonzero(np.isin(child_arr.seg_task, retimed_arr))
-    vals = parent.vals.copy()
-    vals[2 * p] = child_arr.seg_slope[p]
-    b_ub = parent.b_ub.copy()
-    b_ub[p] = -child_arr.seg_intercept[p]
-    return parent._replace(lo=lo, hi=hi, vals=vals, b_ub=b_ub)
 
 
 def _result_from_solution(

@@ -51,11 +51,6 @@ _WARM = _METRICS.counter(
 )
 
 
-def _same(a, b) -> bool:
-    """Equal index arrays; patched assemblies share the parent's."""
-    return a is b or np.array_equal(a, b)
-
-
 def _to_colwise(arrays):
     """COO triplets → CSC (start, index, value) for HiGHS kColwise."""
     order = np.lexsort((arrays.rows, arrays.cols))
@@ -81,8 +76,8 @@ class HighsModel:
         triplets, objective, bounds).  The model keeps a reference: the
         sparsity pattern is fixed for the model's lifetime, and
         :meth:`update` accepts only assemblies with the identical
-        pattern (same rows/cols — exactly what
-        :func:`repro.core.lp.patch_allotment_arrays` produces).
+        pattern (same rows/cols — what :func:`repro.core.lp.lp9_arrays`
+        writes for a child whose retimes kept every segment count).
     """
 
     def __init__(self, arrays):
@@ -124,8 +119,8 @@ class HighsModel:
         if not (
             arrays.n_variables == old.n_variables
             and len(arrays.b_ub) == len(old.b_ub)
-            and _same(arrays.rows, old.rows)
-            and _same(arrays.cols, old.cols)
+            and np.array_equal(arrays.rows, old.rows)
+            and np.array_equal(arrays.cols, old.cols)
         ):
             raise LpError(
                 "warm update requires an identical sparsity pattern"

@@ -39,7 +39,7 @@ from .registry import (
     strategy_names,
 )
 from .runner import SchedulingPipeline, jz_schedule, solve
-from .incremental import DeltaReport, ReplanSession, resolve_delta
+from .incremental import DeltaReport, ReplanSession
 from . import strategies as _builtin_strategies  # noqa: F401  (registers)
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "list_strategies",
     "register_allotment",
     "register_phase2",
-    "resolve_delta",
     "solve",
     "strategy_names",
 ]

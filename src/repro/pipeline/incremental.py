@@ -55,7 +55,7 @@ from ..schedule.replan import ScheduleDiff, diff_schedules, replan_schedule
 from .base import SolveReport
 from .runner import SchedulingPipeline
 
-__all__ = ["DeltaReport", "ReplanSession", "resolve_delta"]
+__all__ = ["DeltaReport", "ReplanSession"]
 
 #: Largest delta (fraction of parent tasks touched) a session answers
 #: warm; a larger one re-solves cold.
@@ -273,14 +273,3 @@ class ReplanSession:
             f"priority={self._pipeline.priority!r}, "
             f"n={self._instance.n_tasks})"
         )
-
-
-def resolve_delta(
-    session: ReplanSession,
-    child: Instance,
-    delta: InstanceDelta,
-    *,
-    replan: bool = False,
-) -> DeltaReport:
-    """Functional alias for :meth:`ReplanSession.resolve_delta`."""
-    return session.resolve_delta(child, delta, replan=replan)

@@ -288,3 +288,88 @@ class TestSolveErrorPaths:
         )
         assert rc == 1
         assert "ltw failed on" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """A bad option value is an argparse usage error: one line on
+    stderr and exit 2 (exit 1 is ``validate``'s "infeasible")."""
+
+    def _usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo", "--family", "nope"],
+            ["generate", "--family", "nope"],
+            ["trace", "--family", "nope"],
+            ["batch", "--generate", "nope"],
+        ],
+    )
+    def test_unknown_family(self, argv, capsys):
+        err = self._usage_error(argv, capsys)
+        assert "invalid choice: 'nope'" in err
+        assert "layered" in err  # names the known families
+
+    @pytest.mark.parametrize("command", ["demo", "generate", "trace", "batch"])
+    def test_unknown_model(self, command, capsys):
+        err = self._usage_error([command, "--model", "nope"], capsys)
+        assert "invalid choice: 'nope'" in err
+        assert "power" in err  # names the known models
+
+    def test_negative_workers(self, capsys):
+        err = self._usage_error(["batch", "-w", "-3"], capsys)
+        assert "workers must be an integer >= 0" in err
+
+
+class TestTrace:
+    ARGV = ["trace", "--family", "layered", "--size", "40", "-m", "4",
+            "--seed", "1"]
+
+    def _trace(self, tmp_path, capsys, *extra, name="trace.json"):
+        path = tmp_path / name
+        assert main(self.ARGV + ["-o", str(path), *extra]) == 0
+        out = capsys.readouterr().out
+        events = json.loads(path.read_text())["traceEvents"]
+        return out, [e for e in events if e["ph"] == "X"]
+
+    @staticmethod
+    def _printed(out, prefix):
+        (line,) = [ln for ln in out.splitlines() if prefix in ln]
+        return line.split(prefix)[1].strip()
+
+    def test_jz_spans(self, tmp_path, capsys):
+        _out, spans = self._trace(tmp_path, capsys)
+        names = sorted(e["name"] for e in spans)
+        assert names == sorted(
+            ["solve", "phase1.allot", "lp.assemble", "lp.solve",
+             "phase2.list"]
+        )
+
+    def test_profile_digest_is_deterministic(self, tmp_path, capsys):
+        first, _ = self._trace(tmp_path, capsys, name="a.json")
+        second, _ = self._trace(tmp_path, capsys, name="b.json")
+        prefix = "deterministic profile sha256:"
+        digest = self._printed(first, prefix)
+        assert digest and digest == self._printed(second, prefix)
+
+    def test_bsearch_probe_spans(self, tmp_path, capsys):
+        out, spans = self._trace(tmp_path, capsys, "--algorithm", "bsearch")
+        probes = [e for e in spans if e["name"] == "lp.probe"]
+        solves = [e for e in spans if e["name"] == "lp.solve"]
+        assert len(probes) == int(self._printed(out, "bsearch_probes =")) > 0
+        eps = 0.01  # ts/dur are rounded to 1e-3 µs
+        for probe in probes:
+            end = probe["ts"] + probe["dur"]
+            inside = [
+                s for s in solves
+                if s["tid"] == probe["tid"]
+                and s["ts"] >= probe["ts"] - eps
+                and s["ts"] + s["dur"] <= end + eps
+            ]
+            assert len(inside) == 1

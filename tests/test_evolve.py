@@ -2,8 +2,9 @@
 
 The load-bearing invariant: an evolved child is indistinguishable from
 an instance built from scratch with the same content — same CSR arrays
-bit-for-bit, same content fingerprint — while sharing (or row-patching)
-the parent's cached arrays only when that is provably safe.
+bit-for-bit, same content fingerprint — and never inherits the parent's
+memoized state; only a non-structural child shares the parent's
+``Dag`` object.
 """
 
 import numpy as np
@@ -295,27 +296,44 @@ class TestCacheInheritance:
             got.times, instance_arrays(parent).times
         )
 
-    def test_seeded_lp_arrays_bit_identical_to_fresh(self):
+    def test_retimed_lp_arrays_keep_parent_pattern(self):
+        # The warm update's precondition: a retime that keeps the task's
+        # segment count leaves LP (9)'s rows/cols as they were and moves
+        # only the task's x/w̄ bounds, its segment slopes and their
+        # right-hand sides.
         parent = _inst()
-        assemble_allotment_arrays(parent)
-        instance_arrays(parent)
+        j = 2
+        old = assemble_allotment_arrays(parent)
         child, _ = (
-            parent.evolve().retime(2, _scaled_times(parent, 2)).commit()
+            parent.evolve().retime(j, _scaled_times(parent, j)).commit()
         )
-        seeded = assemble_allotment_arrays(child)
-        fresh = assemble_allotment_arrays.__wrapped__(child)
-        for field in seeded._fields:
-            a, b = getattr(seeded, field), getattr(fresh, field)
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b), field
-            else:
-                assert a == b, field
+        new = assemble_allotment_arrays(child)
+        assert new.n_variables == old.n_variables
+        assert np.array_equal(new.rows, old.rows)
+        assert np.array_equal(new.cols, old.cols)
+        assert np.array_equal(new.c, old.c)
+        cols = {3 * j, 3 * j + 2}  # x_j and w̄_j
+        assert set(np.flatnonzero(new.lo != old.lo)) <= cols
+        assert set(np.flatnonzero(new.hi != old.hi)) <= cols
+        assert np.any(new.lo != old.lo) and np.any(new.hi != old.hi)
+        seg_rows = np.flatnonzero(instance_arrays(child).seg_task == j)
+        # Segment p is row p; its slope sits at vals[2p].
+        assert set(np.flatnonzero(new.vals != old.vals)) == set(2 * seg_rows)
+        assert set(np.flatnonzero(new.b_ub != old.b_ub)) == set(seg_rows)
 
     def test_pure_completion_shares_parent_arrays(self):
         parent = _inst()
         arr = instance_arrays(parent)
+        lp = assemble_allotment_arrays(parent)
         child, _ = parent.evolve().mark_completed(0, 0.0).commit()
-        assert instance_arrays(child) is arr
+        for got, want in ((instance_arrays(child), arr),
+                          (assemble_allotment_arrays(child), lp)):
+            for field in want._fields:
+                a, b = getattr(got, field), getattr(want, field)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b), field
+                else:
+                    assert a == b, field
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +421,7 @@ def test_evolved_csr_bit_identical_to_rebuild(case):
     _assert_csr_identical(child.dag.to_csr(), rebuilt.dag.to_csr())
     assert child.content_key() == rebuilt.content_key()
     assert child.n_tasks == delta.n_child
-    # Level decompositions recomputed on the patched CSR agree with the
+    # The evolved child's level decompositions agree with the
     # from-scratch ones (same order within ties is not required; the
     # per-node depth is).
     got, ref = child.dag.to_csr().depths(), rebuilt.dag.to_csr().depths()

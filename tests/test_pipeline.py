@@ -1,7 +1,7 @@
 """Tests for the pluggable pipeline (:mod:`repro.pipeline`): registry,
 runner, agreement with the step-by-step two-phase references
-(:mod:`two_phase_reference`) and the bottom-level memoization it relies
-on."""
+(:mod:`two_phase_reference`) and the bottom levels the critical-path
+rule ranks by."""
 
 import pytest
 from two_phase_reference import jz_reference, ltw_reference
@@ -10,7 +10,7 @@ from repro import jz_schedule
 from repro.baselines import ltw_schedule
 from repro.baselines.ltw import LTW_RHO
 from repro.core import bsearch_allotment, jz_parameters, list_schedule
-from repro.core.list_variants import bottom_levels, _compute_bottom_levels
+from repro.core.list_variants import _bottom_levels_reference, bottom_levels
 from repro.pipeline import (
     SchedulingPipeline,
     UnknownStrategyError,
@@ -214,18 +214,11 @@ class TestLegacyAgreement:
 
 
 class TestBottomLevelCache:
-    def test_cached_result_is_reused(self):
-        inst = _inst(seed=9)
-        durations = [inst.task(j).time(1) for j in range(inst.n_tasks)]
-        first = bottom_levels(inst, durations)
-        second = bottom_levels(inst, tuple(durations))
-        assert second is first  # cache hit, not a recomputation
-
     def test_cache_matches_direct_computation(self):
         inst = _inst(seed=10)
         durations = [inst.task(j).time(2) for j in range(inst.n_tasks)]
         assert list(bottom_levels(inst, durations)) == pytest.approx(
-            _compute_bottom_levels(inst, durations)
+            _bottom_levels_reference(inst, durations)
         )
 
     def test_distinct_durations_distinct_entries(self):
@@ -245,22 +238,3 @@ class TestBottomLevelCache:
         fake.n_tasks = 2
         levels = bottom_levels(fake, (1.0, 2.0))
         assert levels == (3.0, 2.0)
-
-    def test_critical_path_priority_uses_cache(self, monkeypatch):
-        import repro.core.list_variants as lv
-
-        inst = _inst(seed=12)
-        allot = [1] * inst.n_tasks
-        # Prime the cache, then make recomputation explode.
-        lv.list_schedule_with_priority(
-            inst, allot, priority="critical-path"
-        )
-
-        def boom(*a, **kw):  # pragma: no cover - must not be called
-            raise AssertionError("bottom levels recomputed despite cache")
-
-        monkeypatch.setattr(lv, "_compute_bottom_levels", boom)
-        sched = lv.list_schedule_with_priority(
-            inst, allot, priority="critical-path"
-        )
-        assert sched.makespan > 0

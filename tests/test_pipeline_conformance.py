@@ -19,6 +19,8 @@ import pytest
 from two_phase_reference import jz_reference
 
 from repro import jz_schedule
+from repro.core import Instance
+from repro.dag import Dag
 from repro.pipeline import SchedulingPipeline, list_strategies
 from repro.schedule import validate_schedule
 from repro.workloads import MODELS, make_instance
@@ -85,6 +87,23 @@ class TestConformance:
         pipe = SchedulingPipeline("jz", priority)
         for inst in pool[:3]:
             _check_report(inst, pipe.solve(inst))
+
+    @pytest.mark.parametrize(
+        "algorithm, m",
+        [
+            (name, m)
+            for name in _ALLOTMENT_NAMES
+            for m in (1, 4)
+            # ltw's parameters need m >= 2, on any instance.
+            if not (name == "ltw" and m == 1)
+        ],
+    )
+    def test_every_allotment_strategy_on_empty_instance(self, algorithm, m):
+        inst = Instance([], Dag(0), m)
+        rep = SchedulingPipeline(algorithm, "earliest-start").solve(inst)
+        assert rep.makespan == 0.0
+        assert rep.schedule.entries == ()
+        assert validate_schedule(inst, rep.schedule) == []
 
 
 class TestJZEquivalence:
