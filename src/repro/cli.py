@@ -133,6 +133,24 @@ def _workers_arg(value: str):
     return workers
 
 
+def _port(value: str) -> Optional[int]:
+    """``value`` as a TCP port number 0-65535, else ``None``."""
+    if not (value.isascii() and value.isdigit()):
+        return None
+    port = int(value)
+    return port if port <= 65535 else None
+
+
+def _port_arg(value: str) -> int:
+    """``--port`` parser: a TCP port 0-65535 (0 = an ephemeral one)."""
+    port = _port(value)
+    if port is None:
+        raise argparse.ArgumentTypeError(
+            f"port must be an integer in 0-65535, got {value!r}"
+        )
+    return port
+
+
 def _add_workload_options(
     sub: argparse.ArgumentParser, size: int = 24
 ) -> None:
@@ -369,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind address (default: 127.0.0.1 — local only)",
     )
     sv.add_argument(
-        "--port", type=int, default=8705,
+        "--port", type=_port_arg, default=8705,
         help="TCP port (default: 8705; 0 = pick an ephemeral port)",
     )
     sv.add_argument(
@@ -1221,18 +1239,19 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         deadline_ms=deadline_ms,
     )
     if args.attach is not None:
-        host, _, port = args.attach.rpartition(":")
-        if not host or not port.isdigit():
+        host, _, port_text = args.attach.rpartition(":")
+        port = _port(port_text)
+        if not host or not port:  # port 0 names no daemon
             print(f"chaos: --attach wants HOST:PORT, got {args.attach!r}",
                   file=sys.stderr)
             return 2
-        report = drive_chaos(host, int(port), plan, **common)
+        report = drive_chaos(host, port, plan, **common)
         try:
             # The injection tally lives daemon-side; read it off /stats
             # so the report shows what actually fired.
             from .service import ServiceClient
 
-            with ServiceClient(host=host, port=int(port)) as stats_client:
+            with ServiceClient(host=host, port=port) as stats_client:
                 report.faults_fired = dict(
                     stats_client.stats()["resilience"]["faults_fired"]
                 )

@@ -36,13 +36,19 @@ class Deadline:
     ``Deadline(500)`` expires 500 ms from construction.  ``None``
     milliseconds means *no* deadline: :meth:`remaining_ms` returns
     ``None`` and :meth:`expired` is always ``False``, so callers can
-    thread one object through unconditionally.
+    thread one object through unconditionally.  NaN is rejected (it
+    would read as both exhausted and never expiring); ``inf`` is an
+    unbounded budget that still reports a remaining time.
+
+    A client creates one per *logical* request: its cache-key probe,
+    the planned full-body resend and every retry all spend the same
+    budget.
     """
 
     __slots__ = ("_expires_at", "budget_ms")
 
     def __init__(self, budget_ms: Optional[float] = None):
-        if budget_ms is not None and budget_ms < 0:
+        if budget_ms is not None and not budget_ms >= 0:
             raise ValueError(f"budget_ms must be >= 0, got {budget_ms}")
         self.budget_ms = budget_ms
         self._expires_at = (

@@ -20,6 +20,8 @@ balancer health check — can talk to it:
   ``{"instance": <repro-instance dict>, "algorithm": "jz",
   "priority": "earliest-start"}`` → the solve payload (schedule dict,
   makespan, certified lower bound, observed ratio, cache/dedup flags);
+  or, key-only, ``{"key": <content key>, "algorithm"?, "priority"?}``
+  → the same payload from the memory tier, else ``404 unknown_key``;
 * ``POST /evolve`` with body ``{"instance": ..., "operations": [...]}``
   → the evolved instance dict plus the structured delta (pure
   transform, nothing solved — see :mod:`repro.core.evolve`);
@@ -55,14 +57,25 @@ hits are answered from a memo of already-serialized reply bodies (with
 their digests), one per cache entry and valid only while the cache
 still holds that very payload object.
 
+A key-only ``POST /solve`` skips even the upload: the client sends the
+content key it computed, and the broker answers from the memory tier
+with the very bytes a full-body hit of that entry gets (one cache hit),
+or ``404 unknown_key`` — for a miss, an entry held only in the spill
+tier, or a solve still in flight — which is neither a cache miss nor an
+error (``repro_service_unknown_keys_total``).  The client then resends
+the instance, which counts its one miss or spill hit as before.  A key
+names only content a full parse accepted, so trusting a client's key
+serves nothing the daemon has not validated; a wrong key is a 404.
+
 Concurrency model: the asyncio loop reads requests, decodes their JSON
 and writes responses.  Per-request work that grows with the instance —
 the dict key and memory-tier lookup, else the full parse, plus the
-cache's disk tier when one is configured — runs in one hop to a small
-auxiliary thread pool.  Each miss leader hands the blocking batch call
-to a solve thread pool, which in turn drives the process pool (or
-solves in-process when ``workers == 0`` — handy for tests and
-single-core boxes).  Waiters on an in-flight key await the leader's
+cache's disk tier when one is configured, and the first encoding of a
+key-only hit's reply — runs in one hop to a small auxiliary thread
+pool.  Each miss leader hands the blocking batch call to a solve
+thread pool, which in turn drives the process pool (or solves
+in-process when ``workers == 0`` — handy for tests and single-core
+boxes).  Waiters on an in-flight key await the leader's
 future; results are passed as ``("ok", payload)`` /
 ``("error", (code, message))`` tuples so an abandoned future never
 logs an unretrieved exception and every failure carries a
@@ -114,6 +127,7 @@ import asyncio
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from collections import OrderedDict
@@ -166,6 +180,10 @@ MAX_HEADER_BYTES = 64 * 1024
 #: Outcome of one keyed solve as passed through single-flight futures:
 #: ``("ok", payload)`` or ``("error", (code, message))``.
 _Outcome = Tuple[str, Union[Dict[str, Any], Tuple[str, str]]]
+
+#: A key-only ``/solve`` body's ``key``: the hex SHA-256 that
+#: :func:`repro.core.fingerprint.content_digest` produces.
+_CONTENT_KEY = re.compile("[0-9a-f]{64}")
 
 #: HTTP status per typed error code (anything else answers 500).
 _CODE_STATUS = {
@@ -345,6 +363,11 @@ class SolverService:
         self._m_errors = self.metrics.counter(
             "repro_service_errors_total",
             "Requests answered with a typed error payload",
+        )
+        self._m_unknown_keys = self.metrics.counter(
+            "repro_service_unknown_keys_total",
+            "Key-only solves answered 404 unknown_key (the client "
+            "resends the instance)",
         )
         self._m_shed = self.metrics.counter(
             "repro_service_shed_total",
@@ -746,14 +769,12 @@ class SolverService:
         if raw is None or raw == "":
             return None
         try:
-            budget = float(raw)
+            return Deadline(float(raw))  # rejects negative and NaN
         except ValueError:
             raise ValueError(
-                f"malformed X-Deadline-Ms header: {raw!r}"
+                f"malformed X-Deadline-Ms header: {raw!r} "
+                "(want milliseconds >= 0)"
             ) from None
-        if budget < 0:
-            raise ValueError("X-Deadline-Ms must be >= 0")
-        return Deadline(budget)
 
     # ------------------------------------------------------------------
     # the solve path: cache → single-flight → batch engine
@@ -761,11 +782,22 @@ class SolverService:
     async def _handle_solve(
         self, data: Dict[str, Any], deadline: Optional[Deadline] = None
     ) -> Tuple[int, Union[Dict[str, Any], _EncodedBody]]:
-        loop = asyncio.get_running_loop()
+        if "key" in data:
+            if "instance" in data:
+                self._m_errors.inc()
+                return 400, self._error(
+                    "a /solve body carries exactly one of 'instance' "
+                    "and 'key'",
+                    "bad_request",
+                )
+            return await self._solve_by_key(data)
         inst_data = data.get("instance")
         if inst_data is None:
             self._m_errors.inc()
-            return 400, self._error("missing 'instance' field", "bad_request")
+            return 400, self._error(
+                "missing 'instance' (or 'key') field", "bad_request"
+            )
+        loop = asyncio.get_running_loop()
         # Bad strategies are reported only after the instance parses, as
         # an invalid instance takes precedence.
         strategies: Optional[Tuple[str, str]] = None
@@ -799,6 +831,44 @@ class SolverService:
         return await self._solve_keyed(
             instance, instance_key, *strategies, deadline
         )
+
+    async def _solve_by_key(
+        self, data: Dict[str, Any]
+    ) -> Tuple[int, Union[Dict[str, Any], _EncodedBody]]:
+        """Key-only ``POST /solve``: the memory tier's reply for the
+        content key the client computed, byte for byte a full-body hit's,
+        or ``404 unknown_key`` so the client resends the instance.  Never
+        touches the spill tier or the in-flight table; both are the
+        resend's business."""
+        key = data["key"]
+        if not isinstance(key, str) or not _CONTENT_KEY.fullmatch(key):
+            self._m_errors.inc()
+            return 400, self._error(
+                "'key' must be a content key: 64 lowercase hex characters",
+                "bad_request",
+            )
+        try:
+            strategies = self._request_strategies(data)
+        except (UnknownStrategyError, ValueError) as exc:
+            self._m_errors.inc()
+            return 400, self._error(str(exc), "unknown_strategy")
+        cache_key: CacheKey = (key, *strategies)
+        payload = self.cache.peek(cache_key)
+        if payload is None:
+            self._m_unknown_keys.inc()
+            return 404, self._error(
+                "no result for this content key in memory; send the "
+                "instance",
+                "unknown_key",
+            )
+        encoded = self._memoized_body(cache_key, payload)
+        if encoded is None:
+            # The first hit of an entry encodes it: O(instance) work,
+            # kept off the loop.
+            encoded = await asyncio.get_running_loop().run_in_executor(
+                self._aux_threads, self._hit_body, cache_key, payload
+            )
+        return 200, encoded
 
     def _lookup_or_parse(
         self,
@@ -835,11 +905,9 @@ class SolverService:
         entry.  A memo entry serves only while the cache still holds the
         very payload object it encodes, so a re-solved or reloaded entry
         is encoded afresh; the memo is bounded like the cache."""
-        with self._hit_bodies_lock:
-            memo = self._hit_bodies.get(key)
-            if memo is not None and memo[0] is payload:
-                self._hit_bodies.move_to_end(key)
-                return memo[1]
+        encoded = self._memoized_body(key, payload)
+        if encoded is not None:
+            return encoded
         t0 = time.perf_counter()
         encoded = _EncodedBody(
             json.dumps({**payload, "cached": True, "deduped": False}).encode()
@@ -851,6 +919,18 @@ class SolverService:
             while len(self._hit_bodies) > self.cache.capacity:
                 self._hit_bodies.popitem(last=False)
         return encoded
+
+    def _memoized_body(
+        self, key: CacheKey, payload: Dict[str, Any]
+    ) -> Optional[_EncodedBody]:
+        """The memoized reply for ``payload`` (LRU-refreshed), or
+        ``None`` when it has not been encoded yet.  Constant time."""
+        with self._hit_bodies_lock:
+            memo = self._hit_bodies.get(key)
+            if memo is None or memo[0] is not payload:
+                return None
+            self._hit_bodies.move_to_end(key)
+            return memo[1]
 
     def _observe_stage(self, stage: str, t0: float) -> None:
         """Record the request-path ``stage`` begun at ``t0``."""
@@ -1414,7 +1494,10 @@ class SolverService:
             "errors": int(self._m_errors.value),
             "kernel_tiers": tiers,
             "inflight": len(self._inflight),
-            "cache": self.cache.stats(),
+            "cache": {
+                **self.cache.stats(),
+                "unknown_keys": int(self._m_unknown_keys.value),
+            },
             "resilience": {
                 "max_queue_depth": self.max_queue_depth,
                 "shed_deadline": int(shed.get(("deadline",), 0)),

@@ -12,6 +12,16 @@ cheap), as ``http.client`` connections are not thread-safe.
         reply = c.solve(instance, algorithm="jz")
         reply["makespan"], reply["cached"], reply["schedule"]
 
+:meth:`ServiceClient.solve` is **key-first**: it computes the
+instance's content key itself (from the arrays, never from a dict's
+embedded ``fingerprint`` claim) and sends only ``{"key": ...}``.  A
+daemon holding the result in memory answers it; otherwise it answers
+``404 unknown_key`` and the client resends the full instance within the
+same logical request.  A dict that cannot be keyed is sent whole, and
+the daemon's full parse says what is wrong with it.  This needs a
+daemon of the same version or later (``health()`` reports it): an
+older one answers a key-only body ``400``.
+
 Resilience (``docs/resilience.md`` has the full story):
 
 * **Retry** — transient failures (a dead connection, a torn response,
@@ -24,10 +34,10 @@ Resilience (``docs/resilience.md`` has the full story):
   one is a cache hit, never a double solve) and retried freely;
   ``shutdown`` is not and is never retried unless ``retry_unsafe``.
 * **Deadline** — ``deadline_ms`` caps the *total* time of one logical
-  request across all its attempts, and each attempt tells the broker
-  how much budget is left via the ``X-Deadline-Ms`` header so the
-  server sheds work it cannot finish in time instead of answering
-  late.
+  request across all its attempts (a key-first solve's probe and
+  resend included), and each attempt tells the broker how much budget
+  is left via the ``X-Deadline-Ms`` header so the server sheds work it
+  cannot finish in time instead of answering late.
 * **Integrity** — every daemon response carries ``X-Repro-Digest``
   (SHA-256 of the body); the client verifies it, so a corrupted or
   torn payload is a retryable error, never a silently wrong schedule.
@@ -39,10 +49,10 @@ import hashlib
 import http.client
 import json
 import time
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.instance import Instance
-from ..io import instance_to_dict
+from ..io import content_key_from_dict, instance_to_dict
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
 from ..resilience import Deadline, RetryPolicy
@@ -110,7 +120,9 @@ class ServiceResponse(dict):
     attributes, not keys:
 
     ``attempts``
-        How many attempts the logical request used (1 = no retries).
+        How many attempts the logical request used: 1 plus its
+        transient retries (a key-first solve's planned resend of the
+        instance is not a retry).
     ``latency_s``
         Wall time of the whole logical request, backoff included.
     """
@@ -135,7 +147,8 @@ class ServiceClient:
     deadline_ms:
         Default total time budget per logical request (all attempts +
         backoff), propagated to the broker via ``X-Deadline-Ms``.
-        ``None`` (default) means unbounded.
+        ``None`` (default) means unbounded; a negative or NaN budget
+        raises ``ValueError`` here.
     retry_unsafe:
         Opt-in to retrying non-idempotent requests (``shutdown``) too.
         Off by default: a retried shutdown could stop a daemon that
@@ -155,6 +168,7 @@ class ServiceClient:
         self.port = int(port)
         self.timeout = timeout
         self.retry = retry if retry is not None else RetryPolicy()
+        Deadline(deadline_ms)  # rejects a bad budget now, not per request
         self.deadline_ms = deadline_ms
         self.retry_unsafe = retry_unsafe
         #: Attempts the most recent request used (1 = no retries).
@@ -175,19 +189,52 @@ class ServiceClient:
         payload (schedule dict, makespan, certified lower bound,
         ``cached``/``deduped`` flags).  Idempotent — the daemon keys
         solves by content, so a retried send lands on the cache line
-        the first send populated."""
-        body: Dict[str, Any] = {
+        the first send populated.
+
+        Key-first: the request sends the content key only, and resends
+        the whole instance only when the daemon answers
+        ``404 unknown_key`` (not in its memory tier).  Probe and resend
+        are one logical request: one deadline budget, one attempt count
+        (``attempts`` counts retries, not the resend), one observation
+        in ``repro_client_*``; each of the two exchanges is retried under
+        the client's policy like any request.  An instance that cannot
+        be keyed is sent whole at once."""
+        fields: Dict[str, Any] = {}
+        if algorithm is not None:
+            fields["algorithm"] = algorithm
+        if priority is not None:
+            fields["priority"] = priority
+        try:
+            key = (
+                instance.content_key()
+                if isinstance(instance, Instance)
+                else content_key_from_dict(instance)
+            )
+        except Exception:
+            key = None  # the daemon's full parse reports what is wrong
+        deadline, t0 = self._begin()
+        max_attempts = self.retry.max_attempts
+        if key is not None:
+            try:
+                reply = self._exchange(
+                    "POST", "/solve", {"key": key, **fields}, deadline,
+                    max_attempts,
+                )
+            except ServiceError as exc:
+                if exc.code != "unknown_key":
+                    raise
+            else:
+                return self._finish("/solve", reply, t0)
+        body = {
             "instance": (
                 instance_to_dict(instance)
                 if isinstance(instance, Instance)
                 else instance
             ),
+            **fields,
         }
-        if algorithm is not None:
-            body["algorithm"] = algorithm
-        if priority is not None:
-            body["priority"] = priority
-        return self._request("POST", "/solve", body)
+        reply = self._exchange("POST", "/solve", body, deadline, max_attempts)
+        return self._finish("/solve", reply, t0)
 
     def evolve(
         self,
@@ -273,14 +320,34 @@ class ServiceClient:
         *,
         idempotent: bool = True,
     ) -> Dict[str, Any]:
-        payload = None if body is None else json.dumps(body).encode()
-        deadline = Deadline(self.deadline_ms)
+        deadline, t0 = self._begin()
         max_attempts = self.retry.max_attempts if idempotent else 1
-        attempt = 0
-        self.last_attempts = 0
-        t0 = time.perf_counter()
+        reply = self._exchange(method, path, body, deadline, max_attempts)
+        return self._finish(path, reply, t0)
+
+    def _begin(self) -> Tuple[Deadline, float]:
+        """Start a logical request: its deadline budget and start time;
+        ``last_attempts`` restarts at the first attempt."""
+        self.last_attempts = 1
+        return Deadline(self.deadline_ms), time.perf_counter()
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: Optional[Dict[str, Any]],
+        deadline: Deadline,
+        max_attempts: int,
+    ) -> Dict[str, Any]:
+        """One request/response of the current logical request, tried up
+        to ``max_attempts`` times through transient failures; raises
+        :class:`ServiceError` on a non-transient reply or once the tries
+        run out.  ``deadline`` belongs to the logical request, and
+        ``last_attempts`` counts its retries across all its exchanges."""
+        payload = None if body is None else json.dumps(body).encode()
+        tries = 0
         while True:
-            self.last_attempts = attempt + 1
+            tries += 1
             headers = {"Content-Type": "application/json"}
             remaining = deadline.remaining_ms()
             if remaining is not None:
@@ -306,15 +373,14 @@ class ServiceClient:
                 )
                 outcome = self._classify(resp.status, resp.headers, raw)
                 if not isinstance(outcome, ServiceError):
-                    return self._finish(path, outcome, attempt + 1, t0)
+                    return outcome
                 if (
                     outcome.code is not None
                     and outcome.code not in RETRYABLE_CODES
                 ) or (outcome.code is None and outcome.http_status < 500):
                     raise outcome  # typed non-transient: retry is futile
                 failure = outcome
-            attempt += 1
-            if attempt >= max_attempts or deadline.expired():
+            if tries >= max_attempts or deadline.expired():
                 if isinstance(failure, ServiceError):
                     raise failure
                 # Exhausted retries on transport failures still fail
@@ -329,15 +395,16 @@ class ServiceClient:
                     },
                 ) from failure
             self.retry.sleep(
-                attempt - 1, retry_after_s=retry_after, deadline=deadline
+                tries - 1, retry_after_s=retry_after, deadline=deadline
             )
+            self.last_attempts += 1
 
-    @staticmethod
     def _finish(
-        path: str, outcome: Dict[str, Any], attempts: int, t0: float
+        self, path: str, outcome: Dict[str, Any], t0: float
     ) -> "ServiceResponse":
         """Wrap a successful payload with transport metadata and record
         the client-side metrics for this logical request."""
+        attempts = self.last_attempts
         response = ServiceResponse(outcome)
         response.attempts = attempts
         response.latency_s = time.perf_counter() - t0

@@ -326,6 +326,22 @@ class TestUsageErrors:
         err = self._usage_error(["batch", "-w", "-3"], capsys)
         assert "workers must be an integer >= 0" in err
 
+    @pytest.mark.parametrize("port", ["70000", "-5", "65536", "http"])
+    def test_out_of_range_serve_port(self, port, capsys):
+        err = self._usage_error(["serve", "--port", port], capsys)
+        assert "port must be an integer in 0-65535" in err
+
+    @pytest.mark.parametrize(
+        "target", ["127.0.0.1:99999", "127.0.0.1:0", "127.0.0.1:-5"]
+    )
+    def test_out_of_range_attach_port(self, target, capsys):
+        assert main(["chaos", "--attach", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"chaos: --attach wants HOST:PORT, got {target!r}\n"
+        )
+        assert "HOLDS" not in captured.out
+
 
 class TestTrace:
     ARGV = ["trace", "--family", "layered", "--size", "40", "-m", "4",

@@ -324,22 +324,24 @@ class TestServiceObservability:
     def test_request_stages_are_a_histogram(self):
         with serve_in_thread(workers=0) as handle:
             with ServiceClient(port=handle.port) as client:
-                client.solve(_inst())  # miss: decode, key, parse, encode
-                client.solve(_inst())  # hit: decode, key, encode (once)
-                client.solve(_inst())  # hit: decode, key (memoized body)
+                # miss: the key-only probe (decode, encode of the 404),
+                # then the resend (decode, key, parse, encode)
+                client.solve(_inst())
+                client.solve(_inst())  # key-only hit: decode, encode (once)
+                client.solve(_inst())  # key-only hit: decode (memoized body)
             text = urllib.request.urlopen(
                 f"http://{handle.host}:{handle.port}/metrics"
             ).read().decode()
         assert lint_exposition(text) == []
         assert "# TYPE repro_service_stage_seconds histogram" in text
-        for stage, count in (("decode", 3), ("key", 3), ("parse", 1)):
+        for stage, count in (("decode", 4), ("key", 1), ("parse", 1)):
             assert (
                 f'repro_service_stage_seconds_count{{stage="{stage}"}} '
                 f"{count}" in text
             )
-        # The miss reply and the first hit's memoized body; the stats
-        # page is not among the bodies encoded before the scrape.
-        assert 'repro_service_stage_seconds_count{stage="encode"} 2' in text
+        # The 404, the miss reply and the first hit's memoized body; the
+        # stats page is not among the bodies encoded before the scrape.
+        assert 'repro_service_stage_seconds_count{stage="encode"} 3' in text
 
     def test_two_services_do_not_share_counts(self):
         with serve_in_thread(workers=0) as h1, \

@@ -178,6 +178,14 @@ class TestDeadline:
         with pytest.raises(ValueError):
             Deadline(-1)
 
+    def test_nan_budget_rejected_and_inf_unbounded(self):
+        # NaN would read as exhausted (remaining 0) yet never expire.
+        with pytest.raises(ValueError):
+            Deadline(float("nan"))
+        forever = Deadline(float("inf"))
+        assert not forever.expired()
+        assert forever.remaining_ms() == float("inf")
+
 
 class TestRetryPolicy:
     def test_full_jitter_within_exponential_ceiling(self):

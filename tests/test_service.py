@@ -568,6 +568,168 @@ class TestKeyedHitPath:
         assert after["spill_hits"] - before["spill_hits"] == 1
 
 
+class TestKeyFirst:
+    """``ServiceClient.solve`` sends the content key only, and the
+    instance only after a ``404 unknown_key``."""
+
+    def test_cached_solve_is_one_exchange_with_the_full_body_bytes(
+        self, daemon
+    ):
+        from repro.io import instance_to_dict
+
+        inst = _inst(seed=21)
+        body = {"instance": instance_to_dict(inst)}
+        assert _post_raw(daemon, body)[0] == 200  # full-body miss
+        status, full_hit, full_digest = _post_raw(daemon, body)
+        assert status == 200
+        with ServiceClient(port=daemon.port) as c:
+            before = c.stats()
+            reply = c.solve(inst)
+            after = c.stats()
+        # The solve's one exchange, plus the second /stats read itself.
+        assert after["requests"] - before["requests"] == 2
+        assert after["cache"]["hits"] - before["cache"]["hits"] == 1
+        assert reply["cached"] is True
+        assert reply == json.loads(full_hit)
+        assert _served(reply) == _direct(inst)
+        status, raw, digest = _post_raw(daemon, {"key": inst.content_key()})
+        assert (status, raw, digest) == (200, full_hit, full_digest)
+
+    def test_unseen_key_is_404_and_counts_only_unknown_keys(
+        self, daemon, client
+    ):
+        inst = _inst(seed=22)
+        before = client.stats()
+        status, raw, _ = _post_raw(daemon, {"key": inst.content_key()})
+        mid = client.stats()
+        assert status == 404
+        assert json.loads(raw)["code"] == "unknown_key"
+        assert mid["errors"] == before["errors"]
+        for field in ("hits", "misses"):
+            assert mid["cache"][field] == before["cache"][field]
+        assert mid["cache"]["unknown_keys"] == (
+            before["cache"]["unknown_keys"] + 1
+        )
+        reply = client.solve(inst)
+        after = client.stats()
+        assert reply["cached"] is False
+        assert after["cache"]["misses"] == mid["cache"]["misses"] + 1
+        assert after["cache"]["hits"] == mid["cache"]["hits"]
+        assert after["errors"] == before["errors"]
+
+    @pytest.mark.parametrize("body", [
+        {"key": "a" * 63},
+        {"key": "a" * 65},
+        {"key": "A" * 64},
+        {"key": "g" * 64},
+        {"key": "0" * 63 + "\n"},
+        {"key": 7},
+        {"key": None},
+        {"key": ["0" * 64]},
+        {"key": "0" * 64, "instance": {}},
+    ])
+    def test_malformed_key_body_is_400(self, daemon, body):
+        status, raw, _ = _post_raw(daemon, body)
+        assert status == 400
+        assert json.loads(raw)["code"] == "bad_request"
+
+    def test_key_with_unknown_strategy_is_400(self, daemon):
+        status, raw, _ = _post_raw(
+            daemon, {"key": "0" * 64, "priority": "no-such-rule"}
+        )
+        assert status == 400
+        assert json.loads(raw)["code"] == "unknown_strategy"
+
+    def test_spill_only_entry_is_404_then_the_resend_hits(self, tmp_path):
+        a, b = _inst(seed=23), _inst(seed=24)
+        with serve_in_thread(
+            workers=0, cache_capacity=1, spill_dir=str(tmp_path / "sp")
+        ) as handle:
+            with ServiceClient(port=handle.port) as c:
+                c.solve(a)
+                c.solve(b)  # spills a
+                status, _, _ = _post_raw(handle, {"key": a.content_key()})
+                assert status == 404
+                before = c.stats()["cache"]
+                resent = c.solve(a)
+                mid = c.stats()
+                again = c.solve(a)
+                after = c.stats()
+        assert resent["cached"] is True
+        assert mid["cache"]["spill_hits"] - before["spill_hits"] == 1
+        assert mid["cache"]["misses"] == before["misses"]
+        assert again["cached"] is True
+        assert after["requests"] - mid["requests"] == 2
+        assert _served(again) == _direct(a)
+
+    def test_resend_carries_the_remaining_budget(self, monkeypatch):
+        seen = []
+        parse = SolverService._request_deadline
+
+        def recording(headers):
+            seen.append(float(headers["x-deadline-ms"]))
+            if len(seen) == 1:
+                time.sleep(0.2)  # the probe spends some budget
+            return parse(headers)
+
+        monkeypatch.setattr(
+            SolverService, "_request_deadline", staticmethod(recording)
+        )
+        with serve_in_thread(workers=0) as handle:
+            with ServiceClient(port=handle.port, deadline_ms=60_000) as c:
+                reply = c.solve(_inst(seed=25))
+        assert reply["cached"] is False
+        probe, resend = seen
+        assert probe <= 60_000
+        assert resend <= probe - 150
+
+    def test_key_first_miss_is_one_attempt(self, client):
+        reply = client.solve(_inst(seed=26))
+        assert reply["cached"] is False
+        assert reply.attempts == 1 and client.last_attempts == 1
+
+    def test_first_hit_of_an_entry_encodes_off_the_loop(
+        self, client, monkeypatch
+    ):
+        threads = []
+        encode = SolverService._hit_body
+
+        def recording(self, key, payload):
+            threads.append(threading.current_thread().name)
+            return encode(self, key, payload)
+
+        monkeypatch.setattr(SolverService, "_hit_body", recording)
+        inst = _inst(seed=27)
+        client.solve(inst)
+        assert client.solve(inst)["cached"] is True
+        assert threads and all(
+            name.startswith("repro-aux") for name in threads
+        )
+
+    def test_fingerprint_claim_is_never_the_key(self, client):
+        from repro.io import instance_to_dict
+
+        cached, other = _inst(seed=28), _inst(seed=29)
+        client.solve(cached)
+        # Another instance's arrays under the cached one's fingerprint:
+        # a client that trusted the claim would be served the wrong
+        # schedule.
+        forged = dict(
+            instance_to_dict(other), fingerprint=cached.content_key()
+        )
+        before = client.stats()
+        with pytest.raises(ServiceError) as exc:
+            client.solve(forged)
+        after = client.stats()
+        assert exc.value.http_status == 400
+        assert exc.value.code == "invalid_instance"
+        # Unkeyable, so sent whole at once: no probe was answered 404.
+        assert after["cache"]["unknown_keys"] == (
+            before["cache"]["unknown_keys"]
+        )
+        assert after["cache"]["hits"] == before["cache"]["hits"]
+
+
 class TestLifecycle:
     def test_shutdown_delivers_in_flight_response(self):
         # A solve racing POST /shutdown must still get its reply: the

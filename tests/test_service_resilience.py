@@ -108,6 +108,35 @@ class TestDeadlines:
             assert payload["code"] == "bad_request"
             assert "X-Deadline-Ms" in payload["error"]
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN"])
+    def test_nan_deadline_header_is_400_and_solves_nothing(self, raw):
+        from repro.io import instance_to_dict
+
+        with serve_in_thread(workers=0) as handle:
+            conn = http.client.HTTPConnection(
+                handle.host, handle.port, timeout=10
+            )
+            try:
+                conn.request(
+                    "POST", "/solve",
+                    body=json.dumps({"instance": instance_to_dict(_inst())}),
+                    headers={"X-Deadline-Ms": raw},
+                )
+                resp = conn.getresponse()
+                payload = json.loads(resp.read())
+            finally:
+                conn.close()
+            stats = handle.service.stats()
+        assert resp.status == 400
+        assert payload["code"] == "bad_request"
+        assert "X-Deadline-Ms" in payload["error"]
+        assert stats["solved"] == 0
+        assert stats["resilience"]["shed_deadline"] == 0
+
+    def test_nan_client_deadline_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            ServiceClient(port=1, deadline_ms=float("nan"))
+
     def test_generous_deadline_changes_nothing(self):
         inst = _inst(seed=3)
         with serve_in_thread(workers=0) as handle:
@@ -285,6 +314,28 @@ class TestIdempotencyAwareRetry:
             ) as c:
                 reply = c.solve(inst)
                 assert c.last_attempts == 2
+        assert reply["makespan"] == SchedulingPipeline().solve(inst).makespan
+
+    def test_probe_and_resend_are_each_retried(self):
+        # Responses 0 (the key-only probe) and 2 (the full-body resend)
+        # are reset: each exchange retries once under max_attempts=2,
+        # and the logical solve reports 1 + 2 retries.
+        plan = FaultPlan(seed=0, specs=[
+            FaultSpec(kind="socket_reset", site="broker.respond",
+                      at=[0, 2]),
+        ])
+        inst = _inst(seed=31)
+        with serve_in_thread(workers=0, faults=plan) as handle:
+            with ServiceClient(
+                port=handle.port,
+                retry=RetryPolicy(max_attempts=2, base_s=0.01,
+                                  cap_s=0.05),
+            ) as c:
+                reply = c.solve(inst)
+                assert c.last_attempts == reply.attempts == 3
+                stats = c.stats()
+        # The reset resend still solved; its retry is the cache hit.
+        assert reply["cached"] is True and stats["solved"] == 1
         assert reply["makespan"] == SchedulingPipeline().solve(inst).makespan
 
     def test_shutdown_is_not_retried_by_default(self):
