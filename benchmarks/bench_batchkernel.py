@@ -4,7 +4,8 @@ Measures fleets of B small instances solved two ways per cell:
 
 * **reference** — the per-instance pipeline, one
   :class:`repro.pipeline.SchedulingPipeline` solve per instance (the
-  exact code path ``BatchRunner --batch-kernel off`` runs);
+  exact code path ``BatchRunner`` runs for every item the batched tier
+  does not take: paths, singletons, ineligible strategy pairs);
 * **batched** — one :func:`repro.batchkernel.solve_batch` call packing
   the whole fleet into block-diagonal CSR/LP structures and advancing
   all B schedules in lockstep.

@@ -10,9 +10,13 @@ Two measurements, written to ``BENCH_engine.json``:
    the ratio measures the LIST rewrite alone; both produce the same
    schedule — asserted here — so it is a pure implementation speedup.
 2. **batch** — throughput (instances/second) of
-   :func:`repro.engine.jz_schedule_many` across worker counts, with
-   scaling efficiency normalized by the cores actually available
-   (process pools cannot scale past ``os.cpu_count()``).
+   :class:`repro.engine.BatchRunner` over instance JSON files across
+   worker counts — the ``repro batch a.json ... -w N`` route.  Paths
+   are never batched in the parent, so ``workers=1`` solves in-process
+   and every larger count runs the process pool (each row records the
+   traced ``pool_chunks``); scaling efficiency is normalized by the
+   cores actually available (process pools cannot scale past
+   ``os.cpu_count()``).
 
 Run:  PYTHONPATH=src python benchmarks/bench_engine.py [--smoke] [-o OUT]
 
@@ -25,13 +29,17 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 from repro import jz_schedule
 from repro.core import jz_parameters, solve_allotment_lp
 from repro.core.list_scheduler import list_schedule, list_schedule_reference
 from repro.core.rounding import rounding_stretch_report
-from repro.engine import BatchRunner, jz_schedule_many
+from repro.engine import BatchRunner
+from repro.io import save_instance
+from repro.obs import trace as obs_trace
 from repro.workloads import make_instance
 
 
@@ -90,42 +98,47 @@ def bench_single(smoke):
     }
 
 
-def bench_batch(smoke):
+def _numbers(records):
+    return [(r.makespan, r.lower_bound, r.ratio_bound) for r in records]
+
+
+def bench_batch(smoke, directory):
     count, n = (6, 60) if smoke else (16, 500)
     worker_counts = (1, 2) if smoke else (1, 2, 4)
-    instances = [
-        make_instance("erdos_renyi", n, 8, model="power", seed=100 + k)
-        for k in range(count)
-    ]
+    paths = []
+    for k in range(count):
+        inst = make_instance("erdos_renyi", n, 8, model="power", seed=100 + k)
+        paths.append(str(Path(directory) / f"i{k}.json"))
+        save_instance(inst, paths[-1])
     cores = os.cpu_count() or 1
-    seq = jz_schedule_many(instances, workers=0)
-    assert seq.n_errors == 0, seq.errors()
     rows = []
     base = None
     for w in worker_counts:
-        # Pool even at w=1, so the scaling curve compares pool to pool
-        # (fixed pool costs are not charged to parallelism).
-        res = BatchRunner(workers=w, use_pool=True).run(instances)
+        with obs_trace.tracing() as tracer:
+            res = BatchRunner(workers=w).run(paths)
+        chunks = tracer.counter_totals().get("pool_chunks", 0)
         assert res.n_errors == 0, res.errors()
-        assert [r.makespan for r in res.records] == [
-            r.makespan for r in seq.records
-        ], "pooled records diverged from in-process records"
+        assert "batched" not in res.kernel_tiers(), res.kernel_tiers()
+        assert (chunks > 0) == (w > 1), f"workers={w}: {chunks} pool chunks"
         if base is None:
-            base = res.throughput
-        speedup = res.throughput / base if base else 0.0
+            base = res
+        assert _numbers(res.records) == _numbers(base.records), (
+            "pooled records diverged from in-process records"
+        )
+        speedup = res.throughput / base.throughput
         rows.append(
             {
                 "workers": w,
+                "pool_chunks": chunks,
                 "wall_time_s": res.wall_time,
                 "throughput_inst_per_s": res.throughput,
-                "speedup_vs_1_worker_pool": speedup,
+                "speedup_vs_in_process": speedup,
                 "efficiency_vs_available_cores": speedup / min(w, cores),
             }
         )
     return {
         "instances": count,
         "n_tasks_each": n,
-        "sequential_throughput_inst_per_s": seq.throughput,
         # Process pools cannot scale past the cores that exist: on a
         # machine with fewer cores than the largest worker count the
         # absolute speedup column is flat by construction and only the
@@ -149,8 +162,9 @@ def main(argv=None):
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "single": bench_single(args.smoke),
-        "batch": bench_batch(args.smoke),
     }
+    with tempfile.TemporaryDirectory(prefix="bench-engine-") as tmp:
+        result["batch"] = bench_batch(args.smoke, tmp)
     with open(args.output, "w") as fh:
         json.dump(result, fh, indent=2)
     single = result["single"]
@@ -163,7 +177,7 @@ def main(argv=None):
         print(
             f"batch workers={row['workers']}: "
             f"{row['throughput_inst_per_s']:.2f} inst/s "
-            f"(speedup {row['speedup_vs_1_worker_pool']:.2f}x, "
+            f"(speedup {row['speedup_vs_in_process']:.2f}x, "
             f"efficiency {row['efficiency_vs_available_cores']:.2f})"
         )
     print(f"written to {args.output}")

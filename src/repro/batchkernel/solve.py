@@ -61,7 +61,7 @@ ELIGIBLE_ALGORITHMS = frozenset({"jz", "ltw", "sequential", "full"})
 #: The only phase-2 rule the batched scheduler replicates.
 ELIGIBLE_PRIORITY = "earliest-start"
 
-#: ``--batch-kernel auto`` routes a group through the batched tier only
+#: The batch engine routes a group through the batched tier only
 #: when every instance has at most this many tasks — past that point
 #: the per-instance array path already amortizes its NumPy overhead and
 #: batching buys little while holding B instances' arrays live at once.

@@ -133,6 +133,48 @@ def _workers_arg(value: str):
     return workers
 
 
+def _int_at_least(low: int):
+    """argparse type for counts and sizes: an integer >= ``low``, so a
+    value out of range is a usage error (exit 2), not a traceback or an
+    empty run."""
+
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = low - 1
+        if number < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {value!r}"
+            )
+        return number
+
+    return parse
+
+
+class _UsageError(Exception):
+    """An argument value only a command can refuse (a workload size its
+    generator cannot build); :func:`main` prints it as one
+    ``<command>: ...`` line and exits 2."""
+
+
+def _make_workload(args: argparse.Namespace, family: str, seed: int):
+    """The generated instance --size/-m/--model describe, with ``seed``;
+    a size the family's generator refuses raises :class:`_UsageError`."""
+    from .workloads import make_instance
+
+    try:
+        return make_instance(
+            family, args.size, args.processors,
+            model=args.model, seed=seed,
+        )
+    except ValueError as exc:
+        raise _UsageError(
+            f"cannot generate a {family} instance of --size "
+            f"{args.size}: {exc}"
+        ) from None
+
+
 def _port(value: str) -> Optional[int]:
     """``value`` as a TCP port number 0-65535, else ``None``."""
     if not (value.isascii() and value.isdigit()):
@@ -165,7 +207,7 @@ def _add_workload_options(
         help="DAG family: %(choices)s (default: %(default)s)",
     )
     sub.add_argument("--size", type=int, default=size)
-    sub.add_argument("-m", "--processors", type=int, default=8)
+    sub.add_argument("-m", "--processors", type=_int_at_least(1), default=8)
     sub.add_argument(
         "--model", default="power", choices=MODELS, metavar="MODEL",
         help="speedup model: %(choices)s (default: %(default)s)",
@@ -235,10 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("tables", help="regenerate the paper's tables")
     t.add_argument("which", type=int, choices=[2, 3, 4])
-    t.add_argument("--m-max", type=int, default=33)
+    t.add_argument("--m-max", type=_int_at_least(2), default=33)
 
     pa = sub.add_parser("params", help="print rho(m), mu(m), r(m)")
-    pa.add_argument("m", type=int)
+    pa.add_argument("m", type=_int_at_least(1))
 
     g = sub.add_parser("generate", help="emit a workload instance JSON")
     _add_workload_options(g)
@@ -281,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace-event JSON destination (default: trace.json)",
     )
     tr.add_argument(
-        "--capacity", type=int, default=8192, metavar="N",
+        "--capacity", type=_int_at_least(1), default=8192, metavar="N",
         help="span ring-buffer size (default: 8192; older spans drop)",
     )
     _add_strategy_options(tr)
@@ -344,22 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     b.add_argument(
-        "--chunksize", type=int, default=None,
-        help=(
-            "instances per pool task (default: auto-sized so chunk "
-            "overhead amortizes across solves)"
-        ),
-    )
-    b.add_argument(
-        "--batch-kernel", choices=["auto", "on", "off"], default="auto",
-        help=(
-            "cross-instance batched kernel tier: 'auto' batches "
-            "eligible small pre-built instances in one block-diagonal "
-            "pass, 'on' forces it for every eligible instance, 'off' "
-            "pins the per-instance path (default: auto)"
-        ),
-    )
-    b.add_argument(
         "-o", "--output", help="write JSON-lines records here"
     )
     b.add_argument(
@@ -367,10 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a sweep of this DAG family instead of reading "
              "files: %(choices)s",
     )
-    b.add_argument("--count", type=int, default=8,
+    b.add_argument("--count", type=_int_at_least(1), default=8,
                    help="number of generated instances (with --generate)")
     b.add_argument("--size", type=int, default=24)
-    b.add_argument("-m", "--processors", type=int, default=8)
+    b.add_argument("-m", "--processors", type=_int_at_least(1), default=8)
     b.add_argument("--model", default="power", choices=MODELS,
                    metavar="MODEL", help="speedup model: %(choices)s")
     b.add_argument("--seed", type=int, default=0)
@@ -455,16 +481,17 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 0; ignored with --plan)",
     )
     ch.add_argument(
-        "--requests", type=int, default=60, metavar="N",
+        "--requests", type=_int_at_least(1), default=60, metavar="N",
         help="requests to drive (default: 60)",
     )
     ch.add_argument(
-        "--instances", type=int, default=6, metavar="K",
+        "--instances", type=_int_at_least(1), default=6, metavar="K",
         help="distinct instances cycled through (default: 6)",
     )
-    ch.add_argument("--size", type=int, default=16,
+    # The chaos workload is layered: two layers at least, so two tasks.
+    ch.add_argument("--size", type=_int_at_least(2), default=16,
                     help="tasks per instance (default: 16)")
-    ch.add_argument("-m", "--processors", type=int, default=4,
+    ch.add_argument("-m", "--processors", type=_int_at_least(1), default=4,
                     help="machine count (default: 4)")
     ch.add_argument(
         "--deadline-ms", type=float, default=30_000.0, metavar="MS",
@@ -515,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop the campaign cache first; re-solve every cell",
     )
     cr.add_argument(
-        "--wave-size", type=int, default=None, metavar="N",
+        "--wave-size", type=_int_at_least(1), default=None, metavar="N",
         help="cells per flush wave (default: auto; the resume "
              "granularity)",
     )
@@ -555,15 +582,11 @@ def _build_pipeline(args: argparse.Namespace, command: str):
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     from . import render_gantt
-    from .workloads import make_instance
 
     pipe = _build_pipeline(args, "demo")
     if pipe is None:
         return 2
-    inst = make_instance(
-        args.family, args.size, args.processors,
-        model=args.model, seed=args.seed,
-    )
+    inst = _make_workload(args, args.family, args.seed)
     try:
         rep = pipe.solve(inst)
     except Exception as exc:
@@ -673,12 +696,8 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     from .io import instance_to_dict
-    from .workloads import make_instance
 
-    inst = make_instance(
-        args.family, args.size, args.processors,
-        model=args.model, seed=args.seed,
-    )
+    inst = _make_workload(args, args.family, args.seed)
     text = json.dumps(instance_to_dict(inst), indent=2)
     if args.output:
         with open(args.output, "w") as fh:
@@ -828,13 +847,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
         return 2
     if args.generate:
-        from .workloads import make_instance
-
         instances = [
-            make_instance(
-                args.generate, args.size, args.processors,
-                model=args.model, seed=args.seed + k,
-            )
+            _make_workload(args, args.generate, args.seed + k)
             for k in range(args.count)
         ]
     elif args.instances:
@@ -852,8 +866,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         workers=args.workers,
         algorithm=args.algorithm,
         priority=args.priority,
-        chunksize=args.chunksize,
-        batch_kernel=args.batch_kernel,
     )
     try:
         result = runner.run(instances)
@@ -1081,12 +1093,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             )
             return 2
     else:
-        from .workloads import make_instance
-
-        inst = make_instance(
-            args.family, args.size, args.processors,
-            model=args.model, seed=args.seed,
-        )
+        inst = _make_workload(args, args.family, args.seed)
     tracer = obs_trace.Tracer(capacity=args.capacity)
     try:
         with obs_trace.tracing(tracer):
@@ -1310,7 +1317,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "chaos": _cmd_chaos,
         "campaign": _cmd_campaign,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except _UsageError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

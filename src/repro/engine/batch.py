@@ -13,11 +13,11 @@ without letting one bad instance poison the run.  This module provides:
   :class:`~repro.core.Instance` objects with instance-JSON *paths*;
   paths are loaded inside the worker (no parent-side read, load
   failures isolated like solve failures).  Instances are submitted to
-  the pool in *chunks* so per-future scheduling and pickling overhead
-  is amortized across several solves (the ``chunksize`` knob,
-  auto-sized by default) — and instance serialization itself ships the
-  DAG as its two CSR arrays (see ``repro.dag.Dag.__reduce__``), pickled
-  once per instance.  Long-running callers (the service broker of
+  the pool in *chunks* sized from the batch and the worker count, so
+  per-future scheduling and pickling overhead is amortized across
+  several solves — and instance serialization itself ships the DAG as
+  its two CSR arrays (see ``repro.dag.Dag.__reduce__``), pickled once
+  per instance.  Long-running callers (the service broker of
   :mod:`repro.service`) can hand :meth:`BatchRunner.run` a persistent
   ``executor`` so the pool outlives individual batches;
 * :class:`BatchRecord` — one instance's outcome: either the report
@@ -102,7 +102,7 @@ BatchItem = Union[Instance, str, Path]
 POOL_FAILURE_PREFIX = "worker/pool failure"
 
 #: Cap on in-flight *instances* of a pool run (chunk futures are
-#: throttled to ``max(1, MAX_PENDING // chunksize)``); bounds memory on
+#: throttled to ``max(1, MAX_PENDING // chunk size)``); bounds memory on
 #: huge batches.
 MAX_PENDING = 256
 
@@ -430,37 +430,26 @@ class BatchRunner:
     rho, mu:
         Optional parameter overrides forwarded to the allotment stage
         (ablation sweeps).
-    chunksize:
-        Instances submitted per pool future.  ``None`` (default) picks
-        ``ceil(len(instances) / (4 * workers))`` capped to 32 — enough
-        chunks for load balancing, few enough that pool scheduling and
-        result pickling stop dominating small solves (the 2-worker
-        regression visible in earlier BENCH_engine runs).  Ignored for
-        in-process execution.
-    use_pool:
-        ``None`` (default) spawns a pool only when ``workers > 1``;
-        ``True`` forces a pool even for one worker (pool-to-pool scaling
-        baselines in benchmarks); ``False`` forces in-process execution.
     include_schedule:
         When true, successful records carry the full schedule as a
         ``repro.io`` schedule dict (``record.schedule``) — what the
         service broker caches and returns to clients.  Off by default:
         sweep workloads only want the report numbers, and schedules
         inflate JSONL output.
-    batch_kernel:
-        Routing of the cross-instance batched kernel tier
-        (:func:`repro.batchkernel.solve_batch`).  ``"auto"`` (default)
-        solves pre-built instances with at most
-        :data:`repro.batchkernel.AUTO_MAX_TASKS` tasks in one
-        block-diagonal pass when the strategy pair has a bit-exact
-        batched replica and the group holds at least two instances;
-        ``"on"`` forces the batched tier for every eligible pre-built
-        instance regardless of size; ``"off"`` disables it.  Instances
-        the batched tier does not take (paths, oversized, ineligible
-        strategies) run through the per-instance path unchanged, and a
-        batched-tier failure falls the whole group back to that path —
-        records stay bit-identical either way, only
-        ``record.kernel_tier`` and the wall time differ.
+
+    Routing is decided from the inputs alone; records are bit-identical
+    on every route, only ``record.kernel_tier`` and the wall time
+    differ:
+
+    * two or more pre-built instances of at most
+      :data:`repro.batchkernel.AUTO_MAX_TASKS` tasks, under a strategy
+      pair with a bit-exact batched replica, are solved in one
+      in-parent block-diagonal pass (:func:`repro.batchkernel.solve_batch`,
+      tier ``"batched"``) — unless an ambient fault clock is armed;
+    * the rest go to a process pool when ``workers > 1`` and at least
+      two remain, or whenever the caller passes an ``executor``, in
+      chunks of :meth:`resolved_chunksize` instances;
+    * otherwise they are solved in-process.
     """
 
     workers: Optional[int] = None
@@ -468,10 +457,7 @@ class BatchRunner:
     priority: str = "earliest-start"
     rho: Optional[float] = None
     mu: Optional[int] = None
-    chunksize: Optional[int] = None
-    use_pool: Optional[bool] = None
     include_schedule: bool = False
-    batch_kernel: str = "auto"
 
     def resolved_workers(self) -> int:
         """The effective worker count."""
@@ -481,14 +467,12 @@ class BatchRunner:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         return self.workers
 
-    def resolved_chunksize(self, n_payloads: int, workers: int) -> int:
-        """The effective chunk size for ``n_payloads`` instances."""
-        if self.chunksize is not None:
-            if self.chunksize < 1:
-                raise ValueError(
-                    f"chunksize must be >= 1, got {self.chunksize}"
-                )
-            return self.chunksize
+    @staticmethod
+    def resolved_chunksize(n_payloads: int, workers: int) -> int:
+        """Instances per pool future: ``ceil(n_payloads / (4 * workers))``
+        capped to 32 — enough chunks for load balancing, few enough that
+        pool scheduling and result pickling stop dominating small
+        solves."""
         return max(1, min(32, -(-n_payloads // (4 * max(1, workers)))))
 
     def run(
@@ -525,11 +509,6 @@ class BatchRunner:
         algorithm, priority = canonical_strategy_pair(
             self.algorithm, self.priority
         )
-        if self.batch_kernel not in ("auto", "on", "off"):
-            raise ValueError(
-                "batch_kernel must be 'auto', 'on' or 'off', "
-                f"got {self.batch_kernel!r}"
-            )
 
         instances = list(instances)
         workers = self.resolved_workers()
@@ -546,12 +525,8 @@ class BatchRunner:
         ]
         if executor is not None:
             pooled = len(payloads) > 0
-        elif self.use_pool is None:
-            pooled = workers > 1 and len(payloads) > 1
         else:
-            pooled = (
-                self.use_pool and workers >= 1 and len(payloads) > 0
-            )
+            pooled = workers > 1 and len(payloads) > 1
         if pooled:
             chunk_results = self._run_pool(
                 payloads, max(1, workers), executor=executor
@@ -591,17 +566,15 @@ class BatchRunner:
         block-diagonal pass.
 
         Returns ``(raw_records, taken_indices)``.  Only pre-built
-        :class:`Instance` items qualify (paths must load in workers for
-        failure isolation); under ``"auto"`` the group is additionally
-        capped at :data:`repro.batchkernel.AUTO_MAX_TASKS` tasks per
-        instance and must hold at least two instances.  Any failure of
-        the batched pass falls the *whole* group back to the
-        per-instance path — partial batched results are never mixed
-        with per-instance retries of the same group.
+        :class:`Instance` items of at most
+        :data:`repro.batchkernel.AUTO_MAX_TASKS` tasks qualify (paths
+        must load in workers for failure isolation), and the group must
+        hold at least two instances.  Any failure of the batched pass
+        falls the *whole* group back to the per-instance path — partial
+        batched results are never mixed with per-instance retries of the
+        same group.
         """
         none = ([], frozenset())
-        if self.batch_kernel == "off":
-            return none
         from ..resilience.injector import ambient
 
         if ambient() is not None:
@@ -622,12 +595,9 @@ class BatchRunner:
             return none
         group = [
             i for i, inst in enumerate(instances)
-            if isinstance(inst, Instance) and (
-                self.batch_kernel == "on"
-                or inst.n_tasks <= AUTO_MAX_TASKS
-            )
+            if isinstance(inst, Instance) and inst.n_tasks <= AUTO_MAX_TASKS
         ]
-        if not group or (self.batch_kernel == "auto" and len(group) < 2):
+        if len(group) < 2:
             return none
         t0 = time.perf_counter()
         # Exception (not BaseException): KeyboardInterrupt/SystemExit
@@ -733,8 +703,6 @@ def solve_many(
     workers: Optional[int] = None,
     rho: Optional[float] = None,
     mu: Optional[int] = None,
-    chunksize: Optional[int] = None,
-    batch_kernel: str = "auto",
 ) -> BatchResult:
     """Solve a batch of instances (or instance-file paths) with any
     registered strategy pair.
@@ -742,7 +710,7 @@ def solve_many(
     Thin convenience wrapper over :class:`BatchRunner`; see its docs.
     Records are bit-identical to solving each instance sequentially
     through :class:`repro.pipeline.SchedulingPipeline`, for any
-    ``workers``, ``chunksize`` and ``batch_kernel`` value.
+    ``workers`` value.
     """
     return BatchRunner(
         workers=workers,
@@ -750,8 +718,6 @@ def solve_many(
         priority=priority,
         rho=rho,
         mu=mu,
-        chunksize=chunksize,
-        batch_kernel=batch_kernel,
     ).run(instances)
 
 

@@ -363,9 +363,9 @@ class CampaignRunner:
             by_pair.setdefault(
                 (cell.algorithm, cell.priority), []
             ).append(item)
-        use_pool = workers > 1 and len(keyed) > 1
+        pooled = workers > 1 and len(keyed) > 1
         pool: Optional[ProcessPoolExecutor] = (
-            ProcessPoolExecutor(max_workers=workers) if use_pool
+            ProcessPoolExecutor(max_workers=workers) if pooled
             else None
         )
         try:

@@ -18,8 +18,8 @@ asserts slice-for-slice equality against the pinned per-instance path:
   ``list_schedule`` / :class:`repro.pipeline.SchedulingPipeline` —
   schedules compared entry for entry with ``==`` on floats.
 
-Plus the routing layer (``BatchRunner.batch_kernel``, JSONL
-``kernel_tier`` column) and the tiny-n dispatch regression test.
+Plus the engine's routing into the tier (JSONL ``kernel_tier`` column)
+and the tiny-n dispatch regression test.
 """
 
 import json
@@ -331,41 +331,37 @@ def test_eligible_strategy():
 
 
 # ---------------------------------------------------------------------------
-# engine routing: BatchRunner.batch_kernel and the JSONL column
+# engine routing into the batched tier and the JSONL column
 # ---------------------------------------------------------------------------
-def test_runner_batch_kernel_modes(tmp_path):
+def _assert_matches_pipeline(records, instances, priority="earliest-start"):
+    """Batch records equal direct per-instance pipeline solves."""
+    for rec, inst in zip(records, instances):
+        rep = SchedulingPipeline("jz", priority).solve(inst)
+        assert rec.makespan == rep.makespan
+        assert rec.lower_bound == rep.lower_bound
+        assert rec.observed_ratio == rep.observed_ratio
+
+
+def test_runner_auto_routing(tmp_path):
     batch = [
         make_instance("erdos_renyi", 24, 4, seed=s) for s in range(5)
     ]
     auto = BatchRunner(workers=0).run(batch)
-    off = BatchRunner(workers=0, batch_kernel="off").run(batch)
-    on = BatchRunner(workers=0, batch_kernel="on").run(batch)
     assert all(r.kernel_tier == "batched" for r in auto.records)
-    assert all(r.kernel_tier in ("loop", "array")
-               for r in off.records)
-    assert all(r.kernel_tier == "batched" for r in on.records)
-    for a, b, c in zip(auto.records, off.records, on.records):
-        assert a.makespan == b.makespan == c.makespan
-        assert a.lower_bound == b.lower_bound == c.lower_bound
-        assert a.observed_ratio == b.observed_ratio
+    _assert_matches_pipeline(auto.records, batch)
     assert auto.summary()["kernel_tiers"] == {"batched": 5}
-    with pytest.raises(ValueError):
-        BatchRunner(workers=0, batch_kernel="sometimes").run(batch)
 
-    # Singleton batches stay per-instance under auto (no win to batch),
-    # go batched under on.
+    # Singleton batches stay per-instance (no win to batch).
     single = BatchRunner(workers=0).run(batch[:1])
     assert single.records[0].kernel_tier in ("loop", "array")
-    forced = BatchRunner(workers=0, batch_kernel="on").run(batch[:1])
-    assert forced.records[0].kernel_tier == "batched"
+    _assert_matches_pipeline(single.records, batch[:1])
 
-    # Ineligible strategies never batch, even when forced.
-    cp = BatchRunner(
-        workers=0, priority="critical-path", batch_kernel="on"
-    ).run(batch)
+    # Ineligible strategies never batch.
+    cp = BatchRunner(workers=0, priority="critical-path").run(batch)
     assert all(r.kernel_tier == "loop" for r in cp.records)
+    _assert_matches_pipeline(cp.records, batch, "critical-path")
 
-    # Auto caps the batched group at AUTO_MAX_TASKS per instance.
+    # The batched tier takes instances of at most AUTO_MAX_TASKS tasks.
     assert batch[0].n_tasks <= AUTO_MAX_TASKS
 
     # JSONL roundtrip: additive v2 column, omitted when None.
@@ -407,8 +403,7 @@ def test_runner_batched_mixed_with_paths(tmp_path):
         "batched", "loop", "batched"
     ]
     assert result.n_ok == 3
-    direct = BatchRunner(workers=0, batch_kernel="off").run([batch[1]])
-    assert result.records[0].makespan == direct.records[0].makespan
+    _assert_matches_pipeline(result.records, [batch[1], batch[0], batch[2]])
 
 
 def test_runner_batched_group_falls_back_whole(monkeypatch):

@@ -326,6 +326,53 @@ class TestUsageErrors:
         err = self._usage_error(["batch", "-w", "-3"], capsys)
         assert "workers must be an integer >= 0" in err
 
+    @pytest.mark.parametrize(
+        "argv, low",
+        [
+            (["demo", "-m", "0"], 1),
+            (["generate", "--processors", "-2"], 1),
+            (["trace", "-m", "0"], 1),
+            (["trace", "--capacity", "-1"], 1),
+            (["batch", "--generate", "layered", "-m", "0"], 1),
+            (["batch", "--generate", "layered", "--count", "-2"], 1),
+            (["batch", "--generate", "layered", "--count", "0"], 1),
+            (["chaos", "--requests", "-1"], 1),
+            (["chaos", "--instances", "0"], 1),
+            (["chaos", "--size", "1"], 2),
+            (["chaos", "-m", "0"], 1),
+            (["campaign", "run", "spec.toml", "--wave-size", "0"], 1),
+            (["params", "0"], 1),
+            (["params", "-4"], 1),
+            (["tables", "2", "--m-max", "1"], 2),
+        ],
+    )
+    def test_out_of_range_number(self, argv, low, capsys):
+        err = self._usage_error(argv, capsys)
+        assert f"must be an integer >= {low}, got '{argv[-1]}'" in err
+
+    @pytest.mark.parametrize("flag", ["--chunksize", "--batch-kernel"])
+    def test_removed_batch_flag(self, flag, capsys):
+        err = self._usage_error(["batch", flag, "2", "a.json"], capsys)
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demo", "--family", "layered", "--size", "1"],
+            ["generate", "--family", "layered", "--size", "0"],
+            ["trace", "--family", "layered", "--size", "1"],
+            ["batch", "--generate", "layered", "--size", "1", "-w", "0"],
+        ],
+    )
+    def test_size_the_generator_refuses(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(
+            f"{argv[0]}: cannot generate a layered instance of --size "
+        )
+        assert captured.out == ""
+
     @pytest.mark.parametrize("port", ["70000", "-5", "65536", "http"])
     def test_out_of_range_serve_port(self, port, capsys):
         err = self._usage_error(["serve", "--port", port], capsys)

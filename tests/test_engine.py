@@ -12,6 +12,9 @@ from repro.engine import (
     read_jsonl,
     write_jsonl,
 )
+from repro.engine.batch import POOL_FAILURE_PREFIX
+from repro.io import save_instance
+from repro.obs import trace as obs_trace
 from repro.pipeline import UnknownStrategyError, solve
 from repro.workloads import make_instance
 
@@ -23,12 +26,42 @@ def _instances(count=4, size=10, m=4, seed0=0):
     ]
 
 
+def _saved(instances, directory):
+    """Instance JSON paths: the batched tier never takes a path."""
+    paths = []
+    for k, inst in enumerate(instances):
+        path = directory / f"i{k}.json"
+        save_instance(inst, path)
+        paths.append(str(path))
+    return paths
+
+
+def _traced(run, batch):
+    """``run(batch)`` and the ``pool_chunks`` its pool dispatch traced
+    (0 when nothing reached the pool)."""
+    with obs_trace.tracing() as tracer:
+        result = run(batch)
+    return result, tracer.counter_totals().get("pool_chunks", 0)
+
+
 class TestDeterminism:
-    def test_bit_identical_across_worker_counts(self):
+    def test_bit_identical_across_worker_counts(self, tmp_path):
         instances = _instances(4)
         seq = [jz_reference(i) for i in instances]
-        for workers in (0, 1, 2):
-            res = jz_schedule_many(instances, workers=workers)
+        paths = _saved(instances, tmp_path)
+        # Pre-built instances are batched in the parent at any worker
+        # count; their paths pool at workers=2, one instance per chunk.
+        for workers, batch, chunks in (
+            (0, instances, 0), (1, instances, 0), (2, instances, 0),
+            (2, paths, 4),
+        ):
+            res, traced = _traced(
+                lambda b: jz_schedule_many(b, workers=workers), batch
+            )
+            assert traced == chunks
+            assert res.kernel_tiers().get("batched", 0) == (
+                0 if chunks else 4
+            )
             assert res.n_errors == 0
             assert [r.index for r in res.records] == [0, 1, 2, 3]
             for rec, ref in zip(res.records, seq):
@@ -38,11 +71,19 @@ class TestDeterminism:
                 assert rec.observed_ratio == ref.observed_ratio
 
     def test_forced_pool_matches_in_process(self):
+        # fifo has no batched replica, so workers=2 pools all three.
         instances = _instances(3)
-        pooled = BatchRunner(workers=1, use_pool=True).run(instances)
-        inproc = BatchRunner(workers=1).run(instances)
+        pooled, chunks = _traced(
+            BatchRunner(workers=2, priority="fifo").run, instances
+        )
+        inproc = BatchRunner(workers=0, priority="fifo").run(instances)
+        assert chunks == 3
+        assert "batched" not in pooled.kernel_tiers()
         assert [r.makespan for r in pooled.records] == [
             r.makespan for r in inproc.records
+        ]
+        assert [r.lower_bound for r in pooled.records] == [
+            r.lower_bound for r in inproc.records
         ]
 
     def test_parameter_overrides_forwarded(self):
@@ -58,8 +99,19 @@ class TestFailureIsolation:
     def test_bad_instance_is_isolated(self):
         instances = _instances(2)
         batch = [instances[0], object(), instances[1]]
-        for workers in (0, 2):
-            res = jz_schedule_many(batch, workers=workers)
+        # Under earliest-start the two instances are batched and the bad
+        # item solves alone in-process; fifo has no batched replica, so
+        # at workers=2 all three pool, one per chunk.
+        for workers, priority, chunks in (
+            (0, "earliest-start", 0),
+            (2, "earliest-start", 0),
+            (2, "fifo", 3),
+        ):
+            res, traced = _traced(
+                BatchRunner(workers=workers, priority=priority).run, batch
+            )
+            assert traced == chunks
+            assert ("batched" in res.kernel_tiers()) == (chunks == 0)
             assert [r.status for r in res.records] == ["ok", "error", "ok"]
             assert res.n_errors == 1
             err = res.records[1]
@@ -321,15 +373,26 @@ class TestCliBatch:
 
 
 class TestChunkedSubmission:
-    @pytest.mark.parametrize("chunksize", [1, 2, 5, 100])
+    """Pool runs at workers=2 over a pair the batched tier does not
+    replicate (fifo), so every item reaches the pool; the chunk size
+    follows from the batch size."""
+
+    #: Batch sizes whose auto chunk size at workers=2 is the key.
+    ITEMS = {1: 2, 2: 9, 5: 33}
+
+    @pytest.mark.parametrize("chunksize", sorted(ITEMS))
     def test_chunked_records_identical_to_sequential(self, chunksize):
-        instances = _instances(5)
-        seq = BatchRunner(workers=0).run(instances)
-        pooled = BatchRunner(
-            workers=2, use_pool=True, chunksize=chunksize
-        ).run(instances)
+        count = self.ITEMS[chunksize]
+        assert BatchRunner.resolved_chunksize(count, 2) == chunksize
+        instances = _instances(count)
+        seq = BatchRunner(workers=0, priority="fifo").run(instances)
+        pooled, chunks = _traced(
+            BatchRunner(workers=2, priority="fifo").run, instances
+        )
+        assert chunks == -(-count // chunksize)
+        assert "batched" not in pooled.kernel_tiers()
         assert pooled.n_errors == 0
-        assert [r.index for r in pooled.records] == [0, 1, 2, 3, 4]
+        assert [r.index for r in pooled.records] == list(range(count))
         assert [r.makespan for r in pooled.records] == [
             r.makespan for r in seq.records
         ]
@@ -338,35 +401,33 @@ class TestChunkedSubmission:
         ]
 
     def test_bad_instance_isolated_within_chunk(self):
-        instances = _instances(4)
-        instances[2] = object()  # unsolvable chunk-mate
-        res = BatchRunner(
-            workers=2, use_pool=True, chunksize=4
-        ).run(instances)
+        instances = _instances(9)
+        instances[2] = object()  # unsolvable; shares chunk [2, 3]
+        assert BatchRunner.resolved_chunksize(9, 2) == 2
+        res, chunks = _traced(
+            BatchRunner(workers=2, priority="fifo").run, instances
+        )
+        assert chunks == 5
+        assert "batched" not in res.kernel_tiers()
         assert res.n_errors == 1
-        assert not res.records[2].ok
+        bad = res.records[2]
+        assert "Traceback" in bad.error
+        assert POOL_FAILURE_PREFIX not in bad.error
         assert all(
-            res.records[k].ok for k in (0, 1, 3)
+            res.records[k].ok for k in range(9) if k != 2
         ), res.errors()
 
     def test_auto_chunksize_scales_with_batch(self):
-        runner = BatchRunner(workers=2)
-        assert runner.resolved_chunksize(4, 2) == 1
-        assert runner.resolved_chunksize(64, 2) == 8
-        assert runner.resolved_chunksize(10_000, 2) == 32
-        assert BatchRunner(workers=2, chunksize=7).resolved_chunksize(
-            100, 2
-        ) == 7
-        with pytest.raises(ValueError):
-            BatchRunner(workers=2, chunksize=0).resolved_chunksize(8, 2)
+        assert BatchRunner.resolved_chunksize(4, 2) == 1
+        assert BatchRunner.resolved_chunksize(64, 2) == 8
+        assert BatchRunner.resolved_chunksize(10_000, 2) == 32
+        assert BatchRunner.resolved_chunksize(3, 0) == 1
 
 
 class TestBatchItems:
     """Pre-built instances, file paths and mixtures of both."""
 
     def test_mixed_instances_and_paths(self, tmp_path):
-        from repro.io import save_instance
-
         instances = _instances(3)
         path = tmp_path / "inst0.json"
         save_instance(instances[0], path)
@@ -380,16 +441,12 @@ class TestBatchItems:
         assert res.records[2].name == str(tmp_path / "missing.json")
 
     def test_paths_loaded_in_pool_workers(self, tmp_path):
-        from repro.io import save_instance
-
         instances = _instances(3)
-        paths = []
-        for k, inst in enumerate(instances):
-            p = tmp_path / f"i{k}.json"
-            save_instance(inst, p)
-            paths.append(str(p))
-        pooled = BatchRunner(workers=2, use_pool=True).run(paths)
+        paths = _saved(instances, tmp_path)
+        pooled, chunks = _traced(BatchRunner(workers=2).run, paths)
         seq = BatchRunner(workers=0).run(instances)
+        assert chunks == 3
+        assert "batched" not in pooled.kernel_tiers()
         assert pooled.n_errors == 0
         assert [r.makespan for r in pooled.records] == [
             r.makespan for r in seq.records

@@ -250,14 +250,23 @@ class TestBatchMetrics:
         assert result.metrics["repro_solver_solves_total"
                               '{algorithm="jz"}'] == 1
 
-    def test_pool_worker_deltas_sum_to_parent_totals(self):
+    def test_pool_worker_deltas_sum_to_parent_totals(self, tmp_path):
         """The registry property the pool plumbing must preserve: the
         parent's counters gain exactly the sum of the workers' deltas,
         so a pooled batch reports the same metrics as an in-process
         one (timing histograms aside)."""
-        instances = [_inst(seed=s, size=20) for s in range(6)]
-        solo = BatchRunner(workers=0, batch_kernel="off").run(instances)
-        pooled = BatchRunner(workers=2, batch_kernel="off").run(instances)
+        from repro.io import save_instance
+
+        # Paths: the batched tier never takes them, so workers=2 pools.
+        paths = []
+        for s in range(6):
+            paths.append(str(tmp_path / f"i{s}.json"))
+            save_instance(_inst(seed=s, size=20), paths[-1])
+        solo = BatchRunner(workers=0).run(paths)
+        with obs_trace.tracing() as tracer:
+            pooled = BatchRunner(workers=2).run(paths)
+        assert tracer.counter_totals()["pool_chunks"] == 6
+        assert "batched" not in pooled.kernel_tiers()
         strip = lambda m: {
             k: v for k, v in m.items() if "seconds" not in k
         }
