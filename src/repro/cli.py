@@ -152,6 +152,21 @@ def _int_at_least(low: int):
     return parse
 
 
+def _milliseconds(value: str) -> float:
+    """``--deadline-ms`` parser: milliseconds >= 0 (0 = no deadline);
+    NaN and negative budgets are usage errors, as ``ServiceClient``
+    refuses them too."""
+    try:
+        ms = float(value)
+    except ValueError:
+        ms = -1.0
+    if not ms >= 0:  # false for NaN too
+        raise argparse.ArgumentTypeError(
+            f"must be a number of milliseconds >= 0, got {value!r}"
+        )
+    return ms
+
+
 class _UsageError(Exception):
     """An argument value only a command can refuse (a workload size its
     generator cannot build); :func:`main` prints it as one
@@ -494,7 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("-m", "--processors", type=_int_at_least(1), default=4,
                     help="machine count (default: 4)")
     ch.add_argument(
-        "--deadline-ms", type=float, default=30_000.0, metavar="MS",
+        "--deadline-ms", type=_milliseconds, default=30_000.0,
+        metavar="MS",
         help="per-request deadline budget (default: 30000; 0 = none)",
     )
     ch.add_argument(
@@ -1235,7 +1251,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         plan = FaultPlan.uniform(args.rate, seed=args.seed)
-    deadline_ms = args.deadline_ms if args.deadline_ms > 0 else None
     common = dict(
         n_requests=args.requests,
         n_instances=args.instances,
@@ -1243,7 +1258,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         m=args.processors,
         algorithm=algorithm,
         priority=priority,
-        deadline_ms=deadline_ms,
+        deadline_ms=args.deadline_ms or None,
     )
     if args.attach is not None:
         host, _, port_text = args.attach.rpartition(":")

@@ -19,9 +19,10 @@ instance, exactly the representation the solver itself consumes:
   edge *input order* and duplicate arcs never reach the hash.
 
 The image is hashed by :func:`content_digest` alone, whether it comes
-from a built :class:`~repro.core.Instance` (:func:`instance_content_key`)
-or straight from instance JSON (:func:`repro.io.content_key_from_dict`,
-which the service uses to look a request up before building anything).
+from a built :class:`~repro.core.Instance` (:func:`instance_content_key`,
+what the service daemon keys every parsed request by) or straight from
+instance JSON (:func:`repro.io.content_key_from_dict`, which the service
+client uses to key a dict for a key-only request without building it).
 
 Deliberately excluded: the instance/task ``name`` labels (display-only)
 and the task ``model`` tag (a validation mode — the two recognized

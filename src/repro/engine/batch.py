@@ -316,7 +316,6 @@ def _solve_one(payload) -> Dict[str, Any]:
     # Exception (not BaseException): KeyboardInterrupt/SystemExit must
     # propagate so in-process batch runs stay interruptible.
     try:
-        _maybe_inject_solve_fault()
         if label is not None:
             from ..io import load_instance
 
@@ -353,26 +352,6 @@ def _solve_one(payload) -> Dict[str, Any]:
             "wall_time": time.perf_counter() - t0,
             "error": traceback.format_exc(),
         }
-
-
-def _maybe_inject_solve_fault() -> None:
-    """The ``engine.solve`` chaos seam: consult the *ambient* fault
-    clock (:mod:`repro.resilience.injector`) — the worker body has no
-    constructor to thread a clock through.  A no-op (one global read)
-    unless a plan is armed.  ``solve_error`` raises inside the worker's
-    try block and becomes an isolated error record, exactly like a real
-    solver bug; ``slow_solve`` stalls by ``param["delay_s"]``."""
-    from ..resilience.injector import seam
-
-    fault = seam("engine.solve")
-    if fault is None:
-        return
-    if fault.kind == "slow_solve":
-        time.sleep(float(fault.param.get("delay_s", 0.01)))
-    elif fault.kind == "solve_error":
-        from ..resilience import InjectedFault
-
-        raise InjectedFault(fault.kind, fault.site)
 
 
 def _pool_error_record(payload, exc: BaseException) -> Dict[str, Any]:
@@ -445,7 +424,7 @@ class BatchRunner:
       :data:`repro.batchkernel.AUTO_MAX_TASKS` tasks, under a strategy
       pair with a bit-exact batched replica, are solved in one
       in-parent block-diagonal pass (:func:`repro.batchkernel.solve_batch`,
-      tier ``"batched"``) — unless an ambient fault clock is armed;
+      tier ``"batched"``);
     * the rest go to a process pool when ``workers > 1`` and at least
       two remain, or whenever the caller passes an ``executor``, in
       chunks of :meth:`resolved_chunksize` instances;
@@ -575,16 +554,6 @@ class BatchRunner:
         same group.
         """
         none = ([], frozenset())
-        from ..resilience.injector import ambient
-
-        if ambient() is not None:
-            # An armed ambient fault clock (chaos testing) routes every
-            # instance through the per-instance path, so the
-            # ``engine.solve`` seam in :func:`_solve_one` sees each one
-            # and injection counters stay deterministic — the batched
-            # pass solves N instances in one call and has no per-
-            # instance seam.
-            return none
         from ..batchkernel import (
             AUTO_MAX_TASKS,
             eligible_strategy,

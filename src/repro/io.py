@@ -140,9 +140,11 @@ def content_key_from_dict(data: Dict[str, Any]) -> str:
 
     It skips what only a full parse needs — the per-task value checks
     (positive, finite, Assumptions 1 and 2), the acyclicity sweep and
-    every object — so a key is no proof of validity.  The service uses
-    it to find instances a full parse has already validated and sends
-    everything else through :func:`instance_from_dict`.
+    every object — so a key is no proof of validity.  The service
+    client (:meth:`repro.service.ServiceClient.solve`) uses it to key a
+    dict for a key-only request; the daemon does not call it, since a
+    key only finds content its own full parse accepted, and every full
+    body it receives goes through :func:`instance_from_dict`.
     """
     m, n, rows, edges = _instance_shape(data)
     times = np.fromiter(

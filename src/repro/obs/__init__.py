@@ -4,8 +4,8 @@ Three small stdlib-only modules:
 
 - :mod:`repro.obs.trace` — an ambient span tracer (ring buffer,
   Chrome/Perfetto trace-event export) whose disarmed fast path is a
-  single module-global read, the same seam discipline as
-  :mod:`repro.resilience.injector`.
+  single module-global read, the same discipline as an unarmed
+  :class:`~repro.resilience.faults.FaultClock` seam.
 - :mod:`repro.obs.metrics` — a process-wide registry of counters,
   gauges and fixed-bucket histograms with Prometheus text exposition
   and picklable counter deltas for process-pool aggregation.

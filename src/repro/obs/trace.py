@@ -1,8 +1,8 @@
 """An ambient span tracer with deterministic work counters.
 
 Disarmed is the default and costs a single module-global read per
-instrumentation point — the same seam discipline as
-:func:`repro.resilience.injector.seam`.  Production code embeds::
+instrumentation point — the same discipline as an unarmed fault seam
+(:attr:`repro.resilience.FaultClock.armed`).  Production code embeds::
 
     from ..obs import trace as obs_trace
 

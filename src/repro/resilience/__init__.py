@@ -7,10 +7,11 @@ Two halves, deliberately shipped together so neither can rot:
   :class:`FaultClock` (:mod:`repro.resilience.faults`), a seed-driven,
   bit-reproducible description of worker crashes, slow solves, spill
   I/O errors, socket resets, torn/corrupt payloads and pool hangs,
-  injected at named seams threaded through the service broker, the
-  result cache, the batch engine and exercised end-to-end by
-  :func:`run_chaos` (:mod:`repro.resilience.chaos`) and ``repro
-  chaos``;
+  injected at the named seams of :data:`SEAMS` — the service broker's
+  ``broker.solve`` and ``broker.respond`` and the result cache's
+  ``cache.spill_write`` and ``cache.spill_read`` — and exercised
+  end-to-end by :func:`run_chaos` (:mod:`repro.resilience.chaos`) and
+  ``repro chaos``;
 * the **hardening side** — :class:`RetryPolicy` (exponential backoff
   with full jitter) and :class:`Deadline` budgets
   (:mod:`repro.resilience.retry`) used by
@@ -29,6 +30,7 @@ from .breaker import CircuitBreaker
 from .chaos import ChaosReport, drive_chaos, run_chaos
 from .faults import (
     FAULT_KINDS,
+    SEAMS,
     FaultClock,
     FaultPlan,
     FaultSpec,
@@ -36,11 +38,11 @@ from .faults import (
     InjectedIOError,
     as_clock,
 )
-from .injector import ambient, injected, install, seam, uninstall
 from .retry import Deadline, RetryPolicy
 
 __all__ = [
     "FAULT_KINDS",
+    "SEAMS",
     "ChaosReport",
     "CircuitBreaker",
     "Deadline",
@@ -50,12 +52,7 @@ __all__ = [
     "InjectedFault",
     "InjectedIOError",
     "RetryPolicy",
-    "ambient",
     "as_clock",
     "drive_chaos",
-    "injected",
-    "install",
     "run_chaos",
-    "seam",
-    "uninstall",
 ]

@@ -7,10 +7,10 @@ injection decision is a pure function of ``(plan seed, site, invocation
 index)``:
 
 * a :class:`FaultSpec` names a fault ``kind`` (see :data:`FAULT_KINDS`),
-  the injection ``site`` it arms (a seam name like ``"broker.solve"``),
-  and *when* it fires: either a ``rate`` in ``[0, 1]`` (hash-based
-  Bernoulli draw per invocation) or an explicit ``at`` list of
-  invocation indices (0-based, exact);
+  the injection ``site`` it arms (a seam that executes that kind, per
+  :data:`SEAMS`, like ``"broker.solve"``), and *when* it fires: either
+  a ``rate`` in ``[0, 1]`` (hash-based Bernoulli draw per invocation)
+  or an explicit ``at`` list of invocation indices (0-based, exact);
 * a :class:`FaultPlan` is a seed plus a list of specs — the complete,
   JSON-serializable description of a chaos schedule.  The same plan
   against the same request sequence injects the same faults at the
@@ -48,6 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "FAULT_KINDS",
+    "SEAMS",
     "FaultClock",
     "FaultPlan",
     "FaultSpec",
@@ -56,20 +57,22 @@ __all__ = [
     "as_clock",
 ]
 
-#: Every fault kind the seams understand, and where each is executed:
+#: Every fault kind and the seam sites that execute it — the one table
+#: behind :data:`FAULT_KINDS`, spec validation and
+#: :meth:`FaultPlan.uniform` (whose spec order is this table's):
 #:
 #: ``worker_crash``   — broker.solve: kill a live pool worker process
 #:                      (exercising pool replacement + retry) or, with
 #:                      no pool, fail the solve with a typed error;
-#: ``slow_solve``     — broker.solve / engine.solve: stall the solve by
+#: ``slow_solve``     — broker.solve: stall the solve by
 #:                      ``param["delay_s"]`` seconds (deadline budgets
 #:                      and hedging are what this exercises);
 #: ``pool_hang``      — broker.solve: a longer stall (``param["hang_s"]``)
 #:                      standing in for a wedged pool — the deadline
 #:                      shed path must answer, not wait forever;
-#: ``solve_error``    — broker.solve / engine.solve: raise
-#:                      :class:`InjectedFault` inside the solve (a
-#:                      typed 500, never a silent wrong answer);
+#: ``solve_error``    — broker.solve: raise :class:`InjectedFault`
+#:                      inside the solve (a typed 500, never a silent
+#:                      wrong answer);
 #: ``spill_io_error`` — cache.spill_write / cache.spill_read: raise
 #:                      :class:`InjectedIOError` inside the disk tier
 #:                      (must degrade to no-op/miss);
@@ -83,17 +86,20 @@ __all__ = [
 #: ``corrupt_payload``— broker.respond: flip bytes inside the JSON body
 #:                      (framing intact — only the integrity digest
 #:                      makes this detectable).
-FAULT_KINDS = (
-    "worker_crash",
-    "slow_solve",
-    "pool_hang",
-    "solve_error",
-    "spill_io_error",
-    "spill_corrupt",
-    "socket_reset",
-    "torn_payload",
-    "corrupt_payload",
-)
+SEAMS: Dict[str, Tuple[str, ...]] = {
+    "worker_crash": ("broker.solve",),
+    "slow_solve": ("broker.solve",),
+    "pool_hang": ("broker.solve",),
+    "solve_error": ("broker.solve",),
+    "spill_io_error": ("cache.spill_write", "cache.spill_read"),
+    "spill_corrupt": ("cache.spill_write",),
+    "socket_reset": ("broker.respond",),
+    "torn_payload": ("broker.respond",),
+    "corrupt_payload": ("broker.respond",),
+}
+
+#: The fault kinds, in :data:`SEAMS` order.
+FAULT_KINDS = tuple(SEAMS)
 
 
 class InjectedFault(RuntimeError):
@@ -126,6 +132,8 @@ class InjectedIOError(OSError):
 class FaultSpec:
     """One armed fault: what to inject, where, and when.
 
+    ``site`` must be a seam that executes ``kind`` (:data:`SEAMS`): a
+    spec no seam would run is refused instead of tallied as fired.
     Exactly one of ``rate`` / ``at`` decides *when*:
 
     ``rate``
@@ -169,6 +177,11 @@ class FaultSpec:
         if self.max_fires is not None and self.max_fires < 1:
             raise ValueError(
                 f"max_fires must be >= 1, got {self.max_fires}"
+            )
+        if self.site not in SEAMS[self.kind]:
+            raise ValueError(
+                f"no seam executes {self.kind} at {self.site!r}; its "
+                f"sites: {', '.join(SEAMS[self.kind])}"
             )
 
     def fires_at(self, seed: int, index: int) -> bool:
@@ -277,23 +290,19 @@ class FaultPlan:
         hang_s: float = 0.25,
     ) -> "FaultPlan":
         """The standard chaos mix: every fault kind armed at ``rate``
-        on its natural seam.  This is what ``repro chaos --rate`` and
-        the committed ``BENCH_chaos.json`` run; ``sites`` optionally
-        restricts the mix to a subset of seams.
+        on each of its seams, in :data:`SEAMS` order.  This is what
+        ``repro chaos --rate`` and the committed ``BENCH_chaos.json``
+        run; ``sites`` optionally restricts the mix to a subset of
+        seams.
         """
+        param = {
+            "slow_solve": {"delay_s": delay_s},
+            "pool_hang": {"hang_s": hang_s},
+        }
         specs = [
-            FaultSpec("worker_crash", "broker.solve", rate=rate),
-            FaultSpec("slow_solve", "broker.solve", rate=rate,
-                      param={"delay_s": delay_s}),
-            FaultSpec("pool_hang", "broker.solve", rate=rate,
-                      param={"hang_s": hang_s}),
-            FaultSpec("solve_error", "broker.solve", rate=rate),
-            FaultSpec("spill_io_error", "cache.spill_write", rate=rate),
-            FaultSpec("spill_io_error", "cache.spill_read", rate=rate),
-            FaultSpec("spill_corrupt", "cache.spill_write", rate=rate),
-            FaultSpec("socket_reset", "broker.respond", rate=rate),
-            FaultSpec("torn_payload", "broker.respond", rate=rate),
-            FaultSpec("corrupt_payload", "broker.respond", rate=rate),
+            FaultSpec(kind, site, rate=rate, param=dict(param.get(kind, {})))
+            for kind, kind_sites in SEAMS.items()
+            for site in kind_sites
         ]
         if sites is not None:
             allowed = set(sites)

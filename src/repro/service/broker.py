@@ -46,21 +46,20 @@ can never disagree.
 
 Request keying: ``(instance content key, algorithm, priority)`` with
 canonical strategy names, so aliases, task labels, edge input order and
-transport representation never split the cache.  ``POST /solve`` hashes
-the request's JSON arrays first (:func:`repro.io.content_key_from_dict`)
-and looks that key up in the cache's memory tier; only a miss builds
-the :class:`~repro.core.Instance` (:func:`repro.io.instance_from_dict`,
-which validates every value).  Skipping the build is safe because a key
-can only hit content a full parse has already accepted, and a claimed
-fingerprint that disagrees with the arrays never gets a key.  Memory
-hits are answered from a memo of already-serialized reply bodies (with
-their digests), one per cache entry and valid only while the cache
-still holds that very payload object.
+transport representation never split the cache.  A full-body
+``POST /solve`` always takes one path: the full parse
+(:func:`repro.io.instance_from_dict`, which validates every value)
+and the built instance's content key, hashed once, then the cache
+(memory tier, spill tier), single-flight and the solve.  A full-body
+hit therefore pays the parse; its reply is encoded per request and is
+byte for byte the reply a key-only hit of the same entry gets.
 
-A key-only ``POST /solve`` skips even the upload: the client sends the
-content key it computed, and the broker answers from the memory tier
-with the very bytes a full-body hit of that entry gets (one cache hit),
-or ``404 unknown_key`` — for a miss, an entry held only in the spill
+A key-only ``POST /solve`` is the one parse-free hit, and it skips the
+upload too: the client sends the content key it computed, and the
+broker answers from the memory tier with reply bytes serialized once
+per cache entry (with their digest, memoized while the cache still
+holds that very payload object), counting one cache hit, or
+``404 unknown_key`` — for a miss, an entry held only in the spill
 tier, or a solve still in flight — which is neither a cache miss nor an
 error (``repro_service_unknown_keys_total``).  The client then resends
 the instance, which counts its one miss or spill hit as before.  A key
@@ -69,13 +68,12 @@ serves nothing the daemon has not validated; a wrong key is a 404.
 
 Concurrency model: the asyncio loop reads requests, decodes their JSON
 and writes responses.  Per-request work that grows with the instance —
-the dict key and memory-tier lookup, else the full parse, plus the
-cache's disk tier when one is configured, and the first encoding of a
-key-only hit's reply — runs in one hop to a small auxiliary thread
-pool.  Each miss leader hands the blocking batch call to a solve
-thread pool, which in turn drives the process pool (or solves
-in-process when ``workers == 0`` — handy for tests and single-core
-boxes).  Waiters on an in-flight key await the leader's
+a full body's parse, the cache's disk tier when one is configured,
+and the first encoding of a key-only hit's reply — runs on a small
+auxiliary thread pool.  Each miss leader hands the blocking batch call
+to a solve thread pool, which in turn drives the process pool (or
+solves in-process when ``workers == 0`` — handy for tests and
+single-core boxes).  Waiters on an in-flight key await the leader's
 future; results are passed as ``("ok", payload)`` /
 ``("error", (code, message))`` tuples so an abandoned future never
 logs an unretrieved exception and every failure carries a
@@ -139,7 +137,6 @@ from ..core.evolve import InstanceDelta, evolve as evolve_instance
 from ..core.instance import Instance
 from ..engine.batch import POOL_FAILURE_PREFIX, BatchRunner
 from ..io import (
-    content_key_from_dict,
     instance_from_dict,
     instance_to_dict,
     schedule_from_dict,
@@ -393,9 +390,9 @@ class SolverService:
         )
         self._m_stage_seconds = self.metrics.histogram(
             "repro_service_stage_seconds",
-            "Wall time of request-path stages: decode (json.loads), key "
-            "(dict content key), parse (full instance build, misses "
-            "only), encode (json.dumps + SHA-256 of a response)",
+            "Wall time of request-path stages: decode (json.loads), parse "
+            "(full instance build + content key of a full-body /solve), "
+            "encode (json.dumps + SHA-256 of a response)",
             ("stage",),
             buckets=_STAGE_BUCKETS,
         )
@@ -425,9 +422,10 @@ class SolverService:
             max_workers=max(2, self.workers),
             thread_name_prefix="repro-solve",
         )
-        # Auxiliary pool for loop-unfriendly per-request work: content
-        # keying + instance parsing (bodies may be tens of MB), and the
-        # cache's disk tier when one is configured.  Separate from the
+        # Auxiliary pool for loop-unfriendly per-request work: instance
+        # parsing (bodies may be tens of MB), the first encoding of a
+        # key-only hit's reply, and the cache's disk tier when one is
+        # configured.  Separate from the
         # solve threads, which may all be parked on long solves.
         self._aux_threads = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-aux"
@@ -798,21 +796,12 @@ class SolverService:
                 "missing 'instance' (or 'key') field", "bad_request"
             )
         loop = asyncio.get_running_loop()
-        # Bad strategies are reported only after the instance parses, as
-        # an invalid instance takes precedence.
-        strategies: Optional[Tuple[str, str]] = None
-        strategy_error: Optional[Exception] = None
         try:
-            strategies = self._request_strategies(data)
-        except (UnknownStrategyError, ValueError) as exc:
-            strategy_error = exc
-        try:
-            # Keying and parsing can be expensive for large instances:
-            # keep them off the loop so concurrent hits and health
-            # probes never stall behind one fat payload.
-            parsed = await loop.run_in_executor(
-                self._aux_threads, self._lookup_or_parse, inst_data,
-                strategies,
+            # Parsing can be expensive for large instances: keep it off
+            # the loop so concurrent hits and health probes never stall
+            # behind one fat payload.
+            instance, instance_key = await loop.run_in_executor(
+                self._aux_threads, self._parse_instance, inst_data
             )
         except Exception as exc:
             # The payload is untrusted wire input: *any* parse failure
@@ -822,12 +811,12 @@ class SolverService:
                 f"invalid instance: {type(exc).__name__}: {exc}",
                 "invalid_instance",
             )
-        if isinstance(parsed, _EncodedBody):
-            return 200, parsed
-        if strategies is None:
+        # Checked after the parse: an invalid instance takes precedence.
+        try:
+            strategies = self._request_strategies(data)
+        except (UnknownStrategyError, ValueError) as exc:
             self._m_errors.inc()
-            return 400, self._error(str(strategy_error), "unknown_strategy")
-        instance, instance_key = parsed
+            return 400, self._error(str(exc), "unknown_strategy")
         return await self._solve_keyed(
             instance, instance_key, *strategies, deadline
         )
@@ -870,28 +859,11 @@ class SolverService:
             )
         return 200, encoded
 
-    def _lookup_or_parse(
-        self,
-        inst_data: Any,
-        strategies: Optional[Tuple[str, str]],
-    ) -> Union[_EncodedBody, Tuple[Instance, str]]:
-        """Aux-thread body of ``POST /solve``: the serialized reply of a
-        memory-tier hit, keyed straight from the JSON arrays; otherwise
-        (a malformed or unkeyable payload, bad strategies, a miss) the
-        full parse — the built instance and its content key — for the
-        ordinary cache path.  Raises when the full parse does."""
-        if strategies is not None:
-            t0 = time.perf_counter()
-            try:
-                key: Optional[str] = content_key_from_dict(inst_data)
-            except Exception:
-                key = None  # the full parse below says what is wrong
-            self._observe_stage("key", t0)
-            if key is not None:
-                cache_key: CacheKey = (key, *strategies)
-                payload = self.cache.peek(cache_key)
-                if payload is not None:
-                    return self._hit_body(cache_key, payload)
+    def _parse_instance(self, inst_data: Any) -> Tuple[Instance, str]:
+        """Aux-thread body of a full-body ``POST /solve``: the built
+        instance and its content key, the request's one hash (the
+        parse's fingerprint check and ``content_key()`` share it).
+        Raises when the parse does."""
         t0 = time.perf_counter()
         instance = instance_from_dict(inst_data)
         instance_key = instance.content_key()

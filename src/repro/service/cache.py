@@ -192,8 +192,10 @@ class ResultCache:
         """Memory-tier-only lookup — never touches the disk, so it is
         safe on a latency-sensitive thread even with a spill tier.  A
         found entry counts as a hit (and is LRU-refreshed); absence is
-        *not* counted as a miss, since callers fall back to the full
-        :meth:`get` path."""
+        *not* counted as a miss: the broker's key-only ``/solve``
+        answers it ``404 unknown_key`` (the client's resend then counts
+        the miss), and its re-check after a spill-tier :meth:`get`
+        follows a miss that call already counted."""
         with self._lock:
             value = self._data.get(key)
             if value is not None:

@@ -16,12 +16,16 @@ not flaky statistical ones.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.cli import main
 from repro.resilience import (
     FAULT_KINDS,
+    SEAMS,
     FaultPlan,
     FaultSpec,
     RetryPolicy,
@@ -29,6 +33,8 @@ from repro.resilience import (
     run_chaos,
 )
 from repro.service import serve_in_thread
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 #: Small-but-real session dimensions shared by most tests: enough
 #: requests that cache hits, evictions, spill promotion and dedup all
@@ -80,17 +86,8 @@ class TestEveryFaultKind:
     """Each fault kind, injected surgically (``at=[...]`` on its natural
     seam), must fire *and* leave the contract intact."""
 
-    _SITE = {
-        "worker_crash": "broker.solve",
-        "slow_solve": "broker.solve",
-        "pool_hang": "broker.solve",
-        "solve_error": "broker.solve",
-        "spill_io_error": "cache.spill_write",
-        "spill_corrupt": "cache.spill_write",
-        "socket_reset": "broker.respond",
-        "torn_payload": "broker.respond",
-        "corrupt_payload": "broker.respond",
-    }
+    #: Each kind's natural seam: the first site the table lists for it.
+    _SITE = {kind: sites[0] for kind, sites in SEAMS.items()}
 
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_kind_fires_and_contract_holds(self, kind):
@@ -190,6 +187,36 @@ class TestChaosCLI:
     def test_bad_attach_rejected(self, capsys):
         assert main(["chaos", "--attach", "nonsense"]) == 2
         assert "HOST:PORT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["serve", "--port", "0", "-w", "0", "--fault-plan"],
+        ["chaos", "--requests", "1", "--instances", "1", "--plan"],
+    ])
+    def test_plan_arming_a_seam_that_never_runs_its_kind_rejected(
+        self, command, tmp_path
+    ):
+        # socket_reset is executed at broker.respond only: armed at
+        # broker.solve it would be tallied as fired and do nothing.
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({
+            "format": "repro-fault-plan", "seed": 0,
+            "faults": [{"kind": "socket_reset", "site": "broker.solve",
+                        "rate": 0.5}],
+        }))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = _SRC + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        # A subprocess with a timeout: a daemon that accepted the plan
+        # would serve forever.
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *command, str(plan_file)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "cannot load fault plan" in proc.stderr
+        assert "no seam executes socket_reset" in proc.stderr
+        assert "HOLDS" not in proc.stdout
 
 
 class TestAttachedDaemonStats:

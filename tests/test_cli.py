@@ -378,6 +378,16 @@ class TestUsageErrors:
         err = self._usage_error(["serve", "--port", port], capsys)
         assert "port must be an integer in 0-65535" in err
 
+    @pytest.mark.parametrize("ms", ["nan", "NaN", "-5", "-0.5", "-inf"])
+    def test_bad_chaos_deadline(self, ms, capsys):
+        # Not "no deadline" (0 is): a budget the client would refuse.
+        err = self._usage_error(
+            ["chaos", "--requests", "1", "--instances", "1",
+             f"--deadline-ms={ms}"],
+            capsys,
+        )
+        assert f"must be a number of milliseconds >= 0, got '{ms}'" in err
+
     @pytest.mark.parametrize(
         "target", ["127.0.0.1:99999", "127.0.0.1:0", "127.0.0.1:-5"]
     )

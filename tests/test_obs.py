@@ -334,7 +334,7 @@ class TestServiceObservability:
         with serve_in_thread(workers=0) as handle:
             with ServiceClient(port=handle.port) as client:
                 # miss: the key-only probe (decode, encode of the 404),
-                # then the resend (decode, key, parse, encode)
+                # then the resend (decode, parse, encode)
                 client.solve(_inst())
                 client.solve(_inst())  # key-only hit: decode, encode (once)
                 client.solve(_inst())  # key-only hit: decode (memoized body)
@@ -343,11 +343,13 @@ class TestServiceObservability:
             ).read().decode()
         assert lint_exposition(text) == []
         assert "# TYPE repro_service_stage_seconds histogram" in text
-        for stage, count in (("decode", 4), ("key", 1), ("parse", 1)):
+        for stage, count in (("decode", 4), ("parse", 1)):
             assert (
                 f'repro_service_stage_seconds_count{{stage="{stage}"}} '
                 f"{count}" in text
             )
+        # A full body is parsed and hashed once; there is no key stage.
+        assert 'stage="key"' not in text
         # The 404, the miss reply and the first hit's memoized body; the
         # stats page is not among the bodies encoded before the scrape.
         assert 'repro_service_stage_seconds_count{stage="encode"} 3' in text

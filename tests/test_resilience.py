@@ -1,8 +1,7 @@
 """Unit tests for the resilience primitives (:mod:`repro.resilience`):
 deterministic fault plans and clocks, retry backoff, deadline budgets,
-the circuit breaker, the ambient engine seam — and the
-``read_jsonl`` truncated-final-line regression (a fault-injection
-finding promoted to a fixed contract).
+the circuit breaker — and the ``read_jsonl`` truncated-final-line
+regression (a fault-injection finding promoted to a fixed contract).
 """
 
 import json
@@ -21,9 +20,7 @@ from repro.resilience import (
     InjectedFault,
     InjectedIOError,
     RetryPolicy,
-    ambient,
     as_clock,
-    injected,
 )
 from repro.workloads import make_instance
 
@@ -39,13 +36,13 @@ class TestFaultSpec:
         assert 0.15 < sum(draws) / 200 < 0.45
 
     def test_rate_edge_cases(self):
-        never = FaultSpec(kind="solve_error", site="s", rate=0.0)
-        always = FaultSpec(kind="solve_error", site="s", rate=1.0)
+        never = FaultSpec(kind="solve_error", site="broker.solve", rate=0.0)
+        always = FaultSpec(kind="solve_error", site="broker.solve", rate=1.0)
         assert not any(never.fires_at(0, i) for i in range(50))
         assert all(always.fires_at(0, i) for i in range(50))
 
     def test_at_fires_exactly_there(self):
-        spec = FaultSpec(kind="socket_reset", site="s", at=[0, 3])
+        spec = FaultSpec(kind="socket_reset", site="broker.respond", at=[0, 3])
         assert [spec.fires_at(99, i) for i in range(5)] == [
             True, False, False, True, False,
         ]
@@ -61,6 +58,19 @@ class TestFaultSpec:
             FaultSpec(kind="slow_solve", site="s", rate=1.5)
         with pytest.raises(ValueError, match="max_fires"):
             FaultSpec(kind="slow_solve", site="s", rate=0.1, max_fires=0)
+
+    def test_unknown_site_rejected(self):
+        with pytest.raises(ValueError, match="no seam executes solve_error"):
+            FaultSpec(kind="solve_error", site="broker.slove", rate=0.1)
+
+    @pytest.mark.parametrize("kind, site", [
+        ("socket_reset", "broker.solve"),
+        ("slow_solve", "broker.respond"),
+        ("spill_corrupt", "cache.spill_read"),
+    ])
+    def test_known_site_with_the_wrong_kind_rejected(self, kind, site):
+        with pytest.raises(ValueError, match=f"no seam executes {kind}"):
+            FaultSpec(kind=kind, site=site, at=[0])
 
 
 class TestFaultPlan:
@@ -106,35 +116,38 @@ class TestFaultClock:
 
     def test_counters_are_per_site(self):
         plan = FaultPlan(seed=0, specs=[
-            FaultSpec(kind="solve_error", site="a", at=[1]),
-            FaultSpec(kind="solve_error", site="b", at=[0]),
+            FaultSpec(kind="spill_io_error", site="cache.spill_read", at=[1]),
+            FaultSpec(kind="spill_io_error", site="cache.spill_write", at=[0]),
         ])
+        read, write = "cache.spill_read", "cache.spill_write"
         clock = FaultClock(plan)
-        assert clock.maybe("a") is None          # a@0
-        assert clock.maybe("b").kind == "solve_error"  # b@0
-        assert clock.maybe("a").kind == "solve_error"  # a@1
+        assert clock.maybe(read) is None                   # read@0
+        assert clock.maybe(write).kind == "spill_io_error"  # write@0
+        assert clock.maybe(read).kind == "spill_io_error"   # read@1
         assert clock.fired() == {
-            "a:solve_error": 1, "b:solve_error": 1,
+            "cache.spill_read:spill_io_error": 1,
+            "cache.spill_write:spill_io_error": 1,
         }
         assert clock.total_fired() == 2
 
     def test_max_fires_caps_firings(self):
         plan = FaultPlan(seed=0, specs=[
-            FaultSpec(kind="solve_error", site="s", rate=1.0, max_fires=2),
+            FaultSpec(kind="solve_error", site="broker.solve", rate=1.0,
+                      max_fires=2),
         ])
         clock = FaultClock(plan)
-        fired = [clock.maybe("s") is not None for _ in range(5)]
+        fired = [clock.maybe("broker.solve") is not None for _ in range(5)]
         assert fired == [True, True, False, False, False]
 
     def test_reset_replays_the_plan(self):
         plan = FaultPlan(seed=0, specs=[
-            FaultSpec(kind="solve_error", site="s", at=[0]),
+            FaultSpec(kind="solve_error", site="broker.solve", at=[0]),
         ])
         clock = FaultClock(plan)
-        assert clock.maybe("s") is not None
-        assert clock.maybe("s") is None
+        assert clock.maybe("broker.solve") is not None
+        assert clock.maybe("broker.solve") is None
         clock.reset()
-        assert clock.maybe("s") is not None
+        assert clock.maybe("broker.solve") is not None
 
     def test_unarmed_clock_is_cheap_and_silent(self):
         clock = FaultClock()
@@ -304,24 +317,6 @@ class TestCircuitBreaker:
 
 
 class TestEngineSeam:
-    def test_injected_solve_error_is_an_isolated_error_record(self):
-        instances = [
-            make_instance("layered", 10, 4, seed=s) for s in range(3)
-        ]
-        plan = FaultPlan(seed=0, specs=[
-            FaultSpec(kind="solve_error", site="engine.solve", at=[1]),
-        ])
-        with injected(plan) as clock:
-            result = BatchRunner(workers=0).run(instances)
-            assert clock.fired() == {"engine.solve:solve_error": 1}
-        assert ambient() is None  # disarmed on exit
-        assert result.n_ok == 2 and result.n_errors == 1
-        bad = result.records[1]
-        assert not bad.ok
-        assert "injected: solve_error" in bad.error
-        # The neighbours are untouched and correct.
-        assert result.records[0].ok and result.records[2].ok
-
     def test_unarmed_runs_are_unaffected(self):
         inst = make_instance("layered", 10, 4, seed=0)
         result = BatchRunner(workers=0).run([inst])

@@ -383,8 +383,9 @@ def _served(reply):
 
 
 class TestKeyedHitPath:
-    """``POST /solve`` keys the JSON arrays and answers memory-tier hits
-    without building an instance, from memoized reply bytes."""
+    """A key-only ``POST /solve`` answers memory-tier hits without
+    building an instance, from memoized reply bytes; a full body is
+    always parsed and hashed once, and its hit answers the same bytes."""
 
     def test_hit_never_builds_the_instance(self, client, monkeypatch):
         from repro.service import broker
@@ -474,9 +475,10 @@ class TestKeyedHitPath:
             FaultSpec(kind="corrupt_payload", site="broker.respond", at=[1]),
             FaultSpec(kind="torn_payload", site="broker.respond", at=[2]),
         ])
-        body = {"instance": instance_to_dict(_inst(seed=20))}
+        inst = _inst(seed=20)
+        body = {"key": inst.content_key()}
         with serve_in_thread(workers=0, faults=plan) as handle:
-            _, miss, _ = _post_raw(handle, body)
+            _, miss, _ = _post_raw(handle, {"instance": instance_to_dict(inst)})
             _, corrupt, digest = _post_raw(handle, body)
             with pytest.raises((http.client.HTTPException, OSError)):
                 _post_raw(handle, body)  # torn mid-body
@@ -486,6 +488,69 @@ class TestKeyedHitPath:
         assert digest == "sha256-" + hashlib.sha256(expected).hexdigest()
         assert status == 200 and clean == expected
         assert clean_digest == digest
+
+    def test_full_body_miss_hashes_the_instance_once(
+        self, daemon, monkeypatch
+    ):
+        from repro import io
+        from repro.core import fingerprint
+        from repro.io import instance_to_dict
+
+        body = {"instance": instance_to_dict(_inst(seed=30))}
+        digest = fingerprint.content_digest
+        calls = []
+
+        def counting(*args):
+            calls.append(args[:2])
+            return digest(*args)
+
+        # Both keying paths reach the one digest through these names.
+        monkeypatch.setattr(fingerprint, "content_digest", counting)
+        monkeypatch.setattr(io, "content_digest", counting)
+        status, raw, _ = _post_raw(daemon, body)
+        assert status == 200 and json.loads(raw)["cached"] is False
+        assert len(calls) == 1
+
+    def test_full_body_hit_answers_the_key_only_bytes(self, daemon, client):
+        from repro.io import instance_to_dict
+
+        inst = _inst(seed=31)
+        client.solve(inst)
+        key_hit = _post_raw(daemon, {"key": inst.content_key()})
+        before = client.stats()["cache"]
+        full_hit = _post_raw(daemon, {"instance": instance_to_dict(inst)})
+        after = client.stats()["cache"]
+        assert full_hit[0] == 200
+        assert full_hit == key_hit  # status, body bytes, X-Repro-Digest
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] == before["misses"]
+
+    def test_invalid_instance_outranks_an_unknown_strategy(self, daemon):
+        from repro.io import instance_to_dict
+
+        malformed = instance_to_dict(_inst(seed=32))
+        malformed["tasks"][0]["times"].pop()
+        status, raw, _ = _post_raw(daemon, {
+            "instance": malformed, "algorithm": "no-such-algorithm",
+        })
+        assert status == 400
+        assert json.loads(raw)["code"] == "invalid_instance"
+
+    def test_unknown_strategy_counts_no_hit_or_miss(self, daemon, client):
+        from repro.io import instance_to_dict
+
+        inst = _inst(seed=33)
+        client.solve(inst)  # cached under the default pair
+        before = client.stats()
+        status, raw, _ = _post_raw(daemon, {
+            "instance": instance_to_dict(inst), "priority": "no-such-rule",
+        })
+        after = client.stats()
+        assert status == 400
+        assert json.loads(raw)["code"] == "unknown_strategy"
+        for field in ("hits", "misses"):
+            assert after["cache"][field] == before["cache"][field]
+        assert after["errors"] == before["errors"] + 1
 
     def test_alternating_instances_on_a_one_entry_cache(self):
         a, b = _inst(seed=14), _inst(seed=15)
