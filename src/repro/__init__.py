@@ -66,14 +66,14 @@ near their old slots).  The daemon exposes the same flow as
 
 Batch API (:mod:`repro.engine`)::
 
-    from repro import jz_schedule_many, solve_many
+    from repro import BatchRunner
 
-    result = jz_schedule_many(instances, workers=4)   # process-pool fan-out
+    result = BatchRunner(workers=4).run(instances)   # process-pool fan-out
     result.records[0].makespan        # bit-identical to jz_schedule(...)
     result.throughput                 # solved instances / second
     result.errors()                   # per-instance failures, isolated
 
-    solve_many(instances, algorithm="ltw", priority="fifo", workers=4)
+    BatchRunner(workers=4, algorithm="ltw", priority="fifo").run(instances)
 
 The batch engine preserves input order, isolates failures (one bad
 instance yields an ``"error"`` record instead of poisoning the batch) and
@@ -133,13 +133,7 @@ from .core import (
 )
 from .bounds import LowerBounds, lower_bounds
 from .dag import Dag
-from .engine import (
-    BatchRecord,
-    BatchResult,
-    BatchRunner,
-    jz_schedule_many,
-    solve_many,
-)
+from .engine import BatchRecord, BatchResult, BatchRunner
 from .pipeline import (
     DeltaReport,
     ReplanSession,
@@ -190,7 +184,6 @@ __all__ = [
     "extract_heavy_path",
     "jz_parameters",
     "jz_schedule",
-    "jz_schedule_many",
     "list_schedule",
     "list_strategies",
     "lower_bounds",
@@ -200,7 +193,6 @@ __all__ = [
     "simulate",
     "solve",
     "solve_allotment_lp",
-    "solve_many",
     "validate_schedule",
     "__version__",
 ]

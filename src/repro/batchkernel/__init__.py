@@ -9,7 +9,7 @@ one block at a time:
 
 * :mod:`~repro.batchkernel.packing` — disjoint-union CSR packing
   (:class:`BatchedCsr`), stacked profile arrays
-  (:class:`StackedProfiles`) and batched level / bottom-level /
+  (:class:`StackedProfiles`) and batched longest-path /
   lower-bound kernels;
 * :mod:`~repro.batchkernel.lp` — per-block allotment-LP assembly
   (the per-instance LP (9) assembly over each block's slices) and
@@ -30,7 +30,6 @@ from .lp import assemble_batch_lp, batched_round, extract_block_x
 from .packing import (
     BatchedCsr,
     StackedProfiles,
-    batched_bottom_levels,
     batched_longest_path_lengths,
     batched_trivial_lower_bounds,
     pack_csrs,
@@ -55,7 +54,6 @@ __all__ = [
     "ELIGIBLE_PRIORITY",
     "StackedProfiles",
     "assemble_batch_lp",
-    "batched_bottom_levels",
     "batched_list_schedule",
     "batched_longest_path_lengths",
     "batched_round",

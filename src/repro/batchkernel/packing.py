@@ -31,12 +31,11 @@ import numpy as np
 
 from ..core.instance import Instance
 from ..core.task import _PLATEAU_RTOL
-from ..dag.csr import DagCsr, bottom_levels_kernel, longest_path_dists
+from ..dag.csr import DagCsr, longest_path_dists
 
 __all__ = [
     "BatchedCsr",
     "StackedProfiles",
-    "batched_bottom_levels",
     "batched_longest_path_lengths",
     "batched_trivial_lower_bounds",
     "pack_csrs",
@@ -124,20 +123,6 @@ def pack_csrs(csrs: Sequence[DagCsr]) -> BatchedCsr:
         pred_indptr, pred_indices,
     )
     return BatchedCsr(nb, node_ptr, edge_ptr, union)
-
-
-def batched_bottom_levels(
-    bcsr: BatchedCsr, durations: np.ndarray
-) -> np.ndarray:
-    """Per-node bottom levels of every block, one kernel launch.
-
-    Exactly ``bottom_levels_kernel`` applied per block: the recurrence
-    ``level[v] = dur[v] + max(level[s] for s in succ(v))`` never reads
-    across blocks of a disjoint union, and the kernel's two execution
-    modes (segmented reduce / scalar loop) are themselves pinned
-    bit-identical, so the union run equals the per-block runs.
-    """
-    return bottom_levels_kernel(bcsr.union, durations)
 
 
 def _segmented_max(

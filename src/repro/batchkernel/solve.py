@@ -31,7 +31,7 @@ import numpy as np
 
 from ..baselines.ltw import LTW_RHO
 from ..core.instance import Instance
-from ..core.parameters import resolve_parameters
+from ..core.parameters import jz_parameters
 from ..lpsolve.scipy_backend import solve_ub_blocks
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
@@ -103,11 +103,10 @@ def solve_batch(
     instances: Sequence[Instance],
     algorithm: str = "jz",
     priority: str = "earliest-start",
-    *,
-    rho: Optional[float] = None,
-    mu: Optional[int] = None,
 ) -> List[SolveReport]:
-    """Solve every instance in one batched pass; one report per block.
+    """Solve every instance in one batched pass; one report per block,
+    each at the strategy's registered parameters (ρ/μ overrides are the
+    per-instance :class:`~repro.pipeline.SchedulingPipeline`'s).
 
     Raises :class:`BatchKernelError` when the strategy pair has no
     batched replica (see :func:`eligible_strategy`) — callers treat
@@ -138,13 +137,11 @@ def solve_batch(
         obs_trace.add("batchkernel_packed_tasks", int(bcsr.n_total))
     n_b = np.diff(sp.node_ptr)
 
+    mu_rep: List[Optional[int]]
     rho_rep: List[Optional[float]]
     ratio_rep: List[Optional[float]]
     if algo == "jz":
-        params = [
-            resolve_parameters(inst.m, rho=rho, mu=mu)
-            for inst in instances
-        ]
+        params = [jz_parameters(inst.m) for inst in instances]
         rho_blocks = np.array([p.rho for p in params])
         mu_rep = [p.mu for p in params]
         rho_rep = [p.rho for p in params]
@@ -153,16 +150,12 @@ def solve_batch(
         ratio_rep = [p.ratio for p in params]
     elif algo == "ltw":
         lparams = [ltw_parameters(inst.m) for inst in instances]
-        use_rho = LTW_RHO if rho is None else float(rho)
-        rho_blocks = np.full(nb, use_rho)
-        mu_rep = [p.mu if mu is None else int(mu) for p in lparams]
-        rho_rep = [use_rho] * nb
-        ratio_rep = [
-            p.ratio if rho is None and mu is None else None
-            for p in lparams
-        ]
+        rho_blocks = np.full(nb, LTW_RHO)
+        mu_rep = [p.mu for p in lparams]
+        rho_rep = [LTW_RHO] * nb
+        ratio_rep = [p.ratio for p in lparams]
     else:
-        mu_rep = [None if mu is None else int(mu)] * nb
+        mu_rep = [None] * nb
         rho_rep = [None] * nb
         ratio_rep = [None] * nb
 

@@ -2,15 +2,14 @@
 
 High-throughput front end over :mod:`repro.pipeline`::
 
-    from repro.engine import solve_many
+    from repro.engine import BatchRunner
 
-    result = solve_many(instances, algorithm="ltw", workers=4)
+    result = BatchRunner(workers=4, algorithm="ltw").run(instances)
     result.throughput              # solved instances / second
     result.records[0].makespan     # bit-identical to a sequential solve
     result.errors()                # isolated per-instance failures
 
-``jz_schedule_many`` remains the JZ-pinned convenience wrapper.  See
-:mod:`repro.engine.batch` for the runner, record types and the
+See :mod:`repro.engine.batch` for the runner, record types and the
 schema-versioned JSON-lines export the ``python -m repro batch``
 subcommand uses.
 """
@@ -21,9 +20,7 @@ from .batch import (
     BatchRecord,
     BatchResult,
     BatchRunner,
-    jz_schedule_many,
     read_jsonl,
-    solve_many,
     write_jsonl,
 )
 
@@ -33,8 +30,6 @@ __all__ = [
     "BatchRecord",
     "BatchResult",
     "BatchRunner",
-    "jz_schedule_many",
     "read_jsonl",
-    "solve_many",
     "write_jsonl",
 ]

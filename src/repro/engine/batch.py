@@ -5,11 +5,12 @@ and bulk workloads wants a *batch* entry point that fans a list of
 instances out across a process pool and collects per-instance results
 without letting one bad instance poison the run.  This module provides:
 
-* :func:`solve_many` / :class:`BatchRunner` — fan-out over a
+* :class:`BatchRunner` — fan-out over a
   ``concurrent.futures.ProcessPoolExecutor`` (or fully in-process when
   ``workers <= 1``), preserving input order, for **any** registered
-  strategy combination (:mod:`repro.pipeline`); :func:`jz_schedule_many`
-  is the JZ-pinned convenience wrapper.  A batch may mix pre-built
+  strategy combination (:mod:`repro.pipeline`) at its registered
+  parameters (overrides of ρ and μ belong to the per-instance
+  :class:`~repro.pipeline.SchedulingPipeline`).  A batch may mix pre-built
   :class:`~repro.core.Instance` objects with instance-JSON *paths*;
   paths are loaded inside the worker (no parent-side read, load
   failures isolated like solve failures).  Instances are submitted to
@@ -83,9 +84,7 @@ __all__ = [
     "BatchRecord",
     "BatchResult",
     "BatchRunner",
-    "jz_schedule_many",
     "read_jsonl",
-    "solve_many",
     "write_jsonl",
 ]
 
@@ -309,7 +308,7 @@ def _solve_one(payload) -> Dict[str, Any]:
     dict (cheap to pickle back) that :class:`BatchRunner` turns into a
     :class:`BatchRecord`.
     """
-    (index, item, algorithm, priority, rho, mu, include_schedule) = payload
+    (index, item, algorithm, priority, include_schedule) = payload
     t0 = time.perf_counter()
     label = str(item) if isinstance(item, (str, Path)) else None
     instance = None
@@ -324,8 +323,7 @@ def _solve_one(payload) -> Dict[str, Any]:
             instance = item
         from ..pipeline import SchedulingPipeline
 
-        pipe = SchedulingPipeline(algorithm, priority, rho=rho, mu=mu)
-        rep = pipe.solve(instance)
+        rep = SchedulingPipeline(algorithm, priority).solve(instance)
         # Which per-instance tier ran: earliest-start goes through
         # list_schedule's loop/array dispatch; every other phase-2 rule
         # is the per-task priority loop of list_schedule_with_priority.
@@ -406,9 +404,6 @@ class BatchRunner:
         (the fork start method, the Linux default).  On spawn platforms
         (macOS/Windows) run custom strategies with ``workers <= 1``, or
         register them in a module the workers import.
-    rho, mu:
-        Optional parameter overrides forwarded to the allotment stage
-        (ablation sweeps).
     include_schedule:
         When true, successful records carry the full schedule as a
         ``repro.io`` schedule dict (``record.schedule``) — what the
@@ -434,8 +429,6 @@ class BatchRunner:
     workers: Optional[int] = None
     algorithm: str = "jz"
     priority: str = "earliest-start"
-    rho: Optional[float] = None
-    mu: Optional[int] = None
     include_schedule: bool = False
 
     def resolved_workers(self) -> int:
@@ -497,8 +490,7 @@ class BatchRunner:
             instances, algorithm, priority
         )
         payloads = [
-            (i, inst, algorithm, priority, self.rho, self.mu,
-             self.include_schedule)
+            (i, inst, algorithm, priority, self.include_schedule)
             for i, inst in enumerate(instances)
             if i not in batched_idx
         ]
@@ -574,11 +566,7 @@ class BatchRunner:
         # path" — which re-raises per instance and isolates properly.
         try:
             reports = solve_batch(
-                [instances[i] for i in group],
-                algorithm,
-                priority,
-                rho=self.rho,
-                mu=self.mu,
+                [instances[i] for i in group], algorithm, priority
             )
         except Exception:
             _BK_FALLBACK.inc()
@@ -665,48 +653,6 @@ class BatchRunner:
         return raw
 
 
-def solve_many(
-    instances: Sequence[BatchItem],
-    algorithm: str = "jz",
-    priority: str = "earliest-start",
-    workers: Optional[int] = None,
-    rho: Optional[float] = None,
-    mu: Optional[int] = None,
-) -> BatchResult:
-    """Solve a batch of instances (or instance-file paths) with any
-    registered strategy pair.
-
-    Thin convenience wrapper over :class:`BatchRunner`; see its docs.
-    Records are bit-identical to solving each instance sequentially
-    through :class:`repro.pipeline.SchedulingPipeline`, for any
-    ``workers`` value.
-    """
-    return BatchRunner(
-        workers=workers,
-        algorithm=algorithm,
-        priority=priority,
-        rho=rho,
-        mu=mu,
-    ).run(instances)
-
-
-def jz_schedule_many(
-    instances: Sequence[Instance],
-    workers: Optional[int] = None,
-    rho: Optional[float] = None,
-    mu: Optional[int] = None,
-) -> BatchResult:
-    """Solve a batch with the paper's JZ pipeline.
-
-    Equivalent to :func:`solve_many` with the default strategies; each
-    record's makespan, lower bound and ratio bound are bit-identical to
-    the :class:`~repro.pipeline.SolveReport` of
-    :func:`repro.jz_schedule` on that instance, for any ``workers``
-    value.
-    """
-    return solve_many(instances, workers=workers, rho=rho, mu=mu)
-
-
 def write_jsonl(records: Iterable[BatchRecord], path: _PathLike) -> int:
     """Write records as schema-versioned JSON lines; returns the number
     written."""
@@ -722,19 +668,13 @@ _RECORD_FIELDS = frozenset(f.name for f in fields(BatchRecord))
 _REQUIRED_FIELDS = ("index", "status")
 
 
-def read_jsonl(
-    path: _PathLike, *, on_unknown_version: str = "error"
-) -> List[BatchRecord]:
+def read_jsonl(path: _PathLike) -> List[BatchRecord]:
     """Read records back from a JSON-lines file.
 
     Lines carry a ``schema_version`` field (records from PR 1 predate it
     and are read as version 1).  A line whose version this build does
-    not know is **never** silently coerced into a partial record:
-
-    * ``on_unknown_version="error"`` (default) — raise :class:`ValueError`
-      naming the file, line and version;
-    * ``on_unknown_version="skip"`` — drop the line with a
-      :class:`UserWarning` and keep reading.
+    not know is **never** silently coerced into a partial record: it
+    raises :class:`ValueError` naming the file, line and version.
 
     Unknown *fields* on a known version are ignored (a newer minor
     writer may add columns); missing fields fall back to the record
@@ -746,11 +686,6 @@ def read_jsonl(
     every complete record before it is still good.  A broken line
     anywhere *else* is real corruption and raises :class:`ValueError`.
     """
-    if on_unknown_version not in ("error", "skip"):
-        raise ValueError(
-            "on_unknown_version must be 'error' or 'skip', "
-            f"got {on_unknown_version!r}"
-        )
     out: List[BatchRecord] = []
     lines = Path(path).read_text().splitlines()
     for lineno, line in enumerate(lines, start=1):
@@ -778,21 +713,11 @@ def read_jsonl(
             )
         version = data.pop("schema_version", 1)
         if version not in (1, SCHEMA_VERSION):
-            msg = (
+            raise ValueError(
                 f"{path}:{lineno}: unknown batch-record schema_version "
                 f"{version!r} (this build reads versions 1"
                 f"..{SCHEMA_VERSION})"
             )
-            if on_unknown_version == "skip":
-                obs_log.warn(
-                    msg,
-                    logger=obs_log.get_logger("engine"),
-                    path=str(path),
-                    lineno=lineno,
-                    schema_version=version,
-                )
-                continue
-            raise ValueError(msg)
         missing = [k for k in _REQUIRED_FIELDS if k not in data]
         if missing:
             raise ValueError(

@@ -1,4 +1,5 @@
-"""A process-wide metrics registry: counters, gauges, histograms.
+"""A process-wide metrics registry: counters and histograms, plus
+scrape-time collectors (every gauge comes from one).
 
 Stdlib-only, modelled on the Prometheus client data model but much
 smaller: a :class:`MetricsRegistry` owns named *families*; a family
@@ -126,27 +127,6 @@ class _CounterChild(_Child):
             return fam._values.get(self._key, 0.0)
 
 
-class _GaugeChild(_Child):
-    def set(self, value: float) -> None:
-        fam = self._family
-        with fam._lock:
-            fam._values[self._key] = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        fam = self._family
-        with fam._lock:
-            fam._values[self._key] = fam._values.get(self._key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        fam = self._family
-        with fam._lock:
-            return fam._values.get(self._key, 0.0)
-
-
 class _HistogramChild(_Child):
     def observe(self, value: float) -> None:
         fam = self._family
@@ -176,7 +156,6 @@ class _HistogramChild(_Child):
 
 _CHILD_TYPES = {
     "counter": _CounterChild,
-    "gauge": _GaugeChild,
     "histogram": _HistogramChild,
 }
 
@@ -207,7 +186,7 @@ class _Family:
         self.help = help
         self.labelnames = labelnames
         self._lock = threading.Lock()
-        # counter/gauge: key -> float
+        # counter: key -> float
         self._values: Dict[Tuple[str, ...], float] = {}
         # histogram: key -> (bucket counts incl. +Inf, [count, sum])
         self._hists: Dict[
@@ -241,7 +220,7 @@ class _Family:
             if child is None:
                 child = _CHILD_TYPES[self.mtype](self, key)
                 self._children[key] = child
-                if self.mtype in ("counter", "gauge"):
+                if self.mtype == "counter":
                     self._values.setdefault(key, 0.0)
                 else:
                     self._hist_cell(key)
@@ -250,12 +229,6 @@ class _Family:
     # Unlabeled families act as their own (single) child.
     def inc(self, amount: float = 1.0) -> None:
         self.labels().inc(amount)  # type: ignore[attr-defined]
-
-    def set(self, value: float) -> None:
-        self.labels().set(value)  # type: ignore[attr-defined]
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.labels().dec(amount)  # type: ignore[attr-defined]
 
     def observe(self, value: float) -> None:
         self.labels().observe(value)  # type: ignore[attr-defined]
@@ -314,11 +287,6 @@ class MetricsRegistry:
     ) -> _Family:
         return self._family(name, "counter", help, labelnames)
 
-    def gauge(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> _Family:
-        return self._family(name, "gauge", help, labelnames)
-
     def histogram(
         self,
         name: str,
@@ -336,13 +304,6 @@ class MetricsRegistry:
             if fn not in self._collectors:
                 self._collectors.append(fn)
         return fn
-
-    def unregister_collector(self, fn: Collector) -> None:
-        with self._lock:
-            try:
-                self._collectors.remove(fn)
-            except ValueError:
-                pass
 
     # -- worker-delta plumbing -------------------------------------
 
@@ -407,7 +368,7 @@ class MetricsRegistry:
             if fam.help:
                 lines.append(f"# HELP {fam.name} {_escape_help(fam.help)}")
             lines.append(f"# TYPE {fam.name} {fam.mtype}")
-            if fam.mtype in ("counter", "gauge"):
+            if fam.mtype == "counter":
                 for key, value in fam.items():
                     pairs = tuple(zip(fam.labelnames, key))
                     lines.append(
@@ -446,33 +407,6 @@ class MetricsRegistry:
                         f"{name}{_label_str(pairs)} {_fmt_value(value)}"
                     )
         return "\n".join(lines) + "\n" if lines else ""
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """JSON-friendly dump: name -> {type, help, values}."""
-        out: Dict[str, Dict[str, object]] = {}
-        with self._lock:
-            fams = sorted(self._families.values(), key=lambda f: f.name)
-        for fam in fams:
-            if fam.mtype in ("counter", "gauge"):
-                values = {
-                    _label_str(tuple(zip(fam.labelnames, key))) or "": v
-                    for key, v in fam.items()
-                }
-            else:
-                with fam._lock:
-                    values = {
-                        _label_str(tuple(zip(fam.labelnames, key))) or "": {
-                            "count": int(stats[0]),
-                            "sum": stats[1],
-                        }
-                        for key, (counts, stats) in sorted(fam._hists.items())
-                    }
-            out[fam.name] = {
-                "type": fam.mtype,
-                "help": fam.help,
-                "values": values,
-            }
-        return out
 
 
 def flatten_counters(state: CounterState) -> Dict[str, float]:

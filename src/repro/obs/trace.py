@@ -246,7 +246,8 @@ def tracing(
     tracer: Optional[Tracer] = None, capacity: int = 8192
 ) -> Iterator[Tracer]:
     """Context manager: arm for the block, restore the previous tracer
-    after (nesting composes, same shape as ``resilience.injected``)."""
+    after (nesting composes: an inner block hands the outer one's
+    tracer back when it exits)."""
     global _active
     tr = tracer if tracer is not None else Tracer(capacity=capacity)
     with _lock:

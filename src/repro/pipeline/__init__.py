@@ -14,7 +14,7 @@ scheduler** (a list-scheduling priority rule)::
 
 Adding a strategy is one decorated function (see
 :mod:`repro.pipeline.registry`); it immediately becomes runnable through
-the batch engine (``solve_many`` of :mod:`repro.engine`) and the CLI
+the batch engine (:class:`repro.engine.BatchRunner`) and the CLI
 (``python -m repro batch --algorithm <name> --priority <rule>``).
 
 Importing this package registers the built-ins of

@@ -128,6 +128,16 @@ class InjectedIOError(OSError):
         self.site = site
 
 
+def _is_integer(value: Any) -> bool:
+    """A JSON integer: ``int`` but not ``bool`` (``True`` is an int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    """A JSON number: ``int`` or ``float`` but not ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One armed fault: what to inject, where, and when.
@@ -166,18 +176,39 @@ class FaultSpec:
                 f"spec {self.kind}@{self.site}: give exactly one of "
                 "'rate' or 'at'"
             )
-        if self.rate is not None and not 0.0 <= self.rate <= 1.0:
-            raise ValueError(
-                f"rate must be in [0, 1], got {self.rate}"
-            )
+        if self.rate is not None:
+            if not _is_number(self.rate):
+                raise ValueError(
+                    f"rate must be a number, got {self.rate!r}"
+                )
+            if not 0.0 <= self.rate <= 1.0:
+                raise ValueError(
+                    f"rate must be in [0, 1], got {self.rate}"
+                )
         if self.at is not None:
-            object.__setattr__(self, "at", tuple(int(i) for i in self.at))
+            if not isinstance(self.at, (list, tuple)) or not all(
+                _is_integer(i) for i in self.at
+            ):
+                raise ValueError(
+                    f"'at' must be an array of integers, got {self.at!r}"
+                )
+            object.__setattr__(self, "at", tuple(self.at))
             if any(i < 0 for i in self.at):
                 raise ValueError("'at' indices must be >= 0")
-        if self.max_fires is not None and self.max_fires < 1:
+        if self.max_fires is not None:
+            if not _is_integer(self.max_fires):
+                raise ValueError(
+                    f"max_fires must be an integer, got {self.max_fires!r}"
+                )
+            if self.max_fires < 1:
+                raise ValueError(
+                    f"max_fires must be >= 1, got {self.max_fires}"
+                )
+        if not isinstance(self.param, dict):
             raise ValueError(
-                f"max_fires must be >= 1, got {self.max_fires}"
+                f"'param' must be an object, got {self.param!r}"
             )
+        object.__setattr__(self, "param", dict(self.param))
         if self.site not in SEAMS[self.kind]:
             raise ValueError(
                 f"no seam executes {self.kind} at {self.site!r}; its "
@@ -214,19 +245,29 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSpec":
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"a fault spec must be a JSON object, got {data!r}"
+            )
         unknown = set(data) - {"kind", "site", "rate", "at", "max_fires",
                                "param"}
         if unknown:
             raise ValueError(
                 f"unknown FaultSpec field(s): {sorted(unknown)}"
             )
+        for name in ("kind", "site"):
+            if not isinstance(data.get(name), str):
+                raise ValueError(
+                    f"a fault spec needs a string {name!r}, got "
+                    f"{data.get(name)!r}"
+                )
         return cls(
             kind=data["kind"],
             site=data["site"],
             rate=data.get("rate"),
-            at=tuple(data["at"]) if data.get("at") is not None else None,
+            at=data.get("at"),
             max_fires=data.get("max_fires"),
-            param=dict(data.get("param", {})),
+            param=data.get("param", {}),
         )
 
 
@@ -269,8 +310,11 @@ class FaultPlan:
         faults = data.get("faults", [])
         if not isinstance(faults, list):
             raise ValueError("'faults' must be an array")
+        seed = data.get("seed", 0)
+        if not _is_integer(seed):
+            raise ValueError(f"'seed' must be an integer, got {seed!r}")
         return cls(
-            seed=int(data.get("seed", 0)),
+            seed=seed,
             specs=tuple(FaultSpec.from_dict(f) for f in faults),
         )
 
@@ -359,13 +403,6 @@ class FaultClock:
                     self._fires[key] = self._fires.get(key, 0) + 1
                     return spec
         return None
-
-    def raise_if(self, site: str) -> None:
-        """Seam helper for raise-style sites: consult and raise
-        :class:`InjectedFault` when something fires."""
-        spec = self.maybe(site)
-        if spec is not None:
-            raise InjectedFault(spec.kind, site)
 
     def fired(self) -> Dict[str, int]:
         """``{"site:kind": count}`` of everything injected so far."""

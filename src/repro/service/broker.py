@@ -268,11 +268,9 @@ class SolverService:
         Process-pool size for cache misses.  ``0`` solves in-process on
         the broker's thread pool (no fork — fast startup, used by the
         test suite); ``None`` uses the machine's CPU count.
-    cache:
-        A pre-built :class:`ResultCache` to share/inspect, or ``None``
-        to build one from ``cache_capacity``/``spill_dir``.
     cache_capacity, spill_dir:
-        Forwarded to :class:`ResultCache` when ``cache`` is ``None``.
+        The :class:`ResultCache`'s memory-tier bound and optional disk
+        tier (``service.cache`` is the built cache).
     algorithm, priority:
         Default strategy pair for requests that do not name one.
     max_queue_depth:
@@ -296,7 +294,6 @@ class SolverService:
         self,
         *,
         workers: Optional[int] = 0,
-        cache: Optional[ResultCache] = None,
         cache_capacity: int = 1024,
         spill_dir: Optional[str] = None,
         algorithm: str = "jz",
@@ -321,11 +318,7 @@ class SolverService:
         self.max_queue_depth = max_queue_depth
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.faults = as_clock(faults)
-        self.cache = (
-            cache
-            if cache is not None
-            else ResultCache(cache_capacity, spill_dir, faults=self.faults)
-        )
+        self.cache = ResultCache(cache_capacity, spill_dir, faults=self.faults)
         self._pool: Optional[Executor] = None
         self._pool_lock = threading.Lock()
         self._pool_generation = 0
@@ -913,10 +906,15 @@ class SolverService:
     def _request_strategies(
         self, data: Dict[str, Any]
     ) -> Tuple[str, str]:
-        """Canonical (algorithm, priority) of a request body; raises on
-        non-string or unregistered names."""
-        algorithm_name = data.get("algorithm") or self.algorithm
-        priority_name = data.get("priority") or self.priority
+        """Canonical (algorithm, priority) of a request body; an absent
+        or ``null`` field is the service default.  Raises on any other
+        non-string or unregistered name."""
+        algorithm_name = data.get("algorithm")
+        if algorithm_name is None:
+            algorithm_name = self.algorithm
+        priority_name = data.get("priority")
+        if priority_name is None:
+            priority_name = self.priority
         if not isinstance(algorithm_name, str) or not isinstance(
             priority_name, str
         ):
@@ -1177,7 +1175,12 @@ class SolverService:
                 f"invalid evolution: {type(exc).__name__}: {exc}",
                 "invalid_evolution",
             )
-        anchored = bool(data.get("anchored", False))
+        anchored = data.get("anchored", False)
+        if not isinstance(anchored, bool):
+            self._m_errors.inc()
+            return 400, self._error(
+                "'anchored' must be a boolean", "bad_request"
+            )
         try:
             algorithm, priority = self._request_strategies(data)
         except (UnknownStrategyError, ValueError) as exc:
@@ -1325,9 +1328,7 @@ class SolverService:
             self._replace_broken_pool(generation)
         if not rec.ok:
             error = rec.error or "solve failed"
-            if "injected:" in error:
-                code = "injected_fault"
-            elif POOL_FAILURE_PREFIX in error:
+            if POOL_FAILURE_PREFIX in error:
                 # Transient by construction — the pool has already been
                 # replaced — so clients may safely retry this one.
                 code = "pool_failure"

@@ -52,6 +52,12 @@ CacheKey = Tuple[str, str, str]
 
 _PathLike = Union[str, Path]
 
+#: Bound on spill files (approximate: counted at startup and tracked per
+#: write/delete).  Once reached, new evictions are no longer spilled
+#: (existing files keep serving) instead of growing the directory
+#: without limit under sustained unique traffic.
+SPILL_MAX_FILES = 65536
+
 
 def solve_payload(instance_key: str, record) -> Dict[str, Any]:
     """The canonical cached-solve payload for an *ok* engine record.
@@ -95,12 +101,8 @@ class ResultCache:
     spill_dir:
         When given, evicted entries are written there as JSON and
         looked up on memory misses; the directory is created if needed.
-        ``None`` disables the disk tier entirely.
-    spill_max_files:
-        Bound on spill files (approximate, counted at startup and
-        tracked per write/delete).  Once reached, new evictions are no
-        longer spilled (existing files keep serving) instead of growing
-        the directory without limit under sustained unique traffic.
+        ``None`` disables the disk tier entirely.  At most
+        :data:`SPILL_MAX_FILES` files are written there.
     faults:
         Optional :class:`repro.resilience.FaultClock` (or plan) arming
         the ``cache.spill_write`` / ``cache.spill_read`` seams — chaos
@@ -113,17 +115,11 @@ class ResultCache:
         self,
         capacity: int = 1024,
         spill_dir: Optional[_PathLike] = None,
-        spill_max_files: int = 65536,
         faults: Optional[FaultClock] = None,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if spill_max_files < 1:
-            raise ValueError(
-                f"spill_max_files must be >= 1, got {spill_max_files}"
-            )
         self._capacity = int(capacity)
-        self._spill_max_files = int(spill_max_files)
         self.faults = as_clock(faults)
         self._spill_dir: Optional[Path] = None
         self._spill_count = 0
@@ -220,16 +216,14 @@ class ResultCache:
         with self._lock:
             return key in self._data
 
-    def flush(self, key: Optional[CacheKey] = None) -> int:
-        """Write memory-tier entries to the spill tier *without* evicting
-        them; returns the number of entries submitted to the tier
-        (individual writes may still be skipped when the tier is full
-        or the device fails — same degradation rules as eviction).
-
-        ``key`` restricts the flush to one entry (a no-op when it is not
-        in memory); ``None`` flushes everything resident.  Entries whose
-        spill file already exists are rewritten (the in-memory value is
-        at least as fresh).  A no-op without a spill tier.
+    def flush(self, key: CacheKey) -> int:
+        """Write ``key``'s memory-tier entry to the spill tier *without*
+        evicting it; returns the number of entries submitted to the
+        tier, 0 when ``key`` is not in memory (the write may still be
+        skipped when the tier is full or the device fails — same
+        degradation rules as eviction).  An existing spill file is
+        rewritten (the in-memory value is at least as fresh).  A no-op
+        without a spill tier.
 
         The campaign runner (:mod:`repro.experiments.runner`) calls this
         after each completed wave so every finished cell is durable on
@@ -240,26 +234,10 @@ class ResultCache:
         if self._spill_dir is None:
             return 0
         with self._lock:
-            if key is None:
-                entries = list(self._data.items())
-            else:
-                value = self._data.get(key)
-                entries = [] if value is None else [(key, value)]
+            value = self._data.get(key)
+            entries = [] if value is None else [(key, value)]
         self._write_spilled_many(entries)
         return len(entries)
-
-    def clear(self, *, drop_spill: bool = False) -> None:
-        """Empty the memory tier (counters are kept).  With
-        ``drop_spill=True`` also delete every spill file."""
-        with self._lock:
-            self._data.clear()
-            if drop_spill and self._spill_dir is not None:
-                for f in self._spill_dir.glob("*.json"):
-                    try:
-                        f.unlink()
-                    except OSError:
-                        pass
-                self._spill_count = 0
 
     # ------------------------------------------------------------------
     # internals
@@ -295,7 +273,7 @@ class ResultCache:
             path = self._spill_path(key)
             is_new = not path.exists()
             with self._lock:
-                if is_new and self._spill_count >= self._spill_max_files:
+                if is_new and self._spill_count >= SPILL_MAX_FILES:
                     continue  # tier full: stop growing, keep serving
             try:
                 fd, tmp_name = tempfile.mkstemp(
@@ -403,5 +381,5 @@ class ResultCache:
                 "spill_writes": self._spill_writes,
                 "spill_hits": self._spill_hits,
                 "spill_files": self._spill_count,
-                "spill_max_files": self._spill_max_files,
+                "spill_max_files": SPILL_MAX_FILES,
             }

@@ -32,7 +32,7 @@ Resilience (``docs/resilience.md`` has the full story):
   **idempotency-aware**: solve/evolve/replan/stats/healthz are
   idempotent by construction (solves are content-keyed — re-sending
   one is a cache hit, never a double solve) and retried freely;
-  ``shutdown`` is not and is never retried unless ``retry_unsafe``.
+  ``shutdown`` is not and is never retried.
 * **Deadline** — ``deadline_ms`` caps the *total* time of one logical
   request across all its attempts (a key-first solve's probe and
   resend included), and each attempt tells the broker how much budget
@@ -149,10 +149,6 @@ class ServiceClient:
         backoff), propagated to the broker via ``X-Deadline-Ms``.
         ``None`` (default) means unbounded; a negative or NaN budget
         raises ``ValueError`` here.
-    retry_unsafe:
-        Opt-in to retrying non-idempotent requests (``shutdown``) too.
-        Off by default: a retried shutdown could stop a daemon that
-        already acknowledged the first one to someone else.
     """
 
     def __init__(
@@ -162,7 +158,6 @@ class ServiceClient:
         timeout: float = 300.0,
         retry: Optional[RetryPolicy] = None,
         deadline_ms: Optional[float] = None,
-        retry_unsafe: bool = False,
     ):
         self.host = host
         self.port = int(port)
@@ -170,7 +165,6 @@ class ServiceClient:
         self.retry = retry if retry is not None else RetryPolicy()
         Deadline(deadline_ms)  # rejects a bad budget now, not per request
         self.deadline_ms = deadline_ms
-        self.retry_unsafe = retry_unsafe
         #: Attempts the most recent request used (1 = no retries).
         self.last_attempts = 0
         self._conn: Optional[http.client.HTTPConnection] = None
@@ -303,11 +297,10 @@ class ServiceClient:
         return self._request("GET", "/healthz")
 
     def shutdown(self) -> Dict[str, Any]:
-        """Ask the daemon to stop (``POST /shutdown``).  Not retried
-        unless the client was built with ``retry_unsafe=True``."""
-        return self._request(
-            "POST", "/shutdown", idempotent=self.retry_unsafe
-        )
+        """Ask the daemon to stop (``POST /shutdown``).  Never retried:
+        a retried shutdown could stop a daemon that already acknowledged
+        the first one to someone else."""
+        return self._request("POST", "/shutdown", idempotent=False)
 
     # ------------------------------------------------------------------
     # plumbing

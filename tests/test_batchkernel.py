@@ -8,9 +8,8 @@ mixed sizes, mixed DAG shapes, mixed profile models and **mixed m**
 asserts slice-for-slice equality against the pinned per-instance path:
 
 * CSR packing vs the original ``DagCsr`` arrays;
-* batched level / bottom-level / lower-bound kernels vs
-  ``bottom_levels_kernel`` / ``Dag.longest_path_length`` /
-  ``Instance.trivial_lower_bound``;
+* batched longest-path / lower-bound kernels vs
+  ``Dag.longest_path_length`` / ``Instance.trivial_lower_bound``;
 * block-diagonal LP assembly vs ``assemble_allotment_arrays``,
   element for element;
 * vectorized rounding vs ``round_fractional_times``;
@@ -33,7 +32,6 @@ from repro.batchkernel import (
     AUTO_MAX_TASKS,
     BatchKernelError,
     assemble_batch_lp,
-    batched_bottom_levels,
     batched_list_schedule,
     batched_longest_path_lengths,
     batched_round,
@@ -51,7 +49,6 @@ from repro.core.list_scheduler import (
 )
 from repro.core.lp import assemble_allotment_arrays
 from repro.core.rounding import round_fractional_times
-from repro.dag.csr import bottom_levels_kernel
 from repro.engine import BatchRunner, read_jsonl, write_jsonl
 from repro.pipeline import SchedulingPipeline
 from repro.workloads import make_instance
@@ -137,16 +134,11 @@ def test_batched_level_kernels_exact(batch):
     dur = np.concatenate(
         [[t.min_time for t in inst.tasks] for inst in batch]
     ) if batch else np.zeros(0)
-    levels = batched_bottom_levels(bcsr, dur)
     cps = batched_longest_path_lengths(bcsr, dur)
     lows = batched_trivial_lower_bounds(batch, bcsr)
     for b, inst in enumerate(batch):
         s = bcsr.block_slice(b)
-        ref = bottom_levels_kernel(
-            inst.dag.to_csr(), np.asarray(dur[s], dtype=float)
-        )
-        # Exact equality: same kernel, same floats, block-local reads.
-        assert (levels[s] == ref).all()
+        # Exact equality: same floats, block-local reads.
         assert cps[b] == inst.dag.longest_path_length(list(dur[s]))
         assert lows[b] == inst.trivial_lower_bound()
 
@@ -293,19 +285,6 @@ def test_solve_batch_matches_pipeline(batch, algorithm):
         assert rep.metadata["kernel_tier"] == "batched"
 
 
-def test_solve_batch_honors_overrides():
-    batch = [
-        make_instance("erdos_renyi", 18, 4, seed=s) for s in range(3)
-    ]
-    reports = solve_batch(batch, "jz", rho=0.5, mu=2)
-    pipe = SchedulingPipeline("jz", "earliest-start", rho=0.5, mu=2)
-    for rep, inst in zip(reports, batch):
-        ref = pipe.solve(inst)
-        assert _entries(rep.schedule) == _entries(ref.schedule)
-        assert rep.rho == ref.rho == 0.5
-        assert rep.mu == ref.mu == 2
-
-
 def test_solve_batch_edge_cases():
     assert solve_batch([], "jz") == []
     one = make_instance("layered", 12, 3, seed=7)
@@ -316,8 +295,6 @@ def test_solve_batch_edge_cases():
         solve_batch([one], "jz", priority="critical-path")
     with pytest.raises(BatchKernelError):
         solve_batch([one], "greedy")
-    with pytest.raises(ValueError):
-        solve_batch([one], "sequential", mu=99)
 
 
 def test_eligible_strategy():

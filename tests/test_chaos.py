@@ -36,6 +36,19 @@ from repro.service import serve_in_thread
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
+
+def _run_cli(args):
+    """``python -m repro *args`` in a subprocess with a timeout: a
+    daemon that accepted a plan it should refuse would serve forever."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
 #: Small-but-real session dimensions shared by most tests: enough
 #: requests that cache hits, evictions, spill promotion and dedup all
 #: happen, small enough that the whole module stays fast.
@@ -203,20 +216,26 @@ class TestChaosCLI:
             "faults": [{"kind": "socket_reset", "site": "broker.solve",
                         "rate": 0.5}],
         }))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _SRC + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        # A subprocess with a timeout: a daemon that accepted the plan
-        # would serve forever.
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", *command, str(plan_file)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = _run_cli([*command, str(plan_file)])
         assert proc.returncode == 2
         assert "cannot load fault plan" in proc.stderr
         assert "no seam executes socket_reset" in proc.stderr
         assert "HOLDS" not in proc.stdout
+
+    @pytest.mark.parametrize("command", [
+        ["serve", "--port", "0", "-w", "0", "--fault-plan"],
+        ["chaos", "--requests", "1", "--instances", "1", "--plan"],
+    ])
+    def test_malformed_plan_is_a_load_error(self, command, tmp_path):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps({
+            "format": "repro-fault-plan", "seed": 0,
+            "faults": [{"site": "broker.solve", "rate": 0.5}],
+        }))
+        proc = _run_cli([*command, str(plan_file)])
+        assert proc.returncode == 2
+        assert "cannot load fault plan" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestAttachedDaemonStats:

@@ -5,7 +5,6 @@ import json
 import pytest
 from two_phase_reference import jz_reference
 
-from repro import jz_schedule_many, solve_many
 from repro.engine import (
     SCHEMA_VERSION,
     BatchRunner,
@@ -55,9 +54,7 @@ class TestDeterminism:
             (0, instances, 0), (1, instances, 0), (2, instances, 0),
             (2, paths, 4),
         ):
-            res, traced = _traced(
-                lambda b: jz_schedule_many(b, workers=workers), batch
-            )
+            res, traced = _traced(BatchRunner(workers=workers).run, batch)
             assert traced == chunks
             assert res.kernel_tiers().get("batched", 0) == (
                 0 if chunks else 4
@@ -86,14 +83,6 @@ class TestDeterminism:
             r.lower_bound for r in inproc.records
         ]
 
-    def test_parameter_overrides_forwarded(self):
-        inst = _instances(1, m=8)[0]
-        res = jz_schedule_many([inst], workers=0, rho=0.3, mu=2)
-        rec = res.records[0]
-        assert rec.rho == 0.3 and rec.mu == 2
-        ref = jz_reference(inst, rho=0.3, mu=2)
-        assert rec.makespan == ref.makespan
-
 
 class TestFailureIsolation:
     def test_bad_instance_is_isolated(self):
@@ -120,7 +109,7 @@ class TestFailureIsolation:
             assert res.records[0].ok and res.records[2].ok
 
     def test_errors_listed(self):
-        res = jz_schedule_many([None], workers=0)
+        res = BatchRunner(workers=0).run([None])
         assert len(res.errors()) == 1
         assert res.summary()["errors"] == 1
 
@@ -128,7 +117,7 @@ class TestFailureIsolation:
 class TestEmptyBatch:
     @pytest.mark.parametrize("workers", [0, 2])
     def test_empty(self, workers):
-        res = jz_schedule_many([], workers=workers)
+        res = BatchRunner(workers=workers).run([])
         assert res.records == ()
         assert res.n_ok == 0 and res.n_errors == 0
         assert res.throughput == 0.0 or res.throughput >= 0.0
@@ -144,7 +133,7 @@ class TestStrategySelection:
     def test_solve_many_any_algorithm(self):
         instances = _instances(3)
         for algorithm in ("ltw", "sequential", "greedy-critical-path"):
-            res = solve_many(instances, algorithm=algorithm, workers=0)
+            res = BatchRunner(workers=0, algorithm=algorithm).run(instances)
             assert res.n_errors == 0
             for rec, inst in zip(res.records, instances):
                 assert rec.algorithm == algorithm
@@ -155,9 +144,9 @@ class TestStrategySelection:
 
     def test_priority_forwarded(self):
         instances = _instances(2)
-        res = solve_many(
-            instances, algorithm="jz", priority="critical-path", workers=0
-        )
+        res = BatchRunner(
+            workers=0, algorithm="jz", priority="critical-path"
+        ).run(instances)
         assert res.n_errors == 0
         for rec, inst in zip(res.records, instances):
             assert rec.priority == "critical-path"
@@ -166,27 +155,19 @@ class TestStrategySelection:
             ).makespan
 
     def test_alias_canonicalized_in_records(self):
-        res = solve_many(_instances(1), algorithm="greedy", workers=0)
+        res = BatchRunner(workers=0, algorithm="greedy").run(_instances(1))
         assert res.records[0].algorithm == "greedy-critical-path"
 
     def test_unknown_strategy_fails_fast(self):
         with pytest.raises(UnknownStrategyError):
-            solve_many(_instances(1), algorithm="nope", workers=0)
+            BatchRunner(workers=0, algorithm="nope").run(_instances(1))
         with pytest.raises(UnknownStrategyError):
-            solve_many(_instances(1), priority="nope", workers=0)
-
-    def test_jz_records_match_jz_schedule_many(self):
-        instances = _instances(2)
-        a = jz_schedule_many(instances, workers=0)
-        b = solve_many(instances, workers=0)
-        assert [r.makespan for r in a.records] == [
-            r.makespan for r in b.records
-        ]
+            BatchRunner(workers=0, priority="nope").run(_instances(1))
 
 
 class TestJsonl:
     def test_roundtrip(self, tmp_path):
-        res = jz_schedule_many(_instances(2) + [None], workers=0)
+        res = BatchRunner(workers=0).run(_instances(2) + [None])
         path = tmp_path / "records.jsonl"
         n = write_jsonl(res.records, path)
         assert n == 3
@@ -200,7 +181,7 @@ class TestJsonl:
         assert all(json.loads(line)["status"] for line in lines)
 
     def test_every_line_carries_schema_version(self, tmp_path):
-        res = jz_schedule_many(_instances(1), workers=0)
+        res = BatchRunner(workers=0).run(_instances(1))
         path = tmp_path / "records.jsonl"
         write_jsonl(res.records, path)
         for line in path.read_text().splitlines():
@@ -229,24 +210,6 @@ class TestJsonl:
         )
         with pytest.raises(ValueError, match="schema_version 99"):
             read_jsonl(path)
-
-    def test_unknown_version_skippable_with_warning(self, tmp_path):
-        path = tmp_path / "mixed.jsonl"
-        path.write_text(
-            json.dumps({"schema_version": 99, "index": 0, "status": "ok"})
-            + "\n"
-            + json.dumps({"schema_version": 2, "index": 1, "status": "ok"})
-            + "\n"
-        )
-        with pytest.warns(UserWarning, match="schema_version 99"):
-            records = read_jsonl(path, on_unknown_version="skip")
-        assert [r.index for r in records] == [1]
-
-    def test_bad_on_unknown_version_mode_rejected(self, tmp_path):
-        path = tmp_path / "x.jsonl"
-        path.write_text("")
-        with pytest.raises(ValueError, match="on_unknown_version"):
-            read_jsonl(path, on_unknown_version="explode")
 
     def test_unknown_fields_tolerated_on_known_version(self, tmp_path):
         path = tmp_path / "wide.jsonl"

@@ -44,10 +44,11 @@ class TestMetricsRegistry:
         c.labels("a").inc(2)
         c.labels("b").inc()
         assert c.labels("a").value == 3
-        g = reg.gauge("g", "a gauge")
-        g.set(5)
-        g.dec()
-        assert g.value == 4
+        # Gauges are scrape-time collector samples, never stored.
+        reg.register_collector(
+            lambda: [("g", "gauge", "a gauge", [({}, 4.0)])]
+        )
+        assert reg.family_values("g") == {(): 4.0}
         h = reg.histogram("h_seconds", "a histogram")
         h.observe(0.003)
         h.observe(100.0)  # lands in +Inf
@@ -70,16 +71,19 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError, match="re-registered"):
             reg.counter("same_total", "h", ("other",))
         with pytest.raises(ValueError, match="re-registered"):
-            reg.gauge("same_total", "h", ("x",))
+            reg.histogram("same_total", "h", ("x",))
 
     def test_render_passes_own_lint(self):
         reg = MetricsRegistry()
         reg.counter("r_total", "c", ("k",)).labels('we"ird\\').inc()
-        reg.gauge("r_gauge", "g").set(1.5)
+        reg.register_collector(
+            lambda: [("r_gauge", "gauge", "g", [({}, 1.5)])]
+        )
         h = reg.histogram("r_seconds", "h")
         h.observe(0.01)
         h.observe(7.0)
         text = reg.render()
+        assert "# TYPE r_gauge gauge" in text
         assert lint_exposition(text) == []
 
     def test_lint_catches_conformance_errors(self):

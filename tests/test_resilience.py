@@ -103,6 +103,35 @@ class TestFaultPlan:
             )
 
 
+    @pytest.mark.parametrize("spec", [
+        {"site": "broker.solve", "rate": 0.1},
+        {"kind": "slow_solve", "rate": 0.1},
+        {"kind": "slow_solve", "site": "broker.solve", "rate": "high"},
+        {"kind": "slow_solve", "site": "broker.solve", "rate": True},
+        {"kind": "slow_solve", "site": "broker.solve", "at": 5},
+        {"kind": "slow_solve", "site": "broker.solve", "at": "12"},
+        {"kind": "slow_solve", "site": "broker.solve", "at": [True]},
+        {"kind": "slow_solve", "site": "broker.solve", "at": ["1"]},
+        {"kind": "slow_solve", "site": "broker.solve", "rate": 0.1,
+         "max_fires": "2"},
+        {"kind": "slow_solve", "site": "broker.solve", "rate": 0.1,
+         "max_fires": 1.5},
+        {"kind": "slow_solve", "site": "broker.solve", "rate": 0.1,
+         "max_fires": True},
+        {"kind": "slow_solve", "site": "broker.solve", "rate": 0.1,
+         "param": [1]},
+        7,
+    ])
+    def test_from_dict_refuses_malformed_spec(self, spec):
+        with pytest.raises(ValueError):
+            FaultPlan.from_dict({"faults": [spec]})
+
+    @pytest.mark.parametrize("seed", ["7", 1.5, True, None])
+    def test_from_dict_refuses_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            FaultPlan.from_dict({"seed": seed, "faults": []})
+
+
 class TestFaultClock:
     def test_two_clocks_same_plan_fire_identically(self):
         plan = FaultPlan.uniform(0.25, seed=11)
@@ -314,13 +343,6 @@ class TestCircuitBreaker:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker(window_s=0)
-
-
-class TestEngineSeam:
-    def test_unarmed_runs_are_unaffected(self):
-        inst = make_instance("layered", 10, 4, seed=0)
-        result = BatchRunner(workers=0).run([inst])
-        assert result.n_ok == 1
 
 
 class TestReadJsonlTruncation:

@@ -23,7 +23,6 @@ from repro.pipeline import SchedulingPipeline
 from repro.resilience import RetryPolicy
 from repro.schedule import validate_schedule
 from repro.service import (
-    ResultCache,
     ServiceClient,
     ServiceError,
     SolverService,
@@ -132,6 +131,25 @@ class TestErrorHandling:
         assert "must be strings" in str(exc.value)
         # The connection survives the bad request.
         assert client.health()["status"] == "ok"
+
+    @pytest.mark.parametrize("anchored", ["false", "no", [0], 1, None])
+    def test_non_boolean_anchored_is_400(self, daemon, client, anchored):
+        from repro.io import instance_to_dict
+
+        inst = _inst(seed=41)
+        times = [1.5 * t for t in inst.task(0).times]
+        body = {
+            "instance": instance_to_dict(inst),
+            "operations": [{"op": "retime", "task": 0, "times": times}],
+            "anchored": anchored,
+        }
+        before = client.stats()
+        status, raw, _ = _post_raw(daemon, body, path="/replan")
+        after = client.stats()
+        assert status == 400
+        assert json.loads(raw)["code"] == "bad_request"
+        assert after["solved"] == before["solved"]
+        assert after["errors"] == before["errors"] + 1
 
     def test_invalid_instance_is_400(self, client):
         with pytest.raises(ServiceError) as exc:
@@ -341,23 +359,14 @@ class TestCacheIntegration:
         assert again["schedule"] == first[0]["schedule"]
         assert stats["spill_hits"] >= 1 and stats["spill_writes"] >= 2
 
-    def test_shared_cache_object_is_observable(self):
-        cache = ResultCache(capacity=8)
-        inst = _inst(seed=8)
-        with serve_in_thread(workers=0, cache=cache) as handle:
-            with ServiceClient(port=handle.port) as c:
-                c.solve(inst)
-        key = (inst.content_key(), "jz", "earliest-start")
-        assert key in cache
 
-
-def _post_raw(handle, body):
-    """POST /solve with a raw body; returns (status, body bytes, the
+def _post_raw(handle, body, path="/solve"):
+    """POST ``path`` with a raw body; returns (status, body bytes, the
     X-Repro-Digest header)."""
     conn = http.client.HTTPConnection(handle.host, handle.port, timeout=60)
     try:
         conn.request(
-            "POST", "/solve", body=json.dumps(body).encode(),
+            "POST", path, body=json.dumps(body).encode(),
             headers={"Content-Type": "application/json"},
         )
         resp = conn.getresponse()
@@ -704,6 +713,20 @@ class TestKeyFirst:
         )
         assert status == 400
         assert json.loads(raw)["code"] == "unknown_strategy"
+
+    @pytest.mark.parametrize("value", [0, False, "", [], {}])
+    def test_falsy_strategy_name_is_400_not_the_default(self, daemon, value):
+        # Only an absent or null field means the service default.
+        for field in ("algorithm", "priority"):
+            status, raw, _ = _post_raw(
+                daemon, {"key": "0" * 64, field: value}
+            )
+            assert status == 400
+            assert json.loads(raw)["code"] == "unknown_strategy"
+            status, raw, _ = _post_raw(
+                daemon, {"key": "0" * 64, field: None}
+            )
+            assert json.loads(raw)["code"] == "unknown_key"
 
     def test_spill_only_entry_is_404_then_the_resend_hits(self, tmp_path):
         a, b = _inst(seed=23), _inst(seed=24)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.service.cache
 from repro.service import ResultCache
 
 
@@ -49,13 +50,6 @@ class TestLruSemantics:
     def test_capacity_validated(self):
         with pytest.raises(ValueError, match="capacity"):
             ResultCache(capacity=0)
-
-    def test_clear(self):
-        cache = ResultCache(capacity=2)
-        cache.put(_key(0), _value(0))
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.get(_key(0)) is None
 
 
 class TestDiskSpill:
@@ -123,11 +117,10 @@ class TestDiskSpill:
         s = cache.stats()
         assert s["spill_writes"] == 0 and s["spill_dir"] is None
 
-    def test_spill_tier_is_bounded(self, tmp_path):
+    def test_spill_tier_is_bounded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(repro.service.cache, "SPILL_MAX_FILES", 2)
         spill = tmp_path / "spill"
-        cache = ResultCache(
-            capacity=1, spill_dir=spill, spill_max_files=2
-        )
+        cache = ResultCache(capacity=1, spill_dir=spill)
         for i in range(6):  # evicts 5 entries; only 2 files may land
             cache.put(_key(i), _value(i))
         files = list(spill.glob("*.json"))
@@ -143,12 +136,3 @@ class TestDiskSpill:
         old.put(_key(1), _value(1))
         fresh = ResultCache(capacity=1, spill_dir=spill)
         assert fresh.stats()["spill_files"] == 1
-
-    def test_clear_drop_spill(self, tmp_path):
-        spill = tmp_path / "spill"
-        cache = ResultCache(capacity=1, spill_dir=spill)
-        cache.put(_key(0), _value(0))
-        cache.put(_key(1), _value(1))
-        cache.clear(drop_spill=True)
-        assert list(spill.glob("*.json")) == []
-        assert cache.get(_key(0)) is None

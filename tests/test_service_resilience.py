@@ -358,21 +358,6 @@ class TestIdempotencyAwareRetry:
                 c.shutdown()
             assert c.last_attempts == 1
 
-    def test_shutdown_retry_is_opt_in(self):
-        import socket as socket_mod
-
-        sock = socket_mod.socket()
-        sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]
-        sock.close()
-        retry = RetryPolicy(max_attempts=2, base_s=0.001, cap_s=0.01)
-        with ServiceClient(
-            port=port, retry=retry, timeout=2, retry_unsafe=True
-        ) as c:
-            with pytest.raises(ServiceError):
-                c.shutdown()
-            assert c.last_attempts == 2
-
     def test_4xx_is_never_retried(self):
         with serve_in_thread(workers=0) as handle:
             with ServiceClient(
