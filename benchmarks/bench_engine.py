@@ -16,7 +16,9 @@ Two measurements, written to ``BENCH_engine.json``:
    and every larger count runs the process pool (each row records the
    traced ``pool_chunks``); scaling efficiency is normalized by the
    cores actually available (process pools cannot scale past
-   ``os.cpu_count()``).
+   ``os.cpu_count()``).  Each worker count runs ``REPEATS`` times, each
+   run in a fresh Python process, so no run inherits another's warm
+   caches or pool; a row records the median and the range.
 
 Run:  PYTHONPATH=src python benchmarks/bench_engine.py [--smoke] [-o OUT]
 
@@ -28,6 +30,8 @@ import argparse
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -98,8 +102,37 @@ def bench_single(smoke):
     }
 
 
+#: Fresh-process runs per worker count of the batch arm.
+REPEATS = 3
+
+
 def _numbers(records):
     return [(r.makespan, r.lower_bound, r.ratio_bound) for r in records]
+
+
+def batch_cell(workers, paths):
+    """One batch-arm run, in the calling process: what a fresh
+    subprocess reports back to :func:`bench_batch` as JSON."""
+    with obs_trace.tracing() as tracer:
+        res = BatchRunner(workers=workers).run(paths)
+    assert res.n_errors == 0, res.errors()
+    assert "batched" not in res.kernel_tiers(), res.kernel_tiers()
+    return {
+        "pool_chunks": tracer.counter_totals().get("pool_chunks", 0),
+        "wall_time_s": res.wall_time,
+        "throughput_inst_per_s": res.throughput,
+        "numbers": _numbers(res.records),
+    }
+
+
+def _run_cell(workers, paths):
+    out = subprocess.run(
+        [sys.executable, __file__, "--batch-cell", str(workers), *paths],
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def bench_batch(smoke, directory):
@@ -112,27 +145,38 @@ def bench_batch(smoke, directory):
         save_instance(inst, paths[-1])
     cores = os.cpu_count() or 1
     rows = []
-    base = None
+    base_numbers = base_throughput = None
     for w in worker_counts:
-        with obs_trace.tracing() as tracer:
-            res = BatchRunner(workers=w).run(paths)
-        chunks = tracer.counter_totals().get("pool_chunks", 0)
-        assert res.n_errors == 0, res.errors()
-        assert "batched" not in res.kernel_tiers(), res.kernel_tiers()
-        assert (chunks > 0) == (w > 1), f"workers={w}: {chunks} pool chunks"
-        if base is None:
-            base = res
-        assert _numbers(res.records) == _numbers(base.records), (
-            "pooled records diverged from in-process records"
-        )
-        speedup = res.throughput / base.throughput
+        cells = [_run_cell(w, paths) for _ in range(REPEATS)]
+        for cell in cells:
+            assert (cell["pool_chunks"] > 0) == (w > 1), (
+                f"workers={w}: {cell['pool_chunks']} pool chunks"
+            )
+            if base_numbers is None:
+                base_numbers = cell["numbers"]
+            assert cell["numbers"] == base_numbers, (
+                "pooled records diverged from in-process records"
+            )
+        walls = [c["wall_time_s"] for c in cells]
+        rates = [c["throughput_inst_per_s"] for c in cells]
+        rate = statistics.median(rates)
+        if base_throughput is None:
+            base_throughput = rate
+        speedup = rate / base_throughput
         rows.append(
             {
                 "workers": w,
-                "pool_chunks": chunks,
-                "wall_time_s": res.wall_time,
-                "throughput_inst_per_s": res.throughput,
+                "pool_chunks": cells[0]["pool_chunks"],
+                "runs": REPEATS,
+                "wall_time_s": statistics.median(walls),
+                "wall_time_range_s": [min(walls), max(walls)],
+                "throughput_inst_per_s": rate,
+                "throughput_range": [min(rates), max(rates)],
                 "speedup_vs_in_process": speedup,
+                "speedup_range": [
+                    min(rates) / base_throughput,
+                    max(rates) / base_throughput,
+                ],
                 "efficiency_vs_available_cores": speedup / min(w, cores),
             }
         )
@@ -154,7 +198,13 @@ def main(argv=None):
     ap.add_argument("--smoke", action="store_true",
                     help="small sizes for CI")
     ap.add_argument("-o", "--output", default="BENCH_engine.json")
+    ap.add_argument("--batch-cell", type=int, metavar="WORKERS",
+                    help=argparse.SUPPRESS)
+    ap.add_argument("paths", nargs="*", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.batch_cell is not None:
+        print(json.dumps(batch_cell(args.batch_cell, args.paths)))
+        return 0
 
     result = {
         "benchmark": "bench_engine",
@@ -174,10 +224,12 @@ def main(argv=None):
         f"({single['speedup']:.2f}x)"
     )
     for row in result["batch"]["scaling"]:
+        lo, hi = row["speedup_range"]
         print(
             f"batch workers={row['workers']}: "
-            f"{row['throughput_inst_per_s']:.2f} inst/s "
-            f"(speedup {row['speedup_vs_in_process']:.2f}x, "
+            f"{row['throughput_inst_per_s']:.2f} inst/s, median of "
+            f"{row['runs']} (speedup {row['speedup_vs_in_process']:.2f}x, "
+            f"range {lo:.2f}-{hi:.2f}x, "
             f"efficiency {row['efficiency_vs_available_cores']:.2f})"
         )
     print(f"written to {args.output}")

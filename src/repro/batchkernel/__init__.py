@@ -12,8 +12,9 @@ one block at a time:
   (:class:`StackedProfiles`) and batched longest-path /
   lower-bound kernels;
 * :mod:`~repro.batchkernel.lp` — per-block allotment-LP assembly
-  (the per-instance LP (9) assembly over each block's slices) and
-  vectorized critical-point rounding;
+  (the per-instance LP (9) assembly over each block's slices); the
+  stacked solution rounds with the per-instance kernel,
+  :func:`repro.core.rounding.batched_round`, re-exported here;
 * :mod:`~repro.batchkernel.scheduler` — the lockstep phase-2 LIST
   scheduler (:func:`batched_list_schedule`) advancing B frontiers and
   B timelines per step;
@@ -26,7 +27,8 @@ Every batched stage replicates its per-instance reference bit for bit
 schedule identity rather than closeness.
 """
 
-from .lp import assemble_batch_lp, batched_round, extract_block_x
+from ..core.rounding import batched_round
+from .lp import assemble_batch_lp, extract_block_x
 from .packing import (
     BatchedCsr,
     StackedProfiles,

@@ -29,8 +29,8 @@ from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
+from ..core.arrays import profile_image
 from ..core.instance import Instance
-from ..core.task import _PLATEAU_RTOL
 from ..dag.csr import DagCsr, longest_path_dists
 
 __all__ = [
@@ -184,7 +184,8 @@ class StackedProfiles(NamedTuple):
     to ``m_max`` columns by repeating each task's ``p(m_b)`` — a pure
     plateau, invisible to the canonical-breakpoint rule.  Segment and
     breakpoint arrays are flat in (task, increasing ``l``) order with
-    per-task pointer arrays, exactly the per-instance flattening.
+    per-task pointer arrays, exactly the per-instance flattening (the
+    :class:`repro.core.arrays.ProfileImage` fields).
     """
 
     n_blocks: int
@@ -209,10 +210,9 @@ def stack_profiles(instances: Sequence[Instance]) -> StackedProfiles:
     """Stack every instance's task profiles into one padded pack.
 
     Per block the slices reproduce ``instance_arrays(instance)`` (and
-    each task's ``breakpoints()``/``segments()``) exactly: the same
-    source floats, the same canonical-break comparisons
-    (``p(l) < last * (1 - _PLATEAU_RTOL)``, vectorized one level at a
-    time) and the same chord arithmetic in the same order.
+    each task's ``breakpoints``/``segments()``) exactly: the padded
+    matrix goes through the per-instance canonical-breakpoint kernel,
+    :func:`repro.core.arrays.profile_image`.
     """
     nb = len(instances)
     node_ptr = np.zeros(nb + 1, dtype=np.intp)
@@ -237,63 +237,6 @@ def stack_profiles(instances: Sequence[Instance]) -> StackedProfiles:
         if m < m_max:
             times[s:e, m:] = block[:, m - 1:m]
 
-    max_time = times[:, 0].copy()
-    min_time = (
-        times[np.arange(n_total), m_of_task - 1]
-        if n_total else np.zeros(0)
-    )
-
-    # Canonical breakpoints, vectorized level by level: a column enters
-    # a task's break list iff it exists (l <= m_b) and drops strictly
-    # below the plateau band of the last kept break — the identical
-    # comparison `times[l-1] < last * (1 - _PLATEAU_RTOL)` of
-    # MalleableTask.__init__.  Padded columns repeat p(m_b) and can
-    # never pass it.
-    is_break = np.zeros((n_total, m_max), dtype=bool)
-    if n_total:
-        is_break[:, 0] = True
-        last = times[:, 0].copy()
-        for l in range(2, m_max + 1):
-            col = times[:, l - 1]
-            mask = (l <= m_of_task) & (
-                col < last * (1.0 - _PLATEAU_RTOL)
-            )
-            is_break[:, l - 1] = mask
-            np.copyto(last, col, where=mask)
-
-    flat = np.flatnonzero(is_break.ravel())
-    brk_task = flat // m_max
-    brk_level = (flat % m_max + 1).astype(np.intp)
-    brk_value = times.ravel()[flat]
-    nbrk = is_break.sum(axis=1).astype(np.intp)
-    brk_ptr = np.zeros(n_total + 1, dtype=np.intp)
-    np.cumsum(nbrk, out=brk_ptr[1:])
-
-    # Chords between consecutive breaks of the same task — the exact
-    # arithmetic of MalleableTask.segments() (l * x products, then
-    # slope = (w_lo - w_hi) / (x_lo - x_hi), intercept from the high
-    # endpoint).
-    pair = np.flatnonzero(brk_task[:-1] == brk_task[1:]) if len(
-        flat
-    ) > 1 else np.zeros(0, dtype=np.intp)
-    l_hi = brk_level[pair].astype(float)
-    l_lo = brk_level[pair + 1].astype(float)
-    x_hi = brk_value[pair]
-    x_lo = brk_value[pair + 1]
-    w_hi = l_hi * x_hi
-    w_lo = l_lo * x_lo
-    seg_slope = (w_lo - w_hi) / (x_lo - x_hi)
-    seg_intercept = w_hi - seg_slope * x_hi
-    seg_task = brk_task[pair]
-    nseg = nbrk - 1
-
-    # Rigid tasks (single break) bound their work variable directly at
-    # l * p(l) with l = 1 — multiplying by 1 reproduces the reference's
-    # `breakpoints[0][0] * breakpoints[0][1]` bit for bit.
-    work_lo = np.where(
-        nseg == 0, 1.0 * max_time, 0.0
-    ) if n_total else np.zeros(0)
-
     return StackedProfiles(
         n_blocks=nb,
         node_ptr=node_ptr,
@@ -301,14 +244,7 @@ def stack_profiles(instances: Sequence[Instance]) -> StackedProfiles:
         m_max=m_max,
         m_of_task=m_of_task,
         times=times,
-        min_time=min_time,
-        max_time=max_time,
-        work_lo=work_lo,
-        brk_ptr=brk_ptr,
-        brk_level=brk_level,
-        brk_value=brk_value,
-        nseg=nseg,
-        seg_task=seg_task,
-        seg_slope=seg_slope,
-        seg_intercept=seg_intercept,
+        min_time=times[np.arange(n_total), m_of_task - 1],
+        max_time=times[:, 0].copy(),
+        **profile_image(times)._asdict(),
     )

@@ -32,13 +32,14 @@ import numpy as np
 from ..baselines.ltw import LTW_RHO
 from ..core.instance import Instance
 from ..core.parameters import jz_parameters
+from ..core.rounding import batched_round
 from ..lpsolve.scipy_backend import solve_ub_blocks
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
 from ..pipeline.base import SolveReport
 from ..pipeline.registry import get_allotment, get_phase2
 from ..theory.ltw import ltw_parameters
-from .lp import assemble_batch_lp, batched_round, extract_block_x
+from .lp import assemble_batch_lp, extract_block_x
 from .packing import (
     batched_trivial_lower_bounds,
     pack_csrs,

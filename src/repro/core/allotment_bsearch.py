@@ -38,7 +38,7 @@ from ..lpsolve import LpError
 from ..lpsolve.scipy_backend import solve_ub_arrays
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
-from .arrays import memoized_on_instance
+from .arrays import instance_arrays, memoized_on_instance, work_of_times
 from .instance import Instance
 from .rounding import round_fractional_times
 
@@ -89,8 +89,6 @@ def assemble_deadline_arrays(instance: Instance) -> DeadlineArrays:
     Built from the packed profile arrays and the DAG's CSR edge arrays,
     with no per-task or per-edge Python work.
     """
-    from .arrays import instance_arrays
-
     arr = instance_arrays(instance)
     n = arr.n
     nv = 3 * n
@@ -181,6 +179,7 @@ class _DeadlineSolver:
 
     def __init__(self, instance: Instance):
         self._instance = instance
+        self._image = instance_arrays(instance)
         self._arrays = assemble_deadline_arrays(instance)
 
     def solve(self, deadline: float) -> Optional[DeadlineLpResult]:
@@ -193,8 +192,6 @@ class _DeadlineSolver:
             return self._probe(deadline)
 
     def _probe(self, deadline: float) -> Optional[DeadlineLpResult]:
-        instance = self._instance
-        n = instance.n_tasks
         arr = self._arrays
         hi = arr.hi.copy()
         hi[arr.c_cols] = deadline
@@ -202,11 +199,11 @@ class _DeadlineSolver:
             sol = solve_ub_arrays(arr._replace(hi=hi))
         except LpError:
             return None
-        x = tuple(sol.values[3 * j] for j in range(n))
-        total = sum(
-            instance.task(j).work_of_time(x[j]) for j in range(n)
+        x = tuple(sol.values[0:3 * self._instance.n_tasks:3])
+        work = work_of_times(self._image, np.array(x, dtype=float))
+        return DeadlineLpResult(
+            deadline=deadline, total_work=sum(work.tolist()), x=x
         )
-        return DeadlineLpResult(deadline=deadline, total_work=total, x=x)
 
 
 def deadline_work_lp(
@@ -283,7 +280,8 @@ def bsearch_allotment(
             hi = mid
     if best is None:
         raise RuntimeError("binary search found no feasible deadline")
-    allot = round_fractional_times(instance, best.x, rho)
+    with obs_trace.span("rounding", n=instance.n_tasks):
+        allot = round_fractional_times(instance, best.x, rho)
     return BsearchReport(
         allotment=tuple(allot),
         x=tuple(best.x),

@@ -2,13 +2,23 @@
 
 The task profiles of an :class:`repro.core.Instance` live in per-task
 Python objects; every solver pass that needs "the duration of task j on
-``l`` processors" or "the work segments of task j" pays attribute and
-method dispatch per task.  :func:`instance_arrays` packs the whole
+``l`` processors" or "the work segments of task j" would pay attribute
+and method dispatch per task.  :func:`instance_arrays` packs the whole
 profile table into a handful of NumPy arrays once per instance — the
-processing-time matrix, the variable bounds of LP (9) and the flattened
-work-segment chords of eq. (8) — so the array-native kernels (LP
-assembly, the LIST duration lookup, rounding sweeps) index instead of
-calling.
+processing-time matrix, the variable bounds of LP (9), the canonical
+breakpoints and the flattened work-segment chords of eq. (8) — built
+from the ``(n, m)`` times matrix by :func:`profile_image`, the one
+canonical-breakpoint kernel (the batched tier's
+:func:`repro.batchkernel.stack_profiles` runs it on its padded matrix).
+Phase 1 runs on this image alone: LP assembly, the ``w(x)`` read-back
+(:func:`work_of_times`) and critical-point rounding
+(:func:`repro.core.rounding.batched_round`) index instead of calling
+``MalleableTask.segments``/``work_of_time``/``bracket``, which stay the
+per-task API and the test suite's reference.
+
+Every float is the per-task code's: the same comparisons, the same
+IEEE operations in the same order (pinned bit for bit by
+``tests/test_profile_kernels.py``).
 
 Results are memoized per instance, weakly (:func:`memoized_on_instance`):
 pipeline stages and repeated solves of the same instance share one
@@ -20,13 +30,22 @@ from __future__ import annotations
 
 import functools
 import weakref
-from typing import Callable, NamedTuple, TypeVar
+from typing import Callable, NamedTuple, Tuple, TypeVar
 
 import numpy as np
 
 from .instance import Instance
+from .task import _PLATEAU_RTOL, _RTOL
 
-__all__ = ["InstanceArrays", "instance_arrays", "memoized_on_instance"]
+__all__ = [
+    "InstanceArrays",
+    "ProfileImage",
+    "clamped_times",
+    "instance_arrays",
+    "memoized_on_instance",
+    "profile_image",
+    "work_of_times",
+]
 
 _T = TypeVar("_T")
 
@@ -60,6 +79,78 @@ def memoized_on_instance(
     return wrapper
 
 
+class ProfileImage(NamedTuple):
+    """Canonical breakpoints and work chords of a times matrix.
+
+    Breakpoint and segment arrays are flat in (task, increasing ``l``)
+    order; task ``j`` owns breaks ``brk_ptr[j]:brk_ptr[j+1]`` and
+    segments ``brk_ptr[j] - j : brk_ptr[j+1] - j - 1`` (one fewer).
+    """
+
+    brk_ptr: np.ndarray     #: (n+1,) per-task canonical break offsets
+    brk_level: np.ndarray   #: flat break levels l
+    brk_value: np.ndarray   #: flat break times p(l)
+    nseg: np.ndarray        #: (n,) segments per task (= breaks - 1)
+    seg_task: np.ndarray    #: flat segment -> task row
+    seg_slope: np.ndarray   #: flat chord slopes
+    seg_intercept: np.ndarray  #: flat chord intercepts
+    work_lo: np.ndarray     #: (n,) rigid-task work, 0.0 otherwise
+
+
+def profile_image(times: np.ndarray) -> ProfileImage:
+    """The canonical breakpoints and chords of every row of ``times``.
+
+    ``times`` is an ``(n, w)`` processing-time matrix.  Each row yields
+    exactly ``MalleableTask.breakpoints`` and ``segments()``: a column
+    enters a row's break list iff it drops strictly below the plateau
+    band of the last kept break (``p(l) < last * (1 - _PLATEAU_RTOL)``,
+    vectorized one level at a time), and the chords use the same
+    arithmetic in the same order (``l * x`` products, ``slope = (w_lo
+    - w_hi) / (x_lo - x_hi)``, the intercept from the high endpoint).
+    A row padded by repeating its last time is a plateau the rule
+    never breaks on, so a padded matrix yields the unpadded breaks.
+    """
+    n, width = times.shape
+    is_break = np.zeros((n, width), dtype=bool)
+    if n:
+        is_break[:, 0] = True
+        last = times[:, 0].copy()
+        for l in range(2, width + 1):
+            col = times[:, l - 1]
+            mask = col < last * (1.0 - _PLATEAU_RTOL)
+            is_break[:, l - 1] = mask
+            np.copyto(last, col, where=mask)
+
+    flat = np.flatnonzero(is_break.ravel())
+    brk_level = flat % width + 1
+    brk_value = times.ravel()[flat]
+    nbrk = is_break.sum(axis=1).astype(np.intp)
+    brk_ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(nbrk, out=brk_ptr[1:])
+
+    # A segment joins every break to the next one of the same task.
+    pair = np.ones(len(flat), dtype=bool)
+    pair[brk_ptr[1:] - 1] = False
+    pair = np.flatnonzero(pair)
+    x_hi = brk_value[pair]
+    x_lo = brk_value[pair + 1]
+    w_hi = brk_level[pair] * x_hi
+    w_lo = brk_level[pair + 1] * x_lo
+    seg_slope = (w_lo - w_hi) / (x_lo - x_hi)
+    nseg = nbrk - 1
+    return ProfileImage(
+        brk_ptr=brk_ptr,
+        brk_level=brk_level,
+        brk_value=brk_value,
+        nseg=nseg,
+        seg_task=flat[pair] // width,
+        seg_slope=seg_slope,
+        seg_intercept=w_hi - seg_slope * x_hi,
+        # A rigid task's work is its one break's l * p(l) with l = 1.
+        work_lo=np.where(nseg == 0, 1 * times[:, 0], 0.0),
+    )
+
+
 class InstanceArrays(NamedTuple):
     """Frozen array image of an instance's task profiles.
 
@@ -73,16 +164,11 @@ class InstanceArrays(NamedTuple):
         vector of an allotment.
     min_time, max_time:
         ``p_j(m)`` and ``p_j(1)`` per task (the LP (9) bounds on x_j).
-    work_lo:
-        Lower bound on the linearized work variable ``w̄_j``: the
-        constant work for rigid tasks (single canonical breakpoint),
-        zero otherwise.
-    nseg:
-        Number of work segments (eq. (8) chords) per task.
-    seg_task:
-        Task index of every flattened segment (length ``nseg.sum()``).
-    seg_slope, seg_intercept:
-        Chord coefficients of the flattened segments, in per-task order.
+    work_lo, brk_ptr, brk_level, brk_value, nseg, seg_task, seg_slope,
+    seg_intercept:
+        The :class:`ProfileImage` of ``times``: the rigid-task work
+        bound on ``w̄_j``, the canonical breakpoints and the eq. (8)
+        chords.
     """
 
     n: int
@@ -91,6 +177,9 @@ class InstanceArrays(NamedTuple):
     min_time: np.ndarray
     max_time: np.ndarray
     work_lo: np.ndarray
+    brk_ptr: np.ndarray
+    brk_level: np.ndarray
+    brk_value: np.ndarray
     nseg: np.ndarray
     seg_task: np.ndarray
     seg_slope: np.ndarray
@@ -105,32 +194,57 @@ def instance_arrays(instance: Instance) -> InstanceArrays:
     first call builds and every later call — from any pipeline stage,
     strategy, or repeated solve — returns the same object.
     """
-    tasks = instance.tasks
     n = instance.n_tasks
     m = instance.m
-    times = np.array([t.times for t in tasks], dtype=float).reshape(n, m)
-    seg_lists = [t.segments() for t in tasks]
-    nseg = np.array([len(s) for s in seg_lists], dtype=np.intp)
+    times = np.array(
+        [t.times for t in instance.tasks], dtype=float
+    ).reshape(n, m)
     return InstanceArrays(
         n=n,
         m=m,
         times=times,
-        min_time=times[:, m - 1].copy() if n else np.empty(0),
-        max_time=times[:, 0].copy() if n else np.empty(0),
-        work_lo=np.array(
-            [
-                t.breakpoints[0][0] * t.breakpoints[0][1] if not segs
-                else 0.0
-                for t, segs in zip(tasks, seg_lists)
-            ],
-            dtype=float,
-        ),
-        nseg=nseg,
-        seg_task=np.repeat(np.arange(n, dtype=np.intp), nseg),
-        seg_slope=np.array(
-            [s.slope for segs in seg_lists for s in segs], dtype=float
-        ),
-        seg_intercept=np.array(
-            [s.intercept for segs in seg_lists for s in segs], dtype=float
-        ),
+        min_time=times[:, m - 1].copy(),
+        max_time=times[:, 0].copy(),
+        **profile_image(times)._asdict(),
     )
+
+
+def clamped_times(image, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Range-check ``x`` per task and clamp it to the canonical range.
+
+    ``image`` is any profile image with ``min_time`` and the break
+    arrays (:class:`InstanceArrays` or the batched tier's
+    ``StackedProfiles``).  Returns the clamped ``x`` and each task's
+    first canonical break ``p(1)``.  The check and its
+    :class:`ValueError` text are ``MalleableTask.bracket``'s and
+    ``work_of_time``'s, raised for the first task out of range.
+    """
+    hi = image.brk_value[image.brk_ptr[:-1]]
+    lo = image.brk_value[image.brk_ptr[1:] - 1]
+    bad = (x < image.min_time * (1 - _PLATEAU_RTOL) - _RTOL * hi) | (
+        x > hi * (1 + _RTOL)
+    )
+    if bad.any():
+        j = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"x={float(x[j])} outside the profile range "
+            f"[{float(lo[j])}, {float(hi[j])}]"
+        )
+    return np.minimum(np.maximum(x, lo), hi), hi
+
+
+def work_of_times(image, x: np.ndarray) -> np.ndarray:
+    """``MalleableTask.work_of_time`` of every task, as one array.
+
+    The same range check and clamp, then the max over the task's chord
+    lines ``slope * x + intercept`` (a rigid task's constant
+    ``work_lo``) — the per-task floats, bit for bit.
+    """
+    xc, _hi = clamped_times(image, x)
+    work = image.work_lo.copy()
+    vals = image.seg_slope * xc[image.seg_task] + image.seg_intercept
+    has = np.flatnonzero(image.nseg > 0)
+    if has.size:
+        starts = image.brk_ptr[has] - has
+        work[has] = np.maximum.reduceat(vals, starts)
+    return work

@@ -54,7 +54,7 @@ import numpy as np
 from ..lpsolve import LpSolution
 from ..lpsolve.scipy_backend import solve_ub_arrays
 from ..obs import trace as obs_trace
-from .arrays import memoized_on_instance
+from .arrays import instance_arrays, memoized_on_instance, work_of_times
 from .instance import Instance
 
 __all__ = [
@@ -217,8 +217,6 @@ def assemble_allotment_arrays(instance: Instance) -> AllotmentArrays:
     memoized per instance (weakly), so the LP-based strategies of a
     pipeline sweep share one assembly.
     """
-    from .arrays import instance_arrays
-
     arr = instance_arrays(instance)
     csr = instance.dag.to_csr()
     return lp9_arrays(
@@ -237,16 +235,20 @@ def assemble_allotment_arrays(instance: Instance) -> AllotmentArrays:
 def _result_from_solution(
     instance: Instance, sol: LpSolution
 ) -> AllotmentLpResult:
-    """Read an LP (9) optimum back out of the solver's flat vector."""
+    """Read an LP (9) optimum back out of the solver's flat vector;
+    ``w(x*)`` comes from the instance's profile image in one pass
+    (:func:`repro.core.arrays.work_of_times`)."""
     n = instance.n_tasks
     v = sol.values
-    x = tuple(v[3 * j] for j in range(n))
-    work = tuple(instance.task(j).work_of_time(x[j]) for j in range(n))
+    x = tuple(v[0:3 * n:3])
+    work = work_of_times(
+        instance_arrays(instance), np.array(x, dtype=float)
+    ).tolist()
     return AllotmentLpResult(
         x=x,
-        completion=tuple(v[3 * j + 1] for j in range(n)),
-        work_bar=tuple(v[3 * j + 2] for j in range(n)),
-        work=work,
+        completion=tuple(v[1:3 * n:3]),
+        work_bar=tuple(v[2:3 * n:3]),
+        work=tuple(work),
         critical_path=v[3 * n],
         total_work=sum(work),
         objective=sol.objective,

@@ -435,6 +435,15 @@ class MalleableTask:
     def __hash__(self) -> int:
         return hash((self._times, self._name, self._model))
 
+    def __getstate__(self):
+        # The segments memo is rebuilt on demand: left out, it does not
+        # ride every pickle (an instance shipped to a pool worker).
+        return (self._times, self._name, self._model, self._breaks)
+
+    def __setstate__(self, state) -> None:
+        self._times, self._name, self._model, self._breaks = state
+        self._segments = None
+
     def __repr__(self) -> str:
         label = f" {self._name!r}" if self._name else ""
         return (

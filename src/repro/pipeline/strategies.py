@@ -35,6 +35,7 @@ from ..core.list_variants import list_schedule_with_priority
 from ..core.lp import solve_allotment_lp
 from ..core.parameters import resolve_parameters
 from ..core.rounding import round_fractional_times, rounding_stretch_report
+from ..obs import trace as obs_trace
 from ..schedule import Schedule
 from ..theory.ltw import ltw_parameters
 from .base import AllotmentResult
@@ -70,7 +71,8 @@ def jz_strategy(
     ``ρ(m)``; reports ``μ(m)`` as the phase-2 cap."""
     params = resolve_parameters(instance.m, rho=rho, mu=mu)
     lp_result = solve_allotment_lp(instance)
-    report = rounding_stretch_report(instance, lp_result.x, params.rho)
+    with obs_trace.span("rounding", n=instance.n_tasks):
+        report = rounding_stretch_report(instance, lp_result.x, params.rho)
     return AllotmentResult(
         allotment=tuple(report.allotment),
         mu=params.mu,
@@ -136,7 +138,8 @@ def ltw_strategy(
     use_rho = LTW_RHO if rho is None else float(rho)
     use_mu = params.mu if mu is None else int(mu)
     lp_result = solve_allotment_lp(instance)
-    allot = round_fractional_times(instance, lp_result.x, use_rho)
+    with obs_trace.span("rounding", n=instance.n_tasks):
+        allot = round_fractional_times(instance, lp_result.x, use_rho)
     return AllotmentResult(
         allotment=tuple(allot),
         mu=use_mu,

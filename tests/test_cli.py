@@ -421,8 +421,18 @@ class TestTrace:
         names = sorted(e["name"] for e in spans)
         assert names == sorted(
             ["solve", "phase1.allot", "lp.assemble", "lp.solve",
-             "phase2.list"]
+             "rounding", "phase2.list"]
         )
+        # phase1.allot splits into lp.assemble, lp.solve and rounding,
+        # in that order.
+        by_name = {e["name"]: e for e in spans}
+        allot = by_name["phase1.allot"]
+        eps = 0.01  # ts/dur are rounded to 1e-3 µs
+        parts = [by_name[k] for k in ("lp.assemble", "lp.solve", "rounding")]
+        for part in parts:
+            assert allot["ts"] - eps <= part["ts"]
+            assert part["ts"] + part["dur"] <= allot["ts"] + allot["dur"] + eps
+        assert [p["ts"] for p in parts] == sorted(p["ts"] for p in parts)
 
     def test_profile_digest_is_deterministic(self, tmp_path, capsys):
         first, _ = self._trace(tmp_path, capsys, name="a.json")
@@ -433,7 +443,9 @@ class TestTrace:
 
     def test_bsearch_probe_spans(self, tmp_path, capsys):
         out, spans = self._trace(tmp_path, capsys, "--algorithm", "bsearch")
+        (rounding,) = [e for e in spans if e["name"] == "rounding"]
         probes = [e for e in spans if e["name"] == "lp.probe"]
+        assert all(p["ts"] < rounding["ts"] for p in probes)
         solves = [e for e in spans if e["name"] == "lp.solve"]
         assert len(probes) == int(self._printed(out, "bsearch_probes =")) > 0
         eps = 0.01  # ts/dur are rounded to 1e-3 µs

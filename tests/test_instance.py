@@ -1,10 +1,14 @@
 """Unit tests for the Instance type."""
 
+import pickle
+
 import pytest
 
 from repro import Instance, MalleableTask
 from repro.dag import chain_dag, diamond_dag
+from repro.io import instance_from_dict, instance_to_dict
 from repro.models import power_law_profile
+from repro.workloads import make_instance
 
 
 def tasks_for(m, n, d=0.5):
@@ -88,6 +92,31 @@ class TestQuantities:
     def test_tasks_tuple_immutable_view(self):
         assert isinstance(self.inst.tasks, tuple)
         assert len(self.inst.tasks) == 3
+
+
+class TestPickle:
+    def test_parsed_instance_pickles_without_segment_memos(self):
+        """The daemon parses a request with ``instance_from_dict`` (the
+        fingerprint check keys it) and ships the instance to a pool
+        worker as a pickle: no ``WorkSegment`` rides along, not even
+        after every task's segments were built."""
+        data = instance_to_dict(make_instance("layered", 200, 16, seed=1))
+        assert "fingerprint" in data
+        inst = instance_from_dict(data)
+        blob = pickle.dumps(inst)
+        assert b"WorkSegment" not in blob
+        for task in inst.tasks:
+            task.segments()
+        assert pickle.dumps(inst) == blob
+        clone = pickle.loads(blob)
+        assert clone.tasks == inst.tasks
+        assert clone.content_key() == inst.content_key()
+        assert [t.breakpoints for t in clone.tasks] == [
+            t.breakpoints for t in inst.tasks
+        ]
+        assert [t.segments() for t in clone.tasks] == [
+            t.segments() for t in inst.tasks
+        ]
 
 
 class TestPackageMeta:
