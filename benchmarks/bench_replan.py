@@ -21,11 +21,17 @@ phase 2, n ∈ {2000, 10000}, m = 8):
 5. assert the two sides agree on allotment, makespan and every schedule
    entry and that the warm schedule is validator-clean.
 
+Both sides are timed in CPU time (``time.process_time``) and counted
+in LP pivots (the ``repro_solver_lp_pivots_total`` counter), a number
+no clock can disturb.  Each cell runs ``REPEATS`` times, each run in a
+fresh ``bench_replan.py --cell N`` subprocess; a row holds the median
+and the range of the per-run warm/cold ratio and every run's pivots.
+
 The committed ``BENCH_replan.json`` comes from a full run;
 ``--smoke`` restricts to n = 2000 for CI, where
-``check_replan_regression.py`` gates on the within-run speedup
-(hardware-independent), the correctness flags and the replayed LIST
-steps.
+``check_replan_regression.py`` gates on the median within-run speedup
+(hardware-independent), the pivot counts, the correctness flags and
+the replayed LIST steps.
 
 Run:  PYTHONPATH=src python benchmarks/bench_replan.py [--smoke] [-o OUT]
 """
@@ -34,12 +40,16 @@ import argparse
 import json
 import os
 import platform
+import statistics
+import subprocess
+import sys
 import time
 
 import numpy as np
 
 from repro.core.instance import Instance
 from repro.dag import Dag
+from repro.obs.metrics import REGISTRY
 from repro.pipeline import ReplanSession, SchedulingPipeline
 from repro.schedule import validate_schedule
 from repro.workloads import make_tasks_for_dag
@@ -49,6 +59,16 @@ FULL_SIZES = (2000, 10000)
 SMOKE_SIZES = (2000,)
 AVG_OUT_DEGREE = 8.0
 RETIME_FACTOR = 1.37
+
+#: Fresh-process runs per cell; the gate reads the median ratio.
+REPEATS = 3
+
+#: Fields every run of a cell must agree on (the run is deterministic).
+_SAME_IN_EVERY_RUN = (
+    "shape", "n", "edges", "m", "retime_factor", "retimed_task", "mode",
+    "lp_edits", "list_steps_reused", "n_disturbed", "makespan",
+    "lower_bound",
+)
 
 
 def erdos_renyi_dag(n, seed, avg_out_degree=AVG_OUT_DEGREE):
@@ -74,26 +94,44 @@ def build_instance(n, seed=7):
     return Instance(tasks, dag, M, name=f"er-n{n}-m{M}-power")
 
 
+def _lp_pivots_since(before):
+    """LP iterations counted since ``before`` (a counter snapshot)."""
+    return int(
+        sum(
+            v
+            for (name, _labels), v in REGISTRY.counters_since(before).items()
+            if name == "repro_solver_lp_pivots_total"
+        )
+    )
+
+
+def _measured(fn, *args):
+    """``fn(*args)``, its CPU seconds and the LP pivots it made."""
+    before = REGISTRY.counter_state()
+    t0 = time.process_time()
+    out = fn(*args)
+    return out, time.process_time() - t0, _lp_pivots_since(before)
+
+
 def bench_cell(n, seed=7):
+    """One run of a cell, in the calling process: what a fresh
+    subprocess reports back to :func:`bench_size` as JSON."""
     inst = build_instance(n, seed)
 
     session = ReplanSession(inst)
-    t0 = time.perf_counter()
-    session.solve()
-    prime_s = time.perf_counter() - t0
+    _, prime_s, _ = _measured(session.solve)
 
     # One mid-instance task slows down by 37%.
     target = n // 2
-    times = [RETIME_FACTOR * t for t in inst.task(target).times]
+    times = [RETIME_FACTOR * t for t in inst.times[target].tolist()]
     child, delta = inst.evolve().retime(target, times).commit()
 
-    t0 = time.perf_counter()
-    result = session.resolve_delta(child, delta)
-    warm_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    cold = SchedulingPipeline("jz", "earliest-start").solve(child)
-    cold_s = time.perf_counter() - t0
+    result, warm_s, warm_pivots = _measured(
+        session.resolve_delta, child, delta
+    )
+    cold, cold_s, cold_pivots = _measured(
+        SchedulingPipeline("jz", "earliest-start").solve, child
+    )
 
     makespan_equal = result.report.makespan == cold.makespan
     allotment_equal = result.report.allotment == cold.allotment
@@ -121,7 +159,8 @@ def bench_cell(n, seed=7):
         "prime_s": prime_s,
         "warm_s": warm_s,
         "cold_s": cold_s,
-        "speedup": cold_s / warm_s if warm_s > 0 else None,
+        "warm_lp_pivots": warm_pivots,
+        "cold_lp_pivots": cold_pivots,
         "n_disturbed": (
             result.disturbance.n_disturbed
             if result.disturbance is not None
@@ -136,21 +175,68 @@ def bench_cell(n, seed=7):
     }
 
 
+def _run_cell(n):
+    out = subprocess.run(
+        [sys.executable, __file__, "--cell", str(n)],
+        check=True,
+        capture_output=True,
+        text=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def bench_size(n):
+    """``REPEATS`` fresh-process runs of the cell at ``n``, as one row:
+    the medians, the per-run ratio range and every run's pivots."""
+    runs = [_run_cell(n) for _ in range(REPEATS)]
+    row = {key: runs[0][key] for key in _SAME_IN_EVERY_RUN}
+    for run in runs[1:]:
+        moved = [k for k in _SAME_IN_EVERY_RUN if run[k] != row[k]]
+        assert not moved, f"n={n}: runs disagree on {moved}"
+    ratios = [
+        r["cold_s"] / r["warm_s"] if r["warm_s"] > 0 else float("inf")
+        for r in runs
+    ]
+    row.update(
+        runs=REPEATS,
+        clock="cpu",
+        prime_s=statistics.median(r["prime_s"] for r in runs),
+        warm_s=statistics.median(r["warm_s"] for r in runs),
+        cold_s=statistics.median(r["cold_s"] for r in runs),
+        speedup=statistics.median(ratios),
+        speedup_range=[min(ratios), max(ratios)],
+        warm_lp_pivots=[r["warm_lp_pivots"] for r in runs],
+        cold_lp_pivots=[r["cold_lp_pivots"] for r in runs],
+    )
+    for flag in ("makespan_equal", "allotment_equal", "schedule_equal",
+                 "validator_clean"):
+        row[flag] = all(r[flag] for r in runs)
+    return row
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true",
                     help="n = 2000 only (CI)")
     ap.add_argument("-o", "--output", default="BENCH_replan.json")
+    ap.add_argument("--cell", type=int, metavar="N", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    if args.cell is not None:
+        print(json.dumps(bench_cell(args.cell)))
+        return
 
     cells = []
     for n in SMOKE_SIZES if args.smoke else FULL_SIZES:
-        cell = bench_cell(n)
+        cell = bench_size(n)
         cells.append(cell)
+        lo, hi = cell["speedup_range"]
         print(
             f"erdos_renyi n={n:>6}: cold {cell['cold_s']:7.2f}s -> "
-            f"warm {cell['warm_s']:6.2f}s "
-            f"({cell['speedup']:5.1f}x, mode={cell['mode']}, "
+            f"warm {cell['warm_s']:6.2f}s CPU "
+            f"({cell['speedup']:5.1f}x median of {cell['runs']}, range "
+            f"{lo:.1f}-{hi:.1f}x; LP pivots warm "
+            f"{max(cell['warm_lp_pivots'])} vs cold "
+            f"{min(cell['cold_lp_pivots'])}; mode={cell['mode']}, "
             f"lp_edits={cell['lp_edits']}, "
             f"list_steps_reused={cell['list_steps_reused']}/{n}, "
             f"schedule_equal={cell['schedule_equal']})",
@@ -168,7 +254,9 @@ def main(argv=None):
             "warm_s includes the child's LP (9) assembly, LP edits, "
             "the warm LP solve, rounding and phase 2 resumed from the "
             "parent's LIST run (list_steps_reused of n steps replayed) "
-            "— the whole resolve_delta call, not just the LP"
+            "— the whole resolve_delta call, not just the LP; times "
+            "are CPU seconds, medians of fresh-process runs, and "
+            "speedup is the median per-run cold/warm ratio"
         ),
         "cells": cells,
         "speedup_at_n10000": next(

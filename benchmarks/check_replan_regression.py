@@ -11,10 +11,15 @@ Checks a ``bench_replan.py`` output (smoke or full):
    replayed at least one LIST step from the parent's run
    (``list_steps_reused > 0``): a single-task retime leaves every step
    before the retimed task becomes ready unchanged.
-3. **Within-run speedup** (hardware-independent) — each cell measures
+3. **Fewer LP pivots** (needs no clock) — in every run the warm
+   round's LP pivots must be below the cold solve's
+   (``max(warm_lp_pivots) < min(cold_lp_pivots)``): a warm start that
+   pivots as much as a cold one has lost its basis.
+4. **Within-run speedup** (hardware-independent) — each run measures
    the warm ``resolve_delta`` and a from-scratch solve of the same
-   evolved child in the *same* run; the warm side must be at least
-   ``--min-speedup`` (default 5×) faster at n >= 10000 and
+   evolved child in the *same* process, in CPU time; the median
+   cold/warm ratio over a cell's fresh-process runs must be at least
+   ``--min-speedup`` (default 5×) at n >= 10000 and
    ``--smoke-min-speedup`` (default 3×, the LP is a smaller fraction
    of the total there) below.
 
@@ -54,6 +59,15 @@ def main(argv=None):
             )
         elif not cell.get("list_steps_reused"):
             failures.append(f"{tag}: replayed no LIST step")
+        warm_pivots = cell.get("warm_lp_pivots") or []
+        cold_pivots = cell.get("cold_lp_pivots") or []
+        if not (warm_pivots and cold_pivots):
+            failures.append(f"{tag}: no LP pivot counts recorded")
+        elif max(warm_pivots) >= min(cold_pivots):
+            failures.append(
+                f"{tag}: warm LP pivots {warm_pivots} not below cold "
+                f"{cold_pivots}"
+            )
         required = (
             args.min_speedup if n >= 10000 else args.smoke_min_speedup
         )
@@ -61,12 +75,13 @@ def main(argv=None):
         status = "ok" if speedup >= required else "REGRESSED"
         print(
             f"{tag:>22}: warm {cell['warm_s']:.3f}s vs cold "
-            f"{cell['cold_s']:.3f}s = {speedup:.1f}x "
-            f"(required {required:.1f}x) {status}"
+            f"{cell['cold_s']:.3f}s CPU, median ratio {speedup:.1f}x "
+            f"over {cell.get('runs', 1)} runs (required {required:.1f}x) "
+            f"{status}; LP pivots warm {warm_pivots} vs cold {cold_pivots}"
         )
         if speedup < required:
             failures.append(
-                f"{tag}: speedup {speedup:.2f}x < {required:.1f}x"
+                f"{tag}: median speedup {speedup:.2f}x < {required:.1f}x"
             )
 
     if failures:

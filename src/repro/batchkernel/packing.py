@@ -166,12 +166,12 @@ def batched_trivial_lower_bounds(
     cheap relative to everything else.
     """
     min_times = np.concatenate(
-        [[t.min_time for t in inst.tasks] for inst in instances]
+        [inst.times[:, -1] for inst in instances]
     ) if bcsr.n_total else np.zeros(0)
     cp = batched_longest_path_lengths(bcsr, min_times)
     out = np.zeros(bcsr.n_blocks, dtype=float)
     for b, inst in enumerate(instances):
-        total = sum(t.sequential_work for t in inst.tasks)
+        total = sum(inst.times[:, 0].tolist())
         out[b] = max(float(cp[b]), total / inst.m)
     return out
 
@@ -229,9 +229,7 @@ def stack_profiles(instances: Sequence[Instance]) -> StackedProfiles:
     times = np.empty((n_total, m_max), dtype=float)
     for b, inst in enumerate(instances):
         m = int(m_blocks[b])
-        block = np.array(
-            [t.times for t in inst.tasks], dtype=float
-        ).reshape(inst.n_tasks, m)
+        block = inst.times
         s, e = node_ptr[b], node_ptr[b + 1]
         times[s:e, :m] = block
         if m < m_max:

@@ -1,17 +1,14 @@
 """Packed per-instance profile arrays (the CSR core's companion).
 
-The task profiles of an :class:`repro.core.Instance` live in per-task
-Python objects; every solver pass that needs "the duration of task j on
-``l`` processors" or "the work segments of task j" would pay attribute
-and method dispatch per task.  :func:`instance_arrays` packs the whole
-profile table into a handful of NumPy arrays once per instance — the
-processing-time matrix, the variable bounds of LP (9), the canonical
-breakpoints and the flattened work-segment chords of eq. (8) — built
-from the ``(n, m)`` times matrix by :func:`profile_image`, the one
-canonical-breakpoint kernel (the batched tier's
-:func:`repro.batchkernel.stack_profiles` runs it on its padded matrix).
-Phase 1 runs on this image alone: LP assembly, the ``w(x)`` read-back
-(:func:`work_of_times`) and critical-point rounding
+An :class:`repro.core.Instance` holds its task profiles as the ``(n, m)``
+times matrix (:attr:`~repro.core.Instance.times`).
+:func:`instance_arrays` adds, once per instance, what the solver reads
+beside it: the variable bounds of LP (9), the canonical breakpoints and
+the flattened work-segment chords of eq. (8), all built from the matrix
+by :func:`profile_image`, the one canonical-breakpoint kernel (the
+batched tier's :func:`repro.batchkernel.stack_profiles` runs it on its
+padded matrix).  Phase 1 runs on this image alone: LP assembly, the
+``w(x)`` read-back (:func:`work_of_times`) and critical-point rounding
 (:func:`repro.core.rounding.batched_round`) index instead of calling
 ``MalleableTask.segments``/``work_of_time``/``bracket``, which stay the
 per-task API and the test suite's reference.
@@ -159,9 +156,9 @@ class InstanceArrays(NamedTuple):
     n, m:
         Task and processor counts.
     times:
-        ``(n, m)`` matrix with ``times[j, l-1] = p_j(l)`` — the raw
-        profiles, so ``times[arange(n), alloc - 1]`` is the duration
-        vector of an allotment.
+        The instance's own read-only ``(n, m)`` matrix,
+        ``times[j, l-1] = p_j(l)``, so ``times[arange(n), alloc - 1]``
+        is the duration vector of an allotment.
     min_time, max_time:
         ``p_j(m)`` and ``p_j(1)`` per task (the LP (9) bounds on x_j).
     work_lo, brk_ptr, brk_level, brk_value, nseg, seg_task, seg_slope,
@@ -196,9 +193,7 @@ def instance_arrays(instance: Instance) -> InstanceArrays:
     """
     n = instance.n_tasks
     m = instance.m
-    times = np.array(
-        [t.times for t in instance.tasks], dtype=float
-    ).reshape(n, m)
+    times = instance.times
     return InstanceArrays(
         n=n,
         m=m,

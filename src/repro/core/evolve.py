@@ -36,8 +36,14 @@ The commit is engineered for the incremental re-solve path
   object); the child's array assemblies
   (:func:`repro.core.arrays.instance_arrays`,
   :func:`repro.core.lp.assemble_allotment_arrays`) are built from its
-  own tasks like any instance's, and the warm LP update diffs them
-  against the parent's;
+  own times matrix like any instance's, and the warm LP update diffs
+  them against the parent's;
+* the child's times matrix is the parent's surviving rows with the
+  retimed rows replaced and the added rows appended; each new row was
+  checked when it was recorded (:meth:`InstanceEvolution.retime`,
+  :meth:`InstanceEvolution.add_task` build a validated
+  :class:`~repro.core.task.MalleableTask`), and no per-task object of
+  the parent is built;
 * the child's content key is recomputed from its actual content (the
   memo starts empty — it is never copied from the parent), keeping the
   service cache and the campaign resume store honest under edits.
@@ -187,9 +193,9 @@ class InstanceEvolution:
         model assumptions (checked here, via :class:`MalleableTask`).
         """
         task = self._check_parent_id(task, "retime")
-        old = self._parent.task(task)
         replacement = MalleableTask(
-            times, name=old.name if name is None else name
+            times,
+            name=self._parent.task_names[task] if name is None else name,
         )
         if replacement.max_processors != self._parent.m:
             raise ValueError(
@@ -369,14 +375,24 @@ class InstanceEvolution:
             # every cached level decomposition — is shared outright.
             child_dag = parent.dag
 
-        tasks = [
-            self._retimes.get(j, parent.task(j)) for j in survivors
-        ]
-        tasks.extend(t for (t, _p, _s) in self._added)
-        child = Instance(
-            tasks,
+        # Surviving rows, retimed rows replaced, added rows appended.
+        times = parent.times[survivors]
+        names = [parent.task_names[j] for j in survivors]
+        for j, task in self._retimes.items():
+            times[node_map[j]] = task.times
+            names[node_map[j]] = task.name
+        if self._added:
+            times = np.concatenate((
+                times,
+                np.array(
+                    [t.times for (t, _p, _s) in self._added], dtype=float
+                ),
+            ))
+            names.extend(t.name for (t, _p, _s) in self._added)
+        child = Instance._trusted(
+            times,
+            tuple(names),
             child_dag,
-            parent.m,
             name=parent.name if name is None else name,
         )
 

@@ -85,16 +85,11 @@ def instance_content_key(instance: "Instance") -> str:
     edge input order, duplicate arcs, labels, or a pickle round-trip.
     Prefer :meth:`repro.core.Instance.content_key`, which memoizes this.
     """
-    from .arrays import instance_arrays
-
-    # The memoized array image is byte-identical to hashing each task's
-    # profile in index order and skips per-task dispatch on large
-    # instances.
     csr = instance.dag.to_csr()
     return content_digest(
         instance.m,
         instance.n_tasks,
-        instance_arrays(instance).times,
+        instance.times,
         csr.succ_indptr,
         csr.succ_indices,
     )

@@ -506,9 +506,9 @@ def _loop_tier(
     """
     dag = instance.dag
     n = instance.n_tasks
-    dur = [instance.task(j).time(alloc[j]) for j in range(n)]
     alloc_arr = np.asarray(alloc, dtype=np.intp)
-    dur_arr = np.asarray(dur, dtype=float)
+    dur_arr = instance.times[np.arange(n), alloc_arr - 1]
+    dur = dur_arr.tolist()
     reused = _resume_step(previous, instance, alloc_arr, dur_arr)
     timeline = ResourceTimeline(instance.m)
     entries = _replay(previous, reused, timeline)

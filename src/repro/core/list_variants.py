@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..schedule import ResourceTimeline, Schedule, ScheduledTask
 from .instance import Instance
 from .list_scheduler import capped_allotment, list_schedule
@@ -89,9 +91,9 @@ def list_schedule_with_priority(
     if not (1 <= cap <= m):
         raise ValueError(f"mu must be in [1, {m}], got {mu}")
     alloc = capped_allotment(allotment, cap)
-    durations = [
-        instance.task(j).time(alloc[j]) for j in range(instance.n_tasks)
-    ]
+    durations = instance.times[
+        np.arange(instance.n_tasks), np.asarray(alloc, dtype=np.intp) - 1
+    ].tolist()
 
     if priority == "critical-path":
         levels = bottom_levels(instance, durations)

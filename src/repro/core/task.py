@@ -21,6 +21,13 @@ Consequences proved in the paper and surfaced here as methods:
 This module implements the task type, assumption checking, the continuous
 work function ``w(x)``, its segment-line decomposition for the LP, and the
 fractional processor count ``l*(x) = w(x)/x`` of eq. (12).
+
+The same rules also run over a whole ``(n, m)`` times matrix at once
+(:func:`profile_violations`, :func:`first_profile_error`): that is how
+an :class:`~repro.core.Instance` is checked when it is parsed, generated
+or evolved in bulk.  :class:`MalleableTask` keeps its scalar checks as
+the one-task path and as the reference the matrix kernel is tested
+against.
 """
 
 from __future__ import annotations
@@ -28,10 +35,14 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "AssumptionError",
     "WorkSegment",
     "MalleableTask",
+    "first_profile_error",
+    "profile_violations",
 ]
 
 #: Relative tolerance for floating-point assumption checks.  Profiles are
@@ -79,6 +90,101 @@ class WorkSegment(NamedTuple):
 
 def _close(a: float, b: float, scale: float) -> bool:
     return abs(a - b) <= _RTOL * max(abs(a), abs(b), scale, 1.0)
+
+
+def _canonical_breaks(
+    times: Tuple[float, ...]
+) -> Tuple[Tuple[int, float], ...]:
+    """Canonical strictly-decreasing breakpoints: ``(l, p(l))`` with the
+    smallest ``l`` for each distinct time, ordered by increasing ``l``
+    (hence strictly decreasing time)."""
+    breaks: List[Tuple[int, float]] = [(1, times[0])]
+    for l in range(2, len(times) + 1):
+        if times[l - 1] < breaks[-1][1] * (1.0 - _PLATEAU_RTOL):
+            breaks.append((l, times[l - 1]))
+    return tuple(breaks)
+
+
+def _value_error(l: int, t: float) -> ValueError:
+    return ValueError(f"p({l}) = {t!r} must be a positive finite number")
+
+
+def _assumption1_error(bad: List[int], profile: Tuple[float, ...]):
+    return AssumptionError(
+        f"Assumption 1 (non-increasing time) fails at l={bad}: "
+        f"profile={profile}"
+    )
+
+
+def _assumption2_error(bad: List[int], profile: Tuple[float, ...]):
+    return AssumptionError(
+        f"Assumption 2 (concave speedup) fails at l={bad}: "
+        f"profile={profile}"
+    )
+
+
+def _not_close(a: np.ndarray, b: np.ndarray, scale) -> np.ndarray:
+    """Elementwise ``not _close(a, b, scale)``, the same floats."""
+    bound = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.maximum(scale, 1.0))
+    return ~(np.abs(a - b) <= _RTOL * bound)
+
+
+def profile_violations(
+    times: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-task rules of :class:`MalleableTask` over an ``(n, m)``
+    times matrix, as three boolean masks.
+
+    * ``bad_value`` ``(n, m)``: ``p(l)`` is not a positive finite number;
+    * ``bad1`` ``(n, m-1)``: column ``l-1`` is set iff ``l`` is in the
+      row's :meth:`MalleableTask.assumption1_violations`;
+    * ``bad2`` ``(n, m-1)``: likewise for
+      :meth:`MalleableTask.assumption2_violations`.
+
+    The comparisons, the :func:`_close` tolerance and every IEEE
+    operation are the per-task ones (the speedups ``p(1)/p(l)`` and
+    their forward differences from ``s(0) = 0``).  The assumption masks
+    of a row with a bad value mean nothing: the task is rejected on
+    the value first.
+    """
+    with np.errstate(all="ignore"):
+        bad_value = ~(np.isfinite(times) & (times > 0.0))
+        hi, lo = times[:, :-1], times[:, 1:]
+        bad1 = (lo > hi) & _not_close(lo, hi, times[:, :1])
+        diffs = np.diff(times[:, :1] / times, axis=1, prepend=0.0)
+        lhs, rhs = diffs[:, 1:], diffs[:, :-1]
+        bad2 = (lhs > rhs) & _not_close(lhs, rhs, 1.0)
+    return bad_value, bad1, bad2
+
+
+def first_profile_error(
+    times: np.ndarray,
+) -> Optional[Tuple[int, ValueError]]:
+    """``(j, error)`` for the lowest-indexed row ``j`` that
+    ``MalleableTask(times[j])`` rejects, or ``None`` when every row
+    passes.
+
+    ``error`` is the exception that construction raises, with its exact
+    text: a :class:`ValueError` for the first bad value, else an
+    :class:`AssumptionError` listing every offending ``l`` of
+    Assumption 1, else of Assumption 2.
+    """
+    bad_value, bad1, bad2 = profile_violations(times)
+    if not (bad_value.any() or bad1.any() or bad2.any()):
+        return None
+    rows = bad_value.any(axis=1) | bad1.any(axis=1) | bad2.any(axis=1)
+    j = int(rows.argmax())
+    profile = tuple(times[j].tolist())
+    if bad_value[j].any():
+        l0 = int(bad_value[j].argmax())
+        return j, _value_error(l0 + 1, profile[l0])
+    if bad1[j].any():
+        return j, _assumption1_error(
+            (np.flatnonzero(bad1[j]) + 1).tolist(), profile
+        )
+    return j, _assumption2_error(
+        (np.flatnonzero(bad2[j]) + 1).tolist(), profile
+    )
 
 
 class MalleableTask:
@@ -149,9 +255,7 @@ class MalleableTask:
             raise ValueError("profile must contain at least p(1)")
         for l0, t in enumerate(times_t):
             if not math.isfinite(t) or t <= 0.0:
-                raise ValueError(
-                    f"p({l0 + 1}) = {t!r} must be a positive finite number"
-                )
+                raise _value_error(l0 + 1, t)
         if model not in self.MODELS:
             raise ValueError(
                 f"unknown model {model!r}; known: {self.MODELS}"
@@ -159,17 +263,23 @@ class MalleableTask:
         self._times = times_t
         self._name = name
         self._model = model
-        # Canonical strictly-decreasing breakpoints: list of (l, p(l)) with
-        # the smallest l for each distinct time, ordered by increasing l
-        # (hence strictly decreasing time).
-        breaks: List[Tuple[int, float]] = [(1, times_t[0])]
-        for l in range(2, len(times_t) + 1):
-            if times_t[l - 1] < breaks[-1][1] * (1.0 - _PLATEAU_RTOL):
-                breaks.append((l, times_t[l - 1]))
-        self._breaks = tuple(breaks)
+        self._breaks = _canonical_breaks(times_t)
         self._segments: Optional[Tuple[WorkSegment, ...]] = None
         if validate:
             self.check_assumptions()
+
+    @classmethod
+    def _view(cls, times: Sequence[float], name: Optional[str]):
+        """An unvalidated task over a row of an instance's times matrix
+        (Python floats already checked positive and finite), built
+        without the constructor's per-value conversion and checks."""
+        self = cls.__new__(cls)
+        self._times = times_t = tuple(times)
+        self._name = name
+        self._model = "concave-speedup"
+        self._breaks = _canonical_breaks(times_t)
+        self._segments = None
+        return self
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -300,17 +410,11 @@ class MalleableTask:
         assumptions hold (see the class docstring for the two models)."""
         bad1 = self.assumption1_violations()
         if bad1:
-            raise AssumptionError(
-                f"Assumption 1 (non-increasing time) fails at l={bad1}: "
-                f"profile={self._times}"
-            )
+            raise _assumption1_error(bad1, self._times)
         if self._model == "concave-speedup":
             bad2 = self.assumption2_violations()
             if bad2:
-                raise AssumptionError(
-                    f"Assumption 2 (concave speedup) fails at l={bad2}: "
-                    f"profile={self._times}"
-                )
+                raise _assumption2_error(bad2, self._times)
         else:  # convex-work (generalized model, paper's Conclusion)
             if not self.satisfies_assumption2prime():
                 raise AssumptionError(

@@ -27,6 +27,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .graph import Dag
 
 __all__ = [
@@ -94,22 +96,54 @@ def layered_dag(
     return Dag(n_nodes, edges)
 
 
+#: Doubles drawn per step of :func:`erdos_renyi_dag`'s pair sweep, so its
+#: memory stays O(chunk + arcs) at any ``n``.
+_DRAW_CHUNK = 1 << 16
+
+
+def _numpy_stream(rng: random.Random) -> np.random.RandomState:
+    """A NumPy generator that continues ``rng``'s MT19937 stream.
+
+    ``random.Random`` and ``numpy.random.RandomState`` share the
+    Mersenne Twister and build each ``random()`` double from two 32-bit
+    words the same way, so handing over the state yields the very
+    doubles ``rng.random()`` would have returned, in order.
+    """
+    _version, internal, _gauss = rng.getstate()
+    stream = np.random.RandomState()
+    stream.set_state(
+        ("MT19937", np.asarray(internal[:-1], dtype=np.uint32), internal[-1])
+    )
+    return stream
+
+
 def erdos_renyi_dag(
     n_nodes: int, edge_prob: float = 0.2, seed: Optional[int] = None
 ) -> Dag:
     """G(n, p) DAG: each forward pair ``(i, j)``, ``i < j``, gets an arc with
     probability ``edge_prob`` (ordering by node index guarantees acyclicity).
+
+    Pair ``(i, j)`` takes the arc iff its ``random()`` draw, in the
+    row-major order of the upper triangle, is below ``edge_prob``; the
+    draws are made in chunks of :data:`_DRAW_CHUNK` by a NumPy stream
+    continuing the seeded ``random.Random`` (:func:`_numpy_stream`).
     """
     if not (0.0 <= edge_prob <= 1.0):
         raise ValueError("edge_prob must be in [0, 1]")
-    rng = _rng(seed)
-    edges = [
-        (i, j)
-        for i in range(n_nodes)
-        for j in range(i + 1, n_nodes)
-        if rng.random() < edge_prob
-    ]
-    return Dag(n_nodes, edges)
+    stream = _numpy_stream(_rng(seed))
+    n = max(int(n_nodes), 0)
+    # Row i of the triangle holds the n-1-i pairs (i, i+1..n-1).
+    row_start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.arange(n - 1, -1, -1), out=row_start[1:])
+    total = int(row_start[-1])
+    hits = []
+    for begin in range(0, total, _DRAW_CHUNK):
+        draws = stream.random_sample(min(_DRAW_CHUNK, total - begin))
+        hits.append(begin + np.flatnonzero(draws < edge_prob))
+    pos = np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
+    i = np.searchsorted(row_start, pos, side="right") - 1
+    j = pos - row_start[i] + i + 1
+    return Dag(n_nodes, np.stack((i, j), axis=1))
 
 
 # ---------------------------------------------------------------------------

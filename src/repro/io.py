@@ -20,9 +20,14 @@ without it (written before the field existed) still load.
 Instance shapes are strict: ``m`` and ``n_tasks`` are integers, there
 are exactly ``n_tasks`` tasks, every ``times`` row has ``m`` numeric
 entries (JSON ints or floats; no strings, booleans or nulls) and every
-edge is a ``[u, v]`` pair of integers.  :func:`content_key_from_dict`
-checks the same shapes and hashes the arrays without building an
-:class:`~repro.core.Instance`.
+edge is a ``[u, v]`` pair of integers.  Both readers pass one gate
+(:func:`_instance_matrix`): the shape checks, then the ``(n, m)`` times
+matrix, in which a JSON integer too large for a double is a
+:class:`ValueError` naming its task.  :func:`content_key_from_dict`
+hashes that matrix without building an :class:`~repro.core.Instance`;
+:func:`instance_from_dict` checks every row of it at once
+(:func:`repro.core.task.first_profile_error`) and builds no per-task
+object.
 
 Schedule::
 
@@ -43,7 +48,7 @@ import numpy as np
 
 from .core.fingerprint import FINGERPRINT_VERSION, content_digest
 from .core.instance import Instance
-from .core.task import MalleableTask
+from .core.task import first_profile_error
 from .dag import Dag
 from .dag.graph import canonical_successors
 from .schedule import Schedule, ScheduledTask
@@ -90,8 +95,10 @@ def instance_to_dict(instance: Instance) -> Dict[str, Any]:
         "m": instance.m,
         "n_tasks": instance.n_tasks,
         "tasks": [
-            {"name": t.name, "times": list(t.times)}
-            for t in instance.tasks
+            {"name": name, "times": times}
+            for name, times in zip(
+                instance.task_names, instance.times.tolist()
+            )
         ],
         "edges": [list(e) for e in instance.dag.edges],
         "fingerprint": instance_fingerprint(instance),
@@ -103,26 +110,30 @@ def instance_from_dict(data: Dict[str, Any]) -> Instance:
     """Deserialize an instance; validates format/version and assumptions.
 
     Malformed shapes (see the module docstring) and invalid processing
-    times (NaN, negative, zero, infinite, non-numeric) raise a
-    :class:`ValueError`; time errors name the offending task on top of
-    the model layer's own diagnostic — the numeric rules live in
-    :class:`MalleableTask` alone, this layer only adds the file
-    context.  When the dict carries a ``fingerprint``, the loaded
-    content is re-hashed and a mismatch raises — the file was corrupted
-    or edited after it was written.
+    times (NaN, negative, zero, infinite, too large for a double,
+    non-numeric) raise a :class:`ValueError`.  A time error names the
+    lowest-indexed offending task in front of the text
+    ``MalleableTask`` itself would raise for that row (values first,
+    then Assumption 1, then Assumption 2); the matrix kernel
+    (:func:`repro.core.task.first_profile_error`) applies the same
+    rules to every row at once.  When the dict carries a
+    ``fingerprint``, the loaded content is re-hashed and a mismatch
+    raises — the file was corrupted or edited after it was written.
     """
-    m, n, rows, edges = _instance_shape(data)
-    tasks = []
-    for j, (t, times) in enumerate(zip(data["tasks"], rows)):
-        try:
-            tasks.append(MalleableTask(times, name=t.get("name")))
-        except (ValueError, TypeError) as exc:
-            # Includes AssumptionError; re-raised as ValueError with
-            # the task pinpointed for file-level diagnostics.
-            raise ValueError(
-                f"task {j} ({t.get('name')!r}): {exc}"
-            ) from None
-    instance = Instance(tasks, Dag(n, edges), m, name=data.get("name"))
+    m, n, times, edges = _instance_matrix(data)
+    tasks = data["tasks"]
+    bad = first_profile_error(times)
+    if bad is not None:
+        j, exc = bad
+        # AssumptionError included: re-raised as ValueError with the
+        # task pinpointed for file-level diagnostics.
+        raise ValueError(f"task {j} ({tasks[j].get('name')!r}): {exc}")
+    instance = Instance._trusted(
+        times,
+        tuple(t.get("name") for t in tasks),
+        Dag(n, edges),
+        name=data.get("name"),
+    )
     _check_fingerprint(data, instance.content_key)
     return instance
 
@@ -146,10 +157,7 @@ def content_key_from_dict(data: Dict[str, Any]) -> str:
     key only finds content its own full parse accepted, and every full
     body it receives goes through :func:`instance_from_dict`.
     """
-    m, n, rows, edges = _instance_shape(data)
-    times = np.fromiter(
-        chain.from_iterable(rows), dtype=float, count=n * m
-    ).reshape(n, m)
+    m, n, times, edges = _instance_matrix(data)
     key = content_digest(m, n, times, *canonical_successors(n, edges))
     _check_fingerprint(data, lambda: key)
     return key
@@ -237,6 +245,36 @@ def _instance_shape(
                     f"got {e!r}"
                 )
     return m, n, rows, edges
+
+
+def _instance_matrix(
+    data: Any,
+) -> Tuple[int, int, np.ndarray, Sequence[Any]]:
+    """The shared front of both instance readers.
+
+    Returns ``(m, n, times, edges)`` with ``times`` the fresh ``(n, m)``
+    float matrix of the tasks' ``times`` rows, after
+    :func:`_instance_shape`.  A JSON integer too large for a double
+    raises :class:`ValueError` naming its task; that search runs only
+    once the one-pass conversion has failed.
+    """
+    m, n, rows, edges = _instance_shape(data)
+    try:
+        times = np.fromiter(
+            chain.from_iterable(rows), dtype=float, count=n * m
+        )
+    except OverflowError:
+        for j, row in enumerate(rows):
+            for l0, x in enumerate(row):
+                try:
+                    float(x)
+                except OverflowError:
+                    raise ValueError(
+                        f"task {j} ({data['tasks'][j].get('name')!r}): "
+                        f"p({l0 + 1}) is an integer too large for a double"
+                    ) from None
+        raise
+    return m, n, times.reshape(n, m), edges
 
 
 def _check_fingerprint(data: Dict[str, Any], key: Callable[[], str]) -> None:

@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .schedule import Schedule, ScheduledTask
 from .timeline import ResourceTimeline
 
@@ -205,7 +207,7 @@ def replan_schedule(
             raise ValueError(f"completed task {j} not in instance")
         start = float(completed[j])
         procs = old_alloc.get(j, alloc[j])
-        dur = instance.task(j).time(procs)
+        dur = instance.time(j, procs)
         timeline.reserve(start, start + dur, procs)
         completion[j] = start + dur
         entries.append(
@@ -226,7 +228,9 @@ def replan_schedule(
         (j for j in range(n) if not scheduled[j] and remaining_preds[j] == 0),
         key=anchor_key,
     )
-    dur = [instance.task(j).time(alloc[j]) for j in range(n)]
+    dur = instance.times[
+        np.arange(n), np.asarray(alloc, dtype=np.intp) - 1
+    ].tolist()
 
     def earliest(j: int) -> float:
         ready_at = max(

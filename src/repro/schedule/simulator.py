@@ -61,7 +61,7 @@ def simulate(instance: Instance, schedule: Schedule) -> SimulationTrace:
     heap: List[Tuple[float, int, int, str, int]] = []
     seq = 0
     for e in schedule.entries:
-        expected = instance.task(e.task).time(e.processors)
+        expected = instance.time(e.task, e.processors)
         if abs(expected - e.duration) > _TOL * scale:
             raise RuntimeError(
                 f"task {e.task} duration {e.duration} != profile time "

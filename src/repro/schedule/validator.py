@@ -43,7 +43,7 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> List[str]:
             bad.append(f"unknown task id {e.task}")
             continue
         seen.add(e.task)
-        expected = instance.task(e.task).time(e.processors)
+        expected = instance.time(e.task, e.processors)
         if abs(e.duration - expected) > _TOL * scale:
             bad.append(
                 f"task {e.task}: duration {e.duration} != "

@@ -19,16 +19,22 @@ Speedup models:
 
 Base sequential times ``p1`` are drawn log-uniformly from
 ``[base_time/3, 3·base_time]`` to create work heterogeneity.
+
+The draws fill one ``(n, m)`` times matrix, checked at once by the
+matrix kernel (:func:`repro.core.task.first_profile_error`); no task
+object is validated one at a time.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Optional
+from typing import List, Optional
+
+import numpy as np
 
 from .core.instance import Instance
-from .core.task import MalleableTask
+from .core.task import MalleableTask, first_profile_error
 from .dag import Dag, random_family
 from .models import (
     amdahl_profile,
@@ -62,20 +68,35 @@ def _draw_profile(
     raise ValueError(f"unknown model {model!r}; known: {MODELS}")
 
 
+def _draw_times(
+    n: int, m: int, model: str, seed: Optional[int], base_time: float
+) -> np.ndarray:
+    """The checked ``(n, m)`` times matrix of ``n`` seeded draws."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    rng = random.Random(seed)
+    times = np.array(
+        [_draw_profile(rng, model, m, base_time) for _ in range(n)],
+        dtype=float,
+    ).reshape(n, m)
+    bad = first_profile_error(times)
+    if bad is not None:
+        raise bad[1]
+    return times
+
+
 def make_tasks_for_dag(
     dag: Dag,
     m: int,
     model: str = "power",
     seed: Optional[int] = None,
     base_time: float = 10.0,
-):
+) -> List[MalleableTask]:
     """Draw one malleable task per DAG node; returns a task list."""
-    rng = random.Random(seed)
+    times = _draw_times(dag.n_nodes, m, model, seed, base_time)
     return [
-        MalleableTask(
-            _draw_profile(rng, model, m, base_time), name=f"J{j}"
-        )
-        for j in range(dag.n_nodes)
+        MalleableTask._view(row, f"J{j}")
+        for j, row in enumerate(times.tolist())
     ]
 
 
@@ -94,10 +115,13 @@ def make_instance(
     the profile draws).
     """
     dag = random_family(family, size, seed=seed)
-    tasks = make_tasks_for_dag(
-        dag, m, model=model, seed=None if seed is None else seed + 1,
-        base_time=base_time,
+    times = _draw_times(
+        dag.n_nodes, m, model, None if seed is None else seed + 1,
+        base_time,
     )
-    return Instance(
-        tasks, dag, m, name=f"{family}-n{dag.n_nodes}-m{m}-{model}"
+    return Instance._trusted(
+        times,
+        tuple(f"J{j}" for j in range(dag.n_nodes)),
+        dag,
+        name=f"{family}-n{dag.n_nodes}-m{m}-{model}",
     )

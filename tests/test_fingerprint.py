@@ -361,6 +361,7 @@ MALFORMED = {
     "bool-time": _set_time(True),
     "null-time": _set_time(None),
     "list-time": _set_time([1.0]),
+    "huge-int-time": _set_time(10**400),
     "edges-not-array": _set("edges", {"0": 1}),
     "tasks-not-array": _set("tasks", "none"),
 }
@@ -393,3 +394,9 @@ class TestStrictWireShapes:
             instance_from_dict(_twin(_short_row))
         with pytest.raises(ValueError, match=r"task 2 .*p\(2\) = True"):
             instance_from_dict(_twin(_set_time(True)))
+        for reader in (instance_from_dict, content_key_from_dict):
+            with pytest.raises(
+                ValueError,
+                match=r"task 2 .*p\(2\) is an integer too large",
+            ):
+                reader(_twin(_set_time(10**400)))
