@@ -4,8 +4,10 @@ Sweeps the JZ pipeline over n ∈ {500, 2k, 10k, 50k} × three DAG shapes
 (chain, layered, Erdős–Rényi) and, for every cell, runs phase 2 through
 both implementations:
 
-* **new** — the CSR/array path (:func:`repro.core.list_schedule`:
-  array-backed ready frontier, grouped batch earliest-start queries);
+* **new** — :func:`repro.core.list_schedule` on the tier
+  :func:`~repro.core.list_scheduler.dispatch_tier` picks: LIST on the
+  free-processor staircase for wide DAGs (the array tier), the loop
+  below;
 * **baseline** — the pre-PR path (:func:`repro.core.list_schedule_loop`:
   per-task Python loop with the incremental earliest-start cache).
 
@@ -15,7 +17,11 @@ assembly was *slower* than today's packed-array assembly, so the
 reported end-to-end speedups are conservative.  Every cell asserts
 ``schedules_identical`` — the two phase-2 paths must agree float for
 float — and a strategy sweep at n=500 re-asserts the identity for every
-registered allotment strategy on every shape.
+registered allotment strategy on every shape.  Every cell also records
+the work of one traced ``list_schedule`` call, made outside the timed
+region: ``timeline_refreshes`` (earliest-start evaluations),
+``frontier_steps`` (decided steps) and the cap ``mu``, which
+``check_scale_regression.py`` gates without a clock.
 
 DAGs are generated by vectorized bench-local samplers (deterministic per
 seed) because the library's G(n, p) generator draws all O(n²) pairs in
@@ -43,6 +49,7 @@ from repro.core.lp import solve_allotment_lp
 from repro.core.parameters import jz_parameters
 from repro.core.rounding import rounding_stretch_report
 from repro.dag import Dag
+from repro.obs import trace as obs_trace
 from repro.pipeline import list_strategies
 from repro.workloads import make_tasks_for_dag
 
@@ -140,6 +147,9 @@ def bench_cell(shape, n, repeats):
     )
     identical = _entries(sched_new) == _entries(sched_base)
     assert identical, f"{shape} n={n}: array path diverged from baseline"
+    with obs_trace.tracing() as tracer:
+        list_schedule(inst, allot, mu=params.mu)
+    totals = tracer.counter_totals()
 
     new_total = phase1_s + round_s + new_s
     base_total = phase1_s + round_s + base_s
@@ -160,6 +170,11 @@ def bench_cell(shape, n, repeats):
         "schedules_identical": identical,
         "makespan": sched_new.makespan,
         "lower_bound": lp.objective,
+        "work": {
+            "timeline_refreshes": totals["timeline_refreshes"],
+            "frontier_steps": totals["frontier_steps"],
+            "mu": params.mu,
+        },
     }
 
 

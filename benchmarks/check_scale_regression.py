@@ -1,6 +1,6 @@
-"""CI gate: fail when the n=2000 end-to-end time regresses.
+"""CI gate: fail when the n=2000 end-to-end time or LIST's work regresses.
 
-Two complementary checks over a fresh ``bench_scale.py --smoke`` output:
+Three complementary checks over a fresh ``bench_scale.py --smoke`` output:
 
 1. **Committed baseline** — for every shape present in both files, the
    measured ``total_new_s`` at n=2000 must stay within ``--factor``
@@ -12,6 +12,12 @@ Two complementary checks over a fresh ``bench_scale.py --smoke`` output:
    run; the array path must keep an end-to-end speedup of at least
    ``--min-speedup`` (default 1.5×) there.  A regression that merely
    tracks runner speed passes check 1 but not this one, and vice versa.
+3. **Work per step** (needs no clock) — in the same cell, LIST may make
+   at most ``μ`` earliest-start evaluations per decided step
+   (``timeline_refreshes <= mu * frontier_steps`` from the cell's traced
+   call): the staircase sweeps one ``F(a)`` per demand with ready tasks,
+   and ``μ`` caps the demands.  A kernel that re-queries the ready
+   frontier makes hundreds per step.
 
 Every cell must additionally report ``schedules_identical``.
 
@@ -97,6 +103,24 @@ def main(argv=None):
                 f"erdos_renyi n={args.n}: within-run speedup "
                 f"{speedup:.2f}x < required {args.min_speedup:.2f}x"
             )
+        work = er.get("work")
+        if work is None:
+            failures.append(
+                f"erdos_renyi n={args.n}: no work counters recorded"
+            )
+        else:
+            steps, mu = work["frontier_steps"], work["mu"]
+            per_step = work["timeline_refreshes"] / max(1, steps)
+            status = "ok" if per_step <= mu else "REGRESSED"
+            print(
+                f"erdos_renyi n={args.n} earliest-start evaluations per "
+                f"decided step: {per_step:.2f} (at most mu={mu}) {status}"
+            )
+            if per_step > mu:
+                failures.append(
+                    f"erdos_renyi n={args.n}: {per_step:.2f} "
+                    f"earliest-start evaluations per step > mu={mu}"
+                )
     if failures:
         print("bench regression gate FAILED:", file=sys.stderr)
         for f in failures:

@@ -1,23 +1,25 @@
 """Batched phase-2 LIST: B independent frontiers advanced in lockstep.
 
 One scheduler loop drives *every* block of a batch at once.  Each
-iteration selects one task per still-unfinished block (the exact
-argmin-with-tolerance-fallback selection of
-:func:`repro.core.list_scheduler.list_schedule`), reserves all the
+iteration selects one task per still-unfinished block (an argmin,
+with the exact scan of
+:func:`repro.core.list_scheduler.list_schedule_reference` as the
+fallback on a sub-tolerance near-tie), reserves all the
 selected windows on a ``(B, K)`` batch timeline with masked vector
 ops, and refreshes every cached earliest start the new reservations
 may have moved — so the per-step Python overhead is paid once per
 *batch*, not once per instance.
 
-Bit-identity argument: per block, the sequence of selections,
-reservations and earliest-start refreshes is step-for-step the array
-scheduler's (which is itself pinned bit-identical to the reference
-transcription).  The batch timeline answers queries with the same
-covering-breakpoint / next-blocked-time float comparisons as
-:class:`repro.schedule.timeline.ArrayTimeline`, and its watermark
-compaction only discards breakpoints strictly below every future
-query's ready time (selected starts are non-decreasing per block, up
-to the selection tolerance), which cannot change any answer.
+Bit-identity argument: per block, the sequence of selections and
+reservations is step-for-step the reference transcription's, and each
+refresh returns the exact earliest start.  The batch timeline answers
+queries with the same covering-breakpoint / next-blocked-time float
+comparisons as :meth:`repro.schedule.ResourceTimeline.earliest_start`
+(one sweep per query there, one shared suffix per ``(row, amount)``
+pair here), and its watermark compaction only discards breakpoints
+strictly below every future query's ready time (selected starts are
+non-decreasing per block, up to the selection tolerance), which cannot
+change any answer.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ _COMPACT_MARGIN = 1e-6
 class BatchTimeline:
     """B resource profiles as one ``(B, K)`` breakpoint array pair.
 
-    Row ``b`` mirrors an :class:`~repro.schedule.timeline.ArrayTimeline`
+    Row ``b`` mirrors a :class:`~repro.schedule.ResourceTimeline`
     for a machine with ``m[b]`` processors: ``times[b, :sizes[b]]`` are
     the breakpoints (strictly increasing, starting at 0.0 initially),
     ``usage[b, k]`` the busy count on ``[times[b,k], times[b,k+1])``.
@@ -172,7 +174,7 @@ class BatchTimeline:
         not per entry); each entry then needs only its covering index
         and the stay test — the same candidates, in the same order,
         with the same float comparisons as
-        ``ArrayTimeline.earliest_start_many``.
+        ``ResourceTimeline.earliest_start``.
 
         ``ready`` may be a stale cached start that has fallen below
         the row's first retained breakpoint (watermark compaction).

@@ -28,23 +28,43 @@ Implementation note — two tiers and a reference
 -----------------------------------------------
 :func:`list_schedule` runs on the tier :func:`dispatch_tier` picks:
 
-* the **array tier** — the ready frontier lives in NumPy vectors
-  (indegree counters, a cached earliest-start vector, durations);
-  selection is an ``argmin`` over the earliest-start vector (with an
-  exact scalar fallback for the rare sub-tolerance tie), and
-  revalidation after each reservation batches the overlapping ready
-  tasks into one :meth:`repro.schedule.timeline.ArrayTimeline
-  .earliest_start_many` query;
+* the **array tier** — LIST on the free-processor staircase.  Each pick
+  starts no earlier than the ones before it, up to the selection
+  tolerance, so every reservation starts at or before the latest pick
+  start ``S``, and after ``S`` busy processors only ever drop.  The
+  reservations still running at ``S`` (at most ``m``) form a staircase,
+  and one sweep over their ends gives ``F(a)``, the first time ``≥ S``
+  with ``a`` processors free, for every demand ``a`` with ready tasks.
+  The kernel's invariant: every ready task's exact earliest start is
+  ``≥ S``.  Such a start is ``max(r_j, F(a_j))``, from the task's
+  precedence ready time ``r_j`` and the staircase; its duration does
+  not enter.  Ready tasks sit in per-demand heaps, *pending* keyed
+  by ``(r_j, j)`` while ``r_j > F(a)`` and *released* keyed by ``j``
+  once ``r_j ≤ F(a)`` (``F`` never falls, so a released task stays
+  released), and a pick is a min over at most ``μ`` heap tops.  Every
+  reservation also goes onto an exact
+  :class:`~repro.schedule.ResourceTimeline`, whose ``reserve`` checks
+  capacity.  A step falls back to the literal selection, the exact
+  :func:`_scan_select` over ``ResourceTimeline.earliest_start`` of every
+  ready task, in two cases: when distinct starts lie within the
+  tolerance of the smallest (the tolerant scan may then pick a task
+  that starts a hair later), and when a start could lie below ``S``,
+  which breaks the invariant.  The second case follows a near-tie pick
+  that leaves another ready task's start below the new ``S``, a
+  successor of a task picked below ``S`` that is ready before ``S``
+  (its duration is below the tolerance), and a resumed prefix whose
+  ready tasks became ready before its last start.  Fallback steps
+  continue until the invariant holds again.
 * the **loop tier** — a per-task Python loop with an incremental
-  earliest-start cache, faster on tiny instances and narrow frontiers;
-  :func:`list_schedule_loop` forces it (the scaling benchmark's
-  baseline).
+  earliest-start cache; :func:`list_schedule_loop` forces it (the
+  scaling benchmark's baseline).
 
 :func:`list_schedule_reference` is the literal transcription of Table 1,
 the executable specification.  The produced schedules are identical
 float for float: all three compute the same ``start + duration`` sums on
-the same IEEE doubles and select with the same index order and
-tolerance — asserted by the test suite on random instances.
+the same IEEE doubles, return starts that are ready times or
+reservation ends, and select with the same index order and tolerance —
+asserted by the test suite on random instances.
 
 Run record and resume
 ---------------------
@@ -65,9 +85,11 @@ changed:
   (``k* = n`` when ``D`` is empty; ``k* = 0`` when the ``Dag`` object or
   ``m`` differ);
 * the timeline is rebuilt from the earlier run's first ``k*`` rectangles
-  through ``reserve`` (its capacity check kept), the ready frontier's
-  earliest starts are evaluated afresh on it, and LIST continues from
-  step ``k*`` on the tier :func:`dispatch_tier` picks.
+  through ``reserve`` (its capacity check kept), and on the array tier
+  the staircase from those still running at the prefix's latest start;
+  the ready frontier's earliest starts are evaluated afresh on it, and
+  LIST continues from step ``k*`` on the tier :func:`dispatch_tier`
+  picks.
 
 A run without an earlier record is a resume from the empty prefix; both
 tiers start every run that way.  The pick order is stored, not read back
@@ -78,9 +100,10 @@ the other one starts a hair earlier.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -88,7 +111,6 @@ from ..dag import Dag
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
 from ..schedule import ResourceTimeline, Schedule, ScheduledTask
-from ..schedule.timeline import ArrayTimeline
 from .instance import Instance
 
 _FRONTIER_STEPS = _METRICS.counter(
@@ -143,18 +165,19 @@ def dispatch_tier(instance: Instance) -> str:
     """Which kernel tier LIST runs on for ``instance``.
 
     ``"loop"`` — the per-task Python loop (tiny or narrow instances);
-    ``"array"`` — the vectorized frontier over CSR arrays.  The batch
-    engine records this per instance (a ``"batched"`` tier exists as
-    well, chosen by :func:`repro.batchkernel.solve_batch` callers — see
+    ``"array"`` — LIST on the free-processor staircase (module
+    docstring).  The batch engine records this per instance (a
+    ``"batched"`` tier exists as well, chosen by
+    :func:`repro.batchkernel.solve_batch` callers — see
     :mod:`repro.engine.batch`).
 
-    Below 256 tasks the array tier's constant set-up costs more than the
-    whole loop-tier run, so the level structure is never built.  Above,
-    the average level width ``n / #levels`` tracks the frontier width:
-    on deep, thin DAGs the ready set holds a handful of tasks and the
-    per-task loop beats per-iteration NumPy overhead; the crossover sits
-    near 100 (measured).  Both tiers are bit-identical, so this is purely
-    a constant-factor choice.
+    The rule: the loop tier below 256 tasks (the level structure is
+    never built) and when the average level width ``n / #levels`` is
+    under 96, the array tier otherwise.  It was set when the array tier
+    was a vectorized frontier that lost to the loop on narrow frontiers.
+    It is kept as the staircase's scope until the loop and batched tiers
+    retire together, so that only wide instances run the staircase.
+    Both tiers are bit-identical, so the rule moves no schedule.
     """
     n = instance.n_tasks
     if n < 256:
@@ -179,10 +202,12 @@ def _checked_cap(instance: Instance, mu: Optional[int]) -> int:
     return cap
 
 
-def _scan_select(ready_ids: np.ndarray, est: np.ndarray) -> int:
-    """The literal selection scan of Table 1 over exact cached starts:
-    iterate ready tasks in index order, replacing the incumbent only on
-    a strictly-more-than-tolerance improvement."""
+def _scan_select(
+    ready_ids: np.ndarray, est: Union[np.ndarray, Dict[int, float]]
+) -> int:
+    """The literal selection scan of Table 1 over exact starts ``est``
+    (indexed by task id): iterate ready tasks in index order, replacing
+    the incumbent only on a strictly-more-than-tolerance improvement."""
     best_j, best_t = -1, float("inf")
     for j in ready_ids.tolist():
         t = est[j]
@@ -273,19 +298,6 @@ class _Work:
 
         return counted
 
-    def counting_many(
-        self, query: Callable[..., np.ndarray]
-    ) -> Callable[..., np.ndarray]:
-        """A batched earliest-start query wrapped to count its windows."""
-
-        def counted(
-            ready: np.ndarray, durations: np.ndarray, amounts: np.ndarray
-        ) -> np.ndarray:
-            self.refreshes += len(ready)
-            return query(ready, durations, amounts)
-
-        return counted
-
 
 _Tier = Tuple[List[ScheduledTask], np.ndarray, np.ndarray, int]
 
@@ -307,7 +319,7 @@ def _run(
     # timeline's query, so a disarmed query runs unwrapped.
     tracer = obs_trace.active()
     work = None if tracer is None else _Work()
-    kernel = _loop_tier if tier == "loop" else _array_tier
+    kernel = _loop_tier if tier == "loop" else _staircase_tier
     entries, alloc_arr, dur, reused = kernel(instance, alloc, previous, work)
 
     n = instance.n_tasks
@@ -376,118 +388,181 @@ def _replay(
     return prefix
 
 
-def _array_tier(
+def _near_in_heap(
+    heap: List[Tuple[float, int]], low: float, lim: float
+) -> bool:
+    """Whether the ``(r_j, j)`` heap ``heap``, whose top ready time is
+    ``low``, holds a ready time in ``(low, lim]``.  Visits only the
+    entries at or below ``lim``: a heap keeps them in a subtree at the
+    root."""
+    size = len(heap)
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        r = heap[k][0]
+        if r > lim:
+            continue
+        if r != low:
+            return True
+        stack.extend(c for c in (2 * k + 1, 2 * k + 2) if c < size)
+    return False
+
+
+def _staircase_tier(
     instance: Instance,
-    alloc_list: List[int],
+    alloc: List[int],
     previous: Optional[ListRun],
     work: Optional[_Work],
 ) -> _Tier:
-    """The vectorized frontier over CSR arrays (module docstring)."""
-    from .arrays import instance_arrays
-
-    n = instance.n_tasks
-    csr = instance.dag.to_csr()
-    alloc = np.asarray(alloc_list, dtype=np.intp)
-    dur = instance_arrays(instance).times[np.arange(n), alloc - 1]
-    reused = _resume_step(previous, instance, alloc, dur)
-    timeline = ArrayTimeline(instance.m)
+    """LIST on the free-processor staircase (module docstring)."""
+    n, m = instance.n_tasks, instance.m
+    alloc_arr = np.asarray(alloc, dtype=np.intp)
+    dur_arr = instance.times[np.arange(n), alloc_arr - 1]
+    dur = dur_arr.tolist()
+    reused = _resume_step(previous, instance, alloc_arr, dur_arr)
+    timeline = ResourceTimeline(m)
     entries = _replay(previous, reused, timeline)
-    earliest_start_many = timeline.earliest_start_many
+    earliest_start = timeline.earliest_start
     if work is not None:
-        earliest_start_many = work.counting_many(earliest_start_many)
+        earliest_start = work.counting(earliest_start)
+    csr = instance.dag.to_csr()
+    succ_ptr = csr.succ_indptr.tolist()
+    succ = csr.succ_indices.tolist()
+    indeg = csr.in_degrees().tolist()
 
-    succ_indptr, succ_indices = csr.succ_indptr, csr.succ_indices
-    pred_indptr, pred_indices = csr.pred_indptr, csr.pred_indices
-    est = np.full(n, np.inf)
-    completion = np.zeros(n)
-    indeg = csr.in_degrees().copy()
-    if reused:
-        done = previous.order[:reused]
-        completion[done] = [e.end for e in entries]
-        finished = np.zeros(n, dtype=bool)
-        finished[done] = True
-        indeg -= np.bincount(
-            succ_indices[finished[csr.edge_sources()]], minlength=n
-        )
-        indeg[done] = -1  # scheduled: never ready again
-    ready_ids = np.flatnonzero(indeg == 0)
-    # Earliest start of the frontier: a source's is 0 on the empty
-    # timeline; after a replayed prefix every frontier task is evaluated
-    # on the rebuilt timeline from its precedence ready time.
-    est[ready_ids] = 0.0
-    if reused and ready_ids.size:
-        for s in ready_ids.tolist():
-            p0, p1 = pred_indptr[s], pred_indptr[s + 1]
-            if p1 > p0:
-                est[s] = completion[pred_indices[p0:p1]].max()
-        est[ready_ids] = earliest_start_many(
-            est[ready_ids], dur[ready_ids], alloc[ready_ids]
-        )
+    # ready_at[j]: the latest completion among j's scheduled predecessors
+    # (r_j once all are scheduled; 0 for a source).
+    ready_at = [0.0] * n
+    S = 0.0
+    for e in entries:
+        j, end = e.task, e.end
+        indeg[j] = -1  # scheduled: never ready again
+        if e.start > S:
+            S = e.start
+        for s in succ[succ_ptr[j]:succ_ptr[j + 1]]:
+            indeg[s] -= 1
+            if end > ready_at[s]:
+                ready_at[s] = end
+    # The staircase: ends and demands of the reservations running past
+    # S, sorted by end, and the processors free at S.
+    running = sorted((e.end, e.processors) for e in entries if e.end > S)
+    ends = [t for t, _ in running]
+    amts = [a for _, a in running]
+    free = m - sum(amts)
 
+    top = max(alloc, default=1)
+    released: List[List[int]] = [[] for _ in range(top + 1)]
+    pending: List[List[Tuple[float, int]]] = [[] for _ in range(top + 1)]
+    n_ready = 0
+    exact = False  # a ready task's start could lie below S
+    for j in range(n):
+        if indeg[j] == 0:
+            pending[alloc[j]].append((ready_at[j], j))
+            n_ready += 1
+            exact = exact or ready_at[j] < S
+    for heap in pending:
+        heapify(heap)
+
+    inf = float("inf")
     for _ in range(n - reused):
-        if not ready_ids.size:  # pragma: no cover - impossible on a DAG
+        if not n_ready:  # pragma: no cover - impossible on a DAG
             raise RuntimeError("no ready task but unscheduled tasks remain")
         if work is not None:
-            work.step(int(ready_ids.size))
-        # Schedule the ready task with the smallest earliest start.  The
-        # argmin over the (index-sorted) ready frontier — first
-        # occurrence = lowest task id — equals the reference tolerance
-        # scan unless distinct values sit within the tolerance of the
-        # minimum; then run the exact scalar scan.
-        vals = est[ready_ids]
-        bi = int(np.argmin(vals))
-        vmin = vals[bi]
-        near = vals <= vmin + _SELECT_TOL
-        if np.count_nonzero(near) > 1 and bool(
-            np.any(vals[near] != vmin)
-        ):
-            j = _scan_select(ready_ids, est)
-        else:
-            j = int(ready_ids[bi])
-        best_t = float(est[j])
-        dj = float(dur[j])
-        aj = int(alloc[j])
-        end = best_t + dj
-        timeline.reserve(best_t, end, aj)
-        completion[j] = end
-        entries.append(
-            ScheduledTask(task=j, start=best_t, processors=aj, duration=dj)
-        )
-        est[j] = np.inf
-        ready_ids = ready_ids[ready_ids != j]
-
-        # Newly-ready successors: their ready time is the max completion
-        # over their predecessors (all scheduled by now).
-        s0, s1 = succ_indptr[j], succ_indptr[j + 1]
-        newly = None
-        if s1 > s0:
-            succ = succ_indices[s0:s1]
-            indeg[succ] -= 1
-            newly = succ[indeg[succ] == 0]
-            if newly.size:
-                for s in newly.tolist():
-                    p0, p1 = pred_indptr[s], pred_indptr[s + 1]
-                    est[s] = completion[pred_indices[p0:p1]].max()
-                ready_ids = np.sort(np.concatenate([ready_ids, newly]))
+            work.step(n_ready)
+        j = -1
+        if not exact:
+            # One sweep down the staircase gives F(a) for every demand
+            # with ready tasks; each demand offers its best task.
+            i, f, t = 0, free, S
+            swept = []
+            best_t, best_a = inf, 0
+            for a in range(1, top + 1):
+                pa, ra = pending[a], released[a]
+                if not (pa or ra):
+                    continue
+                while f < a:
+                    f += amts[i]
+                    t = ends[i]
+                    i += 1
+                while pa and pa[0][0] <= t:
+                    heappush(ra, heappop(pa)[1])
+                v, k = (t, ra[0]) if ra else pa[0]
+                swept.append((v, a))
+                if v < best_t or (v == best_t and k < j):
+                    best_t, j, best_a = v, k, a
+            if work is not None:
+                work.refreshes += len(swept)
+            # Distinct starts within the tolerance of the smallest: the
+            # tolerant scan may pick another task.
+            lim = best_t + _SELECT_TOL
+            for v, a in swept:
+                pa, ra = pending[a], released[a]
+                if v != best_t:
+                    near = v <= lim
+                elif ra:
+                    near = bool(pa) and pa[0][0] <= lim
+                else:
+                    near = _near_in_heap(pa, best_t, lim)
+                if near:
+                    j = -1
+                    break
             else:
-                newly = None
+                if released[best_a]:
+                    heappop(released[best_a])
+                else:
+                    heappop(pending[best_a])
+        if j < 0:
+            # The exact fallback: Table 1's scan over the exact starts.
+            ids = np.sort(
+                [k for a in range(1, top + 1) for k in released[a]]
+                + [k for a in range(1, top + 1) for _, k in pending[a]]
+            )
+            est = {
+                k: earliest_start(ready_at[k], dur[k], alloc[k])
+                for k in ids.tolist()
+            }
+            j = _scan_select(ids, est)
+            best_t = est.pop(j)
+            a = alloc[j]
+            if j in released[a]:
+                released[a].remove(j)
+                heapify(released[a])
+            else:
+                pending[a].remove((ready_at[j], j))
+                heapify(pending[a])
+            new_s = max(S, best_t)
+            exact = any(t < new_s for t in est.values())
+        else:
+            exact = False
 
-        # One mixed batch query per iteration refreshes every start that
-        # the new reservation may have moved: ready tasks whose cached
-        # window overlaps it, plus the newly-ready tasks (whose ``est``
-        # currently holds just the precedence ready time).
-        if ready_ids.size:
-            t_r = est[ready_ids]
-            refresh = (t_r < end) & (t_r + dur[ready_ids] > best_t)
-            if newly is not None:
-                refresh |= np.isin(ready_ids, newly, assume_unique=True)
-            if refresh.any():
-                ids = ready_ids[refresh]
-                est[ids] = earliest_start_many(
-                    est[ids], dur[ids], alloc[ids]
-                )
+        d, a = dur[j], alloc[j]
+        end = best_t + d
+        timeline.reserve(best_t, end, a)
+        entries.append(
+            ScheduledTask(task=j, start=best_t, processors=a, duration=d)
+        )
+        n_ready -= 1
+        if best_t > S:
+            S = best_t
+            done = bisect_right(ends, S)
+            if done:
+                free += sum(amts[:done])
+                del ends[:done], amts[:done]
+        if end > S:
+            k = bisect_right(ends, end)
+            ends.insert(k, end)
+            amts.insert(k, a)
+            free -= a
+        for s in succ[succ_ptr[j]:succ_ptr[j + 1]]:
+            if end > ready_at[s]:
+                ready_at[s] = end
+            indeg[s] -= 1
+            if not indeg[s]:
+                heappush(pending[alloc[s]], (ready_at[s], s))
+                n_ready += 1
+                exact = exact or ready_at[s] < S
 
-    return entries, alloc, dur, reused
+    return entries, alloc_arr, dur_arr, reused
 
 
 def _loop_tier(

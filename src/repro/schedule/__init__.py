@@ -11,7 +11,7 @@ from .metrics import (
 from .replan import ScheduleDiff, diff_schedules, replan_schedule
 from .schedule import Schedule, ScheduledTask
 from .simulator import SimulationEvent, SimulationTrace, simulate
-from .timeline import ArrayTimeline, ResourceTimeline
+from .timeline import ResourceTimeline
 from .validator import (
     InfeasibleScheduleError,
     assert_feasible,
@@ -19,7 +19,6 @@ from .validator import (
 )
 
 __all__ = [
-    "ArrayTimeline",
     "InfeasibleScheduleError",
     "ResourceTimeline",
     "Schedule",

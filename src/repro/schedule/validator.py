@@ -2,8 +2,9 @@
 
 Checks the three feasibility conditions of Section 1:
 
-1. **completeness & consistency** — every task appears exactly once and its
-   duration equals its profile time at the recorded allotment;
+1. **completeness & consistency** — every task appears exactly once, its
+   allotment lies in ``[1, m]`` and its duration equals its profile time
+   at that allotment;
 2. **capacity** — at every instant the active processors sum to at most
    ``m`` (checked by an event sweep over start/end events);
 3. **precedence** — ``C_i <= τ_j`` for every arc ``(i, j)``.
@@ -43,6 +44,12 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> List[str]:
             bad.append(f"unknown task id {e.task}")
             continue
         seen.add(e.task)
+        if not (1 <= e.processors <= instance.m):
+            bad.append(
+                f"task {e.task}: allotment {e.processors} outside "
+                f"[1, {instance.m}]"
+            )
+            continue
         expected = instance.time(e.task, e.processors)
         if abs(e.duration - expected) > _TOL * scale:
             bad.append(

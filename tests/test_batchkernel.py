@@ -406,7 +406,7 @@ def test_runner_batched_group_falls_back_whole(monkeypatch):
 # ---------------------------------------------------------------------------
 def test_tiny_n_dispatch_allocates_no_batch_arrays(monkeypatch):
     """Solves below 256 tasks run entirely on the loop tier: no
-    ArrayTimeline, no instance_arrays pack, no level structure."""
+    staircase kernel, no instance_arrays pack, no level structure."""
     insts = [make_instance("erdos_renyi", n, 4, seed=3) for n in (50, 200)]
     expected = [
         _entries(list_schedule_loop(inst, [1] * inst.n_tasks))
@@ -419,7 +419,7 @@ def test_tiny_n_dispatch_allocates_no_batch_arrays(monkeypatch):
         )
 
     monkeypatch.setattr(
-        "repro.core.list_scheduler.ArrayTimeline", forbidden
+        "repro.core.list_scheduler._staircase_tier", forbidden
     )
     monkeypatch.setattr("repro.core.arrays.instance_arrays", forbidden)
     monkeypatch.setattr("repro.dag.csr.DagCsr.depths", forbidden)

@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from lp9_reference import build_allotment_lp, build_deadline_model
 from lp_oracle import solve_with_scipy
@@ -42,7 +42,6 @@ from repro.dag.csr import (
     topo_order_levels,
 )
 from repro.lpsolve import LpError
-from repro.schedule.timeline import ArrayTimeline, ResourceTimeline
 from repro.workloads import make_instance
 
 # ---------------------------------------------------------------------------
@@ -61,11 +60,6 @@ def random_dags(draw, max_nodes=24):
         else st.just([])
     )
     return Dag(n, edges)
-
-
-durations_for = st.floats(
-    min_value=0.01, max_value=100.0, allow_nan=False, allow_infinity=False
-)
 
 
 # ---------------------------------------------------------------------------
@@ -267,60 +261,8 @@ def test_deadline_assembly_matches_model_matrix(trial):
 
 
 # ---------------------------------------------------------------------------
-# array timeline and the array-native LIST
+# the array-native LIST
 # ---------------------------------------------------------------------------
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(1, 9),
-    st.lists(
-        st.tuples(
-            st.lists(
-                st.tuples(
-                    st.integers(1, 9),
-                    durations_for,
-                    st.floats(0.0, 20.0, allow_nan=False),
-                ),
-                min_size=1,
-                max_size=6,
-            ),
-            st.booleans(),
-        ),
-        max_size=40,
-    ),
-)
-# 40 disjoint reservations leave 80 breakpoints, past the 64 the
-# array storage starts with; the last batch queries the grown profile.
-@example(
-    2,
-    [([(1, 0.5, float(k))], True) for k in range(40)]
-    + [([(2, 0.7, 0.0), (1, 0.3, 0.2), (2, 0.4, 10.1), (1, 99.0, 3.0)],
-        False)],
-)
-def test_array_timeline_matches_resource_timeline(m, steps):
-    """``earliest_start_many`` — the query LIST runs — answers single-
-    and multi-entry batches exactly as ``ResourceTimeline`` does entry
-    by entry; the first entry of a batch may then be reserved."""
-    ref = ResourceTimeline(m)
-    arr = ArrayTimeline(m)
-    for batch, do_reserve in steps:
-        amounts = [min(amount, m) for amount, _, _ in batch]
-        durations = [dur for _, dur, _ in batch]
-        ready = [t for _, _, t in batch]
-        want = [
-            ref.earliest_start(t, dur, amount)
-            for t, dur, amount in zip(ready, durations, amounts)
-        ]
-        got = arr.earliest_start_many(
-            np.array(ready), np.array(durations), np.array(amounts)
-        )
-        assert got.tolist() == want
-        if do_reserve:
-            start, dur, amount = want[0], durations[0], amounts[0]
-            ref.reserve(start, start + dur, amount)
-            arr.reserve(start, start + dur, amount)
-            assert ref.profile() == arr.profile()
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,12 +14,19 @@ from repro.core.list_scheduler import (
     list_run,
     list_schedule_reference,
 )
-from repro.dag import chain_dag, diamond_dag, independent_dag, layered_dag
+from repro.dag import (
+    FAMILIES,
+    chain_dag,
+    diamond_dag,
+    independent_dag,
+    layered_dag,
+    random_family,
+)
 from repro.models import power_law_profile
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import REGISTRY
 from repro.schedule import busy_profile
-from repro.workloads import make_tasks_for_dag
+from repro.workloads import MODELS, make_tasks_for_dag
 
 
 def make_inst(dag, m, d=0.5, p1=10.0):
@@ -345,3 +352,160 @@ def test_resume_keeps_the_pick_order_on_a_near_tie(tier):
     assert _entries(third.schedule) == _entries(
         list_schedule_reference(again, alloc)
     )
+
+
+# ---------------------------------------------------------------------------
+# the array tier: LIST on the free-processor staircase
+# ---------------------------------------------------------------------------
+
+#: lcm(1..8): ``c * _LCM // min(l, k)`` is an integral profile with
+#: linear speed-up up to ``k`` processors and none beyond, so its work
+#: never falls.
+_LCM = 840
+
+
+def _integral_instance(dag, m, rng):
+    """Integer-valued times: many starts tie exactly."""
+    tasks = []
+    for _ in range(dag.n_nodes):
+        c, k = rng.randint(1, 9), rng.randint(1, min(m, 8))
+        tasks.append(
+            MalleableTask([c * _LCM // min(l, k) for l in range(1, m + 1)])
+        )
+    return Instance(tasks, dag, m)
+
+
+def _staircase(instance, alloc, mu=None, previous=None):
+    return list_scheduler._run(instance, alloc, mu, previous, "array")
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.sampled_from(sorted(FAMILIES)),
+    st.sampled_from(MODELS + ("integral",)),
+    st.integers(1, 32),
+    st.integers(2, 40),
+    st.integers(0, 2**16),
+)
+def test_staircase_equals_reference(family, model, m, size, seed):
+    """Property: the array tier, forced on small instances, equals the
+    Table 1 reference entry for entry, on a cold run and on a run
+    resumed from the record of a retimed parent's run."""
+    rng = random.Random(seed)
+    dag = random_family(family, size, seed=seed)
+    n = dag.n_nodes
+    if model == "integral":
+        inst = _integral_instance(dag, m, rng)
+    else:
+        inst = Instance(
+            make_tasks_for_dag(dag, m, model=model, seed=seed), dag, m
+        )
+    alloc = [rng.randint(1, m) for _ in range(n)]
+    mu = rng.choice([None, 1, (m + 1) // 2, rng.randint(1, m)])
+
+    cold = _staircase(inst, alloc, mu)
+    assert _entries(cold.schedule) == _entries(
+        list_schedule_reference(inst, alloc, mu=mu)
+    )
+    inner = [j for j in range(n) if dag.in_degree(j)]
+    if not inner:
+        return
+    j = rng.choice(inner)
+    factor = rng.choice([0.5, 2.0, 3.0])
+    child, _ = inst.evolve().retime(
+        j, [factor * t for t in inst.task(j).times]
+    ).commit()
+    resumed = _staircase(child, alloc, mu, previous=cold)
+    assert resumed.reused > 0
+    assert _entries(resumed.schedule) == _entries(
+        list_schedule_reference(child, alloc, mu=mu)
+    )
+    assert resumed.order.tolist() == _staircase(child, alloc, mu).order.tolist()
+
+
+def _unit_instance(times, arcs, m):
+    """Tasks given by their one-processor time ``t`` on ``m``
+    processors; every allotment below is 1."""
+    return Instance(
+        [MalleableTask([t] + [0.6 * t] * (m - 1)) for t in times],
+        Dag(len(times), arcs),
+        m,
+    )
+
+
+@pytest.mark.parametrize("tier", ["loop", "array"])
+def test_near_tie_among_pending_ready_times(tier):
+    """X (task 0) and Y (task 1) become ready 5e-13 apart, after Q and
+    P, while a third processor is idle: both wait on their ready times,
+    not on the staircase.  LIST picks X, the lower id, although Y is
+    ready a hair earlier; the tie sits inside one demand's pending
+    heap."""
+    d = 1.0 + 5e-13
+    # ids: X=0 (after Q), Y=1 (after P), P=2, Q=3
+    inst = _unit_instance([0.5, 0.5, 1.0, d], [(3, 0), (2, 1)], 3)
+    alloc = [1] * 4
+    run = list_scheduler._run(inst, alloc, None, None, tier)
+    assert run.order.tolist() == [2, 3, 0, 1]
+    assert _entries(run.schedule) == _entries(
+        list_schedule_reference(inst, alloc)
+    )
+    assert run.schedule[1].start < run.schedule[0].start
+
+
+@pytest.mark.parametrize("tier", ["loop", "array"])
+def test_near_tie_pick_leaves_a_start_below_the_last_pick(tier):
+    """X (task 0, ready at 1) and Y (task 1, ready 1e-13 earlier) tie
+    within the tolerance on two processors; LIST picks X, and Y, which
+    still fits before X's start, then starts below it: its start is not
+    on the staircase of X's pick."""
+    q = 1.0 - 1e-13
+    # ids: X=0 (after P), Y=1 (after Q), P=2, Q=3
+    inst = _unit_instance([0.5, 0.5, 1.0, q], [(2, 0), (3, 1)], 2)
+    alloc = [1] * 4
+    run = list_scheduler._run(inst, alloc, None, None, tier)
+    assert run.order.tolist() == [2, 3, 0, 1]
+    assert run.schedule[1].start == q < run.schedule[0].start
+    assert _entries(run.schedule) == _entries(
+        list_schedule_reference(inst, alloc)
+    )
+
+
+@pytest.mark.parametrize("tier", ["loop", "array"])
+def test_successor_ready_below_the_last_pick(tier):
+    """As above, and Y lasts 1e-14, below the tolerance: its successor
+    Z (task 4) is ready before X's start and starts there, below the
+    latest pick start, although Y itself was picked from below it."""
+    q = 1.0 - 1e-13
+    # ids: X=0 (after P), Y=1 (after Q), P=2, Q=3, Z=4 (after Y)
+    inst = _unit_instance(
+        [0.5, 1e-14, 1.0, q, 0.5], [(2, 0), (3, 1), (1, 4)], 2
+    )
+    alloc = [1] * 5
+    run = list_scheduler._run(inst, alloc, None, None, tier)
+    assert run.order.tolist() == [2, 3, 0, 1, 4]
+    assert run.schedule[4].start == run.schedule[1].end
+    assert run.schedule[4].start < run.schedule[0].start
+    assert _entries(run.schedule) == _entries(
+        list_schedule_reference(inst, alloc)
+    )
+
+
+def test_staircase_counts_at_most_mu_evaluations_per_step():
+    """On the array tier ``timeline_refreshes`` counts one evaluation
+    per demand swept per decided step: at least one, at most ``μ``, with
+    no near-tie to fall back on."""
+    dag = layered_dag(320, 3, 0.03, seed=5)
+    inst = Instance(make_tasks_for_dag(dag, 8, seed=5), dag, 8)
+    assert dispatch_tier(inst) == "array"
+    rng = random.Random(5)
+    alloc = [rng.randint(1, 8) for _ in range(inst.n_tasks)]
+    with obs_trace.tracing() as tracer:
+        list_schedule(inst, alloc, mu=3)
+    totals = tracer.counter_totals()
+    steps = totals["frontier_steps"]
+    assert steps == inst.n_tasks
+    assert steps <= totals["timeline_refreshes"] <= 3 * steps

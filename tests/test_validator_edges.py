@@ -117,3 +117,24 @@ class TestFullMachineAllotments:
         assert validate_schedule(inst, sched) == []
         # Full-machine tasks can only run one at a time.
         assert simulate(inst, sched).peak_busy == 4
+
+
+class TestMachineSizeMismatch:
+    def test_entry_wider_than_the_instance_is_reported(self):
+        # A schedule for an 8-processor machine checked against an m=4
+        # instance: the 8-wide entry is a violation, not a crash, and
+        # the machine-size line is reached.
+        inst = _flat_instance(2, 4, edges=[(0, 1)])
+        sched = Schedule(
+            8,
+            [
+                ScheduledTask(0, 0.0, 8, 1.0),
+                ScheduledTask(1, 1.0, 2, 1.0),
+            ],
+        )
+        bad = validate_schedule(inst, sched)
+        assert "task 0: allotment 8 outside [1, 4]" in bad
+        assert "schedule machine size 8 != instance m 4" in bad
+        # Task 1's entry is in range and its duration is still checked.
+        assert not any(b.startswith("task 1:") for b in bad)
+        assert any("capacity exceeded" in b for b in bad)
