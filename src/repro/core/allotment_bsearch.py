@@ -12,11 +12,15 @@ This module implements the avoided variant faithfully so the claim can be
 quality (both phase-1 formulations relax the same problem) but strictly
 more LP solves for the binary search.
 
-Because the search solves the *same* LP a few dozen times with only the
-deadline changing, the constraint matrix is assembled **once** per
-instance (:func:`assemble_deadline_arrays`, memoized); each probe only
-swaps the completion-variable upper bounds and solves the result in a
-fresh HiGHS model, cold, so no probe depends on the ones before it.
+Because LP (9) holds both criteria, [18]'s deadline LP *is* LP (9) in
+its ε-constraint form: the objective moves from ``C`` to ``Σ_j w̄_j``,
+the critical-path column ``L`` gets the upper bound ``d``, and ``C``
+stays free, so ``L <= C`` and ``W/m <= C`` go slack.  Every probe reads
+the one memoized LP (9) assembly
+(:func:`repro.core.lp.assemble_allotment_arrays`, which ``jz`` and
+``ltw`` build for the same instance), swaps in that objective and the
+bound of ``L`` on copies, and solves the result in a fresh HiGHS model,
+cold, so no probe depends on the ones before it.
 
 API
 ---
@@ -30,7 +34,7 @@ and a report with the search trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -38,14 +42,13 @@ from ..lpsolve import LpError
 from ..lpsolve.scipy_backend import solve_ub_arrays
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
-from .arrays import instance_arrays, memoized_on_instance, work_of_times
+from .arrays import instance_arrays, work_of_times
 from .instance import Instance
+from .lp import assemble_allotment_arrays
 from .rounding import round_fractional_times
 
 __all__ = [
-    "assemble_deadline_arrays",
     "deadline_work_lp",
-    "DeadlineArrays",
     "DeadlineLpResult",
     "BsearchReport",
     "bsearch_allotment",
@@ -61,108 +64,12 @@ class DeadlineLpResult:
     x: Tuple[float, ...]
 
 
-class DeadlineArrays(NamedTuple):
-    """The deadline LP assembled in bulk (``A_ub v <= b_ub`` form).
-
-    Variables ``x_j = 3j``, ``C_j = 3j + 1``, ``w_j = 3j + 2``; rows
-    grouped per task (fit, work segments), then the precedence arcs.
-    The deadline itself only appears as the upper bound of the ``C_j``
-    variables (``c_cols``), so one assembly serves every probe of the
-    binary search.
-    """
-
-    n_variables: int
-    c: np.ndarray  #: objective coefficients (1 on every w̄_j)
-    lo: np.ndarray  #: variable lower bounds
-    hi: np.ndarray  #: variable upper bounds, *without* a deadline
-    c_cols: np.ndarray  #: column indices of the C_j variables
-    rows: np.ndarray  #: COO row indices of A_ub
-    cols: np.ndarray  #: COO column indices of A_ub
-    vals: np.ndarray  #: COO values of A_ub
-    b_ub: np.ndarray  #: right-hand sides
-
-
-@memoized_on_instance
-def assemble_deadline_arrays(instance: Instance) -> DeadlineArrays:
-    """Assemble the deadline LP's constraint matrix once, memoized.
-
-    Built from the packed profile arrays and the DAG's CSR edge arrays,
-    with no per-task or per-edge Python work.
-    """
-    arr = instance_arrays(instance)
-    n = arr.n
-    nv = 3 * n
-    xs = np.arange(n) * 3
-    cs = xs + 1
-    ws = xs + 2
-
-    lo = np.zeros(nv)
-    hi = np.full(nv, np.inf)
-    lo[xs] = arr.min_time
-    hi[xs] = arr.max_time
-    lo[ws] = arr.work_lo
-    c = np.zeros(nv)
-    c[ws] = 1.0
-
-    # Per-task row block: fit_j, then the work segments of J_j.
-    nseg = arr.nseg
-    off = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(nseg + 1, out=off[1:])
-    fit_rows = off[:-1]
-    t_idx = arr.seg_task
-    # Flat segment p of task j sits at row off[j] + 1 + (p - segcum[j]);
-    # off[j] - segcum[j] = j, so the row is simply p + j + 1.
-    seg_rows = np.arange(len(t_idx)) + t_idx + 1
-
-    csr = instance.dag.to_csr()
-    edge_u = csr.edge_sources()
-    edge_v = csr.succ_indices
-    ne = len(edge_v)
-    prec_rows = off[-1] + np.arange(ne)
-    n_rows = int(off[-1]) + ne
-
-    rows = np.concatenate(
-        [
-            np.repeat(fit_rows, 2),  # x_j - C_j <= 0
-            np.repeat(seg_rows, 2),  # slope·x_j - w_j <= -intercept
-            np.repeat(prec_rows, 3),  # C_i + x_j - C_j <= 0
-        ]
-    )
-    cols = np.concatenate(
-        [
-            np.column_stack([xs, cs]).ravel(),
-            np.column_stack([xs[t_idx], ws[t_idx]]).ravel(),
-            np.column_stack([cs[edge_u], xs[edge_v], cs[edge_v]]).ravel(),
-        ]
-    )
-    vals = np.concatenate(
-        [
-            np.tile([1.0, -1.0], n),
-            np.column_stack(
-                [arr.seg_slope, np.full(len(t_idx), -1.0)]
-            ).ravel(),
-            np.tile([1.0, 1.0, -1.0], ne),
-        ]
-    )
-    b_ub = np.zeros(n_rows)
-    b_ub[seg_rows] = -arr.seg_intercept
-
-    return DeadlineArrays(
-        n_variables=nv,
-        c=c,
-        lo=lo,
-        hi=hi,
-        c_cols=cs,
-        rows=rows,
-        cols=cols,
-        vals=vals,
-        b_ub=b_ub,
-    )
-
-
 #: Most bisection steps one :func:`bsearch_allotment` takes (the
-#: ``rel_tol`` interval test usually stops it well before).
+#: :data:`REL_TOL` interval test usually stops it well before).
 MAX_ITERATIONS = 60
+#: The bisection stops once the deadline interval is at most this
+#: fraction of its upper end.
+REL_TOL = 1e-4
 
 _PROBES = _METRICS.counter(
     "repro_solver_bsearch_probes_total",
@@ -173,14 +80,17 @@ _PROBES = _METRICS.counter(
 class _DeadlineSolver:
     """Shared state for the binary search's repeated deadline solves.
 
-    The instance's :class:`DeadlineArrays` are built once; every probe
-    only swaps the ``C_j`` upper bounds.
+    Holds the instance's memoized LP (9) arrays with the objective on
+    the ``w̄_j`` columns; every probe only bounds ``L``, on a copy.
     """
 
     def __init__(self, instance: Instance):
-        self._instance = instance
+        self._n = instance.n_tasks
         self._image = instance_arrays(instance)
-        self._arrays = assemble_deadline_arrays(instance)
+        arrays = assemble_allotment_arrays(instance)
+        c = np.zeros(arrays.n_variables)
+        c[2:3 * self._n:3] = 1.0
+        self._arrays = arrays._replace(c=c)
 
     def solve(self, deadline: float) -> Optional[DeadlineLpResult]:
         """One probe: ``None`` when the deadline is infeasible."""
@@ -194,12 +104,12 @@ class _DeadlineSolver:
     def _probe(self, deadline: float) -> Optional[DeadlineLpResult]:
         arr = self._arrays
         hi = arr.hi.copy()
-        hi[arr.c_cols] = deadline
+        hi[3 * self._n] = deadline  # L
         try:
             sol = solve_ub_arrays(arr._replace(hi=hi))
         except LpError:
             return None
-        x = tuple(sol.values[0:3 * self._instance.n_tasks:3])
+        x = tuple(sol.values[0:3 * self._n:3])
         work = work_of_times(self._image, np.array(x, dtype=float))
         return DeadlineLpResult(
             deadline=deadline, total_work=sum(work.tolist()), x=x
@@ -213,7 +123,7 @@ def deadline_work_lp(
 
     Returns ``None`` when the deadline is infeasible (shorter than the
     all-``m`` critical path).  One-shot form of :class:`_DeadlineSolver`
-    — repeated solves of the same instance share the memoized matrix
+    — repeated solves of the same instance share the memoized LP (9)
     assembly.
     """
     return _DeadlineSolver(instance).solve(deadline)
@@ -230,18 +140,14 @@ class BsearchReport:
     lp_solves: int  #: number of deadline LPs solved (the avoided cost)
 
 
-def bsearch_allotment(
-    instance: Instance,
-    rho: float,
-    rel_tol: float = 1e-4,
-) -> BsearchReport:
+def bsearch_allotment(instance: Instance, rho: float) -> BsearchReport:
     """Phase 1 via deadline binary search, as in [18].
 
     Searches the deadline ``d`` in ``[L_min, Σ p_j(1)]`` for the balance
     point of ``max(d, W(d)/m)`` (``W(d)`` is non-increasing in ``d``,
     ``d`` is increasing, so the max is unimodal), then applies the same
     critical-point rounding as the direct pipeline.  Every probe reuses
-    the one assembly of the deadline LP (see the module docstring).  An
+    the one assembly of LP (9) (see the module docstring).  An
     empty instance has nothing to search: no probe, no allotment.
     """
     if instance.n_tasks == 0:
@@ -265,7 +171,7 @@ def bsearch_allotment(
     best_obj, best = evaluate(hi)
     # Binary search: if W(d)/m > d the balance point is to the right.
     for _ in range(MAX_ITERATIONS):
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= REL_TOL * hi:
             break
         mid = 0.5 * (lo + hi)
         obj, res = evaluate(mid)

@@ -55,7 +55,7 @@ def memoized_on_instance(
     The cache entry dies with the instance's last strong reference, and
     un-weakref-able instance-like stand-ins (some test doubles) simply
     recompute.  Used by every per-instance array assembly
-    (:func:`instance_arrays`, the LP (9) and deadline-LP assemblies).
+    (:func:`instance_arrays` and the LP (9) assembly).
     An evolved instance starts with an empty entry and builds its own.
     """
     cache: "weakref.WeakKeyDictionary[Instance, _T]" = (

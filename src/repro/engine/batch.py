@@ -154,9 +154,9 @@ class BatchRecord:
     error: Optional[str] = None
     #: Which kernel tier solved the instance: ``"batched"`` (the
     #: cross-instance block-diagonal tier of :mod:`repro.batchkernel`),
-    #: ``"array"`` (vectorized per-instance frontier) or ``"loop"``
-    #: (per-task Python loop).  ``None`` on error records and on lines
-    #: written before the column existed.
+    #: ``"array"`` (per-instance LIST on the free-processor staircase)
+    #: or ``"loop"`` (per-task Python loop).  ``None`` on error records
+    #: and on lines written before the column existed.
     kernel_tier: Optional[str] = None
     #: Full schedule (``repro.io`` schedule dict), present only when the
     #: runner ran with ``include_schedule=True`` — the service layer

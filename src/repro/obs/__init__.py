@@ -26,7 +26,7 @@ from .metrics import (
     lint_exposition,
     render_registries,
 )
-from .trace import Tracer, active, add, install, span, tracing, uninstall
+from .trace import Tracer, active, add, span, tracing
 
 __all__ = [
     "REGISTRY",
@@ -35,10 +35,8 @@ __all__ = [
     "active",
     "add",
     "flatten_counters",
-    "install",
     "lint_exposition",
     "render_registries",
     "span",
     "tracing",
-    "uninstall",
 ]

@@ -12,7 +12,7 @@ instrumentation point — the same discipline as an unarmed fault seam
 
 ``span()`` returns a shared no-op context manager when no tracer is
 installed; ``add()`` is an attribute check and return.  Arm a tracer
-with :func:`install` / the :func:`tracing` context manager::
+with the :func:`tracing` context manager::
 
     with obs_trace.tracing() as tr:
         pipeline.solve(inst)
@@ -44,10 +44,8 @@ __all__ = [
     "Tracer",
     "active",
     "add",
-    "install",
     "span",
     "tracing",
-    "uninstall",
 ]
 
 
@@ -207,22 +205,6 @@ _active: Optional[Tracer] = None
 def active() -> Optional[Tracer]:
     """The installed tracer, or ``None`` when tracing is disarmed."""
     return _active
-
-
-def install(tracer: Optional[Tracer] = None, capacity: int = 8192) -> Tracer:
-    """Arm tracing process-wide; returns the live tracer."""
-    global _active
-    tr = tracer if tracer is not None else Tracer(capacity=capacity)
-    with _lock:
-        _active = tr
-    return tr
-
-
-def uninstall() -> None:
-    """Disarm tracing."""
-    global _active
-    with _lock:
-        _active = None
 
 
 def span(name: str, **args: object):

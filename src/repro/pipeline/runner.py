@@ -43,7 +43,7 @@ from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
 from ..schedule import Schedule
 from .base import SolveReport
-from .registry import StrategyInfo, get_allotment, get_phase2
+from .registry import get_allotment, get_phase2
 
 __all__ = ["SchedulingPipeline", "jz_schedule", "solve"]
 
@@ -101,16 +101,6 @@ class SchedulingPipeline:
     def priority(self) -> str:
         """Canonical name of the phase-2 stage."""
         return self._phase2_stage.name
-
-    @property
-    def allotment_stage(self) -> StrategyInfo:
-        """Registry entry of the allotment stage."""
-        return self._allotment_stage
-
-    @property
-    def phase2_stage(self) -> StrategyInfo:
-        """Registry entry of the phase-2 stage."""
-        return self._phase2_stage
 
     def solve(self, instance: Instance) -> SolveReport:
         """Run both stages on ``instance`` and return the unified report.

@@ -11,19 +11,19 @@
   every row of the full one.
 * :func:`build_allotment_lp` — LP (9) written one constraint at a time
   in the :mod:`lp_oracle` modeling layer, row for row the layout of
-  :func:`repro.core.lp.lp9_arrays`.
-* :func:`build_deadline_model` — the deadline LP of
-  :mod:`repro.core.allotment_bsearch`, likewise one constraint at a
-  time, row for row the layout of
-  :func:`repro.core.allotment_bsearch.assemble_deadline_arrays`.
+  :func:`repro.core.lp.lp9_arrays`.  Given a ``deadline`` it builds the
+  deadline view that every probe of
+  :mod:`repro.core.allotment_bsearch` solves: the same rows, ``L``
+  bounded by the deadline, and the objective on the ``w̄_j`` instead of
+  ``C``.
 
-The per-constraint builds are what the bulk NumPy assemblies replaced;
-tests pin the assemblies to them matrix for matrix and solution for
+The per-constraint build is what the bulk NumPy assembly replaced;
+tests pin the assembly to it matrix for matrix and solution for
 solution.
 """
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from lp_oracle import LinearProgram
@@ -126,12 +126,16 @@ class AllotmentLp:
     c_max_var: int
 
 
-def build_allotment_lp(instance) -> AllotmentLp:
+def build_allotment_lp(
+    instance, deadline: Optional[float] = None
+) -> AllotmentLp:
     """LP (9) of ``instance``, one constraint at a time.
 
     ``3n + 2`` variables and
     ``Σ_j (#segments_j) + |E| + #sources + #sinks + 2`` constraints, in
-    the row order of :func:`repro.core.lp.lp9_arrays`.
+    the row order of :func:`repro.core.lp.lp9_arrays`.  With a
+    ``deadline``, the deadline view: ``L <= deadline`` and
+    ``min Σ_j w̄_j``, with ``C`` free.
     """
     lp = LinearProgram(name=f"allotment(9) n={instance.n_tasks} m={instance.m}")
     n = instance.n_tasks
@@ -149,9 +153,17 @@ def build_allotment_lp(instance) -> AllotmentLp:
         # Rigid tasks (no segments) have constant work; bound w̄ directly.
         segs = t.segments()
         w_lo = t.breakpoints[0][0] * t.breakpoints[0][1] if not segs else 0.0
-        w_vars.append(lp.add_variable(f"w{j}", lo=w_lo))
-    l_var = lp.add_variable("L", lo=0.0)
-    c_max_var = lp.add_variable("C", lo=0.0, obj=1.0)
+        w_vars.append(
+            lp.add_variable(
+                f"w{j}", lo=w_lo, obj=0.0 if deadline is None else 1.0
+            )
+        )
+    if deadline is None:
+        l_var = lp.add_variable("L", lo=0.0)
+        c_max_var = lp.add_variable("C", lo=0.0, obj=1.0)
+    else:
+        l_var = lp.add_variable("L", lo=0.0, hi=deadline)
+        c_max_var = lp.add_variable("C", lo=0.0)
 
     for j in range(n):
         # Work linearization: every chord of eq. (8) under-estimates w̄.
@@ -197,37 +209,3 @@ def build_allotment_lp(instance) -> AllotmentLp:
         c_max_var=c_max_var,
     )
 
-
-def build_deadline_model(
-    instance, deadline: float
-) -> Tuple[LinearProgram, List[int]]:
-    """The deadline LP at ``deadline``, one constraint at a time; returns
-    the model and the handles of the ``x_j`` variables."""
-    lp = LinearProgram(name=f"deadline-work d={deadline:g}")
-    n = instance.n_tasks
-    x_vars, c_vars, w_vars = [], [], []
-    for j in range(n):
-        t = instance.task(j)
-        x_vars.append(lp.add_variable(f"x{j}", lo=t.min_time, hi=t.max_time))
-        c_vars.append(lp.add_variable(f"C{j}", lo=0.0, hi=deadline))
-        segs = t.segments()
-        w_lo = t.breakpoints[0][0] * t.breakpoints[0][1] if not segs else 0.0
-        w_vars.append(lp.add_variable(f"w{j}", lo=w_lo, obj=1.0))
-        lp.add_constraint(
-            {x_vars[j]: 1.0, c_vars[j]: -1.0}, "<=", 0.0, name=f"fit{j}"
-        )
-        for seg in segs:
-            lp.add_constraint(
-                {x_vars[j]: seg.slope, w_vars[j]: -1.0},
-                "<=",
-                -seg.intercept,
-                name=f"work{j}l{seg.l}",
-            )
-    for (i, j) in instance.dag.edges:
-        lp.add_constraint(
-            {c_vars[i]: 1.0, x_vars[j]: 1.0, c_vars[j]: -1.0},
-            "<=",
-            0.0,
-            name=f"prec{i}-{j}",
-        )
-    return lp, x_vars

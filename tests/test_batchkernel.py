@@ -28,6 +28,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import Dag, Instance, MalleableTask
 from repro.batchkernel import (
     AUTO_MAX_TASKS,
     BatchKernelError,
@@ -46,6 +47,7 @@ from repro.core.list_scheduler import (
     dispatch_tier,
     list_schedule,
     list_schedule_loop,
+    list_schedule_reference,
 )
 from repro.core.lp import assemble_allotment_arrays
 from repro.core.rounding import round_fractional_times
@@ -295,6 +297,46 @@ def test_solve_batch_edge_cases():
         solve_batch([one], "jz", priority="critical-path")
     with pytest.raises(BatchKernelError):
         solve_batch([one], "greedy")
+
+
+def _unit_instance(times, arcs, m):
+    """Tasks given by their one-processor time ``t``, ``0.6·t`` on more
+    processors; the ``sequential`` allotment runs each on one."""
+    return Instance(
+        [MalleableTask([t] + [0.6 * t] * (m - 1)) for t in times],
+        Dag(len(times), arcs),
+        m,
+    )
+
+
+def test_solve_batch_near_tie_fallback():
+    """Blocks whose ready set holds starts within the selection
+    tolerance but not equal take the exact scan
+    (``core.list_scheduler._scan_select``) that picks the lower id, not
+    the earliest start; every block equals the reference LIST, entry
+    for entry.  The first near-tie block is the one whose schedule
+    moves if the fallback picks the exact minimum; the others are the
+    constructions of ``tests/test_list_scheduler.py``."""
+    q = 1.0 - 1e-13
+    batch = [
+        make_instance("layered", 20, 4, seed=1),
+        _unit_instance([q, 1.0, 2.0, 0.5, 1.0], [(1, 2), (1, 3)], 2),
+        _unit_instance([0.5, 0.5, 1.0, 1.0 + 5e-13], [(3, 0), (2, 1)], 3),
+        _unit_instance([0.5, 0.5, 1.0, q], [(2, 0), (3, 1)], 2),
+        _unit_instance(
+            [0.5, 1e-14, 1.0, q, 0.5], [(2, 0), (3, 1), (1, 4)], 2
+        ),
+    ]
+    reports = solve_batch(batch, "sequential")
+    for rep, inst in zip(reports, batch):
+        assert rep.metadata["kernel_tier"] == "batched"
+        assert _entries(rep.schedule) == _entries(
+            list_schedule_reference(inst, rep.allotment, mu=rep.mu)
+        )
+    # Task 4 is ready at 1 - 1e-13, tasks 2 and 3 at 1: the lower id
+    # wins the near-tie, so task 2 starts first and task 4 waits.
+    near = reports[1].schedule
+    assert near[2].start == near[3].start == 1.0 < near[4].start
 
 
 def test_eligible_strategy():

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lp9_reference import build_allotment_lp, build_deadline_model
+from lp9_reference import build_allotment_lp
 from lp_oracle import solve_with_scipy
 
+from repro.core import allotment_bsearch
 from repro.core.allotment_bsearch import (
     _DeadlineSolver,
-    assemble_deadline_arrays,
     bsearch_allotment,
     deadline_work_lp,
 )
@@ -236,7 +236,11 @@ def test_allotment_assembly_matches_model_matrix(trial):
 
 
 @pytest.mark.parametrize("trial", range(8))
-def test_deadline_assembly_matches_model_matrix(trial):
+def test_deadline_assembly_matches_model_matrix(trial, monkeypatch):
+    """A probe hands HiGHS the deadline view of the memoized LP (9)
+    arrays: row for row the per-constraint LP (9) with ``L`` bounded by
+    the deadline and the objective on the ``w̄_j``.  The memoized
+    arrays themselves are left as they were."""
     rng = random.Random(300 + trial)
     inst = make_instance(
         rng.choice(["layered", "erdos_renyi", "chain", "diamond"]),
@@ -246,18 +250,29 @@ def test_deadline_assembly_matches_model_matrix(trial):
         seed=trial,
     )
     deadline = inst.sequential_makespan() * rng.uniform(0.4, 1.0)
-    arrays = assemble_deadline_arrays(inst)
-    lp, _ = build_deadline_model(inst, deadline)
-    hi = arrays.hi.copy()
-    hi[arrays.c_cols] = deadline
+    lp9 = assemble_allotment_arrays(inst)
+    lp9_c, lp9_hi = lp9.c.copy(), lp9.hi.copy()
+    handed = []
+
+    def capture(arrays):
+        handed.append(arrays)
+        raise LpError("captured")
+
+    monkeypatch.setattr(allotment_bsearch, "solve_ub_arrays", capture)
+    assert deadline_work_lp(inst, deadline) is None
+    (arrays,) = handed
+    lp = build_allotment_lp(inst, deadline=deadline).lp
     a_dense, a_b = _dense_from_arrays(arrays)
     m_dense, m_b = _dense_from_model(lp)
     assert np.array_equal(a_dense, m_dense)
     assert np.array_equal(a_b, m_b)
     assert tuple(arrays.c) == lp.objective_coefficients
-    assert [tuple(bb) for bb in zip(arrays.lo, hi)] == list(lp.bounds)
-    # Memoized: repeated assembly is the same object.
-    assert assemble_deadline_arrays(inst) is arrays
+    assert [tuple(bb) for bb in zip(arrays.lo, arrays.hi)] == list(lp.bounds)
+    # One assembly: the probe shares LP (9)'s matrix and writes nothing
+    # into the memoized arrays.
+    assert assemble_allotment_arrays(inst) is lp9
+    assert arrays.rows is lp9.rows and arrays.vals is lp9.vals
+    assert np.array_equal(lp9.c, lp9_c) and np.array_equal(lp9.hi, lp9_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +336,15 @@ def test_bsearch_warm_start_pinned_to_cold(trial):
     infeasible = 0
     for d in deadlines:
         got = solver.solve(d)
-        lp, x_vars = build_deadline_model(inst, d)
+        ref_lp = build_allotment_lp(inst, deadline=d)
         try:
-            ref = solve_with_scipy(lp)
+            ref = solve_with_scipy(ref_lp.lp)
         except LpError:
             assert got is None
             infeasible += 1
             continue
         assert got is not None
-        assert got.x == tuple(ref[v] for v in x_vars)
+        assert got.x == tuple(ref[v] for v in ref_lp.x_vars)
         if d == report.deadline:
             assert report.x == got.x
     assert infeasible >= 1  # the deadline below min_critical_path()
@@ -347,11 +362,11 @@ def test_deadline_lp_arrays_path_matches_model_solution(trial):
     )
     d = inst.sequential_makespan() * rng.uniform(0.3, 1.0)
     got = deadline_work_lp(inst, d)
-    lp, x_vars = build_deadline_model(inst, d)
+    ref_lp = build_allotment_lp(inst, deadline=d)
     try:
-        ref = solve_with_scipy(lp)
+        ref = solve_with_scipy(ref_lp.lp)
     except LpError:
         assert got is None
         return
     assert got is not None
-    assert got.x == tuple(ref[v] for v in x_vars)
+    assert got.x == tuple(ref[v] for v in ref_lp.x_vars)

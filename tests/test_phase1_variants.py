@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Instance, assert_feasible
+from repro import Dag, Instance, assert_feasible, solve
 from repro.core import (
     PRIORITY_RULES,
     bsearch_allotment,
@@ -45,6 +45,11 @@ class TestDeadlineLp:
         w_loose = deadline_work_lp(inst, d_loose).total_work
         assert w_loose <= w_tight + 1e-6
 
+    def test_empty_instance_has_zero_work(self):
+        inst = Instance([], Dag(0, []), 4)
+        res = deadline_work_lp(inst, 1.0)
+        assert res.total_work == 0.0 and res.x == ()
+
     def test_x_within_deadline(self):
         inst = make_inst(diamond_dag(4), 6)
         d = inst.min_critical_path() * 1.2
@@ -62,7 +67,7 @@ class TestBsearchAllotment:
         inst = make_inst(layered_dag(14, 4, 0.5, seed=seed), 6)
         direct = solve_allotment_lp(inst)
         rho = jz_parameters(6).rho
-        rep = bsearch_allotment(inst, rho, rel_tol=1e-5)
+        rep = bsearch_allotment(inst, rho)
         assert rep.objective == pytest.approx(
             direct.objective, rel=1e-3
         )
@@ -72,6 +77,25 @@ class TestBsearchAllotment:
         inst = make_inst(diamond_dag(4), 6)
         rep = bsearch_allotment(inst, 0.26)
         inst.validate_allotment(rep.allotment)
+
+    def test_probes_leave_lp9_untouched(self):
+        """The probes read the memoized LP (9) arrays that ``jz`` solves:
+        a ``jz`` solve after a ``bsearch`` solve of the same instance
+        object equals one made before it, bit for bit."""
+        inst = make_inst(layered_dag(16, 4, 0.5, seed=3), 6)
+        before = solve(inst, "jz")
+        solve(inst, "bsearch")
+        after = solve(inst, "jz")
+        assert after.allotment == before.allotment
+        assert after.lower_bound == before.lower_bound
+        assert after.metadata["lp"].x == before.metadata["lp"].x
+        assert [
+            (e.task, e.start, e.processors, e.duration)
+            for e in after.schedule.entries
+        ] == [
+            (e.task, e.start, e.processors, e.duration)
+            for e in before.schedule.entries
+        ]
 
     def test_schedulable_end_to_end(self):
         inst = make_inst(layered_dag(12, 4, 0.5, seed=5), 6)
@@ -111,8 +135,6 @@ class TestPriorityVariants:
     def test_critical_path_rule_prefers_long_chains(self):
         """A long chain plus many short independent tasks: CP priority
         starts the chain head first."""
-        from repro import Dag
-
         # Tasks 0->1->2 (chain), tasks 3..6 independent.
         dag = Dag(7, [(0, 1), (1, 2)])
         inst = make_inst(dag, 2, d=0.5)
