@@ -7,12 +7,16 @@ Measures fleets of B small instances solved two ways per cell:
   exact code path ``BatchRunner`` runs for every item the batched tier
   does not take: paths, singletons, ineligible strategy pairs);
 * **batched** — one :func:`repro.batchkernel.solve_batch` call packing
-  the whole fleet into block-diagonal CSR/LP structures and advancing
-  all B schedules in lockstep.
+  the whole fleet into block-diagonal CSR/LP structures and running
+  LIST's staircase kernel on each block in turn.
 
 Every cell asserts ``schedules_identical``: both arms digest every
 schedule entry (task, start, processors, duration — full float repr)
-and the digests must match exactly, or the cell fails.
+and the digests must match exactly, or the cell fails.  Every cell also
+records the batched LIST's work (``work``: ``frontier_steps``,
+``timeline_refreshes`` and the cap ``mu``, which is ``m`` for a
+strategy without one) from one traced ``solve_batch`` made after the
+timed region.
 
 Methodology: **each arm runs in its own fresh subprocess.**  Measured
 in-process, the second arm inherits the first arm's heap layout and
@@ -26,8 +30,8 @@ Run:  PYTHONPATH=src python benchmarks/bench_batchkernel.py [--smoke] [-o OUT]
 
 ``--smoke`` runs a small fleet for CI; the committed reference JSON
 comes from a full run (headline cell: B=1000 × n=500).  The CI
-bench-regression job feeds the smoke output to
-``check_batchkernel_regression.py``.
+bench-regression job feeds the smoke output, and the committed full
+run, to ``check_batchkernel_regression.py``.
 """
 
 import argparse
@@ -77,6 +81,21 @@ def _digest(schedules):
     return h.hexdigest()
 
 
+def _list_work(fleet, algo):
+    """The batched LIST's work counters from one traced solve_batch."""
+    from repro.batchkernel import solve_batch
+    from repro.obs import trace as obs_trace
+
+    with obs_trace.tracing() as tracer:
+        reports = solve_batch(fleet, algo, PRIORITY)
+    totals = tracer.counter_totals()
+    return {
+        "frontier_steps": totals["frontier_steps"],
+        "timeline_refreshes": totals["timeline_refreshes"],
+        "mu": max(r.mu or inst.m for r, inst in zip(reports, fleet)),
+    }
+
+
 def run_arm(arm, cell):
     """Child body: build the fleet fresh, run one arm, report JSON."""
     algo = cell[6]
@@ -101,12 +120,15 @@ def run_arm(arm, cell):
             schedules = [r.schedule for r in reports]
     finally:
         gc.enable()
-    return {
+    out = {
         "arm": arm,
         "elapsed_s": elapsed,
         "digest": _digest(schedules),
         "makespan_sum": sum(s.makespan for s in schedules),
     }
+    if arm == "batched":
+        out["work"] = _list_work(fleet, algo)
+    return out
 
 
 def _spawn_arm(arm, cell):
@@ -151,6 +173,7 @@ def bench_cell(cell):
         "speedup": ref_s / bat_s if bat_s > 0 else None,
         "schedules_identical": identical,
         "makespan_sum": batched["makespan_sum"],
+        "work": batched["work"],
     }
 
 

@@ -1,4 +1,4 @@
-"""CI gate: fail when the batched kernel tier loses its speedup.
+"""CI gate: fail when the batched kernel tier regresses in speed or work.
 
 Reads a ``bench_batchkernel.py`` output (smoke or full) and enforces:
 
@@ -11,6 +11,12 @@ Reads a ``bench_batchkernel.py`` output (smoke or full) and enforces:
    at least ``--min-speedup``: default 3x on a smoke run (small fleets
    amortize less), 5x on a full run (the committed
    ``BENCH_batchkernel.json`` headline is B=1000 × n=500).
+3. **Work per step** (needs no clock) — the headline cell's batched
+   LIST may make at most ``μ`` earliest-start evaluations per decided
+   step (``timeline_refreshes <= mu * frontier_steps`` from the cell's
+   traced ``solve_batch``; ``mu`` is ``m`` for a strategy without a
+   cap): the staircase sweeps one ``F(a)`` per demand with ready
+   tasks, and ``μ`` caps the demands.
 
 Usage:  python benchmarks/check_batchkernel_regression.py MEASURED.json
 """
@@ -73,6 +79,22 @@ def main(argv=None):
             failures.append(
                 f"headline: {speedup:.2f}x < required {floor:.2f}x"
             )
+        work = headline.get("work")
+        if work is None:
+            failures.append("headline: no work counters recorded")
+        else:
+            steps, mu = work["frontier_steps"], work["mu"]
+            per_step = work["timeline_refreshes"] / max(1, steps)
+            status = "ok" if per_step <= mu else "REGRESSED"
+            print(
+                f"headline earliest-start evaluations per decided step: "
+                f"{per_step:.2f} (at most mu={mu}) {status}"
+            )
+            if per_step > mu:
+                failures.append(
+                    f"headline: {per_step:.2f} earliest-start "
+                    f"evaluations per step > mu={mu}"
+                )
     if failures:
         print("batchkernel regression gate FAILED:", file=sys.stderr)
         for f in failures:

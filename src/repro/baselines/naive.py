@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import List
 
 from ..core.instance import Instance
+from ..dag.csr import longest_path_kernel
 
 __all__ = ["greedy_critical_path_allotment"]
 
@@ -41,34 +42,43 @@ def greedy_critical_path_allotment(instance: Instance) -> List[int]:
     Starts from ``l_j = 1`` and, while it improves the scheduling bound
     ``max(L(α), W(α)/m)``, increments the allotment of the critical-path
     task with the largest time decrease per unit of work increase.
+
+    One longest-path pass per increment gives both the bound's ``L``
+    and the next critical path (the same weights, so the same path),
+    and only the incremented task's weight changes.  ``W`` is re-summed
+    in task order, so every float matches a fresh evaluation.
     """
     n = instance.n_tasks
     m = instance.m
+    csr = instance.dag.to_csr()
+    times = instance.times.tolist()
     alloc = [1] * n
+    weights = [row[0] for row in times]
 
-    def bound(a: List[int]) -> float:
-        L = instance.critical_path_for_allotment(a)
-        W = instance.total_work_for_allotment(a)
+    def bound(L: float) -> float:
+        W = sum(l * t for l, t in zip(alloc, weights))
         return max(L, W / m)
 
-    current = bound(alloc)
+    L, path = longest_path_kernel(csr, weights, want_path=True)
+    current = bound(L)
     for _ in range(MAX_ITERATIONS):
-        weights = [instance.task(j).time(alloc[j]) for j in range(n)]
-        path = instance.dag.longest_path(weights)
         best_j, best_gain = -1, 0.0
         for j in path:
-            if alloc[j] >= m:
+            l = alloc[j]
+            if l >= m:
                 continue
-            t = instance.task(j)
-            dt = t.time(alloc[j]) - t.time(alloc[j] + 1)
-            dw = t.work(alloc[j] + 1) - t.work(alloc[j])
+            row = times[j]
+            dt = row[l - 1] - row[l]
+            dw = (l + 1) * row[l] - l * row[l - 1]
             gain = dt / (dw + 1e-12)
             if dt > 0 and gain > best_gain:
                 best_j, best_gain = j, gain
         if best_j < 0:
             break
         alloc[best_j] += 1
-        new = bound(alloc)
+        weights[best_j] = times[best_j][alloc[best_j] - 1]
+        L, path = longest_path_kernel(csr, weights, want_path=True)
+        new = bound(L)
         if new >= current - 1e-12:
             alloc[best_j] -= 1  # revert the non-improving move and stop
             break

@@ -3,9 +3,9 @@
 Fleets of small DAGs (replanning sweeps, campaign grids, service
 batches) spend their time in per-instance NumPy overhead, not in
 arithmetic.  This package packs B independent instances into one
-block-diagonal problem and runs the graph, rounding and LIST stages
-across all blocks at once; the allotment LPs are assembled and solved
-one block at a time:
+block-diagonal problem and runs the graph and rounding stages across
+all blocks at once; the allotment LPs are assembled and solved, and
+LIST is run, one block at a time:
 
 * :mod:`~repro.batchkernel.packing` — disjoint-union CSR packing
   (:class:`BatchedCsr`), stacked profile arrays
@@ -15,9 +15,9 @@ one block at a time:
   (the per-instance LP (9) assembly over each block's slices); the
   stacked solution rounds with the per-instance kernel,
   :func:`repro.core.rounding.batched_round`, re-exported here;
-* :mod:`~repro.batchkernel.scheduler` — the lockstep phase-2 LIST
-  scheduler (:func:`batched_list_schedule`) advancing B frontiers and
-  B timelines per step;
+* :mod:`~repro.batchkernel.scheduler` — phase-2 LIST
+  (:func:`batched_list_schedule`): the per-instance staircase kernel
+  run on each block's slices of the packed arrays;
 * :mod:`~repro.batchkernel.solve` — :func:`solve_batch`, the
   end-to-end batched pipeline with per-instance
   :class:`~repro.pipeline.base.SolveReport` results.
@@ -37,7 +37,7 @@ from .packing import (
     pack_csrs,
     stack_profiles,
 )
-from .scheduler import BatchTimeline, batched_list_schedule
+from .scheduler import batched_list_schedule
 from .solve import (
     AUTO_MAX_TASKS,
     BatchKernelError,
@@ -51,7 +51,6 @@ __all__ = [
     "AUTO_MAX_TASKS",
     "BatchKernelError",
     "BatchedCsr",
-    "BatchTimeline",
     "ELIGIBLE_ALGORITHMS",
     "ELIGIBLE_PRIORITY",
     "StackedProfiles",

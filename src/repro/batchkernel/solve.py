@@ -4,9 +4,10 @@
 :class:`repro.pipeline.SchedulingPipeline` — allotment stage, then the
 earliest-start LIST rule — but over *all* instances at once: profiles
 stacked into one :class:`~repro.batchkernel.packing.StackedProfiles`
-pack, DAGs packed into one disjoint union, then rounding and phase 2
-vectorized across every block.  The allotment LPs are the exception:
-they are assembled and solved block by block, one HiGHS call each.
+pack, DAGs packed into one disjoint union, then rounding vectorized
+across every block.  The allotment LPs are assembled and solved block
+by block, one HiGHS call each, and phase 2 runs the per-instance
+staircase kernel on each block's slices of the pack.
 Per block the returned schedules are bit-identical to the per-instance
 pipeline (asserted by the property suite and by every committed
 benchmark cell); the reports carry the same allotment, μ, ρ, lower
@@ -63,9 +64,10 @@ ELIGIBLE_ALGORITHMS = frozenset({"jz", "ltw", "sequential", "full"})
 ELIGIBLE_PRIORITY = "earliest-start"
 
 #: The batch engine routes a group through the batched tier only
-#: when every instance has at most this many tasks — past that point
-#: the per-instance array path already amortizes its NumPy overhead and
-#: batching buys little while holding B instances' arrays live at once.
+#: when every instance has at most this many tasks.  The tier's saving
+#: is per-instance overhead (CSR, profile image and LP set-up; LIST is
+#: the same kernel on both paths), which larger instances amortize on
+#: their own, while a batch holds B instances' arrays live at once.
 AUTO_MAX_TASKS = 2048
 
 

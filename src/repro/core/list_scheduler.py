@@ -24,8 +24,8 @@ of Lemma 4.3 work.
 ``μ = m`` — that is the classic Graham list scheduling [8] generalized to
 malleable allotments, and is what the naive baselines build on.
 
-Implementation note — two tiers and a reference
------------------------------------------------
+Implementation note — two kernels and a reference
+-------------------------------------------------
 :func:`list_schedule` runs on the tier :func:`dispatch_tier` picks:
 
 * the **array tier** — LIST on the free-processor staircase.  Each pick
@@ -54,7 +54,11 @@ Implementation note — two tiers and a reference
   successor of a task picked below ``S`` that is ready before ``S``
   (its duration is below the tolerance), and a resumed prefix whose
   ready tasks became ready before its last start.  Fallback steps
-  continue until the invariant holds again.
+  continue until the invariant holds again.  The kernel itself,
+  :func:`_staircase`, reads plain arrays (machine size, capped
+  allotment, durations, successor CSR, in-degrees and a replayed
+  prefix); the batched tier (:mod:`repro.batchkernel`) runs it on
+  every block of a packed batch.
 * the **loop tier** — a per-task Python loop with an incremental
   earliest-start cache; :func:`list_schedule_loop` forces it (the
   scaling benchmark's baseline).
@@ -103,7 +107,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,15 +173,18 @@ def dispatch_tier(instance: Instance) -> str:
     docstring).  The batch engine records this per instance (a
     ``"batched"`` tier exists as well, chosen by
     :func:`repro.batchkernel.solve_batch` callers — see
-    :mod:`repro.engine.batch`).
+    :mod:`repro.engine.batch` — and it runs the staircase on every
+    block whatever its shape).
 
     The rule: the loop tier below 256 tasks (the level structure is
     never built) and when the average level width ``n / #levels`` is
     under 96, the array tier otherwise.  It was set when the array tier
     was a vectorized frontier that lost to the loop on narrow frontiers.
-    It is kept as the staircase's scope until the loop and batched tiers
-    retire together, so that only wide instances run the staircase.
-    Both tiers are bit-identical, so the rule moves no schedule.
+    It is kept for per-instance solves until the loop tier retires with
+    the batched tier: on the staircase alone, per-instance solves would
+    take the batched tier's speed-up gate
+    (``benchmarks/check_batchkernel_regression.py``) below its floor.
+    All tiers are bit-identical, so the rule moves no schedule.
     """
     n = instance.n_tasks
     if n < 256:
@@ -202,9 +209,7 @@ def _checked_cap(instance: Instance, mu: Optional[int]) -> int:
     return cap
 
 
-def _scan_select(
-    ready_ids: np.ndarray, est: Union[np.ndarray, Dict[int, float]]
-) -> int:
+def _scan_select(ready_ids: np.ndarray, est: Dict[int, float]) -> int:
     """The literal selection scan of Table 1 over exact starts ``est``
     (indexed by task id): iterate ready tasks in index order, replacing
     the incumbent only on a strictly-more-than-tolerance improvement."""
@@ -323,14 +328,7 @@ def _run(
     entries, alloc_arr, dur, reused = kernel(instance, alloc, previous, work)
 
     n = instance.n_tasks
-    _FRONTIER_STEPS.labels(tier).inc(n - reused)
-    _STEPS_REUSED.inc(reused)
-    if work is not None:
-        tracer.add("frontier_steps", n - reused)
-        tracer.add("frontier_size_sum", work.frontier_sum)
-        tracer.add("frontier_peak", work.frontier_peak)
-        tracer.add("timeline_refreshes", work.refreshes)
-        tracer.add("list_steps_reused", reused)
+    _account(tier, n - reused, reused, tracer, work)
     return ListRun(
         schedule=Schedule(instance.m, entries),
         dag=instance.dag,
@@ -342,6 +340,25 @@ def _run(
         dur=dur,
         reused=reused,
     )
+
+
+def _account(
+    tier: str,
+    decided: int,
+    reused: int,
+    tracer: Optional[obs_trace.Tracer],
+    work: Optional[_Work],
+) -> None:
+    """Count one LIST run: ``decided`` steps on ``tier`` and ``reused``
+    replayed, and the run's work under an armed ``tracer``."""
+    _FRONTIER_STEPS.labels(tier).inc(decided)
+    _STEPS_REUSED.inc(reused)
+    if work is not None:
+        tracer.add("frontier_steps", decided)
+        tracer.add("frontier_size_sum", work.frontier_sum)
+        tracer.add("frontier_peak", work.frontier_peak)
+        tracer.add("timeline_refreshes", work.refreshes)
+        tracer.add("list_steps_reused", reused)
 
 
 def _resume_step(
@@ -374,18 +391,21 @@ def _resume_step(
     return k
 
 
-def _replay(
-    previous: Optional[ListRun], k: int, timeline
-) -> List[ScheduledTask]:
-    """The first ``k`` picks of ``previous``, in pick order, each
-    reserved on ``timeline`` as LIST reserved it."""
+def _replay(previous: Optional[ListRun], k: int) -> List[ScheduledTask]:
+    """The first ``k`` picks of ``previous``, in pick order."""
     if not k:
         return []
     placed = previous.schedule
-    prefix = [placed[j] for j in previous.order[:k].tolist()]
-    for e in prefix:
+    return [placed[j] for j in previous.order[:k].tolist()]
+
+
+def _reserved(m: int, entries: List[ScheduledTask]) -> ResourceTimeline:
+    """A timeline of ``m`` processors holding every entry's rectangle,
+    reserved as LIST reserved it."""
+    timeline = ResourceTimeline(m)
+    for e in entries:
         timeline.reserve(e.start, e.end, e.processors)
-    return prefix
+    return timeline
 
 
 def _near_in_heap(
@@ -414,21 +434,48 @@ def _staircase_tier(
     previous: Optional[ListRun],
     work: Optional[_Work],
 ) -> _Tier:
-    """LIST on the free-processor staircase (module docstring)."""
-    n, m = instance.n_tasks, instance.m
+    """LIST on the free-processor staircase (module docstring) for one
+    instance, resuming ``previous`` where it can."""
+    n = instance.n_tasks
     alloc_arr = np.asarray(alloc, dtype=np.intp)
     dur_arr = instance.times[np.arange(n), alloc_arr - 1]
-    dur = dur_arr.tolist()
     reused = _resume_step(previous, instance, alloc_arr, dur_arr)
-    timeline = ResourceTimeline(m)
-    entries = _replay(previous, reused, timeline)
+    csr = instance.dag.to_csr()
+    entries = _staircase(
+        instance.m,
+        alloc,
+        dur_arr.tolist(),
+        csr.succ_indptr.tolist(),
+        csr.succ_indices.tolist(),
+        csr.in_degrees().tolist(),
+        _replay(previous, reused),
+        work,
+    )
+    return entries, alloc_arr, dur_arr, reused
+
+
+def _staircase(
+    m: int,
+    alloc: List[int],
+    dur: List[float],
+    succ_ptr: List[int],
+    succ: List[int],
+    indeg: List[int],
+    entries: List[ScheduledTask],
+    work: Optional[_Work],
+) -> List[ScheduledTask]:
+    """The staircase kernel on plain arrays: ``m`` processors, the capped
+    allotment and the duration of every task (each ``l_j`` in
+    ``1..m``), the successor CSR and in-degrees of the DAG, and the
+    picks already made (a replayed prefix, else empty).  Appends the
+    picks it decides to ``entries``, in pick order, and returns it;
+    ``indeg`` is consumed."""
+    n = len(alloc)
+    reused = len(entries)
+    timeline = _reserved(m, entries)
     earliest_start = timeline.earliest_start
     if work is not None:
         earliest_start = work.counting(earliest_start)
-    csr = instance.dag.to_csr()
-    succ_ptr = csr.succ_indptr.tolist()
-    succ = csr.succ_indices.tolist()
-    indeg = csr.in_degrees().tolist()
 
     # ready_at[j]: the latest completion among j's scheduled predecessors
     # (r_j once all are scheduled; 0 for a source).
@@ -562,7 +609,7 @@ def _staircase_tier(
                 n_ready += 1
                 exact = exact or ready_at[s] < S
 
-    return entries, alloc_arr, dur_arr, reused
+    return entries
 
 
 def _loop_tier(
@@ -585,8 +632,8 @@ def _loop_tier(
     dur_arr = instance.times[np.arange(n), alloc_arr - 1]
     dur = dur_arr.tolist()
     reused = _resume_step(previous, instance, alloc_arr, dur_arr)
-    timeline = ResourceTimeline(instance.m)
-    entries = _replay(previous, reused, timeline)
+    entries = _replay(previous, reused)
+    timeline = _reserved(instance.m, entries)
     earliest_start = timeline.earliest_start
     if work is not None:
         earliest_start = work.counting(earliest_start)

@@ -1,6 +1,8 @@
 """Tests for the baseline schedulers (naive, greedy, LTW, exact B&B)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import Instance, assert_feasible, jz_schedule, solve
 from repro.baselines import (
@@ -12,6 +14,7 @@ from repro.baselines import (
 )
 from repro.core import capped_allotment
 from repro.dag import (
+    FAMILIES,
     chain_dag,
     diamond_dag,
     independent_dag,
@@ -19,12 +22,68 @@ from repro.dag import (
 )
 from repro.models import power_law_profile
 from repro.theory import ltw_parameters
+from repro.workloads import MODELS, make_instance
 
 
 def make_inst(dag, m, d=0.6, p1=10.0):
     return Instance.from_profile_fn(
         dag, m, lambda j: power_law_profile(p1, d, m)
     )
+
+
+def greedy_spec(instance):
+    """The greedy-critical-path allotment as first written: a fresh
+    bound (both longest-path lengths and the work sum) and a fresh
+    critical path per increment, read through the task views."""
+    n = instance.n_tasks
+    m = instance.m
+    alloc = [1] * n
+
+    def bound(a):
+        L = instance.critical_path_for_allotment(a)
+        W = instance.total_work_for_allotment(a)
+        return max(L, W / m)
+
+    current = bound(alloc)
+    for _ in range(100000):
+        weights = [instance.task(j).time(alloc[j]) for j in range(n)]
+        path = instance.dag.longest_path(weights)
+        best_j, best_gain = -1, 0.0
+        for j in path:
+            if alloc[j] >= m:
+                continue
+            t = instance.task(j)
+            dt = t.time(alloc[j]) - t.time(alloc[j] + 1)
+            dw = t.work(alloc[j] + 1) - t.work(alloc[j])
+            gain = dt / (dw + 1e-12)
+            if dt > 0 and gain > best_gain:
+                best_j, best_gain = j, gain
+        if best_j < 0:
+            break
+        alloc[best_j] += 1
+        new = bound(alloc)
+        if new >= current - 1e-12:
+            alloc[best_j] -= 1
+            break
+        current = new
+    return alloc
+
+
+@given(
+    family=st.sampled_from(FAMILIES),
+    model=st.sampled_from(MODELS),
+    size=st.integers(4, 40),
+    m=st.integers(1, 9),
+    seed=st.integers(0, 10_000),
+)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_greedy_allotment_matches_spec(family, model, size, m, seed):
+    inst = make_instance(family, size, m, model=model, seed=seed)
+    assert greedy_critical_path_allotment(inst) == greedy_spec(inst)
 
 
 class TestNaiveBaselines:

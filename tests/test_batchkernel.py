@@ -13,9 +13,10 @@ asserts slice-for-slice equality against the pinned per-instance path:
 * block-diagonal LP assembly vs ``assemble_allotment_arrays``,
   element for element;
 * vectorized rounding vs ``round_fractional_times``;
-* the lockstep phase-2 scheduler and :func:`solve_batch` vs
+* the block-by-block phase-2 scheduler and :func:`solve_batch` vs
   ``list_schedule`` / :class:`repro.pipeline.SchedulingPipeline` —
-  schedules compared entry for entry with ``==`` on floats.
+  schedules compared entry for entry with ``==`` on floats — and its
+  allotment checks and work counters.
 
 Plus the engine's routing into the tier (JSONL ``kernel_tier`` column)
 and the tiny-n dispatch regression test.
@@ -44,6 +45,7 @@ from repro.batchkernel import (
 )
 from repro.core.arrays import instance_arrays
 from repro.core.list_scheduler import (
+    _run,
     dispatch_tier,
     list_schedule,
     list_schedule_loop,
@@ -52,6 +54,7 @@ from repro.core.list_scheduler import (
 from repro.core.lp import assemble_allotment_arrays
 from repro.core.rounding import round_fractional_times
 from repro.engine import BatchRunner, read_jsonl, write_jsonl
+from repro.obs import trace as obs_trace
 from repro.pipeline import SchedulingPipeline
 from repro.workloads import make_instance
 
@@ -233,7 +236,7 @@ def test_batched_round_rejects_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# lockstep phase-2 scheduler: bit-identical schedules
+# block-by-block phase-2 scheduler: bit-identical schedules
 # ---------------------------------------------------------------------------
 @given(batch=batches(), seed=st.integers(0, 10_000))
 @_SET
@@ -260,6 +263,50 @@ def test_batched_list_schedule_bit_identical(batch, seed):
         assert _entries(schedules[b]) == _entries(
             list_schedule_loop(inst, block_alloc)
         )
+
+
+def _mixed_m_pack():
+    batch = [
+        make_instance("layered", 12, 4, seed=1),
+        make_instance("erdos_renyi", 10, 2, seed=2),
+    ]
+    sp = stack_profiles(batch)
+    bcsr = pack_csrs([inst.dag.to_csr() for inst in batch])
+    return sp, bcsr, np.ones(bcsr.n_total, dtype=np.intp)
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (5, 0, r"block 0: allotment\[5\] = 0 outside \[1, 4\]"),
+    # m = 4 is valid in the first block but one too wide in the second.
+    (12 + 3, 3, r"block 1: allotment\[3\] = 3 outside \[1, 2\]"),
+])
+def test_batched_list_schedule_rejects_allotment(where, value, message):
+    sp, bcsr, alloc = _mixed_m_pack()
+    alloc[where] = value
+    with pytest.raises(ValueError, match=message):
+        batched_list_schedule(sp, bcsr, alloc)
+
+
+@pytest.mark.parametrize("algorithm", ["jz", "sequential"])
+def test_solve_batch_counts_list_work(algorithm):
+    """A traced solve_batch decides every packed task once and adds,
+    per block, the work a traced array-tier run adds per run."""
+    batch = [
+        make_instance("erdos_renyi", 30, 4, seed=5),
+        make_instance("layered", 24, 6, seed=6),
+        make_instance("fork_join", 18, 3, seed=7),
+    ]
+    with obs_trace.tracing() as tracer:
+        reports = solve_batch(batch, algorithm)
+    got = tracer.counter_totals()
+    assert got["frontier_steps"] == sum(i.n_tasks for i in batch)
+    want = {"timeline_refreshes": 0, "frontier_size_sum": 0}
+    for rep, inst in zip(reports, batch):
+        with obs_trace.tracing() as one:
+            _run(inst, rep.allotment, rep.mu, None, tier="array")
+        for key in want:
+            want[key] += one.counter_totals()[key]
+    assert {k: got[k] for k in want} == want
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +510,7 @@ def test_tiny_n_dispatch_allocates_no_batch_arrays(monkeypatch):
     monkeypatch.setattr(
         "repro.core.list_scheduler._staircase_tier", forbidden
     )
+    monkeypatch.setattr("repro.core.list_scheduler._staircase", forbidden)
     monkeypatch.setattr("repro.core.arrays.instance_arrays", forbidden)
     monkeypatch.setattr("repro.dag.csr.DagCsr.depths", forbidden)
     for inst, want in zip(insts, expected):
