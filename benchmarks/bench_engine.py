@@ -12,7 +12,7 @@ Two measurements, written to ``BENCH_engine.json``:
 2. **batch** — throughput (instances/second) of
    :class:`repro.engine.BatchRunner` over instance JSON files across
    worker counts — the ``repro batch a.json ... -w N`` route.  Paths
-   are never batched in the parent, so ``workers=1`` solves in-process
+   never join the in-parent group, so ``workers=1`` solves in-process
    and every larger count runs the process pool (each row records the
    traced ``pool_chunks``); scaling efficiency is normalized by the
    cores actually available (process pools cannot scale past
@@ -116,7 +116,7 @@ def batch_cell(workers, paths):
     with obs_trace.tracing() as tracer:
         res = BatchRunner(workers=workers).run(paths)
     assert res.n_errors == 0, res.errors()
-    assert "batched" not in res.kernel_tiers(), res.kernel_tiers()
+    assert res.kernel_tiers() == {"array": len(paths)}, res.kernel_tiers()
     return {
         "pool_chunks": tracer.counter_totals().get("pool_chunks", 0),
         "wall_time_s": res.wall_time,

@@ -1,16 +1,12 @@
 """Cross-instance packing: many small problems as one array program.
 
-The dominant service/campaign workload is *fleets* of small instances,
-where per-instance Python dispatch dwarfs kernel time.  This module
-packs B independent instances into block-diagonal union structures so
-every stage of the pipeline can run once over the whole batch:
+This module packs B independent instances into block-diagonal union
+structures, which the stage functions of :mod:`repro.batchkernel` run
+over:
 
 * :class:`BatchedCsr` — the disjoint union of B ``DagCsr`` images as
-  one CSR over ``node_ptr[b] .. node_ptr[b+1]`` node ranges.  Because
-  every DAG kernel recurrence (levels, bottom levels, longest paths)
-  is local to a node's neighbors, running the *union* through the
-  pinned kernels of :mod:`repro.dag.csr` yields exactly the per-block
-  vectors — bit for bit.
+  one CSR over ``node_ptr[b] .. node_ptr[b+1]`` node ranges, each
+  block's arcs a contiguous slice shifted by the block's node offset.
 * :class:`StackedProfiles` — the per-instance
   :func:`repro.core.arrays.instance_arrays` profile pack stacked over
   the batch, padded to the widest ``m`` (padding repeats ``p(m_b)``,
@@ -19,8 +15,8 @@ every stage of the pipeline can run once over the whole batch:
 
 Everything here is an exact-float mirror of the per-instance reference
 path: the batched property suite (``tests/test_batchkernel.py``)
-asserts slice-for-slice equality against :class:`repro.dag.csr.DagCsr`,
-``instance_arrays`` and ``Instance.trivial_lower_bound``.
+asserts slice-for-slice equality against :class:`repro.dag.csr.DagCsr`
+and ``instance_arrays``.
 """
 
 from __future__ import annotations
@@ -31,13 +27,11 @@ import numpy as np
 
 from ..core.arrays import profile_image
 from ..core.instance import Instance
-from ..dag.csr import DagCsr, longest_path_dists
+from ..dag.csr import DagCsr
 
 __all__ = [
     "BatchedCsr",
     "StackedProfiles",
-    "batched_longest_path_lengths",
-    "batched_trivial_lower_bounds",
     "pack_csrs",
     "stack_profiles",
 ]
@@ -123,57 +117,6 @@ def pack_csrs(csrs: Sequence[DagCsr]) -> BatchedCsr:
         pred_indptr, pred_indices,
     )
     return BatchedCsr(nb, node_ptr, edge_ptr, union)
-
-
-def _segmented_max(
-    values: np.ndarray, node_ptr: np.ndarray
-) -> np.ndarray:
-    """Per-block max of a union-node vector (0.0 for empty blocks)."""
-    nb = len(node_ptr) - 1
-    out = np.zeros(nb, dtype=float)
-    counts = np.diff(node_ptr)
-    nonempty = np.flatnonzero(counts > 0)
-    if nonempty.size:
-        out[nonempty] = np.maximum.reduceat(
-            values, node_ptr[nonempty]
-        )
-    return out
-
-
-def batched_longest_path_lengths(
-    bcsr: BatchedCsr, weights: np.ndarray
-) -> np.ndarray:
-    """Per-block weighted critical-path lengths, one kernel launch.
-
-    Equals ``Dag.longest_path_length`` per block: the distance
-    recurrence runs over the union (:func:`longest_path_dists`), then
-    one segmented max per block replaces the per-instance argmax.
-    """
-    if bcsr.n_total == 0:
-        return np.zeros(bcsr.n_blocks, dtype=float)
-    dist = longest_path_dists(bcsr.union, weights)
-    return _segmented_max(dist, bcsr.node_ptr)
-
-
-def batched_trivial_lower_bounds(
-    instances: Sequence[Instance], bcsr: BatchedCsr
-) -> np.ndarray:
-    """``Instance.trivial_lower_bound`` for every block, batched.
-
-    The critical-path side is one union kernel launch; the total-work
-    side replays the reference's *sequential* Python summation per
-    block (NumPy pairwise summation could round differently), which is
-    cheap relative to everything else.
-    """
-    min_times = np.concatenate(
-        [inst.times[:, -1] for inst in instances]
-    ) if bcsr.n_total else np.zeros(0)
-    cp = batched_longest_path_lengths(bcsr, min_times)
-    out = np.zeros(bcsr.n_blocks, dtype=float)
-    for b, inst in enumerate(instances):
-        total = sum(inst.times[:, 0].tolist())
-        out[b] = max(float(cp[b]), total / inst.m)
-    return out
 
 
 class StackedProfiles(NamedTuple):

@@ -1,6 +1,6 @@
 """Batched phase-2 LIST: the staircase kernel, block by block.
 
-Each block of the batch runs the kernel of the per-instance array tier,
+Each block of the batch runs the one LIST kernel,
 :func:`repro.core.list_scheduler._staircase` (LIST on the free-processor
 staircase, module docstring of :mod:`repro.core.list_scheduler`), on
 its slices of the packed union: the successor CSR minus the block's
@@ -67,6 +67,6 @@ def batched_list_schedule(
             [],
             work,
         )
-        _account("batched", e - s, 0, tracer, work)
+        _account(e - s, 0, tracer, work)
         schedules.append(Schedule(m, entries))
     return schedules

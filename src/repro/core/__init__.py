@@ -24,7 +24,6 @@ from .arrays import InstanceArrays, instance_arrays
 from .list_scheduler import (
     capped_allotment,
     list_schedule,
-    list_schedule_loop,
 )
 from .list_variants import (
     PRIORITY_RULES,
@@ -72,7 +71,6 @@ __all__ = [
     "jz_parameters",
     "instance_arrays",
     "list_schedule",
-    "list_schedule_loop",
     "max_mu",
     "mu_hat",
     "ratio_bound",

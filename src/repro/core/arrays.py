@@ -5,9 +5,9 @@ times matrix (:attr:`~repro.core.Instance.times`).
 :func:`instance_arrays` adds, once per instance, what the solver reads
 beside it: the variable bounds of LP (9), the canonical breakpoints and
 the flattened work-segment chords of eq. (8), all built from the matrix
-by :func:`profile_image`, the one canonical-breakpoint kernel (the
-batched tier's :func:`repro.batchkernel.stack_profiles` runs it on its
-padded matrix).  Phase 1 runs on this image alone: LP assembly, the
+by :func:`profile_image`, the one canonical-breakpoint kernel
+(:func:`repro.batchkernel.stack_profiles` runs it on a fleet's padded
+matrix).  Phase 1 runs on this image alone: LP assembly, the
 ``w(x)`` read-back (:func:`work_of_times`) and critical-point rounding
 (:func:`repro.core.rounding.batched_round`) index instead of calling
 ``MalleableTask.segments``/``work_of_time``/``bracket``, which stay the
@@ -208,7 +208,7 @@ def clamped_times(image, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Range-check ``x`` per task and clamp it to the canonical range.
 
     ``image`` is any profile image with ``min_time`` and the break
-    arrays (:class:`InstanceArrays` or the batched tier's
+    arrays (:class:`InstanceArrays` or a packed fleet's
     ``StackedProfiles``).  Returns the clamped ``x`` and each task's
     first canonical break ``p(1)``.  The check and its
     :class:`ValueError` text are ``MalleableTask.bracket``'s and

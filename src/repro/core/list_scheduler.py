@@ -24,51 +24,45 @@ of Lemma 4.3 work.
 ``μ = m`` — that is the classic Graham list scheduling [8] generalized to
 malleable allotments, and is what the naive baselines build on.
 
-Implementation note — two kernels and a reference
+Implementation note — one kernel and a reference
 -------------------------------------------------
-:func:`list_schedule` runs on the tier :func:`dispatch_tier` picks:
-
-* the **array tier** — LIST on the free-processor staircase.  Each pick
-  starts no earlier than the ones before it, up to the selection
-  tolerance, so every reservation starts at or before the latest pick
-  start ``S``, and after ``S`` busy processors only ever drop.  The
-  reservations still running at ``S`` (at most ``m``) form a staircase,
-  and one sweep over their ends gives ``F(a)``, the first time ``≥ S``
-  with ``a`` processors free, for every demand ``a`` with ready tasks.
-  The kernel's invariant: every ready task's exact earliest start is
-  ``≥ S``.  Such a start is ``max(r_j, F(a_j))``, from the task's
-  precedence ready time ``r_j`` and the staircase; its duration does
-  not enter.  Ready tasks sit in per-demand heaps, *pending* keyed
-  by ``(r_j, j)`` while ``r_j > F(a)`` and *released* keyed by ``j``
-  once ``r_j ≤ F(a)`` (``F`` never falls, so a released task stays
-  released), and a pick is a min over at most ``μ`` heap tops.  Every
-  reservation also goes onto an exact
-  :class:`~repro.schedule.ResourceTimeline`, whose ``reserve`` checks
-  capacity.  A step falls back to the literal selection, the exact
-  :func:`_scan_select` over ``ResourceTimeline.earliest_start`` of every
-  ready task, in two cases: when distinct starts lie within the
-  tolerance of the smallest (the tolerant scan may then pick a task
-  that starts a hair later), and when a start could lie below ``S``,
-  which breaks the invariant.  The second case follows a near-tie pick
-  that leaves another ready task's start below the new ``S``, a
-  successor of a task picked below ``S`` that is ready before ``S``
-  (its duration is below the tolerance), and a resumed prefix whose
-  ready tasks became ready before its last start.  Fallback steps
-  continue until the invariant holds again.  The kernel itself,
-  :func:`_staircase`, reads plain arrays (machine size, capped
-  allotment, durations, successor CSR, in-degrees and a replayed
-  prefix); the batched tier (:mod:`repro.batchkernel`) runs it on
-  every block of a packed batch.
-* the **loop tier** — a per-task Python loop with an incremental
-  earliest-start cache; :func:`list_schedule_loop` forces it (the
-  scaling benchmark's baseline).
+:func:`list_schedule` runs LIST on the free-processor staircase.  Each
+pick starts no earlier than the ones before it, up to the selection
+tolerance, so every reservation starts at or before the latest pick
+start ``S``, and after ``S`` busy processors only ever drop.  The
+reservations still running at ``S`` (at most ``m``) form a staircase,
+and one sweep over their ends gives ``F(a)``, the first time ``≥ S``
+with ``a`` processors free, for every demand ``a`` with ready tasks.
+The kernel's invariant: every ready task's exact earliest start is
+``≥ S``.  Such a start is ``max(r_j, F(a_j))``, from the task's
+precedence ready time ``r_j`` and the staircase; its duration does not
+enter.  Ready tasks sit in per-demand heaps, *pending* keyed by
+``(r_j, j)`` while ``r_j > F(a)`` and *released* keyed by ``j`` once
+``r_j ≤ F(a)`` (``F`` never falls, so a released task stays released),
+and a pick is a min over at most ``μ`` heap tops.  Every reservation
+also goes onto an exact :class:`~repro.schedule.ResourceTimeline`,
+whose ``reserve`` checks capacity.  A step falls back to the literal
+selection, the exact :func:`_scan_select` over
+``ResourceTimeline.earliest_start`` of every ready task, in two cases:
+when distinct starts lie within the tolerance of the smallest (the
+tolerant scan may then pick a task that starts a hair later), and when
+a start could lie below ``S``, which breaks the invariant.  The second
+case follows a near-tie pick that leaves another ready task's start
+below the new ``S``, a successor of a task picked below ``S`` that is
+ready before ``S`` (its duration is below the tolerance), and a
+resumed prefix whose ready tasks became ready before its last start.
+Fallback steps continue until the invariant holds again.  The kernel
+itself, :func:`_staircase`, reads plain arrays (machine size, capped
+allotment, durations, successor CSR, in-degrees and a replayed
+prefix), so :func:`repro.batchkernel.batched_list_schedule` runs it on
+every block of a packed batch as well.
 
 :func:`list_schedule_reference` is the literal transcription of Table 1,
 the executable specification.  The produced schedules are identical
-float for float: all three compute the same ``start + duration`` sums on
-the same IEEE doubles, return starts that are ready times or
-reservation ends, and select with the same index order and tolerance —
-asserted by the test suite on random instances.
+float for float: both compute the same ``start + duration`` sums on the
+same IEEE doubles, return starts that are ready times or reservation
+ends, and select with the same index order and tolerance — asserted by
+the test suite on random instances.
 
 Run record and resume
 ---------------------
@@ -89,14 +83,13 @@ changed:
   (``k* = n`` when ``D`` is empty; ``k* = 0`` when the ``Dag`` object or
   ``m`` differ);
 * the timeline is rebuilt from the earlier run's first ``k*`` rectangles
-  through ``reserve`` (its capacity check kept), and on the array tier
-  the staircase from those still running at the prefix's latest start;
-  the ready frontier's earliest starts are evaluated afresh on it, and
-  LIST continues from step ``k*`` on the tier :func:`dispatch_tier`
-  picks.
+  through ``reserve`` (its capacity check kept), and the staircase from
+  those still running at the prefix's latest start; the ready
+  frontier's earliest starts are evaluated afresh on it, and LIST
+  continues from step ``k*``.
 
-A run without an earlier record is a resume from the empty prefix; both
-tiers start every run that way.  The pick order is stored, not read back
+A run without an earlier record is a resume from the empty prefix; the
+kernel starts every run that way.  The pick order is stored, not read back
 from :attr:`Schedule.entries`: those are sorted by ``(start, task)``,
 and on a sub-tolerance near-tie LIST picks the lower-id task even when
 the other one starts a hair earlier.
@@ -104,7 +97,7 @@ the other one starts a hair earlier.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -119,8 +112,9 @@ from .instance import Instance
 
 _FRONTIER_STEPS = _METRICS.counter(
     "repro_solver_frontier_steps_total",
-    "List-scheduler steps decided (one task scheduled per step) by tier; "
-    "steps replayed from an earlier run are not counted",
+    "List-scheduler steps decided (one task scheduled per step) by tier "
+    "(array: the staircase, the one kernel); steps replayed from an "
+    "earlier run are not counted",
     ("tier",),
 )
 _STEPS_REUSED = _METRICS.counter(
@@ -133,7 +127,6 @@ __all__ = [
     "dispatch_tier",
     "list_run",
     "list_schedule",
-    "list_schedule_loop",
     "list_schedule_reference",
     "capped_allotment",
 ]
@@ -166,32 +159,10 @@ class ListRun:
 
 
 def dispatch_tier(instance: Instance) -> str:
-    """Which kernel tier LIST runs on for ``instance``.
-
-    ``"loop"`` — the per-task Python loop (tiny or narrow instances);
-    ``"array"`` — LIST on the free-processor staircase (module
-    docstring).  The batch engine records this per instance (a
-    ``"batched"`` tier exists as well, chosen by
-    :func:`repro.batchkernel.solve_batch` callers — see
-    :mod:`repro.engine.batch` — and it runs the staircase on every
-    block whatever its shape).
-
-    The rule: the loop tier below 256 tasks (the level structure is
-    never built) and when the average level width ``n / #levels`` is
-    under 96, the array tier otherwise.  It was set when the array tier
-    was a vectorized frontier that lost to the loop on narrow frontiers.
-    It is kept for per-instance solves until the loop tier retires with
-    the batched tier: on the staircase alone, per-instance solves would
-    take the batched tier's speed-up gate
-    (``benchmarks/check_batchkernel_regression.py``) below its floor.
-    All tiers are bit-identical, so the rule moves no schedule.
-    """
-    n = instance.n_tasks
-    if n < 256:
-        return "loop"
-    csr = instance.dag.to_csr()
-    if n < 96 * csr.depths().n_levels:
-        return "loop"
+    """The kernel tier LIST runs on for ``instance``: always
+    ``"array"``, LIST on the free-processor staircase (module
+    docstring).  The batch engine records it as
+    :attr:`repro.engine.BatchRecord.kernel_tier`."""
     return "array"
 
 
@@ -235,7 +206,7 @@ def list_run(
     cannot have changed are replayed from it instead of decided again
     (module docstring, "Run record and resume").
     """
-    return _run(instance, allotment, mu, previous, tier=None)
+    return _run(instance, allotment, mu, previous)
 
 
 def list_schedule(
@@ -258,24 +229,9 @@ def list_schedule(
     -------
     Schedule
         A feasible schedule (validated property in the test suite),
-        bit-identical to :func:`list_schedule_reference`, computed on
-        the tier :func:`dispatch_tier` picks.
+        bit-identical to :func:`list_schedule_reference`.
     """
-    return _run(instance, allotment, mu, None, tier=None).schedule
-
-
-def list_schedule_loop(
-    instance: Instance,
-    allotment: Sequence[int],
-    mu: Optional[int] = None,
-) -> Schedule:
-    """LIST on the loop tier whatever the instance's shape: the per-task
-    Python loop with an incremental earliest-start cache.
-
-    Kept as the scaling benchmark's baseline and as an equivalence
-    witness between the array tier and :func:`list_schedule_reference`.
-    """
-    return _run(instance, allotment, mu, None, tier="loop").schedule
+    return _run(instance, allotment, mu, None).schedule
 
 
 class _Work:
@@ -286,7 +242,8 @@ class _Work:
     def __init__(self) -> None:
         self.frontier_sum = 0
         self.frontier_peak = 0
-        #: earliest-start evaluations (one per window queried)
+        #: earliest-start evaluations: one per demand swept, one per
+        #: exact query of the fallback
         self.refreshes = 0
 
     def step(self, width: int) -> None:
@@ -304,31 +261,26 @@ class _Work:
         return counted
 
 
-_Tier = Tuple[List[ScheduledTask], np.ndarray, np.ndarray, int]
-
-
 def _run(
     instance: Instance,
     allotment: Sequence[int],
     mu: Optional[int],
     previous: Optional[ListRun],
-    tier: Optional[str],
 ) -> ListRun:
     instance.validate_allotment(allotment)
     alloc = capped_allotment(allotment, _checked_cap(instance, mu))
-    if tier is None:
-        tier = dispatch_tier(instance)
     # Work accounting only when a tracer is armed: the global read is
     # hoisted here, leaving a local None-check per step on the disarmed
-    # path; the tiers count earliest-start evaluations by wrapping the
-    # timeline's query, so a disarmed query runs unwrapped.
+    # path; the exact fallback counts earliest-start evaluations by
+    # wrapping the timeline's query, so a disarmed query runs unwrapped.
     tracer = obs_trace.active()
     work = None if tracer is None else _Work()
-    kernel = _loop_tier if tier == "loop" else _staircase_tier
-    entries, alloc_arr, dur, reused = kernel(instance, alloc, previous, work)
+    entries, alloc_arr, dur, reused = _staircase_tier(
+        instance, alloc, previous, work
+    )
 
     n = instance.n_tasks
-    _account(tier, n - reused, reused, tracer, work)
+    _account(n - reused, reused, tracer, work)
     return ListRun(
         schedule=Schedule(instance.m, entries),
         dag=instance.dag,
@@ -343,15 +295,14 @@ def _run(
 
 
 def _account(
-    tier: str,
     decided: int,
     reused: int,
     tracer: Optional[obs_trace.Tracer],
     work: Optional[_Work],
 ) -> None:
-    """Count one LIST run: ``decided`` steps on ``tier`` and ``reused``
-    replayed, and the run's work under an armed ``tracer``."""
-    _FRONTIER_STEPS.labels(tier).inc(decided)
+    """Count one LIST run: ``decided`` steps on the staircase and
+    ``reused`` replayed, and the run's work under an armed ``tracer``."""
+    _FRONTIER_STEPS.labels("array").inc(decided)
     _STEPS_REUSED.inc(reused)
     if work is not None:
         tracer.add("frontier_steps", decided)
@@ -433,7 +384,7 @@ def _staircase_tier(
     alloc: List[int],
     previous: Optional[ListRun],
     work: Optional[_Work],
-) -> _Tier:
+) -> Tuple[List[ScheduledTask], np.ndarray, np.ndarray, int]:
     """LIST on the free-processor staircase (module docstring) for one
     instance, resuming ``previous`` where it can."""
     n = instance.n_tasks
@@ -610,92 +561,6 @@ def _staircase(
                 exact = exact or ready_at[s] < S
 
     return entries
-
-
-def _loop_tier(
-    instance: Instance,
-    alloc: List[int],
-    previous: Optional[ListRun],
-    work: Optional[_Work],
-) -> _Tier:
-    """The per-task loop with an incremental earliest-start cache.
-
-    Reservations only ever *add* usage, so a cached start stays exact
-    unless its window overlaps the newly reserved rectangle, and on
-    overlap the fresh earliest start can be recomputed starting from the
-    cached value (feasible starts are monotone under added
-    reservations).
-    """
-    dag = instance.dag
-    n = instance.n_tasks
-    alloc_arr = np.asarray(alloc, dtype=np.intp)
-    dur_arr = instance.times[np.arange(n), alloc_arr - 1]
-    dur = dur_arr.tolist()
-    reused = _resume_step(previous, instance, alloc_arr, dur_arr)
-    entries = _replay(previous, reused)
-    timeline = _reserved(instance.m, entries)
-    earliest_start = timeline.earliest_start
-    if work is not None:
-        earliest_start = work.counting(earliest_start)
-
-    # READY bookkeeping: indegree over *scheduled* predecessors, plus the
-    # cached earliest feasible start ``est[j]`` of every ready task.
-    completion = [0.0] * n
-    remaining_preds = [dag.in_degree(j) for j in range(n)]
-    for e in entries:
-        completion[e.task] = e.end
-        remaining_preds[e.task] = -1  # scheduled: never ready again
-        for s in dag.successors(e.task):
-            remaining_preds[s] -= 1
-    ready = [j for j in range(n) if remaining_preds[j] == 0]
-    est = {
-        j: earliest_start(
-            max((completion[p] for p in dag.predecessors(j)), default=0.0),
-            dur[j],
-            alloc[j],
-        )
-        for j in ready
-    }
-
-    for _ in range(n - reused):
-        if not ready:  # pragma: no cover - impossible on a DAG
-            raise RuntimeError("no ready task but unscheduled tasks remain")
-        if work is not None:
-            work.step(len(ready))
-        # Schedule the ready task with the smallest earliest start; ready
-        # is kept sorted so numerically tied starts go to the lowest index.
-        best_i, best_t = -1, float("inf")
-        for i, j in enumerate(ready):
-            t = est[j]
-            if t < best_t - _SELECT_TOL:
-                best_i, best_t = i, t
-        j = ready.pop(best_i)
-        end = best_t + dur[j]
-        timeline.reserve(best_t, end, alloc[j])
-        completion[j] = end
-        entries.append(
-            ScheduledTask(
-                task=j, start=best_t, processors=alloc[j], duration=dur[j]
-            )
-        )
-        del est[j]
-        # Revalidate cached starts whose window overlaps the reservation
-        # just made; all other cached values are still exact.
-        for k in ready:
-            t = est[k]
-            if t < end and t + dur[k] > best_t:
-                est[k] = earliest_start(t, dur[k], alloc[k])
-        for s in dag.successors(j):
-            remaining_preds[s] -= 1
-            if remaining_preds[s] == 0:
-                ready_at = max(
-                    (completion[p] for p in dag.predecessors(s)),
-                    default=0.0,
-                )
-                est[s] = earliest_start(ready_at, dur[s], alloc[s])
-                insort(ready, s)
-
-    return entries, alloc_arr, dur_arr, reused
 
 
 def list_schedule_reference(

@@ -38,8 +38,9 @@ The dropped fit and span rows are implied: ``C_i >= 0`` turns an in-arc
 chains ``C_j <= C_k <= ... <= C_sink <= L`` along any out-path, so the
 feasible set and ``C*`` are those of the full LP (9).  A task with
 neither predecessor nor successor keeps both rows.  Every LP (9) path
-— the per-instance assembly, evolved children included, the batched
-tier and the deadline probes of ``bsearch`` — uses this layout.
+— the per-instance assembly, evolved children included, a packed
+fleet's blocks and the deadline probes of ``bsearch`` — uses this
+layout.
 """
 
 from __future__ import annotations

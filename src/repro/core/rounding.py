@@ -19,8 +19,8 @@ Both factors are verified instance-by-instance by
 :func:`rounding_stretch_report` (and property-tested in the suite).
 
 One kernel, :func:`batched_round`, rounds every task of a profile image
-at once — an instance's :func:`repro.core.arrays.instance_arrays` or the
-batched tier's stacked fleet — replaying ``MalleableTask.bracket`` and
+at once — an instance's :func:`repro.core.arrays.instance_arrays` or a
+packed fleet's stacked profiles — replaying ``MalleableTask.bracket`` and
 the critical-point test over flat arrays.
 """
 
@@ -71,7 +71,7 @@ def batched_round(sp, x: np.ndarray, rho) -> np.ndarray:
     """Critical-point rounding of every task of a profile image.
 
     ``sp`` is any profile image with the break arrays and ``min_time``
-    (:class:`~repro.core.arrays.InstanceArrays`, or the batched tier's
+    (:class:`~repro.core.arrays.InstanceArrays`, or a packed fleet's
     :class:`~repro.batchkernel.StackedProfiles`); ``x`` holds one
     fractional time per task and ``rho`` is one value or one per task.
     Replays the exact per-task sequence: range check against the raw

@@ -58,7 +58,6 @@ import numpy as np
 __all__ = [
     "DagCsr",
     "bottom_levels_kernel",
-    "longest_path_dists",
     "longest_path_kernel",
     "reachable_mask",
     "topo_order_levels",
@@ -315,47 +314,6 @@ def bottom_levels_kernel(
             vals, hs.seg_ptr[a:b] - lo
         )
     return level
-
-
-def longest_path_dists(
-    csr: DagCsr, weights: Sequence[float]
-) -> np.ndarray:
-    """Per-node longest-path distances ``dist[v] = max(0, max(dist[u]
-    for u in pred(v))) + w[v]``.
-
-    The same recurrence :func:`longest_path_kernel` maximizes over,
-    returned as the full vector instead of its maximum — what the
-    cross-instance batched tier reduces per block.  Because the
-    recurrence is local to each node's predecessors, running it over a
-    disjoint union of DAGs yields exactly the per-DAG vectors.
-    """
-    w = np.ascontiguousarray(weights, dtype=float)
-    if len(w) != csr.n:
-        raise ValueError("one weight per node required")
-    if csr.n == 0:
-        return w.copy()
-    ds = csr.depths()
-    dist = w.copy()
-    if _deep(ds, csr.n):
-        indptr = csr.pred_indptr.tolist()
-        indices = csr.pred_indices.tolist()
-        dl = dist.tolist()
-        for v in ds.order[ds.ptr[1]:].tolist():
-            best = 0.0
-            for k in range(indptr[v], indptr[v + 1]):
-                u = indices[k]
-                if dl[u] > best:
-                    best = dl[u]
-            dl[v] = best + w[v]
-        return np.asarray(dl, dtype=float)
-    for d in range(1, ds.n_levels):
-        a, b = ds.ptr[d], ds.ptr[d + 1]
-        nodes = ds.order[a:b]
-        lo = ds.seg_ptr[a]
-        vals = dist[ds.gather[lo:ds.seg_ptr[b]]]
-        mx = np.maximum.reduceat(vals, ds.seg_ptr[a:b] - lo)
-        dist[nodes] = np.maximum(mx, 0.0) + w[nodes]
-    return dist
 
 
 def longest_path_kernel(

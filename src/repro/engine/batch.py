@@ -107,14 +107,19 @@ MAX_PENDING = 256
 
 _KERNEL_TIER = _METRICS.counter(
     "repro_solver_kernel_tier_total",
-    "Batch records solved per kernel tier (batched/array/loop)",
+    "Batch records solved per kernel tier (array: LIST on the staircase; "
+    "loop: a priority-rule loop)",
     ("tier",),
 )
-_BK_FALLBACK = _METRICS.counter(
-    "repro_solver_batchkernel_fallback_total",
-    "Whole-group fallbacks from the batched kernel tier to the "
-    "per-instance path",
-)
+
+#: The in-parent group: at least two pre-built instances of at most
+#: this many tasks, under one of these allotment strategies with the
+#: earliest-start rule, are solved in the calling process even when a
+#: pool is available (:meth:`BatchRunner.run`).  These are the items a
+#: block-diagonal pass used to take; whether they should pool instead
+#: needs a benchmark clock that counts pool workers' CPU time.
+_IN_PARENT_MAX_TASKS = 2048
+_IN_PARENT_ALGORITHMS = frozenset({"jz", "ltw", "sequential", "full"})
 
 #: JSONL record schema version.  History:
 #: 1 — PR 1: JZ-only records, no version field (absence == version 1);
@@ -122,8 +127,9 @@ _BK_FALLBACK = _METRICS.counter(
 #:     ``priority``.  The optional ``schedule`` column (present only
 #:     when the runner was asked for it) is an additive version-2
 #:     change: readers ignore unknown fields on a known version.
-#:     ``kernel_tier`` (``"batched"`` | ``"array"`` | ``"loop"``,
-#:     present on successful records) is likewise additive version-2.
+#:     ``kernel_tier`` (``"array"`` | ``"loop"``, present on
+#:     successful records; lines written before the batched tier
+#:     retired may read ``"batched"``) is likewise additive version-2.
 SCHEMA_VERSION = 2
 
 
@@ -152,11 +158,11 @@ class BatchRecord:
     mu: Optional[int] = None
     wall_time: Optional[float] = None
     error: Optional[str] = None
-    #: Which kernel tier solved the instance: ``"batched"`` (the
-    #: cross-instance block-diagonal tier of :mod:`repro.batchkernel`),
-    #: ``"array"`` (per-instance LIST on the free-processor staircase)
-    #: or ``"loop"`` (per-task Python loop).  ``None`` on error records
-    #: and on lines written before the column existed.
+    #: Which kernel tier solved the instance: ``"array"`` (LIST on the
+    #: free-processor staircase, the earliest-start rule) or ``"loop"``
+    #: (the per-task loop of a priority rule).  ``"batched"`` is no
+    #: longer written.  ``None`` on error records and on lines written
+    #: before the column existed.
     kernel_tier: Optional[str] = None
     #: Full schedule (``repro.io`` schedule dict), present only when the
     #: runner ran with ``include_schedule=True`` — the service layer
@@ -249,9 +255,7 @@ def _ok_record(
     include_schedule: bool,
     kernel_tier: str,
 ) -> Dict[str, Any]:
-    """Success-record dict shared by the per-instance worker body and
-    the in-parent batched tier — one builder, so the two paths can
-    never drift apart column-wise."""
+    """Success-record dict of one solved instance."""
     rec = {
         "index": index,
         "status": "ok",
@@ -324,9 +328,9 @@ def _solve_one(payload) -> Dict[str, Any]:
         from ..pipeline import SchedulingPipeline
 
         rep = SchedulingPipeline(algorithm, priority).solve(instance)
-        # Which per-instance tier ran: earliest-start goes through
-        # list_schedule's loop/array dispatch; every other phase-2 rule
-        # is the per-task priority loop of list_schedule_with_priority.
+        # Which tier ran: earliest-start goes through list_schedule's
+        # staircase; every other phase-2 rule is the per-task priority
+        # loop of list_schedule_with_priority.
         if rep.priority == "earliest-start":
             from ..core.list_scheduler import dispatch_tier
 
@@ -411,15 +415,14 @@ class BatchRunner:
         sweep workloads only want the report numbers, and schedules
         inflate JSONL output.
 
-    Routing is decided from the inputs alone; records are bit-identical
-    on every route, only ``record.kernel_tier`` and the wall time
-    differ:
+    Routing is decided from the inputs alone; every route runs the
+    same per-instance pipeline solve, so records are bit-identical on
+    every route and only the wall time differs:
 
-    * two or more pre-built instances of at most
-      :data:`repro.batchkernel.AUTO_MAX_TASKS` tasks, under a strategy
-      pair with a bit-exact batched replica, are solved in one
-      in-parent block-diagonal pass (:func:`repro.batchkernel.solve_batch`,
-      tier ``"batched"``);
+    * two or more pre-built instances of at most 2048 tasks, under the
+      ``jz``, ``ltw``, ``sequential`` or ``full`` allotment with the
+      ``earliest-start`` rule, are solved in the calling process, one
+      after another (the in-parent group);
     * the rest go to a process pool when ``workers > 1`` and at least
       two remain, or whenever the caller passes an ``executor``, in
       chunks of :meth:`resolved_chunksize` instances;
@@ -486,14 +489,13 @@ class BatchRunner:
         workers = self.resolved_workers()
         t0 = time.perf_counter()
         metrics_before = _METRICS.counter_state()
-        batched_raw, batched_idx = self._run_batched(
-            instances, algorithm, priority
-        )
+        group = self._in_parent_group(instances, algorithm, priority)
         payloads = [
             (i, inst, algorithm, priority, self.include_schedule)
             for i, inst in enumerate(instances)
-            if i not in batched_idx
         ]
+        raw = [_solve_one(p) for p in payloads if p[0] in group]
+        payloads = [p for p in payloads if p[0] not in group]
         if executor is not None:
             pooled = len(payloads) > 0
         else:
@@ -502,7 +504,6 @@ class BatchRunner:
             chunk_results = self._run_pool(
                 payloads, max(1, workers), executor=executor
             )
-            raw = []
             for chunk in chunk_results:
                 raw.extend(chunk["records"])
                 # Fold the worker's counter delta into this process's
@@ -510,8 +511,7 @@ class BatchRunner:
                 # pool boundary.
                 _METRICS.merge_counter_state(chunk["metrics"])
         else:
-            raw = [_solve_one(p) for p in payloads]
-        raw += batched_raw
+            raw += [_solve_one(p) for p in payloads]
         records = tuple(
             BatchRecord(**r) for r in sorted(raw, key=lambda r: r["index"])
         )
@@ -530,56 +530,26 @@ class BatchRunner:
             ),
         )
 
-    def _run_batched(
-        self, instances: List[BatchItem], algorithm: str, priority: str
-    ):
-        """Solve the batched-tier-eligible subset in one in-parent
-        block-diagonal pass.
-
-        Returns ``(raw_records, taken_indices)``.  Only pre-built
-        :class:`Instance` items of at most
-        :data:`repro.batchkernel.AUTO_MAX_TASKS` tasks qualify (paths
-        must load in workers for failure isolation), and the group must
-        hold at least two instances.  Any failure of the batched pass
-        falls the *whole* group back to the per-instance path — partial
-        batched results are never mixed with per-instance retries of the
-        same group.
-        """
-        none = ([], frozenset())
-        from ..batchkernel import (
-            AUTO_MAX_TASKS,
-            eligible_strategy,
-            solve_batch,
-        )
-
-        if not eligible_strategy(algorithm, priority):
-            return none
-        group = [
+    @staticmethod
+    def _in_parent_group(
+        instances: List[BatchItem], algorithm: str, priority: str
+    ) -> frozenset[int]:
+        """Indices of the items solved in the calling process whatever
+        the worker count: pre-built :class:`Instance` items of at most
+        2048 tasks (paths load in workers, for failure isolation), at
+        least two of them, under an allotment strategy of
+        ``_IN_PARENT_ALGORITHMS`` with the earliest-start rule."""
+        if (
+            priority != "earliest-start"
+            or algorithm not in _IN_PARENT_ALGORITHMS
+        ):
+            return frozenset()
+        group = frozenset(
             i for i, inst in enumerate(instances)
-            if isinstance(inst, Instance) and inst.n_tasks <= AUTO_MAX_TASKS
-        ]
-        if len(group) < 2:
-            return none
-        t0 = time.perf_counter()
-        # Exception (not BaseException): KeyboardInterrupt/SystemExit
-        # must propagate, everything else means "use the per-instance
-        # path" — which re-raises per instance and isolates properly.
-        try:
-            reports = solve_batch(
-                [instances[i] for i in group], algorithm, priority
-            )
-        except Exception:
-            _BK_FALLBACK.inc()
-            return none
-        per = (time.perf_counter() - t0) / len(group)
-        raw = [
-            _ok_record(
-                i, instances[i], None, rep, per,
-                self.include_schedule, "batched",
-            )
-            for i, rep in zip(group, reports)
-        ]
-        return raw, frozenset(group)
+            if isinstance(inst, Instance)
+            and inst.n_tasks <= _IN_PARENT_MAX_TASKS
+        )
+        return group if len(group) >= 2 else frozenset()
 
     def _run_pool(
         self,

@@ -4,7 +4,7 @@ Every LP of the package is an ``A_ub v <= b_ub`` model bulk-assembled
 as NumPy arrays (see :class:`repro.core.lp.AllotmentArrays`), and every
 one is solved by loading it into a :class:`HighsModel`:
 
-* a one-shot solve — LP (9), a block of the batched tier, a probe of
+* a one-shot solve — LP (9), a block of a packed batch, a probe of
   the deadline binary search — is a fresh model's cold
   :meth:`HighsModel.solve` (:func:`solve_ub_arrays`,
   :func:`solve_ub_blocks`);

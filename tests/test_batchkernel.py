@@ -1,25 +1,23 @@
-"""Property suite for the cross-instance batched kernel tier.
+"""Property suite for the block-diagonal stage functions.
 
-Every batched stage of :mod:`repro.batchkernel` claims to be an
-*exact-float* replica of its per-instance reference — not approximately
-equal, bit-identical.  The hypothesis strategies below draw batches of
-mixed sizes, mixed DAG shapes, mixed profile models and **mixed m**
+Every stage of :mod:`repro.batchkernel` claims to be an *exact-float*
+replica of its per-instance reference — not approximately equal,
+bit-identical.  The hypothesis strategies below draw batches of mixed
+sizes, mixed DAG shapes, mixed profile models and **mixed m**
 (heterogeneous padding is the subtlest part of the pack), and each test
 asserts slice-for-slice equality against the pinned per-instance path:
 
 * CSR packing vs the original ``DagCsr`` arrays;
-* batched longest-path / lower-bound kernels vs
-  ``Dag.longest_path_length`` / ``Instance.trivial_lower_bound``;
 * block-diagonal LP assembly vs ``assemble_allotment_arrays``,
   element for element;
 * vectorized rounding vs ``round_fractional_times``;
-* the block-by-block phase-2 scheduler and :func:`solve_batch` vs
-  ``list_schedule`` / :class:`repro.pipeline.SchedulingPipeline` —
-  schedules compared entry for entry with ``==`` on floats — and its
-  allotment checks and work counters.
+* the block-by-block phase-2 scheduler vs ``list_schedule`` and
+  ``list_schedule_reference`` — schedules compared entry for entry
+  with ``==`` on floats — and its allotment checks, near-tie fallback
+  and work counters.
 
-Plus the engine's routing into the tier (JSONL ``kernel_tier`` column)
-and the tiny-n dispatch regression test.
+Plus the engine's ``kernel_tier`` column: every earliest-start record,
+in the in-parent group or not, says ``"array"``.
 """
 
 import json
@@ -31,24 +29,17 @@ from hypothesis import strategies as st
 
 from repro import Dag, Instance, MalleableTask
 from repro.batchkernel import (
-    AUTO_MAX_TASKS,
-    BatchKernelError,
     assemble_batch_lp,
     batched_list_schedule,
-    batched_longest_path_lengths,
     batched_round,
-    batched_trivial_lower_bounds,
-    eligible_strategy,
     pack_csrs,
-    solve_batch,
     stack_profiles,
 )
 from repro.core.arrays import instance_arrays
 from repro.core.list_scheduler import (
-    _run,
     dispatch_tier,
+    list_run,
     list_schedule,
-    list_schedule_loop,
     list_schedule_reference,
 )
 from repro.core.lp import assemble_allotment_arrays
@@ -87,11 +78,6 @@ _SET = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-_SET_SLOW = settings(
-    max_examples=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 
 
 def _entries(schedule):
@@ -102,7 +88,7 @@ def _entries(schedule):
 
 
 # ---------------------------------------------------------------------------
-# packing: CSR union and kernel equality
+# packing: CSR union
 # ---------------------------------------------------------------------------
 @given(batch=batches())
 @_SET
@@ -130,22 +116,6 @@ def test_pack_csrs_blocks_roundtrip(batch):
         np.testing.assert_array_equal(
             bcsr.union.pred_indices[e0:e1] - off, c.pred_indices
         )
-
-
-@given(batch=batches())
-@_SET
-def test_batched_level_kernels_exact(batch):
-    bcsr = pack_csrs([inst.dag.to_csr() for inst in batch])
-    dur = np.concatenate(
-        [[t.min_time for t in inst.tasks] for inst in batch]
-    ) if batch else np.zeros(0)
-    cps = batched_longest_path_lengths(bcsr, dur)
-    lows = batched_trivial_lower_bounds(batch, bcsr)
-    for b, inst in enumerate(batch):
-        s = bcsr.block_slice(b)
-        # Exact equality: same floats, block-local reads.
-        assert cps[b] == inst.dag.longest_path_length(list(dur[s]))
-        assert lows[b] == inst.trivial_lower_bound()
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +228,8 @@ def test_batched_list_schedule_bit_identical(batch, seed):
         ref = list_schedule(inst, block_alloc)
         assert _entries(schedules[b]) == _entries(ref)
         assert schedules[b].makespan == ref.makespan
-        # And against the loop tier, so all three tiers are pinned to
-        # the same floats.
         assert _entries(schedules[b]) == _entries(
-            list_schedule_loop(inst, block_alloc)
+            list_schedule_reference(inst, block_alloc)
         )
 
 
@@ -288,67 +256,39 @@ def test_batched_list_schedule_rejects_allotment(where, value, message):
 
 
 @pytest.mark.parametrize("algorithm", ["jz", "sequential"])
-def test_solve_batch_counts_list_work(algorithm):
-    """A traced solve_batch decides every packed task once and adds,
-    per block, the work a traced array-tier run adds per run."""
+def test_batched_list_schedule_counts_list_work(algorithm):
+    """A traced batched_list_schedule decides every packed task once and
+    adds, per block, the work a traced per-instance run adds per run."""
     batch = [
         make_instance("erdos_renyi", 30, 4, seed=5),
         make_instance("layered", 24, 6, seed=6),
         make_instance("fork_join", 18, 3, seed=7),
     ]
+    pipe = SchedulingPipeline(algorithm, "earliest-start")
+    reports = [pipe.solve(inst) for inst in batch]
+    alloc = np.concatenate([
+        np.minimum(rep.allotment, rep.mu or inst.m)
+        for rep, inst in zip(reports, batch)
+    ])
+    sp = stack_profiles(batch)
+    bcsr = pack_csrs([inst.dag.to_csr() for inst in batch])
     with obs_trace.tracing() as tracer:
-        reports = solve_batch(batch, algorithm)
+        schedules = batched_list_schedule(sp, bcsr, alloc)
     got = tracer.counter_totals()
     assert got["frontier_steps"] == sum(i.n_tasks for i in batch)
     want = {"timeline_refreshes": 0, "frontier_size_sum": 0}
-    for rep, inst in zip(reports, batch):
+    for sched, rep, inst in zip(schedules, reports, batch):
+        assert _entries(sched) == _entries(rep.schedule)
         with obs_trace.tracing() as one:
-            _run(inst, rep.allotment, rep.mu, None, tier="array")
+            list_run(inst, rep.allotment, rep.mu)
         for key in want:
             want[key] += one.counter_totals()[key]
     assert {k: got[k] for k in want} == want
 
 
-# ---------------------------------------------------------------------------
-# solve_batch vs the per-instance pipeline
-# ---------------------------------------------------------------------------
-@given(
-    # ltw_parameters requires m >= 2 on both paths, so pin min_m here.
-    batch=batches(max_blocks=4, max_size=20, min_m=2),
-    algorithm=st.sampled_from(("jz", "ltw", "sequential", "full")),
-)
-@_SET_SLOW
-def test_solve_batch_matches_pipeline(batch, algorithm):
-    reports = solve_batch(batch, algorithm)
-    assert len(reports) == len(batch)
-    pipe = SchedulingPipeline(algorithm, "earliest-start")
-    for rep, inst in zip(reports, batch):
-        ref = pipe.solve(inst)
-        assert _entries(rep.schedule) == _entries(ref.schedule)
-        assert rep.makespan == ref.makespan
-        assert rep.allotment == ref.allotment
-        assert rep.mu == ref.mu
-        assert rep.rho == ref.rho
-        assert rep.lower_bound == ref.lower_bound
-        assert rep.ratio_bound == ref.ratio_bound
-        assert rep.metadata["kernel_tier"] == "batched"
-
-
-def test_solve_batch_edge_cases():
-    assert solve_batch([], "jz") == []
-    one = make_instance("layered", 12, 3, seed=7)
-    [rep] = solve_batch([one], "sequential")
-    ref = SchedulingPipeline("sequential", "earliest-start").solve(one)
-    assert _entries(rep.schedule) == _entries(ref.schedule)
-    with pytest.raises(BatchKernelError):
-        solve_batch([one], "jz", priority="critical-path")
-    with pytest.raises(BatchKernelError):
-        solve_batch([one], "greedy")
-
-
 def _unit_instance(times, arcs, m):
     """Tasks given by their one-processor time ``t``, ``0.6·t`` on more
-    processors; the ``sequential`` allotment runs each on one."""
+    processors; an allotment of ones runs each on one."""
     return Instance(
         [MalleableTask([t] + [0.6 * t] * (m - 1)) for t in times],
         Dag(len(times), arcs),
@@ -356,7 +296,7 @@ def _unit_instance(times, arcs, m):
     )
 
 
-def test_solve_batch_near_tie_fallback():
+def test_batched_list_schedule_near_tie_fallback():
     """Blocks whose ready set holds starts within the selection
     tolerance but not equal take the exact scan
     (``core.list_scheduler._scan_select``) that picks the lower id, not
@@ -374,30 +314,23 @@ def test_solve_batch_near_tie_fallback():
             [0.5, 1e-14, 1.0, q, 0.5], [(2, 0), (3, 1), (1, 4)], 2
         ),
     ]
-    reports = solve_batch(batch, "sequential")
-    for rep, inst in zip(reports, batch):
-        assert rep.metadata["kernel_tier"] == "batched"
-        assert _entries(rep.schedule) == _entries(
-            list_schedule_reference(inst, rep.allotment, mu=rep.mu)
+    sp = stack_profiles(batch)
+    bcsr = pack_csrs([inst.dag.to_csr() for inst in batch])
+    schedules = batched_list_schedule(
+        sp, bcsr, np.ones(bcsr.n_total, dtype=np.intp)
+    )
+    for sched, inst in zip(schedules, batch):
+        assert _entries(sched) == _entries(
+            list_schedule_reference(inst, [1] * inst.n_tasks)
         )
     # Task 4 is ready at 1 - 1e-13, tasks 2 and 3 at 1: the lower id
     # wins the near-tie, so task 2 starts first and task 4 waits.
-    near = reports[1].schedule
+    near = schedules[1]
     assert near[2].start == near[3].start == 1.0 < near[4].start
 
 
-def test_eligible_strategy():
-    assert eligible_strategy("jz", "earliest-start")
-    assert eligible_strategy("sequential", "earliest-start")
-    assert eligible_strategy("full", "earliest-start")
-    assert eligible_strategy("ltw", "earliest-start")
-    assert not eligible_strategy("jz", "critical-path")
-    assert not eligible_strategy("greedy", "earliest-start")
-    assert not eligible_strategy("no-such", "earliest-start")
-
-
 # ---------------------------------------------------------------------------
-# engine routing into the batched tier and the JSONL column
+# the engine's kernel_tier column
 # ---------------------------------------------------------------------------
 def _assert_matches_pipeline(records, instances, priority="earliest-start"):
     """Batch records equal direct per-instance pipeline solves."""
@@ -412,37 +345,32 @@ def test_runner_auto_routing(tmp_path):
     batch = [
         make_instance("erdos_renyi", 24, 4, seed=s) for s in range(5)
     ]
+    # The in-parent group and a singleton batch both run the staircase.
     auto = BatchRunner(workers=0).run(batch)
-    assert all(r.kernel_tier == "batched" for r in auto.records)
+    assert auto.summary()["kernel_tiers"] == {"array": 5}
     _assert_matches_pipeline(auto.records, batch)
-    assert auto.summary()["kernel_tiers"] == {"batched": 5}
-
-    # Singleton batches stay per-instance (no win to batch).
     single = BatchRunner(workers=0).run(batch[:1])
-    assert single.records[0].kernel_tier in ("loop", "array")
-    _assert_matches_pipeline(single.records, batch[:1])
+    assert single.records[0].kernel_tier == "array"
 
-    # Ineligible strategies never batch.
+    # Any other phase-2 rule is a priority-rule loop.
     cp = BatchRunner(workers=0, priority="critical-path").run(batch)
     assert all(r.kernel_tier == "loop" for r in cp.records)
     _assert_matches_pipeline(cp.records, batch, "critical-path")
-
-    # The batched tier takes instances of at most AUTO_MAX_TASKS tasks.
-    assert batch[0].n_tasks <= AUTO_MAX_TASKS
 
     # JSONL roundtrip: additive v2 column, omitted when None.
     path = tmp_path / "records.jsonl"
     write_jsonl(auto.records, path)
     lines = [json.loads(l) for l in path.read_text().splitlines()]
-    assert all(l["kernel_tier"] == "batched" for l in lines)
+    assert all(l["kernel_tier"] == "array" for l in lines)
     back = read_jsonl(path)
-    assert [r.kernel_tier for r in back] == ["batched"] * 5
+    assert [r.kernel_tier for r in back] == ["array"] * 5
     from repro.engine.batch import BatchRecord
 
     assert "kernel_tier" not in BatchRecord(
         index=0, status="error", error="boom"
     ).to_dict()
-    # Pre-tier version-2 lines (no column) read back as None.
+    # Pre-tier version-2 lines (no column) read back as None, and lines
+    # written while the batched tier ran keep their "batched".
     stripped = [
         {k: v for k, v in l.items() if k != "kernel_tier"}
         for l in lines
@@ -452,6 +380,11 @@ def test_runner_auto_routing(tmp_path):
         "".join(json.dumps(l) + "\n" for l in stripped)
     )
     assert all(r.kernel_tier is None for r in read_jsonl(path2))
+    path3 = tmp_path / "batched.jsonl"
+    path3.write_text("".join(
+        json.dumps({**l, "kernel_tier": "batched"}) + "\n" for l in lines
+    ))
+    assert [r.kernel_tier for r in read_jsonl(path3)] == ["batched"] * 5
 
 
 def test_runner_batched_mixed_with_paths(tmp_path):
@@ -463,64 +396,19 @@ def test_runner_batched_mixed_with_paths(tmp_path):
     p = tmp_path / "inst.json"
     save_instance(batch[0], p)
     result = BatchRunner(workers=0).run([batch[1], str(p), batch[2]])
-    # Paths load in workers and stay per-instance; pre-built instances
-    # batch around them, order preserved.
-    assert [r.kernel_tier for r in result.records] == [
-        "batched", "loop", "batched"
-    ]
+    # Paths load in workers and stay out of the in-parent group;
+    # pre-built instances are grouped around them, order preserved.
+    assert [r.kernel_tier for r in result.records] == ["array"] * 3
     assert result.n_ok == 3
     _assert_matches_pipeline(result.records, [batch[1], batch[0], batch[2]])
 
 
-def test_runner_batched_group_falls_back_whole(monkeypatch):
-    # Any batched-tier failure must re-solve the whole group on the
-    # per-instance path — never half batched, half retried.
-    import repro.engine.batch as eb
-
-    def boom(*a, **k):
-        raise RuntimeError("batched tier exploded")
-
-    monkeypatch.setattr("repro.batchkernel.solve_batch", boom)
-    batch = [
-        make_instance("erdos_renyi", 16, 3, seed=s) for s in range(4)
-    ]
-    result = eb.BatchRunner(workers=0).run(batch)
-    assert result.n_ok == 4
-    assert all(r.kernel_tier in ("loop", "array")
-               for r in result.records)
-
-
-# ---------------------------------------------------------------------------
-# tiny-n dispatch: no batch arrays on small instances
-# ---------------------------------------------------------------------------
-def test_tiny_n_dispatch_allocates_no_batch_arrays(monkeypatch):
-    """Solves below 256 tasks run entirely on the loop tier: no
-    staircase kernel, no instance_arrays pack, no level structure."""
-    insts = [make_instance("erdos_renyi", n, 4, seed=3) for n in (50, 200)]
-    expected = [
-        _entries(list_schedule_loop(inst, [1] * inst.n_tasks))
-        for inst in insts
-    ]
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError(
-            "tiny-n solve touched batch/array state"
-        )
-
-    monkeypatch.setattr(
-        "repro.core.list_scheduler._staircase_tier", forbidden
-    )
-    monkeypatch.setattr("repro.core.list_scheduler._staircase", forbidden)
-    monkeypatch.setattr("repro.core.arrays.instance_arrays", forbidden)
-    monkeypatch.setattr("repro.dag.csr.DagCsr.depths", forbidden)
-    for inst, want in zip(insts, expected):
-        assert dispatch_tier(inst) == "loop"
-        assert _entries(list_schedule(inst, [1] * inst.n_tasks)) == want
-
-
 def test_dispatch_tier_array_for_wide_instances():
+    """LIST has one kernel, the staircase, whatever the shape: wide,
+    deep and thin, or tiny."""
     wide = make_instance("independent", 600, 4, seed=0)
     assert dispatch_tier(wide) == "array"
-    # Deep-and-thin stays on the loop tier even above the tiny cutoff.
     deep = make_instance("chain", 300, 4, seed=0)
-    assert dispatch_tier(deep) == "loop"
+    assert dispatch_tier(deep) == "array"
+    tiny = make_instance("erdos_renyi", 50, 4, seed=3)
+    assert dispatch_tier(tiny) == "array"

@@ -26,7 +26,6 @@ from repro.core.allotment_bsearch import (
 )
 from repro.core.list_scheduler import (
     list_schedule,
-    list_schedule_loop,
     list_schedule_reference,
 )
 from repro.core.list_variants import (
@@ -303,7 +302,6 @@ def test_list_schedule_paths_identical_on_random_dags(dag, seed):
         ]
 
     fast = entries(list_schedule(inst, alloc, mu=mu))
-    assert fast == entries(list_schedule_loop(inst, alloc, mu=mu))
     assert fast == entries(list_schedule_reference(inst, alloc, mu=mu))
 
 

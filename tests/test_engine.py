@@ -26,7 +26,7 @@ def _instances(count=4, size=10, m=4, seed0=0):
 
 
 def _saved(instances, directory):
-    """Instance JSON paths: the batched tier never takes a path."""
+    """Instance JSON paths: the in-parent group never takes a path."""
     paths = []
     for k, inst in enumerate(instances):
         path = directory / f"i{k}.json"
@@ -48,7 +48,7 @@ class TestDeterminism:
         instances = _instances(4)
         seq = [jz_reference(i) for i in instances]
         paths = _saved(instances, tmp_path)
-        # Pre-built instances are batched in the parent at any worker
+        # Pre-built instances are solved in the parent at any worker
         # count; their paths pool at workers=2, one instance per chunk.
         for workers, batch, chunks in (
             (0, instances, 0), (1, instances, 0), (2, instances, 0),
@@ -56,9 +56,7 @@ class TestDeterminism:
         ):
             res, traced = _traced(BatchRunner(workers=workers).run, batch)
             assert traced == chunks
-            assert res.kernel_tiers().get("batched", 0) == (
-                0 if chunks else 4
-            )
+            assert res.kernel_tiers() == {"array": 4}
             assert res.n_errors == 0
             assert [r.index for r in res.records] == [0, 1, 2, 3]
             for rec, ref in zip(res.records, seq):
@@ -68,14 +66,15 @@ class TestDeterminism:
                 assert rec.observed_ratio == ref.observed_ratio
 
     def test_forced_pool_matches_in_process(self):
-        # fifo has no batched replica, so workers=2 pools all three.
+        # fifo keeps items out of the in-parent group, so workers=2
+        # pools all three.
         instances = _instances(3)
         pooled, chunks = _traced(
             BatchRunner(workers=2, priority="fifo").run, instances
         )
         inproc = BatchRunner(workers=0, priority="fifo").run(instances)
         assert chunks == 3
-        assert "batched" not in pooled.kernel_tiers()
+        assert pooled.kernel_tiers() == {"loop": 3}
         assert [r.makespan for r in pooled.records] == [
             r.makespan for r in inproc.records
         ]
@@ -84,13 +83,77 @@ class TestDeterminism:
         ]
 
 
+class TestRouting:
+    """Which route each item takes: at least two pre-built instances of
+    at most 2048 tasks under ``jz``/``ltw``/``sequential``/``full`` with
+    ``earliest-start`` are solved in the parent whatever the worker
+    count; the rest pool at ``workers=2`` when at least two remain (one
+    item per chunk at these sizes), else run in-process.  The traced
+    chunk counts are the ones the routes had while the in-parent group
+    was a block-diagonal pass.  Every route is a per-instance pipeline
+    solve, and every earliest-start record says ``"array"``."""
+
+    @pytest.mark.parametrize(
+        "algorithm, priority, layout, workers, chunks",
+        [
+            # the group of three stays in the parent, the paths pool
+            ("sequential", "earliest-start", "iiipp", 2, 2),
+            ("jz", "earliest-start", "iiipp", 0, 0),
+            # one pre-built instance is no group: all three pool
+            ("jz", "earliest-start", "ipp", 2, 3),
+            # a pair of instances is: the one path left runs in-process
+            ("ltw", "earliest-start", "iip", 2, 0),
+            # above 2048 tasks an instance leaves the group and pools
+            ("full", "earliest-start", "iiBp", 2, 2),
+            # outside the group's strategies everything pools
+            ("bsearch", "earliest-start", "iii", 2, 3),
+            ("jz", "fifo", "iii", 2, 3),
+        ],
+    )
+    def test_routes_and_records(
+        self, tmp_path, algorithm, priority, layout, workers, chunks
+    ):
+        from repro.io import schedule_to_dict
+        from repro.pipeline import SchedulingPipeline
+
+        small = iter(_instances(len(layout)))
+        items, instances = [], []
+        for k, kind in enumerate(layout):
+            if kind == "B":
+                inst = make_instance("chain", 2049, 4, seed=k)
+            else:
+                inst = next(small)
+            instances.append(inst)
+            if kind == "p":
+                save_instance(inst, tmp_path / f"i{k}.json")
+                inst = str(tmp_path / f"i{k}.json")
+            items.append(inst)
+        runner = BatchRunner(
+            workers=workers, algorithm=algorithm, priority=priority,
+            include_schedule=True,
+        )
+        res, traced = _traced(runner.run, items)
+        assert traced == chunks
+        assert res.n_errors == 0
+        tier = "array" if priority == "earliest-start" else "loop"
+        pipe = SchedulingPipeline(algorithm, priority)
+        for rec, inst in zip(res.records, instances):
+            rep = pipe.solve(inst)
+            assert rec.kernel_tier == tier
+            assert rec.schedule == schedule_to_dict(rep.schedule)
+            assert (rec.makespan, rec.lower_bound, rec.mu, rec.rho) == (
+                rep.makespan, rep.lower_bound, rep.mu, rep.rho
+            )
+
+
 class TestFailureIsolation:
     def test_bad_instance_is_isolated(self):
         instances = _instances(2)
         batch = [instances[0], object(), instances[1]]
-        # Under earliest-start the two instances are batched and the bad
-        # item solves alone in-process; fifo has no batched replica, so
-        # at workers=2 all three pool, one per chunk.
+        # Under earliest-start the two instances form the in-parent
+        # group and the bad item solves alone in-process; fifo keeps
+        # them out of the group, so at workers=2 all three pool, one per
+        # chunk.
         for workers, priority, chunks in (
             (0, "earliest-start", 0),
             (2, "earliest-start", 0),
@@ -100,7 +163,9 @@ class TestFailureIsolation:
                 BatchRunner(workers=workers, priority=priority).run, batch
             )
             assert traced == chunks
-            assert ("batched" in res.kernel_tiers()) == (chunks == 0)
+            assert res.kernel_tiers() == {
+                "array" if priority == "earliest-start" else "loop": 2
+            }
             assert [r.status for r in res.records] == ["ok", "error", "ok"]
             assert res.n_errors == 1
             err = res.records[1]
@@ -336,9 +401,9 @@ class TestCliBatch:
 
 
 class TestChunkedSubmission:
-    """Pool runs at workers=2 over a pair the batched tier does not
-    replicate (fifo), so every item reaches the pool; the chunk size
-    follows from the batch size."""
+    """Pool runs at workers=2 under a rule the in-parent group does not
+    take (fifo), so every item reaches the pool; the chunk size follows
+    from the batch size."""
 
     #: Batch sizes whose auto chunk size at workers=2 is the key.
     ITEMS = {1: 2, 2: 9, 5: 33}
@@ -353,7 +418,7 @@ class TestChunkedSubmission:
             BatchRunner(workers=2, priority="fifo").run, instances
         )
         assert chunks == -(-count // chunksize)
-        assert "batched" not in pooled.kernel_tiers()
+        assert pooled.kernel_tiers() == {"loop": count}
         assert pooled.n_errors == 0
         assert [r.index for r in pooled.records] == list(range(count))
         assert [r.makespan for r in pooled.records] == [
@@ -371,7 +436,7 @@ class TestChunkedSubmission:
             BatchRunner(workers=2, priority="fifo").run, instances
         )
         assert chunks == 5
-        assert "batched" not in res.kernel_tiers()
+        assert res.kernel_tiers() == {"loop": 8}
         assert res.n_errors == 1
         bad = res.records[2]
         assert "Traceback" in bad.error
@@ -409,7 +474,7 @@ class TestBatchItems:
         pooled, chunks = _traced(BatchRunner(workers=2).run, paths)
         seq = BatchRunner(workers=0).run(instances)
         assert chunks == 3
-        assert "batched" not in pooled.kernel_tiers()
+        assert pooled.kernel_tiers() == {"array": 3}
         assert pooled.n_errors == 0
         assert [r.makespan for r in pooled.records] == [
             r.makespan for r in seq.records

@@ -462,7 +462,7 @@ def test_batched_runner_call_builds_no_view(monkeypatch):
     fresh = batch()
     _forbid_views(monkeypatch)
     got = BatchRunner(workers=0).run(fresh)
-    assert all(r.kernel_tier == "batched" for r in got.records)
+    assert all(r.kernel_tier == "array" for r in got.records)
     assert [(r.makespan, r.lower_bound) for r in got.records] == [
         (r.makespan, r.lower_bound) for r in want.records
     ]

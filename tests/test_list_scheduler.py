@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from repro import Dag, Instance, MalleableTask, assert_feasible
 from repro.core import capped_allotment, list_schedule
-from repro.core import list_scheduler
-from repro.core.list_scheduler import (
-    dispatch_tier,
-    list_run,
-    list_schedule_reference,
-)
+from repro.core.list_scheduler import list_run, list_schedule_reference
 from repro.dag import (
     FAMILIES,
     chain_dag,
@@ -175,22 +170,21 @@ def _entries(schedule):
     ]
 
 
-def _resume_instance(tier, seed):
-    """A random instance on which :func:`dispatch_tier` picks ``tier``
-    (``"tiny"`` is the loop tier below 64 tasks)."""
+def _resume_instance(shape, seed):
+    """A random layered instance of ``shape``: ``"tiny"`` (below 64
+    tasks), ``"deep"`` (256–320 tasks in 25 levels, mean level width
+    below 13) or ``"wide"`` (290–320 tasks in 3 levels)."""
     rng = random.Random(seed)
     m = rng.choice([2, 4, 8])
-    if tier == "tiny":
+    if shape == "tiny":
         n = rng.randint(2, 63)
         dag = layered_dag(n, rng.randint(1, max(1, n // 3)), 0.4, seed=seed)
-    elif tier == "loop":
+    elif shape == "deep":
         dag = layered_dag(rng.randint(256, 320), 25, 0.15, seed=seed)
     else:
         dag = layered_dag(rng.randint(290, 320), 3, 0.03, seed=seed)
     model = rng.choice(["power", "amdahl", "log"])
-    inst = Instance(make_tasks_for_dag(dag, m, model=model, seed=seed), dag, m)
-    assert dispatch_tier(inst) == ("loop" if tier == "tiny" else tier)
-    return inst
+    return Instance(make_tasks_for_dag(dag, m, model=model, seed=seed), dag, m)
 
 
 def _expected_reuse(parent, alloc, mu, order, child, alloc2, mu2):
@@ -219,17 +213,17 @@ def _expected_reuse(parent, alloc, mu, order, child, alloc2, mu2):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    st.sampled_from(["tiny", "loop", "array"]),
+    st.sampled_from(["tiny", "deep", "wide"]),
     st.sampled_from(["retime", "allotment", "mu", "none"]),
     st.integers(0, 2**16),
     st.integers(1, 3),
 )
-def test_resumed_run_equals_full_run_and_reference(tier, change, seed, k):
+def test_resumed_run_equals_full_run_and_reference(shape, change, seed, k):
     """Property: a run resumed from an earlier run's record equals a
     from-scratch run and the Table 1 reference entry for entry, and
     replays exactly ``k*`` steps."""
     rng = random.Random(seed)
-    parent = _resume_instance(tier, seed)
+    parent = _resume_instance(shape, seed)
     n, m = parent.n_tasks, parent.m
     alloc = [rng.randint(1, m) for _ in range(n)]
     mu = rng.choice([None, (m + 1) // 2])
@@ -297,9 +291,9 @@ def test_counters_split_decided_and_replayed_steps():
         run = list_run(child, [2] * 40, previous=before)
     assert 0 < run.reused < 40
     delta = REGISTRY.counters_since(state)
-    assert delta[("repro_solver_frontier_steps_total", (("tier", "loop"),))] == (
-        40 - run.reused
-    )
+    assert delta[
+        ("repro_solver_frontier_steps_total", (("tier", "array"),))
+    ] == 40 - run.reused
     assert delta[("repro_solver_list_steps_reused_total", ())] == run.reused
     totals = tracer.counter_totals()
     assert totals["frontier_steps"] == 40 - run.reused
@@ -308,8 +302,7 @@ def test_counters_split_decided_and_replayed_steps():
     assert totals["timeline_refreshes"] >= 40 - run.reused
 
 
-@pytest.mark.parametrize("tier", ["loop", "array"])
-def test_resume_keeps_the_pick_order_on_a_near_tie(tier):
+def test_resume_keeps_the_pick_order_on_a_near_tie():
     """A (task 1) and B (task 2) are ready together with starts 1e-13
     apart, inside the selection tolerance: LIST picks the lower id, A,
     although B starts earlier, so the pick order differs from the
@@ -330,7 +323,7 @@ def test_resume_keeps_the_pick_order_on_a_near_tie(tier):
     alloc = [1] * 5
 
     def run(instance, previous=None):
-        return list_scheduler._run(instance, alloc, None, previous, tier)
+        return list_run(instance, alloc, previous=previous)
 
     first = run(inst)
     assert first.order.tolist() == [0, 3, 1, 2, 4]
@@ -355,7 +348,7 @@ def test_resume_keeps_the_pick_order_on_a_near_tie(tier):
 
 
 # ---------------------------------------------------------------------------
-# the array tier: LIST on the free-processor staircase
+# the kernel: LIST on the free-processor staircase
 # ---------------------------------------------------------------------------
 
 #: lcm(1..8): ``c * _LCM // min(l, k)`` is an integral profile with
@@ -375,10 +368,6 @@ def _integral_instance(dag, m, rng):
     return Instance(tasks, dag, m)
 
 
-def _staircase(instance, alloc, mu=None, previous=None):
-    return list_scheduler._run(instance, alloc, mu, previous, "array")
-
-
 @settings(
     max_examples=150,
     deadline=None,
@@ -392,9 +381,9 @@ def _staircase(instance, alloc, mu=None, previous=None):
     st.integers(0, 2**16),
 )
 def test_staircase_equals_reference(family, model, m, size, seed):
-    """Property: the array tier, forced on small instances, equals the
-    Table 1 reference entry for entry, on a cold run and on a run
-    resumed from the record of a retimed parent's run."""
+    """Property: the staircase equals the Table 1 reference entry for
+    entry, on a cold run and on a run resumed from the record of a
+    retimed parent's run."""
     rng = random.Random(seed)
     dag = random_family(family, size, seed=seed)
     n = dag.n_nodes
@@ -407,7 +396,7 @@ def test_staircase_equals_reference(family, model, m, size, seed):
     alloc = [rng.randint(1, m) for _ in range(n)]
     mu = rng.choice([None, 1, (m + 1) // 2, rng.randint(1, m)])
 
-    cold = _staircase(inst, alloc, mu)
+    cold = list_run(inst, alloc, mu)
     assert _entries(cold.schedule) == _entries(
         list_schedule_reference(inst, alloc, mu=mu)
     )
@@ -419,12 +408,12 @@ def test_staircase_equals_reference(family, model, m, size, seed):
     child, _ = inst.evolve().retime(
         j, [factor * t for t in inst.task(j).times]
     ).commit()
-    resumed = _staircase(child, alloc, mu, previous=cold)
+    resumed = list_run(child, alloc, mu, previous=cold)
     assert resumed.reused > 0
     assert _entries(resumed.schedule) == _entries(
         list_schedule_reference(child, alloc, mu=mu)
     )
-    assert resumed.order.tolist() == _staircase(child, alloc, mu).order.tolist()
+    assert resumed.order.tolist() == list_run(child, alloc, mu).order.tolist()
 
 
 def _unit_instance(times, arcs, m):
@@ -437,8 +426,7 @@ def _unit_instance(times, arcs, m):
     )
 
 
-@pytest.mark.parametrize("tier", ["loop", "array"])
-def test_near_tie_among_pending_ready_times(tier):
+def test_near_tie_among_pending_ready_times():
     """X (task 0) and Y (task 1) become ready 5e-13 apart, after Q and
     P, while a third processor is idle: both wait on their ready times,
     not on the staircase.  LIST picks X, the lower id, although Y is
@@ -448,7 +436,7 @@ def test_near_tie_among_pending_ready_times(tier):
     # ids: X=0 (after Q), Y=1 (after P), P=2, Q=3
     inst = _unit_instance([0.5, 0.5, 1.0, d], [(3, 0), (2, 1)], 3)
     alloc = [1] * 4
-    run = list_scheduler._run(inst, alloc, None, None, tier)
+    run = list_run(inst, alloc)
     assert run.order.tolist() == [2, 3, 0, 1]
     assert _entries(run.schedule) == _entries(
         list_schedule_reference(inst, alloc)
@@ -456,8 +444,7 @@ def test_near_tie_among_pending_ready_times(tier):
     assert run.schedule[1].start < run.schedule[0].start
 
 
-@pytest.mark.parametrize("tier", ["loop", "array"])
-def test_near_tie_pick_leaves_a_start_below_the_last_pick(tier):
+def test_near_tie_pick_leaves_a_start_below_the_last_pick():
     """X (task 0, ready at 1) and Y (task 1, ready 1e-13 earlier) tie
     within the tolerance on two processors; LIST picks X, and Y, which
     still fits before X's start, then starts below it: its start is not
@@ -466,7 +453,7 @@ def test_near_tie_pick_leaves_a_start_below_the_last_pick(tier):
     # ids: X=0 (after P), Y=1 (after Q), P=2, Q=3
     inst = _unit_instance([0.5, 0.5, 1.0, q], [(2, 0), (3, 1)], 2)
     alloc = [1] * 4
-    run = list_scheduler._run(inst, alloc, None, None, tier)
+    run = list_run(inst, alloc)
     assert run.order.tolist() == [2, 3, 0, 1]
     assert run.schedule[1].start == q < run.schedule[0].start
     assert _entries(run.schedule) == _entries(
@@ -474,8 +461,7 @@ def test_near_tie_pick_leaves_a_start_below_the_last_pick(tier):
     )
 
 
-@pytest.mark.parametrize("tier", ["loop", "array"])
-def test_successor_ready_below_the_last_pick(tier):
+def test_successor_ready_below_the_last_pick():
     """As above, and Y lasts 1e-14, below the tolerance: its successor
     Z (task 4) is ready before X's start and starts there, below the
     latest pick start, although Y itself was picked from below it."""
@@ -485,7 +471,7 @@ def test_successor_ready_below_the_last_pick(tier):
         [0.5, 1e-14, 1.0, q, 0.5], [(2, 0), (3, 1), (1, 4)], 2
     )
     alloc = [1] * 5
-    run = list_scheduler._run(inst, alloc, None, None, tier)
+    run = list_run(inst, alloc)
     assert run.order.tolist() == [2, 3, 0, 1, 4]
     assert run.schedule[4].start == run.schedule[1].end
     assert run.schedule[4].start < run.schedule[0].start
@@ -495,12 +481,11 @@ def test_successor_ready_below_the_last_pick(tier):
 
 
 def test_staircase_counts_at_most_mu_evaluations_per_step():
-    """On the array tier ``timeline_refreshes`` counts one evaluation
-    per demand swept per decided step: at least one, at most ``μ``, with
-    no near-tie to fall back on."""
+    """``timeline_refreshes`` counts one evaluation per demand swept per
+    decided step: at least one, at most ``μ``, with no near-tie to fall
+    back on."""
     dag = layered_dag(320, 3, 0.03, seed=5)
     inst = Instance(make_tasks_for_dag(dag, 8, seed=5), dag, 8)
-    assert dispatch_tier(inst) == "array"
     rng = random.Random(5)
     alloc = [rng.randint(1, 8) for _ in range(inst.n_tasks)]
     with obs_trace.tracing() as tracer:

@@ -261,7 +261,7 @@ class TestBatchMetrics:
         one (timing histograms aside)."""
         from repro.io import save_instance
 
-        # Paths: the batched tier never takes them, so workers=2 pools.
+        # Paths stay out of the in-parent group, so workers=2 pools.
         paths = []
         for s in range(6):
             paths.append(str(tmp_path / f"i{s}.json"))
@@ -270,7 +270,7 @@ class TestBatchMetrics:
         with obs_trace.tracing() as tracer:
             pooled = BatchRunner(workers=2).run(paths)
         assert tracer.counter_totals()["pool_chunks"] == 6
-        assert "batched" not in pooled.kernel_tiers()
+        assert pooled.kernel_tiers() == {"array": 6}
         strip = lambda m: {
             k: v for k, v in m.items() if "seconds" not in k
         }
@@ -301,7 +301,7 @@ class TestServiceObservability:
             "breaker", "faults_armed", "faults_fired",
         }
         assert stats["solved"] == 1
-        assert stats["kernel_tiers"] == {"loop": 1}
+        assert stats["kernel_tiers"] == {"array": 1}
         assert stats["resilience"]["avg_solve_s"] > 0
         assert isinstance(stats["cache"]["hit_ratio"], float)
 
