@@ -14,8 +14,11 @@ minutes, it runs the validator (``validated``).  A strategy sweep at
 n=500 compares every registered allotment strategy's schedule with the
 reference on every shape.  Every cell also records the work of one
 traced ``list_schedule`` call: ``timeline_refreshes`` (earliest-start
-evaluations), ``frontier_steps`` (decided steps) and the cap ``mu``,
-which ``check_scale_regression.py`` gates without a clock.
+evaluations), ``frontier_steps`` (decided steps) and the cap ``mu``;
+and, outside the timed region, LP (9)'s size (``lp_rows``, ``lp_nnz``)
+and the simplex pivots of one more cold solve (``lp_pivots``).
+``check_scale_regression.py`` gates the LIST work and the LP rows
+without a clock, and a chain's phase 1 against linear growth.
 
 DAGs are generated by vectorized bench-local samplers (deterministic per
 seed) because the library's G(n, p) generator draws all O(n²) pairs in
@@ -39,10 +42,11 @@ import numpy as np
 
 from repro.core.instance import Instance
 from repro.core.list_scheduler import list_schedule, list_schedule_reference
-from repro.core.lp import solve_allotment_lp
+from repro.core.lp import assemble_allotment_arrays, solve_allotment_lp
 from repro.core.parameters import jz_parameters
 from repro.core.rounding import rounding_stretch_report
 from repro.dag import Dag
+from repro.lpsolve.scipy_backend import solve_ub_arrays
 from repro.obs import trace as obs_trace
 from repro.pipeline import list_strategies
 from repro.schedule import validate_schedule
@@ -132,6 +136,8 @@ def bench_cell(shape, n, repeats):
     params = jz_parameters(M)
 
     phase1_s, lp = _best_of(lambda: solve_allotment_lp(inst), repeats)
+    lp_arrays = assemble_allotment_arrays(inst)
+    lp_pivots = solve_ub_arrays(lp_arrays).iterations
     t0 = time.perf_counter()
     rounding = rounding_stretch_report(inst, lp.x, params.rho)
     round_s = time.perf_counter() - t0
@@ -168,6 +174,9 @@ def bench_cell(shape, n, repeats):
         **check,
         "makespan": sched.makespan,
         "lower_bound": lp.objective,
+        "lp_rows": len(lp_arrays.b_ub),
+        "lp_nnz": len(lp_arrays.vals),
+        "lp_pivots": lp_pivots,
         "work": {
             "timeline_refreshes": totals["timeline_refreshes"],
             "frontier_steps": totals["frontier_steps"],
@@ -227,7 +236,8 @@ def main(argv=None):
             work = cell["work"]
             print(
                 f"{shape:>12} n={n:>6}: {cell['total_new_s']:7.2f}s "
-                f"(phase 1 {cell['phase1_s']:7.2f}s, LIST "
+                f"(phase 1 {cell['phase1_s']:7.2f}s, LP "
+                f"{cell['lp_rows']} rows, {cell['lp_pivots']} pivots, LIST "
                 f"{cell['phase2_new_s']:6.3f}s, "
                 f"{work['timeline_refreshes'] / work['frontier_steps']:.2f}"
                 f" evaluations per step, "

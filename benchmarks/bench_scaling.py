@@ -1,8 +1,12 @@
 """Benchmark E4 — scaling of the pipeline with n and m.
 
 LP (9) has O(n·m) rows (the paper argues polynomial solvability from
-exactly this); the bench measures wall-clock of LP build+solve and of the
-full pipeline as n and m grow, and benchmarks the dominant piece.
+exactly this); in the separable δ form the solver writes, the O(n·m)
+work segments are bounded columns instead, and the rows are one per
+arc, source, sink and linked task (one with segments, at most one
+predecessor and one successor, not isolated).  The bench measures
+wall-clock of LP build+solve and of the full pipeline as n and m grow,
+and benchmarks the dominant piece.
 
 Run:  pytest benchmarks/bench_scaling.py --benchmark-only -s
 """
@@ -23,20 +27,36 @@ def test_lp_size_scales_linearly_in_n_and_m(benchmark, capsys):
         make_instance("layered", 40, 8, model="power", seed=1),
     )
     rows = []
+    shapes = []
     for n, m in [(20, 4), (40, 4), (80, 4), (40, 8), (40, 16), (40, 32)]:
         inst = make_instance("layered", n, m, model="power", seed=1)
         arrays = assemble_allotment_arrays(inst)
         rows.append((inst.n_tasks, m, arrays.n_variables, len(arrays.b_ub)))
+        dag = inst.dag
+        linked = sum(
+            1 for j in range(inst.n_tasks)
+            if inst.task(j).segments()
+            and max(dag.in_degree(j), dag.out_degree(j)) == 1
+        )
+        shapes.append((
+            sum(len(inst.task(j).segments()) for j in range(inst.n_tasks)),
+            linked,
+            dag.n_edges + len(dag.sources()) + linked + len(dag.sinks())
+            + 2,
+        ))
     with capsys.disabled():
         print()
         print("=== E4: LP (9) model size ===")
         print(f"{'n':>4} {'m':>3} {'vars':>6} {'rows':>7}")
         for n, m, nv, nc in rows:
             print(f"{n:>4} {m:>3} {nv:>6} {nc:>7}")
-    # Variables are exactly 3n + 2; rows grow ~ n*m.
-    for n, m, nv, nc in rows:
-        assert nv == 3 * n + 2
-        assert nc <= 2 * n + n * (m - 1) + 10_000  # segments bounded by n(m-1)
+    # Variables are C_j, one δ per work segment (at most m - 1 per
+    # task), x_j per linked task, L and C; rows are one per arc, source,
+    # linked task and sink, plus two.
+    for (n, m, nv, nc), (segments, linked, want_rows) in zip(rows, shapes):
+        assert nv == n + segments + linked + 2
+        assert segments <= n * (m - 1)
+        assert nc == want_rows
 
 
 def test_pipeline_wall_clock_reasonable(benchmark, capsys):

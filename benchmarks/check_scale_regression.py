@@ -1,6 +1,8 @@
-"""CI gate: fail when the n=2000 end-to-end time or LIST's work regresses.
+"""CI gate: fail when the n=2000 end-to-end time, LIST's work, LP (9)'s
+size or a chain's phase-1 growth regresses.
 
-Two complementary checks over a fresh ``bench_scale.py --smoke`` output:
+Four complementary checks over a ``bench_scale.py`` output (a fresh
+``--smoke`` run, or the committed full run):
 
 1. **Committed baseline** — for every shape present in both files, the
    measured ``total_new_s`` at n=2000 must stay within ``--factor``
@@ -14,6 +16,20 @@ Two complementary checks over a fresh ``bench_scale.py --smoke`` output:
    and ``μ`` caps the demands.  A kernel that re-queries the ready
    frontier makes hundreds per step.  Check 1 tracks runner speed; this
    one does not.
+3. **LP rows** (needs no clock) — in every n=2000 cell, LP (9) may have
+   at most ``edges + 2n + 2`` rows (``lp_rows``): one per arc, at most
+   two per task (its source or sink row, or a linked task's link row;
+   an isolated task has the first two), plus ``L <= C`` and
+   ``W/m <= C``.  The separable form keeps the work segments as bounded
+   columns; a layout with one row per segment fails here.
+4. **Chain growth** (a ratio of two clocks of one run, so runner speed
+   cancels) — a chain's LP (9) is solved by presolve alone, with no
+   simplex pivots, so its phase 1 per task at every n above ``-n`` may
+   be at most ``--chain-growth`` (default 4×) that of the n=2000 chain
+   cell.  A layout whose presolve merges the chain's rows into one
+   ever-longer row is quadratic in n and fails here on a full run; its
+   rows, nonzeros and pivots all stay linear, and HiGHS reports no
+   count of presolve work, so no counter shows it.
 
 Every cell must additionally report its schedule checked: identical to
 the reference LIST (``schedules_identical``), or, above the size the
@@ -49,6 +65,9 @@ def main(argv=None):
                     help="allowed slowdown vs the committed baseline")
     ap.add_argument("-n", type=int, default=2000,
                     help="instance size gated on")
+    ap.add_argument("--chain-growth", type=float, default=4.0,
+                    help="allowed growth of a chain's phase 1 per task "
+                    "above n")
     args = ap.parse_args(argv)
 
     measured = json.loads(Path(args.measured).read_text())
@@ -99,6 +118,42 @@ def main(argv=None):
             failures.append(
                 f"{shape} n={args.n}: {per_step:.2f} earliest-start "
                 f"evaluations per step > mu={mu}"
+            )
+    # Clock-free gate: LP (9) rows.
+    for shape, cell in sorted(got.items()):
+        if "lp_rows" not in cell:
+            failures.append(f"{shape} n={args.n}: no LP size recorded")
+            continue
+        allowed = cell["edges"] + 2 * cell["n"] + 2
+        status = "ok" if cell["lp_rows"] <= allowed else "REGRESSED"
+        print(
+            f"{shape:>12} n={args.n}: {cell['lp_rows']} LP (9) rows "
+            f"(at most edges + 2n + 2 = {allowed}) {status}"
+        )
+        if cell["lp_rows"] > allowed:
+            failures.append(
+                f"{shape} n={args.n}: {cell['lp_rows']} LP rows > "
+                f"edges + 2n + 2 = {allowed}"
+            )
+    # Growth gate: a chain's phase 1 per task against the n cell's.
+    chain = {
+        c["n"]: c["phase1_s"] / c["n"]
+        for c in measured.get("cells", []) if c["shape"] == "chain"
+    }
+    base = chain.get(args.n)
+    for n, per_task in sorted(chain.items()):
+        if base is None or n <= args.n:
+            continue
+        growth = per_task / base
+        status = "ok" if growth <= args.chain_growth else "REGRESSED"
+        print(
+            f"{'chain':>12} n={n}: phase 1 per task {growth:.2f}x that "
+            f"at n={args.n} (at most {args.chain_growth}x) {status}"
+        )
+        if growth > args.chain_growth:
+            failures.append(
+                f"chain n={n}: phase 1 per task {growth:.2f}x that at "
+                f"n={args.n} > {args.chain_growth}x"
             )
     if failures:
         print("bench regression gate FAILED:", file=sys.stderr)

@@ -5,7 +5,9 @@ the one LP (9) assembly function, :func:`repro.core.lp.lp9_arrays`,
 over the block's slices of the stacked profiles and the packed arcs —
 so each block's arrays are element-for-element the per-instance
 assembly (asserted by the property suite), and solving each in a
-fresh HiGHS model yields bit-identical LP solutions.  The stacked
+fresh HiGHS model yields bit-identical LP solutions.
+:func:`extract_block_x` reads each block's ``x`` back with the one
+LP (9) read-back, :func:`repro.core.lp.lp9_read_back`.  The stacked
 fractional times round with the per-instance kernel,
 :func:`repro.core.rounding.batched_round`, on the stacked image.
 """
@@ -16,7 +18,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..core.lp import AllotmentArrays, lp9_arrays
+from ..core.lp import AllotmentArrays, lp9_arrays, lp9_read_back
 from .packing import BatchedCsr, StackedProfiles
 
 __all__ = ["assemble_batch_lp", "extract_block_x"]
@@ -32,8 +34,7 @@ def assemble_batch_lp(
     segments and arcs are contiguous slices of the pack, shifted back to
     block-local task ids.
     """
-    seg_ptr = np.zeros(len(sp.nseg) + 1, dtype=np.intp)
-    np.cumsum(sp.nseg, out=seg_ptr[1:])
+    seg_ptr = sp.seg_ptr
     src = bcsr.union.edge_sources()
     dst = bcsr.union.succ_indices
     out: List[AllotmentArrays] = []
@@ -44,11 +45,10 @@ def assemble_batch_lp(
         out.append(lp9_arrays(
             int(sp.m_blocks[b]),
             sp.min_time[t0:t1],
-            sp.max_time[t0:t1],
-            sp.work_lo[t0:t1],
-            sp.seg_task[s0:s1] - t0,
+            sp.anchor_work[t0:t1],
+            seg_ptr[t0:t1 + 1] - s0,
             sp.seg_slope[s0:s1],
-            sp.seg_intercept[s0:s1],
+            sp.seg_len[s0:s1],
             src[e0:e1] - t0,
             dst[e0:e1] - t0,
         ))
@@ -58,10 +58,18 @@ def assemble_batch_lp(
 def extract_block_x(
     sp: StackedProfiles, solutions: Sequence
 ) -> np.ndarray:
-    """Stack the fractional times ``x_j = values[3j]`` of every block."""
+    """Stack the fractional times of every block, each read back with
+    :func:`repro.core.lp.lp9_read_back` from the block's δ columns."""
+    seg_ptr = sp.seg_ptr
+    cut = np.searchsorted(sp.seg_tasks, sp.node_ptr)
     parts = []
     for b in range(sp.n_blocks):
-        n = int(sp.node_ptr[b + 1] - sp.node_ptr[b])
-        vals = np.asarray(solutions[b].values, dtype=float)
-        parts.append(vals[np.arange(n) * 3])
+        t0, t1 = sp.node_ptr[b], sp.node_ptr[b + 1]
+        k0, k1 = cut[b], cut[b + 1]
+        parts.append(lp9_read_back(
+            solutions[b].values,
+            sp.min_time[t0:t1],
+            seg_ptr[t0:t1 + 1] - seg_ptr[t0],
+            sp.seg_tasks[k0:k1] - t0,
+        ))
     return np.concatenate(parts) if parts else np.zeros(0)

@@ -138,15 +138,18 @@ class StackedProfiles(NamedTuple):
     m_of_task: np.ndarray   #: (N,) owning block's m, per task
     times: np.ndarray       #: (N, m_max) padded processing times
     min_time: np.ndarray    #: (N,) p(m_b)
-    max_time: np.ndarray    #: (N,) p(1)
     work_lo: np.ndarray     #: (N,) rigid-task work lower bound
     brk_ptr: np.ndarray     #: (N+1,) per-task canonical break offsets
+    seg_ptr: np.ndarray     #: (N+1,) per-task segment offsets
     brk_level: np.ndarray   #: flat break levels l
     brk_value: np.ndarray   #: flat break times p(l)
     nseg: np.ndarray        #: (N,) segments per task (= breaks - 1)
     seg_task: np.ndarray    #: flat segment -> task row
     seg_slope: np.ndarray   #: flat chord slopes
     seg_intercept: np.ndarray  #: flat chord intercepts
+    seg_len: np.ndarray     #: flat δ bounds of LP (9)
+    anchor_work: np.ndarray  #: (N,) the chord work at x = p(m_b)
+    seg_tasks: np.ndarray   #: tasks with at least one segment
 
 
 def stack_profiles(instances: Sequence[Instance]) -> StackedProfiles:
@@ -186,6 +189,5 @@ def stack_profiles(instances: Sequence[Instance]) -> StackedProfiles:
         m_of_task=m_of_task,
         times=times,
         min_time=times[np.arange(n_total), m_of_task - 1],
-        max_time=times[:, 0].copy(),
         **profile_image(times)._asdict(),
     )

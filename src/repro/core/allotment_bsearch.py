@@ -13,9 +13,11 @@ quality (both phase-1 formulations relax the same problem) but strictly
 more LP solves for the binary search.
 
 Because LP (9) holds both criteria, [18]'s deadline LP *is* LP (9) in
-its ε-constraint form: the objective moves from ``C`` to ``Σ_j w̄_j``,
-the critical-path column ``L`` gets the upper bound ``d``, and ``C``
-stays free, so ``L <= C`` and ``W/m <= C`` go slack.  Every probe reads
+its ε-constraint form: the objective moves from ``C`` to the total work
+``Σ_j w̄_j`` (in LP (9)'s δ form, the segment slopes on the δ columns:
+the work at every ``p_j(m)`` is a constant the search never reads), the
+critical-path column ``L`` gets the upper bound ``d``, and ``C`` stays
+free, so ``L <= C`` and ``W/m <= C`` go slack.  Every probe reads
 the one memoized LP (9) assembly
 (:func:`repro.core.lp.assemble_allotment_arrays`, which ``jz`` and
 ``ltw`` build for the same instance), swaps in that objective and the
@@ -44,7 +46,7 @@ from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
 from .arrays import instance_arrays, work_of_times
 from .instance import Instance
-from .lp import assemble_allotment_arrays
+from .lp import assemble_allotment_arrays, lp9_read_back
 from .rounding import round_fractional_times
 
 __all__ = [
@@ -81,15 +83,17 @@ class _DeadlineSolver:
     """Shared state for the binary search's repeated deadline solves.
 
     Holds the instance's memoized LP (9) arrays with the objective on
-    the ``w̄_j`` columns; every probe only bounds ``L``, on a copy.
+    the δ columns, each weighted by its segment's slope (the total work
+    ``Σ_j w̄_j`` less its constant ``Σ_j w_j(p_j(m))``); every probe
+    only bounds ``L``, on a copy, and reads ``x`` back with
+    :func:`repro.core.lp.lp9_read_back`.
     """
 
     def __init__(self, instance: Instance):
-        self._n = instance.n_tasks
-        self._image = instance_arrays(instance)
+        self._image = image = instance_arrays(instance)
         arrays = assemble_allotment_arrays(instance)
         c = np.zeros(arrays.n_variables)
-        c[2:3 * self._n:3] = 1.0
+        c[image.n:image.n + len(image.seg_slope)] = image.seg_slope
         self._arrays = arrays._replace(c=c)
 
     def solve(self, deadline: float) -> Optional[DeadlineLpResult]:
@@ -104,15 +108,19 @@ class _DeadlineSolver:
     def _probe(self, deadline: float) -> Optional[DeadlineLpResult]:
         arr = self._arrays
         hi = arr.hi.copy()
-        hi[3 * self._n] = deadline  # L
+        hi[-2] = deadline  # L
         try:
             sol = solve_ub_arrays(arr._replace(hi=hi))
         except LpError:
             return None
-        x = tuple(sol.values[0:3 * self._n:3])
-        work = work_of_times(self._image, np.array(x, dtype=float))
+        image = self._image
+        x = lp9_read_back(
+            sol.values, image.min_time, image.seg_ptr, image.seg_tasks
+        )
+        work = work_of_times(image, x)
         return DeadlineLpResult(
-            deadline=deadline, total_work=sum(work.tolist()), x=x
+            deadline=deadline, total_work=sum(work.tolist()),
+            x=tuple(x.tolist()),
         )
 
 

@@ -3,12 +3,13 @@
 An :class:`repro.core.Instance` holds its task profiles as the ``(n, m)``
 times matrix (:attr:`~repro.core.Instance.times`).
 :func:`instance_arrays` adds, once per instance, what the solver reads
-beside it: the variable bounds of LP (9), the canonical breakpoints and
-the flattened work-segment chords of eq. (8), all built from the matrix
-by :func:`profile_image`, the one canonical-breakpoint kernel
+beside it: the canonical breakpoints, the flattened work-segment chords
+of eq. (8) and LP (9)'s δ bounds and anchor work, all built from the
+matrix by :func:`profile_image`, the one canonical-breakpoint kernel
 (:func:`repro.batchkernel.stack_profiles` runs it on a fleet's padded
-matrix).  Phase 1 runs on this image alone: LP assembly, the
-``w(x)`` read-back (:func:`work_of_times`) and critical-point rounding
+matrix).  Phase 1 runs on this image alone: LP assembly, the ``x``
+and ``w(x)`` read-backs (:func:`segment_sums`, :func:`work_of_times`)
+and critical-point rounding
 (:func:`repro.core.rounding.batched_round`) index instead of calling
 ``MalleableTask.segments``/``work_of_time``/``bracket``, which stay the
 per-task API and the test suite's reference.
@@ -41,6 +42,7 @@ __all__ = [
     "instance_arrays",
     "memoized_on_instance",
     "profile_image",
+    "segment_sums",
     "work_of_times",
 ]
 
@@ -81,10 +83,18 @@ class ProfileImage(NamedTuple):
 
     Breakpoint and segment arrays are flat in (task, increasing ``l``)
     order; task ``j`` owns breaks ``brk_ptr[j]:brk_ptr[j+1]`` and
-    segments ``brk_ptr[j] - j : brk_ptr[j+1] - j - 1`` (one fewer).
+    segments ``seg_ptr[j]:seg_ptr[j+1]`` (one fewer).
+
+    The last three fields serve LP (9)'s separable form: task ``j`` runs
+    for ``x_j = p_j(m) + Σ_k δ_jk`` with ``0 <= δ_jk <= seg_len[k]``
+    and does work ``anchor_work[j] + Σ_k seg_slope[k]·δ_jk`` (see
+    :mod:`repro.core.lp`).  ``seg_tasks`` lists the tasks that own
+    segments; their first segments ``seg_ptr[seg_tasks]`` are the
+    offsets :func:`segment_sums` reduces at.
     """
 
     brk_ptr: np.ndarray     #: (n+1,) per-task canonical break offsets
+    seg_ptr: np.ndarray     #: (n+1,) per-task segment offsets
     brk_level: np.ndarray   #: flat break levels l
     brk_value: np.ndarray   #: flat break times p(l)
     nseg: np.ndarray        #: (n,) segments per task (= breaks - 1)
@@ -92,6 +102,9 @@ class ProfileImage(NamedTuple):
     seg_slope: np.ndarray   #: flat chord slopes
     seg_intercept: np.ndarray  #: flat chord intercepts
     work_lo: np.ndarray     #: (n,) rigid-task work, 0.0 otherwise
+    seg_len: np.ndarray     #: flat δ bounds (x-lengths of the chords)
+    anchor_work: np.ndarray  #: (n,) the chord work at x = p(m)
+    seg_tasks: np.ndarray   #: tasks with at least one segment
 
 
 def profile_image(times: np.ndarray) -> ProfileImage:
@@ -106,6 +119,11 @@ def profile_image(times: np.ndarray) -> ProfileImage:
     - w_hi) / (x_lo - x_hi)``, the intercept from the high endpoint).
     A row padded by repeating its last time is a plateau the rule
     never breaks on, so a padded matrix yields the unpadded breaks.
+
+    The δ form anchors each task at its last column ``p(m)``, which can
+    sit up to ``_PLATEAU_RTOL`` below the last kept break: the segment
+    nearest ``p(m)`` is extended down to it, and the anchor work is
+    that chord's value there (a rigid task's is ``work_lo``).
     """
     n, width = times.shape
     is_break = np.zeros((n, width), dtype=bool)
@@ -134,17 +152,34 @@ def profile_image(times: np.ndarray) -> ProfileImage:
     w_hi = brk_level[pair] * x_hi
     w_lo = brk_level[pair + 1] * x_lo
     seg_slope = (w_lo - w_hi) / (x_lo - x_hi)
+    seg_intercept = w_hi - seg_slope * x_hi
     nseg = nbrk - 1
+    seg_ptr = brk_ptr - np.arange(n + 1)
+    # A rigid task's work is its one break's l * p(l) with l = 1.
+    work_lo = np.where(nseg == 0, 1 * times[:, 0], 0.0)
+
+    min_time = times[:, width - 1]
+    seg_tasks = np.flatnonzero(nseg > 0)
+    last = seg_ptr[seg_tasks + 1] - 1
+    x_end = x_lo.copy()
+    x_end[last] = min_time[seg_tasks]
+    anchor_work = work_lo.copy()
+    anchor_work[seg_tasks] = (
+        seg_slope[last] * min_time[seg_tasks] + seg_intercept[last]
+    )
     return ProfileImage(
         brk_ptr=brk_ptr,
+        seg_ptr=seg_ptr,
         brk_level=brk_level,
         brk_value=brk_value,
         nseg=nseg,
         seg_task=flat[pair] // width,
         seg_slope=seg_slope,
-        seg_intercept=w_hi - seg_slope * x_hi,
-        # A rigid task's work is its one break's l * p(l) with l = 1.
-        work_lo=np.where(nseg == 0, 1 * times[:, 0], 0.0),
+        seg_intercept=seg_intercept,
+        work_lo=work_lo,
+        seg_len=x_hi - x_end,
+        anchor_work=anchor_work,
+        seg_tasks=seg_tasks,
     )
 
 
@@ -159,28 +194,31 @@ class InstanceArrays(NamedTuple):
         The instance's own read-only ``(n, m)`` matrix,
         ``times[j, l-1] = p_j(l)``, so ``times[arange(n), alloc - 1]``
         is the duration vector of an allotment.
-    min_time, max_time:
-        ``p_j(m)`` and ``p_j(1)`` per task (the LP (9) bounds on x_j).
-    work_lo, brk_ptr, brk_level, brk_value, nseg, seg_task, seg_slope,
-    seg_intercept:
-        The :class:`ProfileImage` of ``times``: the rigid-task work
-        bound on ``w̄_j``, the canonical breakpoints and the eq. (8)
-        chords.
+    min_time:
+        ``p_j(m)`` per task, where LP (9) anchors ``x_j``.
+    work_lo, brk_ptr, seg_ptr, brk_level, brk_value, nseg, seg_task,
+    seg_slope, seg_intercept, seg_len, anchor_work, seg_tasks:
+        The :class:`ProfileImage` of ``times``: the rigid-task work,
+        the canonical breakpoints, the eq. (8) chords and LP (9)'s
+        δ bounds, anchor work and per-task segment offsets.
     """
 
     n: int
     m: int
     times: np.ndarray
     min_time: np.ndarray
-    max_time: np.ndarray
     work_lo: np.ndarray
     brk_ptr: np.ndarray
+    seg_ptr: np.ndarray
     brk_level: np.ndarray
     brk_value: np.ndarray
     nseg: np.ndarray
     seg_task: np.ndarray
     seg_slope: np.ndarray
     seg_intercept: np.ndarray
+    seg_len: np.ndarray
+    anchor_work: np.ndarray
+    seg_tasks: np.ndarray
 
 
 @memoized_on_instance
@@ -199,7 +237,6 @@ def instance_arrays(instance: Instance) -> InstanceArrays:
         m=m,
         times=times,
         min_time=times[:, m - 1].copy(),
-        max_time=times[:, 0].copy(),
         **profile_image(times)._asdict(),
     )
 
@@ -238,8 +275,26 @@ def work_of_times(image, x: np.ndarray) -> np.ndarray:
     xc, _hi = clamped_times(image, x)
     work = image.work_lo.copy()
     vals = image.seg_slope * xc[image.seg_task] + image.seg_intercept
-    has = np.flatnonzero(image.nseg > 0)
+    has = image.seg_tasks
     if has.size:
-        starts = image.brk_ptr[has] - has
-        work[has] = np.maximum.reduceat(vals, starts)
+        work[has] = np.maximum.reduceat(vals, image.seg_ptr[has])
     return work
+
+
+def segment_sums(
+    base: np.ndarray,
+    seg_ptr: np.ndarray,
+    seg_tasks: np.ndarray,
+    flat: np.ndarray,
+) -> np.ndarray:
+    """``base[j] + Σ_k flat[k]`` over each task's segments ``k``.
+
+    ``flat`` is one value per flat segment (a δ vector, or slopes times
+    δ); ``seg_ptr``/``seg_tasks`` are a profile image's segment offsets
+    and tasks with segments.  A task without segments keeps
+    ``base[j]``.  LP (9)'s read-back of ``x_j = p_j(m) + Σ_k δ_jk``.
+    """
+    out = base.copy()
+    if seg_tasks.size:
+        out[seg_tasks] += np.add.reduceat(flat, seg_ptr[seg_tasks])
+    return out

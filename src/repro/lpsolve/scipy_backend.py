@@ -10,7 +10,8 @@ one is solved by loading it into a :class:`HighsModel`:
   :func:`solve_ub_blocks`);
 * the incremental path (:mod:`repro.pipeline.incremental`) keeps its
   model resident.  An evolution that retimes one task perturbs a
-  handful of variable bounds and segment coefficients of LP (9);
+  handful of LP (9)'s entries (the task's δ bounds and the right-hand
+  sides of the rows that carry its ``p_j(m)`` and the total work);
   :meth:`HighsModel.update` pushes exactly those edits through HiGHS's
   modification API, which preserves the factorized basis, and the dual
   simplex restarted from the previous optimum re-proves optimality in a
@@ -186,7 +187,8 @@ class HighsModel:
         return LpSolution(
             status=LpStatus.OPTIMAL,
             objective=float(h.getObjectiveValue()),
-            values=tuple(float(v) for v in h.getSolution().col_value),
+            # ``col_value`` is already a list of Python floats.
+            values=tuple(h.getSolution().col_value),
             backend="highs",
             iterations=iterations,
         )

@@ -1,29 +1,35 @@
 """Test-only references for the library's LP assemblies.
 
-* :func:`full_allotment_arrays` — LP (9) with every fit and span row.
-  The solver assembles LP (9) without the fit rows ``x_j <= C_j`` of
-  tasks that have a predecessor and the span rows ``C_j <= L`` of tasks
-  that have a successor, because the precedence rows imply them
-  (:func:`repro.core.lp.lp9_arrays`).  This keeps the full row set —
-  per task fit, span and work segments, then the arcs, ``L <= C`` and
-  ``W/m <= C`` — over the same variable layout, so tests can check that
-  the trimmed LP has the same optimum and that its solution satisfies
-  every row of the full one.
-* :func:`build_allotment_lp` — LP (9) written one constraint at a time
-  in the :mod:`lp_oracle` modeling layer, row for row the layout of
-  :func:`repro.core.lp.lp9_arrays`.  Given a ``deadline`` it builds the
+The solver writes LP (9) in its separable δ form
+(:func:`repro.core.lp.lp9_arrays`): per task the completion time
+``C_j`` and one bounded ``δ`` per work segment, with
+``x_j = p_j(m) + Σ_k δ_jk``.  Two references check it:
+
+* the literal LP (9), over the variables ``x_j = 3j``, ``C_j = 3j + 1``,
+  ``w̄_j = 3j + 2``, ``L = 3n``, ``C = 3n + 1``:
+  :func:`full_allotment_arrays` keeps every row (per task fit, span and
+  work segments, then the arcs, ``L <= C`` and ``W/m <= C``), and
+  :func:`build_allotment_lp` writes it one constraint at a time in the
+  :mod:`lp_oracle` modeling layer, with only the sources' fit rows and
+  the sinks' span rows (the rest are implied by the arcs).  Neither
+  shares the δ form's variables, so their optimum is an independent
+  check of ``C*``; :func:`literal_point` maps a δ solution onto their
+  variables.
+* :func:`build_delta_lp` — the δ form one constraint at a time, from
+  the per-task API (``MalleableTask.segments()``) and the DAG's
+  per-task degrees, variable for variable and row for row the layout
+  of :func:`repro.core.lp.lp9_arrays`, linked tasks' ``x_j`` columns
+  and link rows included.  Given a ``deadline`` it builds the
   deadline view that every probe of
   :mod:`repro.core.allotment_bsearch` solves: the same rows, ``L``
-  bounded by the deadline, and the objective on the ``w̄_j`` instead of
-  ``C``.
-
-The per-constraint build is what the bulk NumPy assembly replaced;
-tests pin the assembly to it matrix for matrix and solution for
-solution.
+  bounded by the deadline, and the segment slopes as the objective
+  instead of ``C``.  The bulk NumPy assembly is pinned to it matrix for
+  matrix and solution for solution.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from lp_oracle import LinearProgram
@@ -33,7 +39,7 @@ from repro.core.lp import AllotmentArrays
 
 
 def full_allotment_arrays(instance) -> AllotmentArrays:
-    """LP (9) of ``instance`` with every row, untrimmed."""
+    """The literal LP (9) of ``instance`` with every row, untrimmed."""
     arr = instance_arrays(instance)
     n = arr.n
     m = arr.m
@@ -47,7 +53,7 @@ def full_allotment_arrays(instance) -> AllotmentArrays:
     lo = np.zeros(nv)
     hi = np.full(nv, np.inf)
     lo[xs] = arr.min_time
-    hi[xs] = arr.max_time
+    hi[xs] = arr.times[:, 0]
     lo[ws] = arr.work_lo
     c = np.zeros(nv)
     c[c_max] = 1.0
@@ -129,13 +135,14 @@ class AllotmentLp:
 def build_allotment_lp(
     instance, deadline: Optional[float] = None
 ) -> AllotmentLp:
-    """LP (9) of ``instance``, one constraint at a time.
+    """The literal LP (9) of ``instance``, one constraint at a time.
 
     ``3n + 2`` variables and
-    ``Σ_j (#segments_j) + |E| + #sources + #sinks + 2`` constraints, in
-    the row order of :func:`repro.core.lp.lp9_arrays`.  With a
-    ``deadline``, the deadline view: ``L <= deadline`` and
-    ``min Σ_j w̄_j``, with ``C`` free.
+    ``Σ_j (#segments_j) + |E| + #sources + #sinks + 2`` constraints:
+    the work segments, the arcs, the sources' fit rows, the sinks' span
+    rows, ``L <= C`` and ``W/m <= C``.  With a ``deadline``, the
+    deadline view: ``L <= deadline`` and ``min Σ_j w̄_j``, with ``C``
+    free.
     """
     lp = LinearProgram(name=f"allotment(9) n={instance.n_tasks} m={instance.m}")
     n = instance.n_tasks
@@ -209,3 +216,160 @@ def build_allotment_lp(
         c_max_var=c_max_var,
     )
 
+
+
+def literal_point(instance, values: Sequence[float]) -> np.ndarray:
+    """Map a δ-form solution vector onto the literal LP (9) variables.
+
+    ``x_j = p_j(m) + Σ_k δ_jk`` and ``w̄_j = w_j(p_j(m)) + Σ_k
+    slope_k·δ_jk``, summed here in plain Python from the per-task
+    segments, beside the solver's ``C_j``, ``L`` and ``C`` (a linked
+    task's ``x_j`` column is not read), in the ``3n + 2`` layout of
+    :func:`full_allotment_arrays`.
+    """
+    n = instance.n_tasks
+    out = np.zeros(3 * n + 2)
+    col = n
+    for j in range(n):
+        t = instance.task(j)
+        segs = t.segments()
+        delta = [float(v) for v in values[col:col + len(segs)]]
+        col += len(segs)
+        out[3 * j] = t.min_time + math.fsum(delta)
+        out[3 * j + 1] = values[j]
+        out[3 * j + 2] = _anchor_work(t) + math.fsum(
+            seg.slope * d for seg, d in zip(segs, delta)
+        )
+    out[3 * n] = values[-2]
+    out[3 * n + 1] = values[-1]
+    return out
+
+
+def _anchor_work(task) -> float:
+    """``w(p(m))`` on the chord nearest ``p(m)`` (a rigid task's
+    ``1·p(1)``)."""
+    segs = task.segments()
+    if not segs:
+        l, p = task.breakpoints[0]
+        return l * p
+    return segs[-1].slope * task.min_time + segs[-1].intercept
+
+
+def linked_tasks(instance) -> Tuple[int, ...]:
+    """The tasks that keep an ``x_j`` column in the δ form: with
+    segments, at most one predecessor and one successor, not
+    isolated."""
+    dag = instance.dag
+    return tuple(
+        j for j in range(instance.n_tasks)
+        if instance.task(j).segments()
+        and max(dag.in_degree(j), dag.out_degree(j)) == 1
+    )
+
+
+@dataclass
+class DeltaLp:
+    """LP (9)'s δ form in the modeling layer with its variable handles."""
+
+    lp: LinearProgram
+    c_vars: Tuple[int, ...]
+    delta_vars: Tuple[Tuple[int, ...], ...]  #: per task, segment order
+    x_vars: Dict[int, int]  #: linked task -> its x_j column
+    l_var: int
+    c_max_var: int
+
+
+def build_delta_lp(instance, deadline: Optional[float] = None) -> DeltaLp:
+    """LP (9) of ``instance`` in the δ form, one constraint at a time.
+
+    Variables ``C_0 .. C_{n-1}``, then each task's ``δ`` in segment
+    order (``0 <= δ <= x_hi - x_lo``, the last segment reaching down to
+    ``p(m)``), then an unbounded ``x_j`` per linked task
+    (:func:`linked_tasks`), then ``L`` and ``C``.  A task's run time
+    is ``x_j`` when it is linked, else ``p_j(m) + Σ δ_j``.  Rows: one
+    per arc ``C_i - C_j + (run time of j) <= 0``, the sources'
+    ``(run time) - C_j <= 0``, the linked tasks' ``Σ δ_j - x_j <=
+    -p_j(m)``, the sinks' ``C_j - L <= 0``, ``L - C <= 0`` and
+    ``Σ slope·δ - m·C <= -Σ_j w_j(p_j(m))``, constants moved to the
+    right.  With a ``deadline``: ``L <= deadline``, the slopes as the
+    objective, ``C`` free.
+    """
+    lp = LinearProgram(
+        name=f"allotment(9) delta n={instance.n_tasks} m={instance.m}"
+    )
+    n = instance.n_tasks
+    m = instance.m
+    tasks = [instance.task(j) for j in range(n)]
+    c_vars = [lp.add_variable(f"C{j}", lo=0.0) for j in range(n)]
+    delta_vars: List[Tuple[int, ...]] = []
+    slope_of = {}
+    for j, t in enumerate(tasks):
+        segs = t.segments()
+        handles = []
+        for k, seg in enumerate(segs):
+            x_lo = t.min_time if k == len(segs) - 1 else seg.x_lo
+            v = lp.add_variable(
+                f"d{j}_{seg.l}",
+                lo=0.0,
+                hi=seg.x_hi - x_lo,
+                obj=0.0 if deadline is None else seg.slope,
+            )
+            slope_of[v] = seg.slope
+            handles.append(v)
+        delta_vars.append(tuple(handles))
+    x_vars = {
+        j: lp.add_variable(f"x{j}", lo=0.0) for j in linked_tasks(instance)
+    }
+    if deadline is None:
+        l_var = lp.add_variable("L", lo=0.0)
+        c_max_var = lp.add_variable("C", lo=0.0, obj=1.0)
+    else:
+        l_var = lp.add_variable("L", lo=0.0, hi=deadline)
+        c_max_var = lp.add_variable("C", lo=0.0)
+
+    def run_time(j):
+        """Task ``j``'s run time as row coefficients and the
+        right-hand side it leaves."""
+        if j in x_vars:
+            return {x_vars[j]: 1.0}, 0.0
+        return {v: 1.0 for v in delta_vars[j]}, -tasks[j].min_time
+
+    for (i, j) in instance.dag.edges:
+        coef, rhs = run_time(j)
+        lp.add_constraint(
+            {c_vars[i]: 1.0, c_vars[j]: -1.0, **coef},
+            "<=",
+            rhs,
+            name=f"prec{i}-{j}",
+        )
+    for j in instance.dag.sources():
+        coef, rhs = run_time(j)
+        lp.add_constraint(
+            {c_vars[j]: -1.0, **coef}, "<=", rhs, name=f"fit{j}"
+        )
+    for j, x in x_vars.items():
+        lp.add_constraint(
+            {x: -1.0, **{v: 1.0 for v in delta_vars[j]}},
+            "<=",
+            -tasks[j].min_time,
+            name=f"link{j}",
+        )
+    for j in instance.dag.sinks():
+        lp.add_constraint(
+            {c_vars[j]: 1.0, l_var: -1.0}, "<=", 0.0, name=f"span{j}"
+        )
+    lp.add_constraint({l_var: 1.0, c_max_var: -1.0}, "<=", 0.0, name="L<=C")
+    lp.add_constraint(
+        {**slope_of, c_max_var: -float(m)},
+        "<=",
+        -math.fsum(_anchor_work(t) for t in tasks),
+        name="W/m<=C",
+    )
+    return DeltaLp(
+        lp=lp,
+        c_vars=tuple(c_vars),
+        delta_vars=tuple(delta_vars),
+        x_vars=x_vars,
+        l_var=l_var,
+        c_max_var=c_max_var,
+    )

@@ -4,16 +4,26 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from lp9_reference import build_allotment_lp, full_allotment_arrays
+from lp9_reference import (
+    build_allotment_lp,
+    full_allotment_arrays,
+    literal_point,
+)
 from lp_oracle import solve_with_scipy, solve_with_simplex
 
 from repro import Instance, MalleableTask
 from repro.core import solve_allotment_lp
+from repro.core.arrays import instance_arrays
 from repro.core.lp import assemble_allotment_arrays
 from repro.lpsolve.scipy_backend import solve_ub_arrays
-from repro.dag import chain_dag, diamond_dag, independent_dag
+from repro.dag import FAMILIES, chain_dag, diamond_dag, independent_dag
 from repro.models import power_law_profile
-from repro.workloads import make_instance
+from repro.workloads import MODELS, make_instance
+
+
+def _total_work(inst, x):
+    """``W = Σ_j w_j(x_j)`` through the per-task API."""
+    return sum(inst.task(j).work_of_time(v) for j, v in enumerate(x))
 
 
 def make_inst(dag, m, d=0.5, p1=10.0):
@@ -81,7 +91,8 @@ class TestOptimumProperties:
         inst = make_inst(diamond_dag(5), 8)
         res = solve_allotment_lp(inst)
         assert res.objective == pytest.approx(
-            max(res.critical_path, res.total_work / inst.m), rel=1e-5
+            max(res.critical_path, _total_work(inst, res.x) / inst.m),
+            rel=1e-5,
         )
 
     def test_dominates_combinatorial_bounds(self):
@@ -111,8 +122,9 @@ class TestOptimumProperties:
     def test_work_bar_at_least_true_work(self):
         inst = make_inst(diamond_dag(4), 6)
         res = solve_allotment_lp(inst)
-        for j in range(inst.n_tasks):
-            assert res.work_bar[j] >= res.work[j] - 1e-6
+        work_bar = _work_bar(inst)
+        for j, x in enumerate(res.x):
+            assert work_bar[j] >= inst.task(j).work_of_time(x) - 1e-6
 
     def test_chain_optimum_is_full_speed(self):
         """On a chain, W/m never binds, so every task runs at x = p(m)."""
@@ -132,7 +144,7 @@ class TestOptimumProperties:
         inst = make_inst(independent_dag(16), m, d=0.5)
         res = solve_allotment_lp(inst)
         assert res.objective == pytest.approx(
-            res.total_work / m, rel=1e-5
+            _total_work(inst, res.x) / m, rel=1e-5
         )
 
     def test_more_processors_never_hurts(self):
@@ -157,7 +169,7 @@ class TestOptimumProperties:
 
 
 # ---------------------------------------------------------------------------
-# the trimmed row set against the full LP (9)
+# the δ form against the literal LP (9)
 # ---------------------------------------------------------------------------
 @st.composite
 def lp_instances(draw):
@@ -189,34 +201,132 @@ def _dense(arrays):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_trimmed_lp_matches_full_lp(inst):
-    trimmed = assemble_allotment_arrays(inst)
-    full = full_allotment_arrays(inst)
-    sol = solve_ub_arrays(trimmed)
-    ref = solve_ub_arrays(full)
+    """The δ optimum, mapped onto LP (9)'s literal variables
+    ``(x, C_j, w̄, L, C)``, satisfies every row of the untrimmed literal
+    LP, and both optima agree."""
+    arrays = assemble_allotment_arrays(inst)
+    sol = solve_ub_arrays(arrays)
+    ref = solve_ub_arrays(full_allotment_arrays(inst))
     cstar = sol.objective
     assert abs(cstar - ref.objective) <= 1e-9 * max(1.0, abs(cstar))
 
-    # The trimmed optimum (x*, C*, w̄*, L*, C*) is feasible for every row
-    # of the full LP, the dropped fit and span rows included.
-    a_full, b_full = _dense(full)
-    v = np.asarray(sol.values)
+    a_full, b_full = _dense(full_allotment_arrays(inst))
+    v = literal_point(inst, sol.values)
     assert np.all(a_full @ v - b_full <= 1e-9)
+    assert abs(v[-1] - cstar) <= 1e-9 * max(1.0, abs(cstar))
 
-    # Every trimmed row is a row of the full LP, and a task with neither
-    # predecessor nor successor keeps both its fit and its span row.
-    a_trim, b_trim = _dense(trimmed)
-    full_rows = {tuple(r) + (b,) for r, b in zip(a_full, b_full)}
-    trim_rows = {tuple(r) + (b,) for r, b in zip(a_trim, b_trim)}
-    assert trim_rows <= full_rows
-    n = inst.n_tasks
+    # A task with neither predecessor nor successor keeps both its fit
+    # row (Σδ_j - C_j <= -p_j(m)) and its span row (C_j - L <= 0).
+    a, b = _dense(arrays)
+    arr = instance_arrays(inst)
+    nv = arrays.n_variables
+    trim_rows = {tuple(r) + (bb,) for r, bb in zip(a, b)}
     dag = inst.dag
     for j in set(dag.sources()) & set(dag.sinks()):
-        fit = np.zeros(3 * n + 2)
-        fit[[3 * j, 3 * j + 1]] = (1.0, -1.0)
-        span = np.zeros(3 * n + 2)
-        span[[3 * j + 1, 3 * n]] = (1.0, -1.0)
-        assert tuple(fit) + (0.0,) in trim_rows
+        fit = np.zeros(nv)
+        fit[j] = -1.0
+        first = inst.n_tasks + arr.seg_ptr[j]  # task j's first δ column
+        fit[first:first + arr.nseg[j]] = 1.0
+        span = np.zeros(nv)
+        span[[j, nv - 2]] = (1.0, -1.0)
+        assert tuple(fit) + (-arr.min_time[j],) in trim_rows
         assert tuple(span) + (0.0,) in trim_rows
+
+
+def _work_bar(inst):
+    """``w̄*_j`` of LP (9)'s optimum, read off the δ solution by
+    :func:`lp9_reference.literal_point`."""
+    sol = solve_ub_arrays(assemble_allotment_arrays(inst))
+    return literal_point(inst, sol.values)[2:3 * inst.n_tasks:3]
+
+
+def _with_rows(inst, rows):
+    """``inst`` with the task rows of ``rows`` ({j: times}) replaced."""
+    times = inst.times.copy()
+    for j, row in rows.items():
+        times[j] = row
+    return Instance(
+        [MalleableTask(list(r)) for r in times], inst.dag, inst.m
+    )
+
+
+@st.composite
+def delta_instances(draw):
+    """Every DAG family and profile model, with some tasks replaced by
+    hand-built rigid rows (no segment) or plateau-tail rows (``p(m)``
+    inside the ``_PLATEAU_RTOL`` band below the last canonical break)."""
+    m = draw(st.sampled_from([1, 2, 3, 4, 8]))
+    inst = make_instance(
+        draw(st.sampled_from(sorted(FAMILIES))),
+        draw(st.integers(2, 12)),
+        m,
+        model=draw(st.sampled_from(list(MODELS))),
+        seed=draw(st.integers(0, 10_000)),
+    )
+    rows = {}
+    for j in range(inst.n_tasks):
+        kind = draw(st.sampled_from(["keep", "keep", "rigid", "tail"]))
+        p1 = draw(st.floats(1.0, 100.0))
+        if kind == "rigid":
+            rows[j] = [p1] * m
+        elif kind == "tail" and m >= 2:
+            # Speedup up to level m-1, then a drop of under 1e-7.
+            head = [p1 / l ** 0.5 for l in range(1, m)]
+            eps = draw(st.floats(1e-9, 9e-8))
+            rows[j] = head + [head[-1] * (1.0 - eps)]
+    return _with_rows(inst, rows)
+
+
+@given(inst=delta_instances())
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_delta_form_optimum_is_the_literal_lp_optimum(inst):
+    """LP (9) in δ form has the literal LP (9)'s optimum ``C*`` (HiGHS
+    and the oracle simplex), its read-back ``x_j`` lies in ``[p_j(m),
+    p_j(1)]``, and its work ``w̄_j`` is at least ``w_j(x_j)``."""
+    res = solve_allotment_lp(inst)
+    built = build_allotment_lp(inst)
+    for ref in (solve_with_scipy(built.lp), solve_with_simplex(built.lp)):
+        assert res.objective == pytest.approx(ref.objective, rel=1e-9)
+    work_bar = _work_bar(inst)
+    for j, x in enumerate(res.x):
+        t = inst.task(j)
+        assert t.min_time <= x <= t.max_time * (1 + 1e-12)
+        w = t.work_of_time(x)
+        assert work_bar[j] >= w - 1e-9 * max(1.0, w)
+
+
+@given(inst=lp_instances())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_two_row_completions_have_no_delta_block_in_their_in_row(inst):
+    """HiGHS's presolve substitutes out a ``C_j`` that sits in exactly
+    two rows, one of them an arc, merging its in-row (``-C_j``: an
+    in-arc or the source row) into its out-row (``+C_j``).  The in-row
+    may carry no δ block, so the rows of a chain of such tasks merge
+    into one row with at most one block (its last successor's).  Were
+    each task's block in its in-row, every merge would add one, and
+    presolve would be quadratic in the chain's length; a linked task's
+    block sits in its link row instead."""
+    arrays = assemble_allotment_arrays(inst)
+    n = inst.n_tasks
+    ns = len(instance_arrays(inst).seg_len)
+    ne = inst.dag.n_edges
+    rows = np.asarray(arrays.rows)
+    cols = np.asarray(arrays.cols)
+    vals = np.asarray(arrays.vals)
+    delta_rows = set(rows[(cols >= n) & (cols < n + ns)].tolist())
+    for j in range(n):
+        own = rows[cols == j]
+        if len(own) == 2 and own.min() < ne:
+            (in_row,) = rows[(cols == j) & (vals == -1.0)]
+            assert in_row not in delta_rows
 
 
 # ---------------------------------------------------------------------------

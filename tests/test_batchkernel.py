@@ -32,9 +32,11 @@ from repro.batchkernel import (
     assemble_batch_lp,
     batched_list_schedule,
     batched_round,
+    extract_block_x,
     pack_csrs,
     stack_profiles,
 )
+from repro.core import solve_allotment_lp
 from repro.core.arrays import instance_arrays
 from repro.core.list_scheduler import (
     dispatch_tier,
@@ -45,6 +47,7 @@ from repro.core.list_scheduler import (
 from repro.core.lp import assemble_allotment_arrays
 from repro.core.rounding import round_fractional_times
 from repro.engine import BatchRunner, read_jsonl, write_jsonl
+from repro.lpsolve.scipy_backend import solve_ub_blocks
 from repro.obs import trace as obs_trace
 from repro.pipeline import SchedulingPipeline
 from repro.workloads import make_instance
@@ -138,9 +141,14 @@ def test_stack_profiles_matches_instance_arrays(batch):
                 np.repeat(ref.times[:, m - 1:m], sp.m_max - m, axis=1),
             )
         np.testing.assert_array_equal(sp.min_time[s:e], ref.min_time)
-        np.testing.assert_array_equal(sp.max_time[s:e], ref.max_time)
         np.testing.assert_array_equal(sp.work_lo[s:e], ref.work_lo)
         np.testing.assert_array_equal(sp.nseg[s:e], ref.nseg)
+        np.testing.assert_array_equal(sp.anchor_work[s:e], ref.anchor_work)
+        owners = (sp.seg_tasks >= s) & (sp.seg_tasks < e)
+        np.testing.assert_array_equal(sp.seg_tasks[owners] - s, ref.seg_tasks)
+        np.testing.assert_array_equal(
+            sp.seg_ptr[s:e + 1] - sp.seg_ptr[s], ref.seg_ptr
+        )
         segs = (sp.seg_task >= s) & (sp.seg_task < e)
         np.testing.assert_array_equal(
             sp.seg_task[segs] - s, ref.seg_task
@@ -149,6 +157,7 @@ def test_stack_profiles_matches_instance_arrays(batch):
         np.testing.assert_array_equal(
             sp.seg_intercept[segs], ref.seg_intercept
         )
+        np.testing.assert_array_equal(sp.seg_len[segs], ref.seg_len)
         # Breakpoints equal the task's canonical list.
         for j in range(inst.n_tasks):
             bp = inst.task(j).breakpoints
@@ -176,6 +185,20 @@ def test_assemble_batch_lp_matches_reference(batch):
             )
 
 
+@given(batch=batches(max_blocks=3, max_size=12))
+@_SET
+def test_extract_block_x_reads_back_each_block(batch):
+    """Each block's ``x`` read back from its own δ columns is the
+    per-instance LP (9) read-back, bit for bit."""
+    sp = stack_profiles(batch)
+    bcsr = pack_csrs([inst.dag.to_csr() for inst in batch])
+    sols = solve_ub_blocks(assemble_batch_lp(sp, bcsr))
+    x = extract_block_x(sp, sols)
+    assert x.tolist() == [
+        v for inst in batch for v in solve_allotment_lp(inst).x
+    ]
+
+
 # ---------------------------------------------------------------------------
 # batched rounding vs round_fractional_times
 # ---------------------------------------------------------------------------
@@ -189,7 +212,7 @@ def test_batched_round_matches_reference(batch, rho, seed):
     sp = stack_profiles(batch)
     rng = np.random.default_rng(seed)
     u = rng.random(int(sp.node_ptr[-1]))
-    x = sp.min_time + u * (sp.max_time - sp.min_time)
+    x = sp.min_time + u * (sp.times[:, 0] - sp.min_time)
     got = batched_round(sp, x, np.full(len(x), rho))
     for b, inst in enumerate(batch):
         s, e = int(sp.node_ptr[b]), int(sp.node_ptr[b + 1])
@@ -200,7 +223,7 @@ def test_batched_round_matches_reference(batch, rho, seed):
 def test_batched_round_rejects_out_of_range():
     inst = make_instance("chain", 3, 4, seed=0)
     sp = stack_profiles([inst])
-    bad = sp.max_time * 3.0
+    bad = sp.times[:, 0] * 3.0
     with pytest.raises(ValueError):
         batched_round(sp, bad, np.zeros(len(bad)))
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lp9_reference import build_allotment_lp
+from lp9_reference import build_delta_lp
 from lp_oracle import solve_with_scipy
 
 from repro.core import allotment_bsearch
@@ -32,7 +32,8 @@ from repro.core.list_variants import (
     _bottom_levels_reference,
     bottom_levels,
 )
-from repro.core.lp import assemble_allotment_arrays
+from repro.core.arrays import instance_arrays
+from repro.core.lp import assemble_allotment_arrays, lp9_read_back
 from repro.dag import Dag
 from repro.dag.csr import (
     bottom_levels_kernel,
@@ -206,6 +207,13 @@ def _dense_from_model(lp):
     return rows, b
 
 
+def _read_back_x(inst, values):
+    """``x`` of a δ-form solution through the one LP (9) read-back."""
+    arr = instance_arrays(inst)
+    x = lp9_read_back(values, arr.min_time, arr.seg_ptr, arr.seg_tasks)
+    return tuple(x.tolist())
+
+
 def _dense_from_arrays(arrays):
     rows = np.zeros((len(arrays.b_ub), arrays.n_variables))
     np.add.at(rows, (arrays.rows, arrays.cols), arrays.vals)
@@ -223,7 +231,7 @@ def test_allotment_assembly_matches_model_matrix(trial):
         seed=trial,
     )
     arrays = assemble_allotment_arrays(inst)
-    built = build_allotment_lp(inst)
+    built = build_delta_lp(inst)
     a_dense, a_b = _dense_from_arrays(arrays)
     m_dense, m_b = _dense_from_model(built.lp)
     assert np.array_equal(a_dense, m_dense)
@@ -237,8 +245,8 @@ def test_allotment_assembly_matches_model_matrix(trial):
 @pytest.mark.parametrize("trial", range(8))
 def test_deadline_assembly_matches_model_matrix(trial, monkeypatch):
     """A probe hands HiGHS the deadline view of the memoized LP (9)
-    arrays: row for row the per-constraint LP (9) with ``L`` bounded by
-    the deadline and the objective on the ``w̄_j``.  The memoized
+    arrays: row for row the per-constraint δ form with ``L`` bounded by
+    the deadline and the segment slopes as the objective.  The memoized
     arrays themselves are left as they were."""
     rng = random.Random(300 + trial)
     inst = make_instance(
@@ -260,7 +268,7 @@ def test_deadline_assembly_matches_model_matrix(trial, monkeypatch):
     monkeypatch.setattr(allotment_bsearch, "solve_ub_arrays", capture)
     assert deadline_work_lp(inst, deadline) is None
     (arrays,) = handed
-    lp = build_allotment_lp(inst, deadline=deadline).lp
+    lp = build_delta_lp(inst, deadline=deadline).lp
     a_dense, a_b = _dense_from_arrays(arrays)
     m_dense, m_b = _dense_from_model(lp)
     assert np.array_equal(a_dense, m_dense)
@@ -314,8 +322,9 @@ def test_list_schedule_paths_identical_on_random_dags(dag, seed):
 def test_bsearch_warm_start_pinned_to_cold(trial):
     """Every probe of the binary search reuses one memoized deadline-LP
     assembly and its sparse matrix; each probe must equal a freshly
-    built per-constraint model of its deadline solved cold — ``x``
-    bit-exact, and ``None`` exactly where that model is infeasible."""
+    built per-constraint model of its deadline solved cold — ``x`` read
+    back bit-exact from that model's δ values, and ``None`` exactly
+    where that model is infeasible."""
     rng = random.Random(400 + trial)
     inst = make_instance(
         rng.choice(["layered", "erdos_renyi", "diamond"]),
@@ -334,7 +343,7 @@ def test_bsearch_warm_start_pinned_to_cold(trial):
     infeasible = 0
     for d in deadlines:
         got = solver.solve(d)
-        ref_lp = build_allotment_lp(inst, deadline=d)
+        ref_lp = build_delta_lp(inst, deadline=d)
         try:
             ref = solve_with_scipy(ref_lp.lp)
         except LpError:
@@ -342,7 +351,7 @@ def test_bsearch_warm_start_pinned_to_cold(trial):
             infeasible += 1
             continue
         assert got is not None
-        assert got.x == tuple(ref[v] for v in ref_lp.x_vars)
+        assert got.x == _read_back_x(inst, ref.values)
         if d == report.deadline:
             assert report.x == got.x
     assert infeasible >= 1  # the deadline below min_critical_path()
@@ -360,11 +369,11 @@ def test_deadline_lp_arrays_path_matches_model_solution(trial):
     )
     d = inst.sequential_makespan() * rng.uniform(0.3, 1.0)
     got = deadline_work_lp(inst, d)
-    ref_lp = build_allotment_lp(inst, deadline=d)
+    ref_lp = build_delta_lp(inst, deadline=d)
     try:
         ref = solve_with_scipy(ref_lp.lp)
     except LpError:
         assert got is None
         return
     assert got is not None
-    assert got.x == tuple(ref[v] for v in ref_lp.x_vars)
+    assert got.x == _read_back_x(inst, ref.values)

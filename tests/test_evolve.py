@@ -299,8 +299,10 @@ class TestCacheInheritance:
     def test_retimed_lp_arrays_keep_parent_pattern(self):
         # The warm update's precondition: a retime that keeps the task's
         # segment count leaves LP (9)'s rows/cols as they were and moves
-        # only the task's x/w̄ bounds, its segment slopes and their
-        # right-hand sides.
+        # only the task's δ bounds, its slopes in the W/m <= C row, and
+        # the right-hand sides of the rows carrying its δ (its in-arcs,
+        # its source row, or the link row of a linked task) and of the
+        # W/m <= C row.
         parent = _inst()
         j = 2
         old = assemble_allotment_arrays(parent)
@@ -312,14 +314,22 @@ class TestCacheInheritance:
         assert np.array_equal(new.rows, old.rows)
         assert np.array_equal(new.cols, old.cols)
         assert np.array_equal(new.c, old.c)
-        cols = {3 * j, 3 * j + 2}  # x_j and w̄_j
-        assert set(np.flatnonzero(new.lo != old.lo)) <= cols
-        assert set(np.flatnonzero(new.hi != old.hi)) <= cols
-        assert np.any(new.lo != old.lo) and np.any(new.hi != old.hi)
-        seg_rows = np.flatnonzero(instance_arrays(child).seg_task == j)
-        # Segment p is row p; its slope sits at vals[2p].
-        assert set(np.flatnonzero(new.vals != old.vals)) == set(2 * seg_rows)
-        assert set(np.flatnonzero(new.b_ub != old.b_ub)) == set(seg_rows)
+        assert np.array_equal(new.lo, old.lo)
+        n = child.n_tasks
+        delta_cols = set(
+            (n + np.flatnonzero(instance_arrays(child).seg_task == j)).tolist()
+        )
+        assert delta_cols
+        assert set(np.flatnonzero(new.hi != old.hi).tolist()) == delta_cols
+        w_row = len(new.b_ub) - 1
+        in_delta = np.isin(new.cols, list(delta_cols))
+        slopes = set(np.flatnonzero(in_delta & (new.rows == w_row)).tolist())
+        assert set(np.flatnonzero(new.vals != old.vals).tolist()) <= slopes
+        carrying = set(new.rows[in_delta & (new.rows != w_row)].tolist())
+        assert carrying
+        assert set(np.flatnonzero(new.b_ub != old.b_ub).tolist()) == (
+            carrying | {w_row}
+        )
 
     def test_pure_completion_shares_parent_arrays(self):
         parent = _inst()

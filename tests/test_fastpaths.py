@@ -7,19 +7,21 @@ The optimized implementations must not change results:
   :func:`repro.core.list_scheduler.list_schedule_reference` (literal
   Table 1 transcription);
 * :func:`repro.core.lp.solve_allotment_lp` via bulk NumPy assembly
-  matches the per-constraint build of the test reference
-  (:func:`lp9_reference.build_allotment_lp`) on the same solver.
+  matches the per-constraint build of LP (9)'s δ form in the test
+  reference (:func:`lp9_reference.build_delta_lp`) on the same solver.
 """
 
 import random
 
 import pytest
-from lp9_reference import build_allotment_lp
+from lp9_reference import build_delta_lp, linked_tasks
 from lp_oracle import solve_with_scipy
 
 from repro.core import solve_allotment_lp
 from repro.core.list_scheduler import list_schedule, list_schedule_reference
-from repro.core.lp import assemble_allotment_arrays
+from repro.core.arrays import instance_arrays
+from repro.core.lp import assemble_allotment_arrays, lp9_read_back
+from repro.lpsolve.scipy_backend import solve_ub_arrays
 from repro.workloads import make_instance
 
 
@@ -69,20 +71,48 @@ def test_bulk_lp_assembly_matches_model_path(trial):
         seed=trial,
     )
     fast = solve_allotment_lp(inst)  # bulk assembly + HiGHS
-    built = build_allotment_lp(inst)
+    built = build_delta_lp(inst)
     ref = solve_with_scipy(built.lp)  # per-constraint conversion + HiGHS
+    raw = solve_ub_arrays(assemble_allotment_arrays(inst))
+    assert raw.values == ref.values
     assert fast.objective == ref.objective
-    assert fast.x == tuple(ref[v] for v in built.x_vars)
+    arr = instance_arrays(inst)
+    x = lp9_read_back(ref.values, arr.min_time, arr.seg_ptr, arr.seg_tasks)
+    assert fast.x == tuple(x.tolist())
+    n = inst.n_tasks
+    assert list(ref.values[n:n + len(arr.seg_len)]) == [
+        ref[v] for vs in built.delta_vars for v in vs
+    ]
     assert fast.completion == tuple(ref[v] for v in built.c_vars)
     assert fast.critical_path == ref[built.l_var]
 
 
 def test_assembled_arrays_shape_and_layout():
     inst = make_instance("layered", 20, 8, model="power", seed=3)
-    built = build_allotment_lp(inst)
+    built = build_delta_lp(inst)
     arrays = assemble_allotment_arrays(inst)
-    assert arrays.n_variables == built.lp.n_variables
-    assert len(arrays.b_ub) == built.lp.n_constraints
+    n = inst.n_tasks
+    ns = sum(len(inst.task(j).segments()) for j in range(n))
+    dag = inst.dag
+    linked = linked_tasks(inst)
+    assert linked  # the layout below covers x_j columns and link rows
+    nx = len(linked)
+    # C_j, one δ per segment, x_j per linked task, L and C; one row per
+    # arc, source, linked task and sink, then L <= C and W/m <= C.
+    assert arrays.n_variables == built.lp.n_variables == n + ns + nx + 2
+    assert len(arrays.b_ub) == built.lp.n_constraints == (
+        dag.n_edges + len(dag.sources()) + nx + len(dag.sinks()) + 2
+    )
+    assert built.c_vars == tuple(range(n))
+    assert [v for vs in built.delta_vars for v in vs] == list(
+        range(n, n + ns)
+    )
+    assert [built.x_vars[j] for j in linked] == list(
+        range(n + ns, n + ns + nx)
+    )
+    assert (built.l_var, built.c_max_var) == (
+        n + ns + nx, n + ns + nx + 1
+    )
     # Same objective vector and bounds as the per-constraint build.
     assert tuple(arrays.c) == built.lp.objective_coefficients
     assert [tuple(b) for b in zip(arrays.lo, arrays.hi)] == list(

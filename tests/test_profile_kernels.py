@@ -24,7 +24,12 @@ from hypothesis import strategies as st
 
 from repro.batchkernel import stack_profiles
 from repro.core import Instance, MalleableTask
-from repro.core.arrays import instance_arrays, profile_image, work_of_times
+from repro.core.arrays import (
+    instance_arrays,
+    profile_image,
+    segment_sums,
+    work_of_times,
+)
 from repro.core.rounding import (
     batched_round,
     round_fractional_times,
@@ -131,7 +136,9 @@ def _assert_image_matches(image, tasks, offset=0):
             task.breakpoints
         )
         segs = task.segments()
-        s0 = b0 - j
+        s0 = image.seg_ptr[j]
+        assert s0 == b0 - j
+        assert image.seg_ptr[j + 1] == s0 + len(segs)
         assert image.nseg[j] == len(segs)
         assert (image.seg_task[s0:s0 + len(segs)] == j).all()
         assert _bits(image.seg_slope[s0:s0 + len(segs)]) == _bits(
@@ -142,8 +149,21 @@ def _assert_image_matches(image, tasks, offset=0):
         )
         l1, p1 = task.breakpoints[0]
         assert image.work_lo[j] == (0.0 if segs else l1 * p1)
-        assert image.max_time[j] == task.max_time
         assert image.min_time[j] == task.min_time
+        # LP (9)'s δ form: chord lengths, the one nearest p(m) reaching
+        # down to p(m), and the work there on that chord.
+        ends = [s.x_lo for s in segs[:-1]] + [task.min_time] if segs else []
+        assert _bits(image.seg_len[s0:s0 + len(segs)]) == _bits(
+            s.x_hi - x_end for s, x_end in zip(segs, ends)
+        )
+        anchor = (
+            segs[-1].slope * task.min_time + segs[-1].intercept
+            if segs else l1 * p1
+        )
+        assert _bits([image.anchor_work[j]]) == _bits([anchor])
+        k = int(np.searchsorted(image.seg_tasks, j))
+        owns = k < len(image.seg_tasks) and image.seg_tasks[k] == j
+        assert owns == bool(segs)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +211,27 @@ def test_rigid_tasks():
         t.work_of_time(v) for t, v in zip(inst.tasks, x.tolist())
     ]
     assert round_fractional_times(inst, x.tolist(), 0.3) == [1, 1]
+
+
+@given(inst=instances(), data=st.data())
+@_SET
+def test_segment_sums_add_each_tasks_segments(inst, data):
+    """LP (9)'s read-back ``x_j = p_j(m) + Σ_k δ_jk``: within the float
+    error of a ``k``-term sum of the exact ``math.fsum``, and the full
+    δ bounds of a task with segments telescope to ``p_j(1)`` (a rigid
+    task runs at ``p_j(m)``)."""
+    arr = instance_arrays(inst)
+    delta = np.array([
+        data.draw(st.floats(0.0, 1.0)) * h for h in arr.seg_len.tolist()
+    ])
+    for flat, want in ((delta, None), (arr.seg_len, arr.times[:, 0])):
+        x = segment_sums(arr.min_time, arr.seg_ptr, arr.seg_tasks, flat)
+        for j, task in enumerate(inst.tasks):
+            d = flat[arr.seg_task == j].tolist()
+            ref = task.min_time + math.fsum(d)
+            assert abs(x[j] - ref) <= (len(d) + 1) * 2.3e-16 * ref
+            if want is not None and d:
+                assert abs(x[j] - want[j]) <= (len(d) + 1) * 2.3e-16 * ref
 
 
 # ---------------------------------------------------------------------------

@@ -231,11 +231,14 @@ def test_lp_objective_is_max_of_parts(n, m, seed):
         m,
     )
     res = solve_allotment_lp(inst)
+    total_work = sum(
+        inst.task(j).work_of_time(x) for j, x in enumerate(res.x)
+    )
     assert res.objective >= res.critical_path - 1e-6
-    assert res.objective >= res.total_work / m - 1e-6
+    assert res.objective >= total_work / m - 1e-6
     # Optimality: C* == max(L*, W*/m) (no slack at the optimum).
     assert res.objective <= max(
-        res.critical_path, res.total_work / m
+        res.critical_path, total_work / m
     ) + 1e-5 * (1 + res.objective)
 
 
