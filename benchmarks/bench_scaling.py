@@ -3,8 +3,7 @@
 LP (9) has O(n·m) rows (the paper argues polynomial solvability from
 exactly this); in the separable δ form the solver writes, the O(n·m)
 work segments are bounded columns instead, and the rows are one per
-arc, source, sink and linked task (one with segments, at most one
-predecessor and one successor, not isolated).  The bench measures
+arc, source and sink.  The bench measures
 wall-clock of LP build+solve and of the full pipeline as n and m grow,
 and benchmarks the dominant piece.
 
@@ -33,16 +32,9 @@ def test_lp_size_scales_linearly_in_n_and_m(benchmark, capsys):
         arrays = assemble_allotment_arrays(inst)
         rows.append((inst.n_tasks, m, arrays.n_variables, len(arrays.b_ub)))
         dag = inst.dag
-        linked = sum(
-            1 for j in range(inst.n_tasks)
-            if inst.task(j).segments()
-            and max(dag.in_degree(j), dag.out_degree(j)) == 1
-        )
         shapes.append((
             sum(len(inst.task(j).segments()) for j in range(inst.n_tasks)),
-            linked,
-            dag.n_edges + len(dag.sources()) + linked + len(dag.sinks())
-            + 2,
+            dag.n_edges + len(dag.sources()) + len(dag.sinks()) + 2,
         ))
     with capsys.disabled():
         print()
@@ -51,10 +43,9 @@ def test_lp_size_scales_linearly_in_n_and_m(benchmark, capsys):
         for n, m, nv, nc in rows:
             print(f"{n:>4} {m:>3} {nv:>6} {nc:>7}")
     # Variables are C_j, one δ per work segment (at most m - 1 per
-    # task), x_j per linked task, L and C; rows are one per arc, source,
-    # linked task and sink, plus two.
-    for (n, m, nv, nc), (segments, linked, want_rows) in zip(rows, shapes):
-        assert nv == n + segments + linked + 2
+    # task), L and C; rows are one per arc, source and sink, plus two.
+    for (n, m, nv, nc), (segments, want_rows) in zip(rows, shapes):
+        assert nv == n + segments + 2
         assert segments <= n * (m - 1)
         assert nc == want_rows
 

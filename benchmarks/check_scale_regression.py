@@ -18,18 +18,19 @@ Four complementary checks over a ``bench_scale.py`` output (a fresh
    one does not.
 3. **LP rows** (needs no clock) — in every n=2000 cell, LP (9) may have
    at most ``edges + 2n + 2`` rows (``lp_rows``): one per arc, at most
-   two per task (its source or sink row, or a linked task's link row;
-   an isolated task has the first two), plus ``L <= C`` and
-   ``W/m <= C``.  The separable form keeps the work segments as bounded
-   columns; a layout with one row per segment fails here.
+   two per task (its source row and its sink row; only an isolated
+   task has both), plus ``L <= C`` and ``W/m <= C``.  The separable
+   form keeps the work segments as bounded columns; a layout with one
+   row per segment fails here.
 4. **Chain growth** (a ratio of two clocks of one run, so runner speed
-   cancels) — a chain's LP (9) is solved by presolve alone, with no
-   simplex pivots, so its phase 1 per task at every n above ``-n`` may
-   be at most ``--chain-growth`` (default 4×) that of the n=2000 chain
-   cell.  A layout whose presolve merges the chain's rows into one
-   ever-longer row is quadratic in n and fails here on a full run; its
-   rows, nonzeros and pivots all stay linear, and HiGHS reports no
-   count of presolve work, so no counter shows it.
+   cancels) — a chain's LP (9) is optimal at its critical-path start
+   basis, so HiGHS solves it without presolve and with no simplex
+   pivot, and its phase 1 per task at every n above ``-n`` may be at
+   most ``--chain-growth`` (default 4×) that of the n=2000 chain cell.
+   Work that grows faster than the chain — a presolve that merges the
+   chain's rows into one ever-longer row, a start-basis pass that is
+   quadratic in its depth — fails here on a full run; the LP's rows,
+   nonzeros and pivots all stay linear, so no counter shows it.
 
 Every cell must additionally report its schedule checked: identical to
 the reference LIST (``schedules_identical``), or, above the size the

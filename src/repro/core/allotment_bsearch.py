@@ -22,7 +22,8 @@ the one memoized LP (9) assembly
 (:func:`repro.core.lp.assemble_allotment_arrays`, which ``jz`` and
 ``ltw`` build for the same instance), swaps in that objective and the
 bound of ``L`` on copies, and solves the result in a fresh HiGHS model,
-cold, so no probe depends on the ones before it.
+cold from LP (9)'s start basis (built once per search), so no probe
+depends on the ones before it.
 
 API
 ---
@@ -40,7 +41,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..lpsolve import LpError
+from ..lpsolve import LpError, LpStatus
 from ..lpsolve.scipy_backend import solve_ub_arrays
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
@@ -84,9 +85,11 @@ class _DeadlineSolver:
 
     Holds the instance's memoized LP (9) arrays with the objective on
     the δ columns, each weighted by its segment's slope (the total work
-    ``Σ_j w̄_j`` less its constant ``Σ_j w_j(p_j(m))``); every probe
-    only bounds ``L``, on a copy, and reads ``x`` back with
-    :func:`repro.core.lp.lp9_read_back`.
+    ``Σ_j w̄_j`` less its constant ``Σ_j w_j(p_j(m))``), and their
+    start basis; every probe only bounds ``L``, on a copy, loads a
+    fresh model from that one basis and reads ``x`` back with
+    :func:`repro.core.lp.lp9_read_back`.  Only an infeasible probe is
+    a missed deadline: any other :class:`LpError` propagates.
     """
 
     def __init__(self, instance: Instance):
@@ -95,6 +98,8 @@ class _DeadlineSolver:
         c = np.zeros(arrays.n_variables)
         c[image.n:image.n + len(image.seg_slope)] = image.seg_slope
         self._arrays = arrays._replace(c=c)
+        # Every probe has LP (9)'s arcs and p(m), hence its start basis.
+        self._basis = arrays.start_basis()
 
     def solve(self, deadline: float) -> Optional[DeadlineLpResult]:
         """One probe: ``None`` when the deadline is infeasible."""
@@ -110,8 +115,10 @@ class _DeadlineSolver:
         hi = arr.hi.copy()
         hi[-2] = deadline  # L
         try:
-            sol = solve_ub_arrays(arr._replace(hi=hi))
-        except LpError:
+            sol = solve_ub_arrays(arr._replace(hi=hi), self._basis)
+        except LpError as err:
+            if err.status != LpStatus.INFEASIBLE:
+                raise
             return None
         image = self._image
         x = lp9_read_back(

@@ -43,34 +43,36 @@ profile_image`), so ``x_j`` still ranges over ``[p_j(m), p_j(1)]`` and
 ``C*`` is LP (9)'s.
 
 A task's δ block sits in the rows that carry its ``x_j``: its in-arcs,
-or its source row.  A **linked** task — one with segments, at most one
-predecessor and at most one successor, and not isolated — keeps an
-``x_j`` column instead, tied to its δ block by one link row.  Its
-``C_j`` sits in exactly two rows, one of them an arc, so HiGHS's
-presolve substitutes ``C_j`` out and merges the two rows; along a chain
-the merged row would grow by a whole δ block per task, making presolve
-quadratic in the chain's length, while one ``x_j`` per task keeps it
-linear.  One function, :func:`lp9_arrays`, writes the rows, in this
-order:
+or its source row.  One function, :func:`lp9_arrays`, writes the rows,
+in this order:
 
-1. one row per arc, ``C_i - C_j + Σ_k δ_jk <= -p_j(m)``, or
-   ``C_i - C_j + x_j <= 0`` when ``j`` is linked;
-2. ``Σ_k δ_jk - C_j <= -p_j(m)`` (``x_j - C_j <= 0`` when linked) for
-   **source** tasks only;
-3. ``Σ_k δ_jk - x_j <= -p_j(m)`` for **linked** tasks only;
-4. ``C_j - L <= 0`` for **sink** tasks only;
-5. ``L - C <= 0`` and ``Σ_jk slope_k·δ_jk - m·C <= -Σ_j w_j(p_j(m))``.
+1. one row per arc, ``C_i - C_j + Σ_k δ_jk <= -p_j(m)``;
+2. ``Σ_k δ_jk - C_j <= -p_j(m)`` for **source** tasks only;
+3. ``C_j - L <= 0`` for **sink** tasks only;
+4. ``L - C <= 0`` and ``Σ_jk slope_k·δ_jk - m·C <= -Σ_j w_j(p_j(m))``.
 
 The dropped fit and span rows are implied: ``C_i >= 0`` turns an in-arc
 row into ``x_j <= C_j``, and ``x_k >= p_k(m) > 0`` chains ``C_j <= C_k
 <= ... <= C_sink <= L`` along any out-path, so the feasible set and
 ``C*`` are those of the full LP (9).  A task with neither predecessor
-nor successor keeps both rows.  A linked task's ``x_j`` column is
-only bounded below by ``p_j(m) + Σ_k δ_jk``, and that sum satisfies
-every row the column does, so the read-back takes the sum.  Every
-LP (9) path — the per-instance assembly, evolved children included, a
-packed fleet's blocks and the deadline probes of ``bsearch`` — uses
-this layout and reads ``x*`` back with :func:`lp9_read_back`.
+nor successor keeps both rows.  Every LP (9) path — the per-instance
+assembly, evolved children included, a packed fleet's blocks and the
+deadline probes of ``bsearch`` — uses this layout and reads ``x*`` back
+with :func:`lp9_read_back`.
+
+**The start basis.**  Every fresh HiGHS model of LP (9) starts from the
+vertex every task reaches at ``p_j(m)`` (all ``δ = 0``), with each
+``C_j`` on the longest-path tree (:func:`lp9_start_basis`): each
+``C_j`` is basic in its critical in-row — the arc from its
+latest-finishing predecessor, or its source row — ``L`` in the row of
+the latest sink and ``C`` in ``L <= C``; every δ is nonbasic at 0 and
+every other row's slack is basic (the crash-basis idea of R. E. Bixby,
+"Implementing the simplex method: the initial basis", ORSA J.
+Computing 4(3), 1992).  The basis is triangular, hence nonsingular,
+and its only nonzero duals are 1 along the critical path, so for LP (9)
+the dual simplex starts in phase 2 with at most one infeasible row,
+``W/m <= C``, and HiGHS skips presolve (it never presolves a run that
+has a basis).  A chain is optimal at that vertex: 0 pivots.
 """
 
 from __future__ import annotations
@@ -83,8 +85,14 @@ from typing import Callable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..dag.csr import DagCsr, longest_path_tree
 from ..lpsolve import LpSolution
-from ..lpsolve.scipy_backend import solve_ub_arrays
+from ..lpsolve.scipy_backend import (
+    BASIC,
+    NONBASIC_LOWER,
+    NONBASIC_UPPER,
+    solve_ub_arrays,
+)
 from ..obs import trace as obs_trace
 from .arrays import instance_arrays, memoized_on_instance, segment_sums
 from .instance import Instance
@@ -95,6 +103,7 @@ __all__ = [
     "assemble_allotment_arrays",
     "lp9_arrays",
     "lp9_read_back",
+    "lp9_start_basis",
     "solve_allotment_lp",
 ]
 
@@ -135,16 +144,17 @@ class AllotmentArrays(NamedTuple):
 
     Variables, in the δ form (see the module docstring): ``C_j = j``,
     then one ``δ`` per flat segment of the profile image (segment ``k``
-    is column ``n + k``, bounded by ``[0, seg_len[k]]``), then one
-    ``x_j`` per linked task in task order, and ``L`` and ``C`` last
-    (``n_variables - 2`` and ``n_variables - 1``); only ``C_j``,
-    ``x_j``, ``L`` and ``C`` are unbounded above.  Rows, as
-    :func:`lp9_arrays` emits them: the precedence arcs, the source
-    tasks' ``x_j <= C_j``, the linked tasks' link rows, the sink tasks'
-    ``C_j <= L``, then ``L <= C`` and ``W/m <= C`` (the segment slopes
-    sit in that last row).  The fit and span rows of the other tasks
-    are implied by the arcs (``C_i >= 0`` and ``x_k > 0``), so they are
-    left out.
+    is column ``n + k``, bounded by ``[0, seg_len[k]]``), then ``L``
+    and ``C`` (``n_variables - 2`` and ``n_variables - 1``); only
+    ``C_j``, ``L`` and ``C`` are unbounded above.  Rows, as
+    :func:`lp9_arrays` emits them: the ``n_arcs`` precedence arcs
+    (arc ``e``'s two leading nonzeros are ``C_src`` and ``C_dst``, at
+    ``2e`` and ``2e + 1``), the source tasks' ``x_j <= C_j``, the sink
+    tasks' ``C_j <= L``, then ``L <= C`` and ``W/m <= C`` (the segment
+    slopes sit in that last row).  The fit and span rows of the other
+    tasks are implied by the arcs (``C_i >= 0`` and ``x_k > 0``), so
+    they are left out.  Every field is a plain array or int, so two
+    assemblies compare field by field.
     """
 
     n_variables: int
@@ -155,6 +165,12 @@ class AllotmentArrays(NamedTuple):
     cols: np.ndarray  #: COO column indices of A_ub
     vals: np.ndarray  #: COO values of A_ub
     b_ub: np.ndarray  #: right-hand sides
+    n_tasks: int  #: ``n``: the ``C_j`` columns ``0 .. n - 1``
+    n_arcs: int  #: the arc rows ``0 .. n_arcs - 1``
+
+    def start_basis(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The critical-path start basis: :func:`lp9_start_basis`."""
+        return lp9_start_basis(self)
 
 
 def lp9_arrays(
@@ -173,82 +189,58 @@ def lp9_arrays(
     :class:`repro.core.arrays.InstanceArrays` (per task ``p_j(m)``,
     the work at ``p_j(m)`` and the segment offsets; per flattened
     segment its slope and δ bound); ``src``/``dst`` are the arcs'
-    integer endpoints.  Every path of LP (9) calls this function — see
-    :class:`AllotmentArrays` for the layout.
+    integer endpoints in CSR order (``src`` non-decreasing, as
+    :meth:`repro.dag.csr.DagCsr.edge_sources` lists them).  Every path
+    of LP (9) calls this function — see :class:`AllotmentArrays` for
+    the layout.
     """
     n = len(min_time)
     ns = len(seg_slope)
     ne = len(src)
     nseg = np.diff(seg_ptr)
-    indeg = np.bincount(dst, minlength=n)
-    outdeg = np.bincount(src, minlength=n)
-    sources = np.flatnonzero(indeg == 0)
-    sinks = np.flatnonzero(outdeg == 0)
-    # Linked tasks: at most one predecessor and one successor, and not
-    # isolated (see the module docstring).
-    linked = np.flatnonzero((np.maximum(indeg, outdeg) == 1) & (nseg > 0))
+    sources = np.flatnonzero(np.bincount(dst, minlength=n) == 0)
+    sinks = np.flatnonzero(np.bincount(src, minlength=n) == 0)
     nf = len(sources)
     nk = len(sinks)
-    nx = len(linked)
-    x0 = n + ns
-    nv = x0 + nx + 2
+    nv = n + ns + 2
     l_var = nv - 2
     c_max = nv - 1
 
     lo = np.zeros(nv)
     hi = np.full(nv, np.inf)
-    hi[n:x0] = seg_len
+    hi[n:l_var] = seg_len
     c = np.zeros(nv)
     c[c_max] = 1.0
 
-    x_of = np.zeros(n, dtype=np.intp)  # 0: no x_j column
-    x_of[linked] = np.arange(x0, l_var)
-    # Rows 0 .. ne + nf - 1 are the arcs and the sources, each on its
-    # head task: the arc's target, or the source itself.
+    # Rows 0 .. ne + nf - 1 are the arcs and the sources, each carrying
+    # its head task's δ block: the arc's target, or the source itself.
     heads = np.concatenate([dst, sources])
-    via_x = x_of[heads] > 0
-    hx = np.flatnonzero(via_x)
-    hd = np.flatnonzero(~via_x)
-    r_link = ne + nf
-    r_sink = r_link + nx
+    r_sink = ne + nf
     r_lc = r_sink + nk
-    # The rows that carry a δ block: an unlinked head's arc or source
-    # row, and every link row.
-    blk_rows = np.concatenate([hd, np.arange(r_link, r_sink)])
-    blk_tasks = np.concatenate([heads[hd], linked])
-    k = nseg[blk_tasks]
+    k = nseg[heads]
     nd = int(k.sum())
     # The nonzeros, written block by block into preallocated triplets
     # (HiGHS takes 32-bit indices).
-    nnz = 2 * ne + nf + 2 * nx + nd + 2 * (nk + 1) + ns + 1
+    nnz = 2 * ne + nf + nd + 2 * (nk + 1) + ns + 1
     rows = np.empty(nnz, dtype=np.int32)
     cols = np.empty(nnz, dtype=np.int32)
     vals = np.empty(nnz)
-    # C_i - C_j (+ x_j or Σ_k δ_jk) <= 0 or -p_j(m)
+    # C_i - C_j + Σ_k δ_jk <= -p_j(m)
     a, b = 0, 2 * ne
     rows[a:b:2] = rows[a + 1:b:2] = np.arange(ne)
     cols[a:b:2] = src
     cols[a + 1:b:2] = dst
     vals[a:b:2] = 1.0
     vals[a + 1:b:2] = -1.0
-    # -C_j (+ x_j or Σ_k δ_jk) <= 0 or -p_j(m) (sources)
+    # -C_j + Σ_k δ_jk <= -p_j(m) (sources)
     a, b = b, b + nf
-    rows[a:b] = np.arange(ne, r_link)
+    rows[a:b] = np.arange(ne, r_sink)
     cols[a:b] = sources
     vals[a:b] = -1.0
-    # x_j in a linked task's arc or source row; -x_j in its link row
-    # Σ_k δ_jk - x_j <= -p_j(m).
-    a, b = b, b + 2 * nx
-    rows[a:b:2] = hx
-    cols[a:b:2] = x_of[heads[hx]]
-    vals[a:b:2] = 1.0
-    rows[a + 1:b:2] = np.arange(r_link, r_sink)
-    cols[a + 1:b:2] = np.arange(x0, l_var)
-    vals[a + 1:b:2] = -1.0
     # The δ blocks: task t's columns are n + seg_ptr[t] + 0 .. k_t - 1.
     a, b = b, b + nd
-    rows[a:b] = np.repeat(blk_rows, k)
-    cols[a:b] = np.repeat(n + seg_ptr[blk_tasks] - (np.cumsum(k) - k), k)
+    rows[a:b] = np.repeat(np.arange(r_sink), k)
+    cols[a:b] = np.repeat(n + seg_ptr[heads] - (np.cumsum(k) - k), k)
     cols[a:b] += np.arange(nd, dtype=np.int32)
     vals[a:b] = 1.0
     # C_j - L <= 0 (sinks), L - C <= 0
@@ -261,13 +253,12 @@ def lp9_arrays(
     vals[a + 1:b:2] = -1.0
     # Σ slope·δ - m·C <= -Σ_j w_j(p_j(m))
     rows[b:] = r_lc + 1
-    cols[b:-1] = np.arange(n, x0)
+    cols[b:-1] = np.arange(n, l_var)
     cols[-1] = c_max
     vals[b:-1] = seg_slope
     vals[-1] = -float(m)
     b_ub = np.zeros(r_lc + 2)
-    b_ub[hd] = -min_time[heads[hd]]
-    b_ub[r_link:r_sink] = -min_time[linked]
+    b_ub[:r_sink] = -min_time[heads]
     b_ub[-1] = -math.fsum(anchor_work.tolist())
 
     return AllotmentArrays(
@@ -279,7 +270,57 @@ def lp9_arrays(
         cols=cols,
         vals=vals,
         b_ub=b_ub,
+        n_tasks=n,
+        n_arcs=ne,
     )
+
+
+def lp9_start_basis(
+    arrays: AllotmentArrays,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """LP (9)'s critical-path start basis, from the assembly alone.
+
+    Returns ``(col_status, row_status)``, one
+    :data:`repro.lpsolve.scipy_backend.BASIC` /
+    :data:`~repro.lpsolve.scipy_backend.NONBASIC_LOWER` /
+    :data:`~repro.lpsolve.scipy_backend.NONBASIC_UPPER` code per column
+    and row.  The arcs are read off the arc rows' leading nonzeros and
+    each task's ``p_j(m)`` off the right-hand side of its in-rows, and
+    :func:`repro.dag.csr.longest_path_tree` gives each task its critical
+    predecessor.  Basic: every ``C_j`` (its critical in-row tight),
+    ``L`` (the latest sink's row tight), ``C`` (``L <= C`` tight) and
+    every other row's slack; every δ is nonbasic at 0.  With no task
+    at all ``L`` sits at 0 instead.  Built for a fresh model only: a
+    warm update keeps the model's own basis.
+    """
+    n, ne = arrays.n_tasks, arrays.n_arcs
+    src = arrays.cols[0:2 * ne:2]
+    dst = arrays.cols[1:2 * ne:2]
+    outdeg = np.bincount(src, minlength=n)
+    sources = np.flatnonzero(np.bincount(dst, minlength=n) == 0)
+    sinks = np.flatnonzero(outdeg == 0)
+    r_sink = ne + len(sources)
+    p = np.empty(n)
+    p[dst] = -arrays.b_ub[:ne]
+    p[sources] = -arrays.b_ub[ne:r_sink]
+    succ_indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(outdeg, out=succ_indptr[1:])
+    dist, parent = longest_path_tree(
+        DagCsr.from_succ_arrays(n, succ_indptr, dst), p
+    )
+    row_status = np.full(len(arrays.b_ub), BASIC, dtype=np.int8)
+    # Each non-source task's one arc from its critical predecessor,
+    # every source row, and L <= C.
+    row_status[:ne][parent[dst] == src] = NONBASIC_UPPER
+    row_status[ne:r_sink] = NONBASIC_UPPER
+    row_status[-2] = NONBASIC_UPPER
+    col_status = np.full(arrays.n_variables, NONBASIC_LOWER, dtype=np.int8)
+    col_status[:n] = BASIC
+    col_status[-1] = BASIC
+    if len(sinks):
+        row_status[r_sink + int(np.argmax(dist[sinks]))] = NONBASIC_UPPER
+        col_status[-2] = BASIC
+    return col_status, row_status
 
 
 @memoized_on_instance
@@ -317,8 +358,7 @@ def lp9_read_back(
 
     ``x_j = p_j(m) + Σ_k δ_jk`` over each task's contiguous δ block
     (:func:`repro.core.arrays.segment_sums` at the profile image's
-    ``seg_ptr``/``seg_tasks``); a linked task's ``x_j`` column is at
-    least that and is not read.  The one read-back of LP (9): the
+    ``seg_ptr``/``seg_tasks``).  The one read-back of LP (9): the
     allotment LP, every ``bsearch`` probe and a packed fleet's blocks
     use it.
     """
@@ -371,7 +411,10 @@ def solve_allotment_lp(instance: Instance) -> AllotmentLpResult:
     """Assemble and solve LP (9); returns the fractional optimum.
 
     The constraint matrix is assembled in bulk via
-    :func:`assemble_allotment_arrays` and handed straight to HiGHS.
+    :func:`assemble_allotment_arrays` and handed straight to HiGHS, a
+    fresh model starting from :func:`lp9_start_basis` unless a
+    :class:`repro.pipeline.incremental.ReplanSession` round solves it
+    in its resident model.
     """
     with obs_trace.span("lp.assemble", n=instance.n_tasks):
         arrays = assemble_allotment_arrays(instance)

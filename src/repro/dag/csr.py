@@ -14,8 +14,10 @@ that layout:
   frontier-at-a-time Kahn sweep;
 * :func:`bottom_levels_kernel` — longest remaining path per node under a
   duration vector (the LIST priority quantity);
-* :func:`longest_path_kernel` — weighted critical path with the same
-  first-predecessor tie-breaking as the Python reference;
+* :func:`longest_path_tree` — per node the longest weighted path
+  ending there and its first critical predecessor;
+  :func:`longest_path_kernel` reads the critical path off it, with the
+  same first-predecessor tie-breaking as the Python reference;
 * :func:`reachable_mask` — transitive predecessor/successor masks for
   the heavy-path construction.
 
@@ -59,14 +61,17 @@ __all__ = [
     "DagCsr",
     "bottom_levels_kernel",
     "longest_path_kernel",
+    "longest_path_tree",
     "reachable_mask",
     "topo_order_levels",
 ]
 
-#: Past this many levels relative to ``n`` the graph is chain-like and
-#: per-level vectorization loses to a scalar loop over the CSR arrays.
-_DEEP_LEVEL_FRACTION = 0.25
-_DEEP_LEVEL_MIN = 64
+#: Every level sweep steps a level whose nodes and scanned arcs number
+#: fewer than this in scalar code, over memoryviews of the same arrays,
+#: and a larger one in NumPy: a level's NumPy calls have a fixed cost
+#: that a few nodes and arcs do not repay, and a chain pays it once per
+#: node.
+_NARROW_LEVEL = 128
 
 
 def _gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -127,33 +132,53 @@ def _kahn_levels(
     """Frontier-at-a-time Kahn sweep over the CSR arrays.
 
     Returns ``(order, ptr)`` — nodes grouped by level (depth along
-    ``fwd`` edges) — or raises ``ValueError`` when the edge set has a
-    cycle (fewer than ``n`` nodes ever become ready).
+    ``fwd`` edges), ascending within a level — or raises ``ValueError``
+    when the edge set has a cycle (fewer than ``n`` nodes ever become
+    ready).  A frontier whose nodes and out-arcs number fewer than
+    :data:`_NARROW_LEVEL` steps in scalar code, a larger one in NumPy;
+    both update the same in-degree array.
     """
-    indeg = np.diff(rev_indptr).copy()
-    frontier = np.flatnonzero(indeg == 0)
-    parts: List[np.ndarray] = []
-    ptr = [0]
-    seen = 0
-    while frontier.size:
-        parts.append(frontier)
-        seen += frontier.size
-        ptr.append(seen)
-        starts = fwd_indptr[frontier]
-        counts = fwd_indptr[frontier + 1] - starts
-        flat = _gather_ranges(starts, counts)
-        if flat.size:
-            targets = fwd_indices[flat]
-            indeg -= np.bincount(targets, minlength=n)
-            frontier = np.unique(targets[indeg[targets] == 0])
-        else:
-            frontier = np.empty(0, dtype=np.intp)
-    if seen != n:
-        raise ValueError("edge set contains a directed cycle")
-    order = (
-        np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+    indeg = np.diff(rev_indptr)
+    outdeg = np.diff(fwd_indptr)
+    indptr, indices, deg, out = (
+        memoryview(a) for a in (fwd_indptr, fwd_indices, indeg, outdeg)
     )
-    return order, np.asarray(ptr, dtype=np.intp)
+    frontier = np.flatnonzero(indeg == 0)
+    work = len(frontier) + int(outdeg[frontier].sum())
+    parts: List[np.ndarray] = []
+    run: List[int] = []  # the narrow levels' nodes since the last part
+    ptr = [0]
+    while len(frontier):
+        ptr.append(ptr[-1] + len(frontier))
+        if work < _NARROW_LEVEL:
+            level = (
+                frontier if isinstance(frontier, list) else frontier.tolist()
+            )
+            run += level
+            frontier, work = [], 0
+            for u in level:
+                for k in range(indptr[u], indptr[u + 1]):
+                    v = indices[k]
+                    deg[v] -= 1
+                    if not deg[v]:
+                        frontier.append(v)
+                        work += 1 + out[v]
+            frontier.sort()
+        else:
+            if run:
+                parts.append(np.asarray(run, dtype=np.intp))
+                run = []
+            frontier = np.asarray(frontier, dtype=np.intp)
+            parts.append(frontier)
+            flat = _gather_ranges(fwd_indptr[frontier], outdeg[frontier])
+            targets, hits = np.unique(fwd_indices[flat], return_counts=True)
+            indeg[targets] -= hits
+            frontier = targets[indeg[targets] == 0]
+            work = len(frontier) + int(outdeg[frontier].sum())
+    if ptr[-1] != n:
+        raise ValueError("edge set contains a directed cycle")
+    parts.append(np.asarray(run, dtype=np.intp))
+    return np.concatenate(parts), np.asarray(ptr, dtype=np.intp)
 
 
 class DagCsr:
@@ -274,9 +299,24 @@ def topo_order_levels(csr: DagCsr) -> np.ndarray:
     return csr.depths().order
 
 
-def _deep(levels: _Levels, n: int) -> bool:
-    return levels.n_levels > max(_DEEP_LEVEL_MIN,
-                                 int(n * _DEEP_LEVEL_FRACTION))
+def _sweep_ranges(levels: _Levels) -> List[Tuple[int, int, bool]]:
+    """``(a, b, narrow)`` ranges of order positions covering every
+    level but the first, for the kernels that sweep a level
+    decomposition: a level whose nodes and arcs number at least
+    :data:`_NARROW_LEVEL` alone (``narrow`` false, one NumPy step), and
+    each maximal run of smaller levels together (one scalar loop: a
+    level reads only earlier levels, so a run is swept node by node in
+    order)."""
+    n_levels = levels.n_levels
+    if n_levels < 2:
+        return []
+    ptr = levels.ptr
+    narrow = np.diff(ptr) + np.diff(levels.seg_ptr[ptr]) < _NARROW_LEVEL
+    # Level d >= 2 joins the range before it when both are narrow.
+    joins = narrow[2:] & narrow[1:-1]
+    starts = np.concatenate([[1], np.flatnonzero(~joins) + 2])
+    bounds = ptr[np.append(starts, n_levels)].tolist()
+    return list(zip(bounds[:-1], bounds[1:], narrow[starts].tolist()))
 
 
 def bottom_levels_kernel(
@@ -285,28 +325,29 @@ def bottom_levels_kernel(
     """Bottom levels: ``level[v] = dur[v] + max(level[s] for s in succ(v))``.
 
     Processes nodes one *height class* at a time with a segmented max
-    (``np.maximum.reduceat``); for chain-like graphs falls back to an
-    equivalent scalar loop.  Bit-identical to the per-node reference.
+    (``np.maximum.reduceat``), and runs of small classes in an
+    equivalent scalar loop (:func:`_sweep_ranges`).  Bit-identical
+    to the per-node reference.
     """
     dur = np.ascontiguousarray(durations, dtype=float)
     if len(dur) != csr.n:
         raise ValueError("one duration per node required")
     level = dur.copy()
     hs = csr.heights()
-    if _deep(hs, csr.n):
-        indptr = csr.succ_indptr.tolist()
-        indices = csr.succ_indices.tolist()
-        lv = level.tolist()
-        for v in hs.order[hs.ptr[1]:].tolist():
-            best = 0.0
-            for k in range(indptr[v], indptr[v + 1]):
-                s = indices[k]
-                if lv[s] > best:
-                    best = lv[s]
-            lv[v] = dur[v] + best
-        return np.asarray(lv, dtype=float)
-    for h in range(1, hs.n_levels):
-        a, b = hs.ptr[h], hs.ptr[h + 1]
+    lv, dv, order, seg, gather = (
+        memoryview(a) for a in (level, dur, hs.order, hs.seg_ptr, hs.gather)
+    )
+    for a, b, narrow in _sweep_ranges(hs):
+        if narrow:
+            for i in range(a, b):
+                best = 0.0
+                for k in range(seg[i], seg[i + 1]):
+                    x = lv[gather[k]]
+                    if x > best:
+                        best = x
+                v = order[i]
+                lv[v] = dv[v] + best
+            continue
         nodes = hs.order[a:b]
         lo = hs.seg_ptr[a]
         vals = level[hs.gather[lo:hs.seg_ptr[b]]]
@@ -316,59 +357,76 @@ def bottom_levels_kernel(
     return level
 
 
+def longest_path_tree(
+    csr: DagCsr, weights: Sequence[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The longest-path tree: ``(dist, parent)``.
+
+    ``dist[v] = max(0, max(dist[u] for u in pred(v))) + w[v]`` processed
+    one depth class at a time, runs of small classes in scalar code
+    (:func:`_sweep_ranges`); ``parent[v]`` is the first
+    predecessor (in ``pred_indices`` order) attaining that maximum, or
+    ``-1`` when no predecessor has a positive distance (a source, with
+    positive weights).  Under positive weights ``v`` finishes at
+    ``dist[v]`` when it starts as soon as its predecessors finish, and
+    ``parent[v]`` is its latest-finishing predecessor.
+    """
+    w = np.ascontiguousarray(weights, dtype=float)
+    if len(w) != csr.n:
+        raise ValueError("one weight per node required")
+    dist = w.copy()
+    parent = np.full(csr.n, -1, dtype=np.intp)
+    if csr.n == 0:
+        return dist, parent
+    ds = csr.depths()
+    dl, pl, wv, order, seg, gather = (
+        memoryview(a)
+        for a in (dist, parent, w, ds.order, ds.seg_ptr, ds.gather)
+    )
+    flat_pos = np.arange(len(ds.gather), dtype=np.intp)
+    for a, b, narrow in _sweep_ranges(ds):
+        if narrow:
+            for i in range(a, b):
+                best, arg = 0.0, -1
+                for k in range(seg[i], seg[i + 1]):
+                    u = gather[k]
+                    if dl[u] > best:
+                        best, arg = dl[u], u
+                v = order[i]
+                dl[v] = best + wv[v]
+                pl[v] = arg
+            continue
+        nodes = ds.order[a:b]
+        lo = ds.seg_ptr[a]
+        sl = slice(lo, ds.seg_ptr[b])
+        offs = ds.seg_ptr[a:b] - lo
+        vals = dist[ds.gather[sl]]
+        mx = np.maximum.reduceat(vals, offs)
+        sizes = np.diff(np.append(offs, len(vals)))
+        pos = np.where(
+            vals == np.repeat(mx, sizes), flat_pos[sl], len(ds.gather)
+        )
+        first = np.minimum.reduceat(pos, offs)
+        pick = mx > 0.0
+        parent[nodes[pick]] = ds.gather[first[pick]]
+        dist[nodes] = np.maximum(mx, 0.0) + w[nodes]
+    return dist, parent
+
+
 def longest_path_kernel(
     csr: DagCsr, weights: Sequence[float], want_path: bool = False
 ) -> Tuple[float, List[int]]:
     """Weighted longest path: ``(length, path)``.
 
-    ``dist[v] = max(0, max(dist[u] for u in pred(v))) + w[v]`` processed
-    one depth class at a time; the path end is the first node attaining
-    the maximum distance and each hop the first predecessor attaining
-    its segment maximum — exactly the tie-breaking of the Python
-    reference (``Dag.longest_path``).  With ``want_path=False`` the
-    backtracking is skipped.
+    Read off :func:`longest_path_tree`: the path end is the first node
+    attaining the maximum distance and each hop the first predecessor
+    attaining its segment maximum — exactly the tie-breaking of the
+    Python reference (``Dag.longest_path``).  With ``want_path=False``
+    the backtracking is skipped.
     """
-    w = np.ascontiguousarray(weights, dtype=float)
-    if len(w) != csr.n:
-        raise ValueError("one weight per node required")
+    dist, parent = longest_path_tree(csr, weights)
     if csr.n == 0:
         return 0.0, []
-    ds = csr.depths()
-    dist = w.copy()
-    parent = np.full(csr.n, -1, dtype=np.intp)
-    if _deep(ds, csr.n):
-        indptr = csr.pred_indptr.tolist()
-        indices = csr.pred_indices.tolist()
-        dl = dist.tolist()
-        pl = parent.tolist()
-        for v in ds.order[ds.ptr[1]:].tolist():
-            best, arg = 0.0, -1
-            for k in range(indptr[v], indptr[v + 1]):
-                u = indices[k]
-                if dl[u] > best:
-                    best, arg = dl[u], u
-            dl[v] = best + w[v]
-            pl[v] = arg
-        dist = np.asarray(dl, dtype=float)
-        parent = np.asarray(pl, dtype=np.intp)
-    else:
-        flat_pos = np.arange(len(ds.gather), dtype=np.intp)
-        for d in range(1, ds.n_levels):
-            a, b = ds.ptr[d], ds.ptr[d + 1]
-            nodes = ds.order[a:b]
-            lo = ds.seg_ptr[a]
-            seg = slice(lo, ds.seg_ptr[b])
-            offs = ds.seg_ptr[a:b] - lo
-            vals = dist[ds.gather[seg]]
-            mx = np.maximum.reduceat(vals, offs)
-            sizes = np.diff(np.append(offs, len(vals)))
-            pos = np.where(
-                vals == np.repeat(mx, sizes), flat_pos[seg], len(ds.gather)
-            )
-            first = np.minimum.reduceat(pos, offs)
-            pick = mx > 0.0
-            parent[nodes[pick]] = ds.gather[first[pick]]
-            dist[nodes] = np.maximum(mx, 0.0) + w[nodes]
     end = int(np.argmax(dist))
     length = float(dist[end])
     if not want_path:

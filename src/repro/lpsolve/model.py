@@ -11,13 +11,23 @@ types defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 __all__ = ["LpSolution", "LpStatus", "LpError"]
 
 
 class LpError(RuntimeError):
-    """Raised when an LP cannot be solved (infeasible/unbounded/failure)."""
+    """Raised when an LP cannot be solved.
+
+    ``status`` is :data:`LpStatus.INFEASIBLE` or
+    :data:`LpStatus.UNBOUNDED` when the solve proved the model so, and
+    ``None`` for every other failure: HiGHS rejecting the model or its
+    start basis, a pattern mismatch on a warm update, a solver failure.
+    """
+
+    def __init__(self, message: str, status: Optional[str] = None):
+        super().__init__(message)
+        self.status = status
 
 
 class LpStatus:

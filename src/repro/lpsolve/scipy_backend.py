@@ -7,7 +7,9 @@ one is solved by loading it into a :class:`HighsModel`:
 * a one-shot solve — LP (9), a block of a packed batch, a probe of
   the deadline binary search — is a fresh model's cold
   :meth:`HighsModel.solve` (:func:`solve_ub_arrays`,
-  :func:`solve_ub_blocks`);
+  :func:`solve_ub_blocks`), started from the assembly's own start
+  basis (for LP (9), the critical-path basis of
+  :func:`repro.core.lp.lp9_start_basis`);
 * the incremental path (:mod:`repro.pipeline.incremental`) keeps its
   model resident.  An evolution that retimes one task perturbs a
   handful of LP (9)'s entries (the task's δ bounds and the right-hand
@@ -17,9 +19,8 @@ one is solved by loading it into a :class:`HighsModel`:
   simplex restarted from the previous optimum re-proves optimality in a
   few pivots instead of thousands.
 
-Presolve runs on a model's first solve only: re-presolving would
-discard the basis and cost more than the handful of warm pivots it
-saves.
+No solve presolves: HiGHS skips presolve whenever the model holds a
+valid basis, and every model holds one from the moment it is built.
 """
 
 from __future__ import annotations
@@ -35,12 +36,26 @@ from ..obs.metrics import REGISTRY as _METRICS
 from .model import LpError, LpSolution, LpStatus
 
 __all__ = [
+    "BASIC",
     "HighsModel",
+    "NONBASIC_LOWER",
+    "NONBASIC_UPPER",
     "solve_ub_arrays",
     "solve_ub_blocks",
 ]
 
 _INF = float("inf")
+
+#: Start-basis status codes, HiGHS's own (``HighsBasisStatus``): a
+#: nonbasic column at its lower bound, a basic variable, a nonbasic row
+#: at its upper bound (the ``<=`` row holds with equality).
+NONBASIC_LOWER = int(_highs_core.HighsBasisStatus.kLower)
+BASIC = int(_highs_core.HighsBasisStatus.kBasic)
+NONBASIC_UPPER = int(_highs_core.HighsBasisStatus.kUpper)
+#: ``HighsBasisStatus`` by code, to convert a status array in one take.
+_STATUS = np.array(
+    [_highs_core.HighsBasisStatus(code) for code in range(3)], dtype=object
+)
 
 _PIVOTS = _METRICS.counter(
     "repro_solver_lp_pivots_total",
@@ -74,35 +89,62 @@ class HighsModel:
     ----------
     arrays:
         An :class:`repro.core.lp.AllotmentArrays`-shaped tuple (COO
-        triplets, objective, bounds).  The model keeps a reference: the
-        sparsity pattern is fixed for the model's lifetime, and
-        :meth:`update` accepts only assemblies with the identical
-        pattern (same rows/cols — what :func:`repro.core.lp.lp9_arrays`
-        writes for a child whose retimes kept every segment count).
+        triplets, objective, bounds) whose ``start_basis()`` returns
+        ``(col_status, row_status)`` codes (:data:`BASIC`,
+        :data:`NONBASIC_LOWER`, :data:`NONBASIC_UPPER`) of a valid
+        basis.  The model is loaded in one call and starts from that
+        basis; HiGHS rejecting the model or the basis is an
+        :class:`LpError`.  The model keeps a reference: the sparsity
+        pattern is fixed for the model's lifetime, and :meth:`update`
+        accepts only assemblies with the identical pattern (same
+        rows/cols — what :func:`repro.core.lp.lp9_arrays` writes for a
+        child whose retimes kept every segment count).
+    basis:
+        ``arrays.start_basis()``, already built: a caller that loads
+        many models of one pattern and one start, as the deadline
+        probes of ``bsearch`` do, builds it once.
     """
 
-    def __init__(self, arrays):
+    def __init__(self, arrays, basis=None):
         self._arrays = arrays
         self._solved_once = False
+        n_cols = int(arrays.n_variables)
         n_rows = len(arrays.b_ub)
-
-        lp = _highs_core.HighsLp()
-        lp.num_col_ = int(arrays.n_variables)
-        lp.num_row_ = int(n_rows)
-        lp.col_cost_ = np.asarray(arrays.c, dtype=float)
-        lp.col_lower_ = np.asarray(arrays.lo, dtype=float)
-        lp.col_upper_ = np.asarray(arrays.hi, dtype=float)
-        lp.row_lower_ = np.full(n_rows, -_INF)
-        lp.row_upper_ = np.asarray(arrays.b_ub, dtype=float)
         start, index, value = _to_colwise(arrays)
-        lp.a_matrix_.format_ = _highs_core.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = start
-        lp.a_matrix_.index_ = index
-        lp.a_matrix_.value_ = value
-
         h = _highs_core._Highs()
         h.setOptionValue("output_flag", False)
-        h.passModel(lp)
+        status = h.passModel(
+            n_cols,
+            n_rows,
+            len(value),
+            int(_highs_core.MatrixFormat.kColwise),
+            int(_highs_core.ObjSense.kMinimize),
+            0.0,
+            np.asarray(arrays.c, dtype=float),
+            np.asarray(arrays.lo, dtype=float),
+            np.asarray(arrays.hi, dtype=float),
+            np.full(n_rows, -_INF),
+            np.asarray(arrays.b_ub, dtype=float),
+            start[:-1],
+            index,
+            value,
+            np.zeros(n_cols, dtype=np.int32),
+        )
+        # kWarning still loads the model: HiGHS drops the entries of
+        # magnitude at most 1e-9 (``small_matrix_value``) and says so,
+        # e.g. the zero slopes of a linear-speedup task's segments.
+        if status == _highs_core.HighsStatus.kError:
+            raise LpError(f"HiGHS rejected the model: {status}")
+        col_status, row_status = (
+            arrays.start_basis() if basis is None else basis
+        )
+        basis = _highs_core.HighsBasis()
+        basis.valid = True
+        basis.alien = False
+        basis.col_status = _STATUS[col_status].tolist()
+        basis.row_status = _STATUS[row_status].tolist()
+        if h.setBasis(basis) != _highs_core.HighsStatus.kOk:
+            raise LpError("HiGHS rejected the start basis")
         self._h = h
 
     # ------------------------------------------------------------------
@@ -150,9 +192,9 @@ class HighsModel:
         return edits
 
     def solve(self) -> LpSolution:
-        """Run the solver: cold with presolve the first time, warm from
-        the previous basis afterwards.  Raises :class:`LpError` on
-        infeasible/unbounded models."""
+        """Run the solver: cold from the start basis the first time,
+        warm from the previous optimal basis afterwards.  Raises
+        :class:`LpError` on infeasible/unbounded models."""
         h = self._h
         warm = self._solved_once
         arrays = self._arrays
@@ -166,18 +208,14 @@ class HighsModel:
             status = h.getModelStatus()
             Status = _highs_core.HighsModelStatus
             if status == Status.kInfeasible:
-                raise LpError(LpStatus.INFEASIBLE)
+                raise LpError(LpStatus.INFEASIBLE, LpStatus.INFEASIBLE)
             if status in (Status.kUnbounded, Status.kUnboundedOrInfeasible):
-                raise LpError(LpStatus.UNBOUNDED)
+                raise LpError(LpStatus.UNBOUNDED, LpStatus.UNBOUNDED)
             if status != Status.kOptimal:  # pragma: no cover - solver quirks
                 raise LpError(
                     f"HiGHS solve failed: {h.modelStatusToString(status)}"
                 )
-            if not warm:
-                # Presolve would run again on every re-solve and discard
-                # the basis; from here on the warm pivots are the point.
-                h.setOptionValue("presolve", "off")
-                self._solved_once = True
+            self._solved_once = True
             iterations = int(h.getInfoValue("simplex_iteration_count")[1])
             obs_trace.add("lp_pivots", iterations)
             _PIVOTS.inc(iterations)
@@ -199,10 +237,11 @@ class HighsModel:
         return self._arrays
 
 
-def solve_ub_arrays(arrays) -> LpSolution:
+def solve_ub_arrays(arrays, basis=None) -> LpSolution:
     """Solve a pre-assembled ``A_ub v <= b_ub`` LP: a fresh
-    :class:`HighsModel`'s cold solve."""
-    return HighsModel(arrays).solve()
+    :class:`HighsModel`'s cold solve from the start basis (``basis``,
+    else ``arrays.start_basis()``)."""
+    return HighsModel(arrays, basis).solve()
 
 
 def solve_ub_blocks(blocks) -> List[LpSolution]:

@@ -18,7 +18,8 @@ profitable:
 * the delta is non-structural — same tasks, same arcs — so the LP's
   sparsity pattern is unchanged;
 * the delta is small (``magnitude <= MAX_WARM_MAGNITUDE``): bulk edits
-  re-enter cold, where presolve earns its keep.
+  re-enter cold, in a fresh model started from LP (9)'s critical-path
+  basis (:func:`repro.core.lp.lp9_start_basis`).
 
 Everything else is a cold solve: for ``jz`` in a fresh resident model
 (so the next delta is warm again), for other algorithms through the

@@ -17,9 +17,8 @@ The solver writes LP (9) in its separable δ form
   variables.
 * :func:`build_delta_lp` — the δ form one constraint at a time, from
   the per-task API (``MalleableTask.segments()``) and the DAG's
-  per-task degrees, variable for variable and row for row the layout
-  of :func:`repro.core.lp.lp9_arrays`, linked tasks' ``x_j`` columns
-  and link rows included.  Given a ``deadline`` it builds the
+  sources and sinks, variable for variable and row for row the layout
+  of :func:`repro.core.lp.lp9_arrays`.  Given a ``deadline`` it builds the
   deadline view that every probe of
   :mod:`repro.core.allotment_bsearch` solves: the same rows, ``L``
   bounded by the deadline, and the segment slopes as the objective
@@ -29,16 +28,30 @@ The solver writes LP (9) in its separable δ form
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from lp_oracle import LinearProgram
 
 from repro.core.arrays import instance_arrays
-from repro.core.lp import AllotmentArrays
 
 
-def full_allotment_arrays(instance) -> AllotmentArrays:
+class LiteralArrays(NamedTuple):
+    """The literal LP (9) as ``A_ub v <= b_ub`` arrays, in the field
+    names of :class:`repro.core.lp.AllotmentArrays` (solve it with
+    :func:`lp_oracle.solve_arrays_with_linprog`)."""
+
+    n_variables: int
+    c: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    b_ub: np.ndarray
+
+
+def full_allotment_arrays(instance) -> LiteralArrays:
     """The literal LP (9) of ``instance`` with every row, untrimmed."""
     arr = instance_arrays(instance)
     n = arr.n
@@ -108,7 +121,7 @@ def full_allotment_arrays(instance) -> AllotmentArrays:
     )
     b_ub = np.zeros(int(r_wm) + 1)
     b_ub[seg_rows] = -arr.seg_intercept
-    return AllotmentArrays(
+    return LiteralArrays(
         n_variables=nv,
         c=c,
         lo=lo,
@@ -223,9 +236,8 @@ def literal_point(instance, values: Sequence[float]) -> np.ndarray:
 
     ``x_j = p_j(m) + Σ_k δ_jk`` and ``w̄_j = w_j(p_j(m)) + Σ_k
     slope_k·δ_jk``, summed here in plain Python from the per-task
-    segments, beside the solver's ``C_j``, ``L`` and ``C`` (a linked
-    task's ``x_j`` column is not read), in the ``3n + 2`` layout of
-    :func:`full_allotment_arrays`.
+    segments, beside the solver's ``C_j``, ``L`` and ``C``, in the
+    ``3n + 2`` layout of :func:`full_allotment_arrays`.
     """
     n = instance.n_tasks
     out = np.zeros(3 * n + 2)
@@ -255,18 +267,6 @@ def _anchor_work(task) -> float:
     return segs[-1].slope * task.min_time + segs[-1].intercept
 
 
-def linked_tasks(instance) -> Tuple[int, ...]:
-    """The tasks that keep an ``x_j`` column in the δ form: with
-    segments, at most one predecessor and one successor, not
-    isolated."""
-    dag = instance.dag
-    return tuple(
-        j for j in range(instance.n_tasks)
-        if instance.task(j).segments()
-        and max(dag.in_degree(j), dag.out_degree(j)) == 1
-    )
-
-
 @dataclass
 class DeltaLp:
     """LP (9)'s δ form in the modeling layer with its variable handles."""
@@ -274,7 +274,6 @@ class DeltaLp:
     lp: LinearProgram
     c_vars: Tuple[int, ...]
     delta_vars: Tuple[Tuple[int, ...], ...]  #: per task, segment order
-    x_vars: Dict[int, int]  #: linked task -> its x_j column
     l_var: int
     c_max_var: int
 
@@ -284,12 +283,10 @@ def build_delta_lp(instance, deadline: Optional[float] = None) -> DeltaLp:
 
     Variables ``C_0 .. C_{n-1}``, then each task's ``δ`` in segment
     order (``0 <= δ <= x_hi - x_lo``, the last segment reaching down to
-    ``p(m)``), then an unbounded ``x_j`` per linked task
-    (:func:`linked_tasks`), then ``L`` and ``C``.  A task's run time
-    is ``x_j`` when it is linked, else ``p_j(m) + Σ δ_j``.  Rows: one
-    per arc ``C_i - C_j + (run time of j) <= 0``, the sources'
-    ``(run time) - C_j <= 0``, the linked tasks' ``Σ δ_j - x_j <=
-    -p_j(m)``, the sinks' ``C_j - L <= 0``, ``L - C <= 0`` and
+    ``p(m)``), then ``L`` and ``C``.  A task's run time is ``p_j(m) +
+    Σ δ_j``.  Rows: one per arc ``C_i - C_j + (run time of j) <= 0``,
+    the sources' ``(run time) - C_j <= 0``, the sinks' ``C_j - L <=
+    0``, ``L - C <= 0`` and
     ``Σ slope·δ - m·C <= -Σ_j w_j(p_j(m))``, constants moved to the
     right.  With a ``deadline``: ``L <= deadline``, the slopes as the
     objective, ``C`` free.
@@ -317,9 +314,6 @@ def build_delta_lp(instance, deadline: Optional[float] = None) -> DeltaLp:
             slope_of[v] = seg.slope
             handles.append(v)
         delta_vars.append(tuple(handles))
-    x_vars = {
-        j: lp.add_variable(f"x{j}", lo=0.0) for j in linked_tasks(instance)
-    }
     if deadline is None:
         l_var = lp.add_variable("L", lo=0.0)
         c_max_var = lp.add_variable("C", lo=0.0, obj=1.0)
@@ -330,8 +324,6 @@ def build_delta_lp(instance, deadline: Optional[float] = None) -> DeltaLp:
     def run_time(j):
         """Task ``j``'s run time as row coefficients and the
         right-hand side it leaves."""
-        if j in x_vars:
-            return {x_vars[j]: 1.0}, 0.0
         return {v: 1.0 for v in delta_vars[j]}, -tasks[j].min_time
 
     for (i, j) in instance.dag.edges:
@@ -346,13 +338,6 @@ def build_delta_lp(instance, deadline: Optional[float] = None) -> DeltaLp:
         coef, rhs = run_time(j)
         lp.add_constraint(
             {c_vars[j]: -1.0, **coef}, "<=", rhs, name=f"fit{j}"
-        )
-    for j, x in x_vars.items():
-        lp.add_constraint(
-            {x: -1.0, **{v: 1.0 for v in delta_vars[j]}},
-            "<=",
-            -tasks[j].min_time,
-            name=f"link{j}",
         )
     for j in instance.dag.sinks():
         lp.add_constraint(
@@ -369,7 +354,6 @@ def build_delta_lp(instance, deadline: Optional[float] = None) -> DeltaLp:
         lp=lp,
         c_vars=tuple(c_vars),
         delta_vars=tuple(delta_vars),
-        x_vars=x_vars,
         l_var=l_var,
         c_max_var=c_max_var,
     )

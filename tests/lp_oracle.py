@@ -10,7 +10,10 @@ HiGHS, so tests can check the library's path against them:
 * :func:`solve_with_simplex` — a dense two-phase primal simplex in
   NumPy, fine for the few dozen rows of a test instance;
 * :func:`solve_with_scipy` — the per-constraint translation of a
-  :class:`LinearProgram` into ``scipy.optimize.linprog``.
+  :class:`LinearProgram` into ``scipy.optimize.linprog``;
+* :func:`solve_arrays_with_linprog` — one ``linprog`` call on
+  bulk-assembled ``A_ub v <= b_ub`` arrays, HiGHS from its own slack
+  start with presolve.
 
 The simplex reduces the model to the standard form
 
@@ -38,7 +41,12 @@ from scipy.sparse import csr_matrix
 
 from repro.lpsolve import LpError, LpSolution, LpStatus
 
-__all__ = ["LinearProgram", "solve_with_scipy", "solve_with_simplex"]
+__all__ = [
+    "LinearProgram",
+    "solve_arrays_with_linprog",
+    "solve_with_scipy",
+    "solve_with_simplex",
+]
 
 _TOL = 1e-9
 
@@ -237,6 +245,35 @@ def solve_with_scipy(lp: LinearProgram) -> LpSolution:
         values=tuple(float(v) for v in res.x),
         backend="scipy",
         iterations=int(getattr(res, "nit", 0) or 0),
+    )
+
+
+def solve_arrays_with_linprog(arrays) -> LpSolution:
+    """Solve an ``A_ub v <= b_ub`` assembly (``n_variables``, ``c``,
+    ``lo``/``hi``, COO ``rows``/``cols``/``vals``, ``b_ub``) with one
+    ``scipy.optimize.linprog(method="highs")`` call over a CSR
+    matrix."""
+    a_ub = csr_matrix(
+        (arrays.vals, (arrays.rows, arrays.cols)),
+        shape=(len(arrays.b_ub), arrays.n_variables),
+    )
+    res = linprog(
+        arrays.c,
+        A_ub=a_ub,
+        b_ub=arrays.b_ub,
+        bounds=np.column_stack([arrays.lo, arrays.hi]),
+        method="highs",
+    )
+    if res.status == 2:
+        raise LpError(LpStatus.INFEASIBLE)
+    if not res.success:
+        raise LpError(res.message)
+    return LpSolution(
+        status=LpStatus.OPTIMAL,
+        objective=float(res.fun),
+        values=tuple(float(v) for v in res.x),
+        backend="linprog",
+        iterations=int(res.nit or 0),
     )
 
 

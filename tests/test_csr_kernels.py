@@ -10,6 +10,7 @@ freshly built models.
 """
 
 import random
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -32,16 +33,20 @@ from repro.core.list_variants import (
     _bottom_levels_reference,
     bottom_levels,
 )
-from repro.core.arrays import instance_arrays
+from repro.core.arrays import instance_arrays, work_of_times
 from repro.core.lp import assemble_allotment_arrays, lp9_read_back
 from repro.dag import Dag
+from repro.dag import csr as csr_module
 from repro.dag.csr import (
+    DagCsr,
     bottom_levels_kernel,
     longest_path_kernel,
+    longest_path_tree,
     reachable_mask,
     topo_order_levels,
 )
-from repro.lpsolve import LpError
+from repro.lpsolve import LpError, LpStatus
+from repro.lpsolve.scipy_backend import solve_ub_blocks
 from repro.workloads import make_instance
 
 # ---------------------------------------------------------------------------
@@ -65,6 +70,28 @@ def random_dags(draw, max_nodes=24):
 # ---------------------------------------------------------------------------
 # graph kernels
 # ---------------------------------------------------------------------------
+#: ``_NARROW_LEVEL`` settings: every level swept in NumPy, the two
+#: steps mixed, every level swept in scalar code.
+STEP_MIXES = (0, 6, 10**9)
+
+
+@contextmanager
+def narrow_level(k):
+    """Sweep levels under ``_NARROW_LEVEL = k``."""
+    saved = csr_module._NARROW_LEVEL
+    csr_module._NARROW_LEVEL = k
+    try:
+        yield
+    finally:
+        csr_module._NARROW_LEVEL = saved
+
+
+def fresh_csr(dag):
+    """A CSR of ``dag`` with no cached levels."""
+    c = dag.to_csr()
+    return DagCsr(
+        c.n, c.succ_indptr, c.succ_indices, c.pred_indptr, c.pred_indices
+    )
 
 
 @settings(max_examples=120, deadline=None)
@@ -72,12 +99,14 @@ def random_dags(draw, max_nodes=24):
 def test_bottom_levels_kernel_matches_reference(dag, seed):
     rng = random.Random(seed)
     dur = [rng.uniform(0.01, 50.0) for _ in range(dag.n_nodes)]
-    got = bottom_levels_kernel(dag.to_csr(), dur).tolist()
     level = [0.0] * dag.n_nodes
     for v in reversed(dag.topological_order()):
         succ = max((level[s] for s in dag.successors(v)), default=0.0)
         level[v] = dur[v] + succ
-    assert got == level
+    for k in STEP_MIXES:
+        with narrow_level(k):
+            got = bottom_levels_kernel(fresh_csr(dag), dur)
+        assert got.tolist() == level
 
 
 @settings(max_examples=120, deadline=None)
@@ -102,9 +131,15 @@ def test_longest_path_kernel_matches_reference(dag, seed):
     while parent[path[-1]] != -1:
         path.append(parent[path[-1]])
     path.reverse()
-    length, got_path = longest_path_kernel(dag.to_csr(), w, want_path=True)
-    assert length == max(dist)
-    assert got_path == path
+    for k in STEP_MIXES:
+        with narrow_level(k):
+            csr = fresh_csr(dag)
+            tree_dist, tree_parent = longest_path_tree(csr, w)
+            length, got_path = longest_path_kernel(csr, w, want_path=True)
+        assert tree_dist.tolist() == dist
+        assert tree_parent.tolist() == parent
+        assert length == max(dist)
+        assert got_path == path
     assert dag.longest_path(w) == path
     assert dag.longest_path_length(w) == max(dist)
 
@@ -117,6 +152,25 @@ def test_topo_order_levels_is_a_valid_order(dag):
     pos = {int(v): i for i, v in enumerate(order)}
     for (u, v) in dag.edges:
         assert pos[u] < pos[v]
+    # By depth level, by id within a level, whichever step sweeps each
+    # level; heights likewise along the reversed arcs.
+    depth = [0] * dag.n_nodes
+    for v in dag.topological_order():
+        depth[v] = max((depth[u] + 1 for u in dag.predecessors(v)), default=0)
+    height = [0] * dag.n_nodes
+    for v in reversed(dag.topological_order()):
+        height[v] = max((height[s] + 1 for s in dag.successors(v)), default=0)
+    for k in STEP_MIXES:
+        with narrow_level(k):
+            csr = fresh_csr(dag)
+            depths, heights = csr.depths(), csr.heights()
+        assert depths.order.tolist() == sorted(
+            range(dag.n_nodes), key=lambda v: (depth[v], v)
+        )
+        assert heights.order.tolist() == sorted(
+            range(dag.n_nodes), key=lambda v: (height[v], v)
+        )
+        assert depths.n_levels == max(depth, default=-1) + 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,7 +209,7 @@ def test_reachable_mask_matches_ancestors_descendants(dag):
 
 
 def test_deep_chain_uses_scalar_fallback_identically():
-    n = 600  # > _DEEP_LEVEL_MIN levels: exercises the chain-shaped path
+    n = 600  # one node per level: the whole sweep is one scalar run
     dag = Dag.chain(n)
     rng = random.Random(9)
     dur = [rng.uniform(0.1, 3.0) for _ in range(n)]
@@ -165,6 +219,50 @@ def test_deep_chain_uses_scalar_fallback_identically():
         level[v] = dur[v] + succ
     assert bottom_levels_kernel(dag.to_csr(), dur).tolist() == level
     assert dag.longest_path(dur) == list(range(n))
+
+
+def test_level_sweeps_switch_steps_on_a_mixed_shape():
+    """At the default threshold: a chain, a fan of 300 (a NumPy step),
+    another chain and a 3-wide fork-join each way.  Levels, bottom
+    levels and the longest-path tree match the per-node references,
+    and a back arc is still reported as a cycle."""
+    edges = [(i, i + 1) for i in range(19)]
+    edges += [(19, 20 + i) for i in range(300)]
+    edges += [(20 + i, 320) for i in range(300)]
+    edges += [(i, i + 1) for i in range(320, 339)]
+    edges += [(339, 340 + i) for i in range(3)]
+    edges += [(340 + i, 343) for i in range(3)]
+    dag = Dag(344, edges)
+    rng = random.Random(3)
+    w = [rng.uniform(0.1, 3.0) for _ in range(dag.n_nodes)]
+    depth, height, dist, level = ([0] * dag.n_nodes for _ in range(4))
+    parent = [-1] * dag.n_nodes
+    for v in dag.topological_order():
+        depth[v] = max((depth[u] + 1 for u in dag.predecessors(v)), default=0)
+        best = max((dist[u] for u in dag.predecessors(v)), default=0.0)
+        parent[v] = next(
+            (u for u in dag.predecessors(v) if dist[u] == best), -1
+        )
+        dist[v] = best + w[v]
+    for v in reversed(dag.topological_order()):
+        height[v] = max((height[s] + 1 for s in dag.successors(v)), default=0)
+        level[v] = w[v] + max(
+            (level[s] for s in dag.successors(v)), default=0.0
+        )
+    csr = dag.to_csr()
+    assert csr.depths().order.tolist() == sorted(
+        range(dag.n_nodes), key=lambda v: (depth[v], v)
+    )
+    assert csr.heights().order.tolist() == sorted(
+        range(dag.n_nodes), key=lambda v: (height[v], v)
+    )
+    assert bottom_levels_kernel(csr, w).tolist() == level
+    tree_dist, tree_parent = longest_path_tree(csr, w)
+    assert tree_dist.tolist() == dist
+    assert tree_parent.tolist() == parent
+    for k in STEP_MIXES:
+        with narrow_level(k), pytest.raises(ValueError, match="cycle"):
+            Dag(344, edges + [(343, 330)])
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +359,9 @@ def test_deadline_assembly_matches_model_matrix(trial, monkeypatch):
     lp9_c, lp9_hi = lp9.c.copy(), lp9.hi.copy()
     handed = []
 
-    def capture(arrays):
+    def capture(arrays, basis):
         handed.append(arrays)
-        raise LpError("captured")
+        raise LpError("captured", LpStatus.INFEASIBLE)
 
     monkeypatch.setattr(allotment_bsearch, "solve_ub_arrays", capture)
     assert deadline_work_lp(inst, deadline) is None
@@ -318,13 +416,33 @@ def test_list_schedule_paths_identical_on_random_dags(dag, seed):
 # ---------------------------------------------------------------------------
 
 
+def _assert_probe_matches(inst, solver, got, ref):
+    """A probe against the per-constraint model of its deadline solved
+    by ``linprog``: the same total work within 1e-12 relative (the
+    probe's fresh model starts from LP (9)'s critical-path basis and
+    ``linprog`` from its slack basis, so only the last bits may move),
+    ``x`` inside ``[p_j(m), p_j(1)]``, and bit for bit what another
+    fresh-model path of the package makes of the probe's arrays."""
+    image = instance_arrays(inst)
+    ref_x = np.asarray(_read_back_x(inst, ref.values))
+    ref_work = sum(work_of_times(image, ref_x).tolist())
+    assert got.total_work == pytest.approx(ref_work, rel=1e-12)
+    x = np.asarray(got.x)
+    assert np.all(image.min_time <= x)
+    assert np.all(x <= image.times[:, 0] * (1 + 1e-12))
+    hi = solver._arrays.hi.copy()
+    hi[-2] = got.deadline
+    (again,) = solve_ub_blocks([solver._arrays._replace(hi=hi)])
+    assert got.x == _read_back_x(inst, again.values)
+
+
 @pytest.mark.parametrize("trial", range(5))
 def test_bsearch_warm_start_pinned_to_cold(trial):
     """Every probe of the binary search reuses one memoized deadline-LP
-    assembly and its sparse matrix; each probe must equal a freshly
-    built per-constraint model of its deadline solved cold — ``x`` read
-    back bit-exact from that model's δ values, and ``None`` exactly
-    where that model is infeasible."""
+    assembly and its sparse matrix; each probe must match a freshly
+    built per-constraint model of its deadline solved cold
+    (:func:`_assert_probe_matches`), and be ``None`` exactly where that
+    model is infeasible."""
     rng = random.Random(400 + trial)
     inst = make_instance(
         rng.choice(["layered", "erdos_renyi", "diamond"]),
@@ -351,7 +469,7 @@ def test_bsearch_warm_start_pinned_to_cold(trial):
             infeasible += 1
             continue
         assert got is not None
-        assert got.x == _read_back_x(inst, ref.values)
+        _assert_probe_matches(inst, solver, got, ref)
         if d == report.deadline:
             assert report.x == got.x
     assert infeasible >= 1  # the deadline below min_critical_path()
@@ -376,4 +494,4 @@ def test_deadline_lp_arrays_path_matches_model_solution(trial):
         assert got is None
         return
     assert got is not None
-    assert got.x == _read_back_x(inst, ref.values)
+    _assert_probe_matches(inst, _DeadlineSolver(inst), got, ref)

@@ -300,9 +300,8 @@ class TestCacheInheritance:
         # The warm update's precondition: a retime that keeps the task's
         # segment count leaves LP (9)'s rows/cols as they were and moves
         # only the task's δ bounds, its slopes in the W/m <= C row, and
-        # the right-hand sides of the rows carrying its δ (its in-arcs,
-        # its source row, or the link row of a linked task) and of the
-        # W/m <= C row.
+        # the right-hand sides of the rows carrying its δ (its in-arcs
+        # or its source row) and of the W/m <= C row.
         parent = _inst()
         j = 2
         old = assemble_allotment_arrays(parent)

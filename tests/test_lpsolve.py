@@ -1,20 +1,39 @@
 """Self-tests of the test-only LP oracle (:mod:`lp_oracle`): its
 modeling layer and both of its solvers.  Plus the pin of the package's
 one HiGHS path (:class:`repro.lpsolve.scipy_backend.HighsModel`) to the
-``scipy.optimize.linprog`` call it replaced."""
+``scipy.optimize.linprog`` call it replaced, and of LP (9)'s start
+basis."""
 
 import numpy as np
 import pytest
-from lp_oracle import LinearProgram, solve_with_simplex
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from lp9_reference import full_allotment_arrays
+from lp_oracle import (
+    LinearProgram,
+    solve_arrays_with_linprog,
+    solve_with_simplex,
+)
+from scipy.optimize._highspy._core import HighsPresolveStatus
 
+from repro import Instance
 from repro.batchkernel import assemble_batch_lp, pack_csrs, stack_profiles
-from repro.core.allotment_bsearch import _DeadlineSolver
-from repro.core.lp import solve_allotment_lp
-from repro.lpsolve import LpError, LpSolution, LpStatus
-from repro.lpsolve.scipy_backend import HighsModel, solve_ub_blocks
-from repro.workloads import make_instance
+from repro.core.allotment_bsearch import _DeadlineSolver, bsearch_allotment
+from repro.core.lp import (
+    AllotmentArrays,
+    assemble_allotment_arrays,
+    solve_allotment_lp,
+)
+from repro.dag import FAMILIES
+from repro.lpsolve import LpError, LpStatus
+from repro.lpsolve.scipy_backend import (
+    BASIC,
+    HighsModel,
+    solve_ub_arrays,
+    solve_ub_blocks,
+)
+from repro.models.profiles import linear_speedup_profile
+from repro.workloads import MODELS, make_instance
 
 BACKENDS = ["simplex", "scipy"]
 
@@ -191,34 +210,6 @@ class TestBackendAgreement:
 _FAMILIES = ("layered", "erdos_renyi", "chain", "fork_join")
 
 
-def solve_with_linprog(arrays) -> LpSolution:
-    """The reference: the one-shot ``linprog(method="highs")`` call,
-    over a CSR matrix, that solved every cold LP of the package before
-    :class:`HighsModel` became the only way into HiGHS."""
-    a_ub = csr_matrix(
-        (arrays.vals, (arrays.rows, arrays.cols)),
-        shape=(len(arrays.b_ub), arrays.n_variables),
-    )
-    res = linprog(
-        arrays.c,
-        A_ub=a_ub,
-        b_ub=arrays.b_ub,
-        bounds=np.column_stack([arrays.lo, arrays.hi]),
-        method="highs",
-    )
-    if res.status == 2:
-        raise LpError(LpStatus.INFEASIBLE)
-    if not res.success:
-        raise LpError(res.message)
-    return LpSolution(
-        status=LpStatus.OPTIMAL,
-        objective=float(res.fun),
-        values=tuple(float(v) for v in res.x),
-        backend="linprog",
-        iterations=int(res.nit or 0),
-    )
-
-
 @pytest.fixture()
 def highs_runs(monkeypatch):
     """Every :meth:`HighsModel.solve` the test makes, as ``(arrays
@@ -241,21 +232,34 @@ def highs_runs(monkeypatch):
 
 
 def assert_runs_match_linprog(runs):
-    for arrays, got in runs:
+    """Each recorded fresh-model solve against the one-shot
+    ``linprog(method="highs")`` call on the same arrays: both fail, or
+    the objectives agree within 1e-12 relative and ``x`` lies inside
+    its bounds.  The start basis moves the last bits of the optimum
+    against ``linprog``'s slack start, so only the package's own
+    fresh-model paths — :func:`solve_ub_arrays`,
+    :func:`solve_ub_blocks` — must reproduce the run bit for bit:
+    values, objective and pivots."""
+    for arrays, got in list(runs):
         if isinstance(got, LpError):
             with pytest.raises(LpError):
-                solve_with_linprog(arrays)
+                solve_arrays_with_linprog(arrays)
+            with pytest.raises(LpError):
+                solve_ub_arrays(arrays)
             continue
-        ref = solve_with_linprog(arrays)
-        assert got.values == ref.values
-        assert got.objective == ref.objective
-        assert got.iterations == ref.iterations
+        ref = solve_arrays_with_linprog(arrays)
+        assert got.objective == pytest.approx(ref.objective, rel=1e-12)
+        x = np.asarray(got.values)
+        assert np.all(arrays.lo <= x) and np.all(x <= arrays.hi)
+        assert solve_ub_arrays(arrays) == got
+        assert solve_ub_blocks([arrays]) == [got]
 
 
 class TestOneHighsPath:
     """Every cold HiGHS solve — LP (9), a deadline probe of the binary
-    search, a block of the batched tier — equals the ``linprog`` call
-    on the same arrays: values, objective and iteration count."""
+    search, a block of the batched tier — agrees with the ``linprog``
+    call on the same arrays, and the fresh-model paths agree with each
+    other bit for bit."""
 
     @pytest.mark.parametrize("family", _FAMILIES)
     def test_lp9_assemblies(self, family, highs_runs):
@@ -290,3 +294,143 @@ class TestOneHighsPath:
         solve_ub_blocks(blocks)
         assert len(highs_runs) == len(blocks)
         assert_runs_match_linprog(highs_runs)
+        # A block is the per-instance assembly, so the pipeline's fresh
+        # model solves it bit for bit like the batch.
+        for inst, (_arrays, sol) in zip(batch, highs_runs):
+            assert solve_ub_arrays(assemble_allotment_arrays(inst)) == sol
+
+
+# ---------------------------------------------------------------------------
+# LP (9)'s critical-path start basis
+# ---------------------------------------------------------------------------
+def start_vertex(arrays):
+    """The basic solution of ``arrays.start_basis()``, densely: every
+    nonbasic column at its lower bound and every nonbasic row at its
+    upper bound.  Returns ``(v, slack)`` for ``A v + slack = b_ub``."""
+    col_status, row_status = arrays.start_basis()
+    n_rows, n_cols = len(arrays.b_ub), arrays.n_variables
+    a = np.zeros((n_rows, n_cols))
+    np.add.at(a, (arrays.rows, arrays.cols), arrays.vals)
+    v = np.where(col_status == BASIC, 0.0, arrays.lo)
+    basic_cols = np.flatnonzero(col_status == BASIC)
+    basic_rows = np.flatnonzero(row_status == BASIC)
+    b = np.hstack([a[:, basic_cols], np.eye(n_rows)[:, basic_rows]])
+    solved = np.linalg.solve(b, arrays.b_ub - a @ v)
+    v[basic_cols] = solved[:len(basic_cols)]
+    return v, arrays.b_ub - a @ v
+
+
+def linear_speedup(inst):
+    """``inst`` with every task at perfect linear speedup from its own
+    ``p_j(1)`` (:func:`repro.models.profiles.linear_speedup_profile`):
+    the work is flat, so every segment slope in ``W/m <= C`` is 0 up to
+    rounding."""
+    return Instance.from_profile_fn(
+        inst.dag,
+        inst.m,
+        lambda j: linear_speedup_profile(inst.task(j).time(1), inst.m),
+    )
+
+
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    model=st.sampled_from([*MODELS, "linear"]),
+    n=st.integers(2, 40),
+    m=st.sampled_from([1, 2, 8, 32]),
+    seed=st.integers(0, 10_000),
+)
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_start_basis_skips_presolve_and_reaches_lp9(family, model, n, m, seed):
+    """Every family and profile model: the start basis has exactly one
+    basic entry per row, and its vertex (every task at ``p_j(m)``,
+    ``C_j`` its earliest finish) violates no row but ``W/m <= C``; the
+    fresh model never presolves, its optimum is the literal LP (9)'s
+    within 1e-12 relative, and a chain — optimal at the start vertex —
+    takes no pivot.  ``linear`` is every task at linear speedup (the
+    boundary case of Assumption 2), whose flat slopes HiGHS drops."""
+    if model == "linear":
+        inst = linear_speedup(make_instance(family, n, m, seed=seed))
+    else:
+        inst = make_instance(family, n, m, model=model, seed=seed)
+    arrays = assemble_allotment_arrays(inst)
+    col_status, row_status = arrays.start_basis()
+    assert len(col_status) == arrays.n_variables
+    assert len(row_status) == len(arrays.b_ub)
+    assert (
+        np.count_nonzero(col_status == BASIC)
+        + np.count_nonzero(row_status == BASIC)
+        == len(arrays.b_ub)
+    )
+    v, slack = start_vertex(arrays)
+    scale = max(1.0, float(np.max(np.abs(arrays.b_ub))))
+    assert np.all(slack[:-1] >= -1e-9 * scale)
+    assert np.all(v >= arrays.lo - 1e-9 * scale)
+    model_ = HighsModel(arrays)
+    sol = model_.solve()
+    assert (
+        model_._h.getModelPresolveStatus()
+        == HighsPresolveStatus.kNotPresolved
+    )
+    ref = solve_arrays_with_linprog(full_allotment_arrays(inst))
+    assert sol.objective == pytest.approx(ref.objective, rel=1e-12)
+    if family == "chain":
+        assert sol.iterations == 0
+
+
+def test_tiny_coefficients_load_with_a_warning():
+    """HiGHS drops matrix entries of magnitude at most 1e-9 while
+    loading and reports ``kWarning``; the model still loads, and solves
+    like the one whose entries are exactly 0.  A linear-speedup LP (9)
+    has such entries: its segment slopes are 0 up to rounding."""
+    inst = linear_speedup(make_instance("layered", 30, 4, seed=2))
+    arrays = assemble_allotment_arrays(inst)
+    slopes = (arrays.rows == len(arrays.b_ub) - 1) & (
+        arrays.cols < arrays.n_variables - 2
+    )
+    assert np.all(np.abs(arrays.vals[slopes]) <= 1e-9)
+    assert np.any(arrays.vals[slopes] != 0.0)
+    zero = arrays.vals.copy()
+    zero[slopes] = 0.0
+    flat = HighsModel(arrays._replace(vals=zero))
+    model = HighsModel(arrays)
+    for m in (model, flat):
+        assert len(m._h.getLp().a_matrix_.value_) == (
+            len(zero) - np.count_nonzero(slopes)
+        )
+    assert model.solve() == flat.solve()
+
+
+class TestProbeErrors:
+    """A deadline probe that HiGHS proves infeasible is a missed
+    deadline (:meth:`TestOneHighsPath.test_deadline_probes`); any other
+    :class:`LpError` of the probe is an error of the search, not a
+    deadline verdict."""
+
+    def test_rejected_start_basis_propagates(self, monkeypatch):
+        inst = make_instance("layered", 30, 4, seed=2)
+        solver = _DeadlineSolver(inst)
+        col_status, row_status = solver._basis
+        monkeypatch.setattr(
+            solver, "_basis", (np.full_like(col_status, BASIC), row_status)
+        )
+        with pytest.raises(LpError, match="start basis") as err:
+            solver.solve(inst.sequential_makespan())
+        assert err.value.status is None
+
+    def test_search_builds_one_start_basis(self, monkeypatch):
+        built = []
+        start_basis = AllotmentArrays.start_basis
+
+        def counted(arrays):
+            built.append(arrays)
+            return start_basis(arrays)
+
+        monkeypatch.setattr(AllotmentArrays, "start_basis", counted)
+        inst = make_instance("layered", 30, 4, seed=2)
+        report = bsearch_allotment(inst, 0.3)
+        assert report.lp_solves > 1
+        assert len(built) == 1

@@ -13,13 +13,15 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize._highspy._core import HighsPresolveStatus
 
 from repro import Instance, MalleableTask
 from repro.cli import main
 from repro.core.evolve import evolve
-from repro.core.lp import assemble_allotment_arrays
+from repro.core.lp import AllotmentArrays, assemble_allotment_arrays
 from repro.dag import Dag, erdos_renyi_dag, layered_dag
 from repro.io import save_instance, schedule_from_dict
+from repro.lpsolve.scipy_backend import HighsModel
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import REGISTRY
 from repro.pipeline import ReplanSession, SchedulingPipeline
@@ -224,6 +226,42 @@ class TestReplanSession:
         }
         assert span.counters == {"lp_pivots": pivots, "warm_starts": 1}
         assert tracer.counter_totals()["lp_pivots"] == pivots
+
+    def test_only_fresh_models_build_the_start_basis(self, monkeypatch):
+        """The cold round builds LP (9)'s start basis once, a warm retime
+        builds none (the model keeps its own optimal basis), a
+        structural delta's fresh model builds it again, and no round
+        presolves."""
+        built, models = [], []
+        start_basis = AllotmentArrays.start_basis
+        init = HighsModel.__init__
+
+        def counted(arrays):
+            built.append(arrays)
+            return start_basis(arrays)
+
+        def kept(model, arrays):
+            init(model, arrays)
+            models.append(model)
+
+        monkeypatch.setattr(AllotmentArrays, "start_basis", counted)
+        monkeypatch.setattr(HighsModel, "__init__", kept)
+        inst = _inst(seed=4, size=60)
+        session = ReplanSession(inst)
+        session.solve()
+        assert len(built) == len(models) == 1
+        assert session.apply(_retime_ops(inst, [1, 10], 2.5)).mode == "warm"
+        assert len(built) == len(models) == 1
+        grown = session.apply([
+            {"op": "add_task", "times": [9.0, 5.0, 4.0, 3.5],
+             "predecessors": [0]},
+        ])
+        assert grown.mode == "cold"
+        assert len(built) == len(models) == 2
+        not_presolved = HighsPresolveStatus.kNotPresolved
+        assert all(
+            m._h.getModelPresolveStatus() == not_presolved for m in models
+        )
 
     def test_traced_warm_retime_is_traced_and_counted_like_a_solve(self):
         """A warm round runs the pipeline's own solve: the spans of
