@@ -17,15 +17,20 @@ n = 2 000 for CI):
            consultations x unit_cost / end_to_end_solve_seconds
 
    as a deliberate **over-estimate** (each hot-loop check is billed at
-   the dearer module-seam price).  ``check_obs_regression.py`` gates
-   this ratio at <= 2%.  Being a within-run ratio it is
-   hardware-independent, unlike a wall-clock floor.
+   the dearer module-seam price).  The seam cost and the solve time
+   are paired: each of ``ROUNDS`` rounds times one seam loop and then
+   one disarmed solve, both in CPU time, so a round divides two clocks
+   read back to back rather than a seam cost and a solve time taken
+   at different moments of a host whose speed drifts.
+   ``check_obs_regression.py`` gates the median per-round ratio at
+   <= 2%.  Being a within-round ratio it is hardware-independent,
+   unlike a wall-clock floor.
 
 2. **Traces are regression artifacts.**  Two traced solves of the
    same instance must produce bit-identical
    ``Tracer.deterministic_profile()`` payloads (wall times stripped,
    work counters kept); the benchmark records the shared SHA-256 and
-   fails loudly if the runs diverge.  The traced/disarmed wall-clock
+   fails loudly if the runs diverge.  The traced/disarmed CPU-time
    factor is reported for context (not gated: it tracks span *count*,
    which is a property of the workload, not a regression).
 
@@ -36,6 +41,7 @@ import argparse
 import hashlib
 import json
 import platform
+import statistics
 import sys
 import time
 
@@ -47,6 +53,9 @@ from repro.pipeline import SchedulingPipeline
 FULL_N = 10_000
 SMOKE_N = 2_000
 SHAPE = "erdos_renyi"
+#: Paired seam-loop and disarmed-solve timings; the gate reads their
+#: median ratio.
+ROUNDS = 5
 
 #: Hot-loop iteration counters: each counted event corresponds to at
 #: most one hoisted ``if tracer is not None`` check in a loop body, so
@@ -59,28 +68,32 @@ HOT_LOOP_COUNTERS = (
 
 
 def measure_seam_cost_ns(iters: int = 300_000) -> float:
-    """Disarmed per-consultation cost of the dearest seam shape: a
-    ``with obs_trace.span(...)`` block (global read + null-span
-    enter/exit).  ``obs_trace.add`` and hoisted-local checks are
-    strictly cheaper; billing everything at this price over-counts."""
+    """Disarmed per-consultation cost of the dearest seam shape, in CPU
+    nanoseconds: a ``with obs_trace.span(...)`` block (global read +
+    null-span enter/exit).  ``obs_trace.add`` and hoisted-local checks
+    are strictly cheaper; billing everything at this price
+    over-counts."""
     assert obs_trace.active() is None
     span = obs_trace.span
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.perf_counter()
-        for _ in range(iters):
-            with span("bench.seam"):
-                pass
-        best = min(best, time.perf_counter() - t0)
-    return best / iters * 1e9
+    t0 = time.process_time()
+    for _ in range(iters):
+        with span("bench.seam"):
+            pass
+    return (time.process_time() - t0) / iters * 1e9
+
+
+def cpu_timed(fn):
+    """``fn()``'s CPU seconds and result."""
+    t0 = time.process_time()
+    out = fn()
+    return time.process_time() - t0, out
 
 
 def best_of(fn, repeats: int):
     best, out = float("inf"), None
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
+        took, out = cpu_timed(fn)
+        best = min(best, took)
     return best, out
 
 
@@ -125,7 +138,7 @@ def main(argv=None):
                     help=f"n={SMOKE_N} instead of n={FULL_N} (CI)")
     ap.add_argument("-o", "--output", default="BENCH_obs.json")
     ap.add_argument("--repeats", type=int, default=None,
-                    help="solve repeats per timing (default 3, smoke 2)")
+                    help="traced solve repeats (default 3, smoke 2)")
     args = ap.parse_args(argv)
 
     n = SMOKE_N if args.smoke else FULL_N
@@ -136,19 +149,30 @@ def main(argv=None):
 
     # -- contract 1: zero-overhead-when-off ---------------------------
     assert obs_trace.active() is None, "tracer armed before benchmark"
-    seam_ns = measure_seam_cost_ns()
-    disarmed_s, report = best_of(lambda: pipe.solve(inst), repeats)
     span_calls, add_calls, hot_iters = count_consultations(
         pipe, inst, obs_trace.Tracer(capacity=1 << 20)
     )
     consultations = span_calls + add_calls + hot_iters
-    ratio = consultations * seam_ns * 1e-9 / disarmed_s
-    print(f"disarmed solve        : {disarmed_s * 1e3:8.1f} ms "
-          f"(makespan {report.makespan:.2f})")
-    print(f"seam unit cost        : {seam_ns:8.1f} ns")
+    rounds = []
+    for _ in range(ROUNDS):
+        seam_ns = measure_seam_cost_ns()
+        solve_s, report = cpu_timed(lambda: pipe.solve(inst))
+        rounds.append({
+            "seam_cost_ns": round(seam_ns, 2),
+            "solve_s": solve_s,
+            "ratio": consultations * seam_ns * 1e-9 / solve_s,
+        })
+    ratio = statistics.median(r["ratio"] for r in rounds)
+    seam_ns = statistics.median(r["seam_cost_ns"] for r in rounds)
+    disarmed_s = statistics.median(r["solve_s"] for r in rounds)
+    print(f"disarmed solve        : {disarmed_s * 1e3:8.1f} ms CPU, "
+          f"median of {ROUNDS} (makespan {report.makespan:.2f})")
+    print(f"seam unit cost        : {seam_ns:8.1f} ns CPU, median")
     print(f"seam consultations    : {consultations:8d} "
           f"(span {span_calls}, add {add_calls}, hot-loop {hot_iters})")
-    print(f"disabled overhead     : {ratio:8.4%}  (gate: <= 2%)")
+    print(f"disabled overhead     : {ratio:8.4%}  median per-round ratio, "
+          f"range {min(r['ratio'] for r in rounds):.4%}–"
+          f"{max(r['ratio'] for r in rounds):.4%}  (gate: <= 2%)")
 
     # -- contract 2: deterministic traces -----------------------------
     def traced_solve():
@@ -162,7 +186,7 @@ def main(argv=None):
     digest_a, digest_b = profile_digest(tracer_a), profile_digest(tracer_b)
     n_spans = len(tracer_a.spans())
     factor = traced_s / disarmed_s
-    print(f"traced solve          : {traced_s * 1e3:8.1f} ms "
+    print(f"traced solve          : {traced_s * 1e3:8.1f} ms CPU "
           f"({factor:.2f}x, {n_spans} spans)")
     print(f"deterministic profile : sha256:{digest_a[:16]} "
           f"{'== rerun' if digest_a == digest_b else '!= RERUN'}")
@@ -176,6 +200,7 @@ def main(argv=None):
         "repeats": repeats,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "rounds": rounds,
         "seam_cost_ns": round(seam_ns, 2),
         "span_calls": span_calls,
         "add_calls": add_calls,

@@ -26,23 +26,25 @@ malleable allotments, and is what the naive baselines build on.
 
 Implementation note — one kernel and a reference
 -------------------------------------------------
-:func:`list_schedule` runs LIST on the free-processor staircase.  Each
-pick starts no earlier than the ones before it, up to the selection
-tolerance, so every reservation starts at or before the latest pick
-start ``S``, and after ``S`` busy processors only ever drop.  The
-reservations still running at ``S`` (at most ``m``) form a staircase,
-and one sweep over their ends gives ``F(a)``, the first time ``≥ S``
-with ``a`` processors free, for every demand ``a`` with ready tasks.
-The kernel's invariant: every ready task's exact earliest start is
-``≥ S``.  Such a start is ``max(r_j, F(a_j))``, from the task's
+:func:`list_schedule` runs LIST on the free-processor staircase.  Every
+pick is reserved on one exact :class:`~repro.schedule.ResourceTimeline`,
+whose ``reserve`` checks capacity, and the timeline is the kernel's
+only record of the machine.  Each pick starts no earlier than the ones
+before it, up to the selection tolerance, so every reservation starts
+at or before the latest pick start ``S``: the timeline's breakpoints
+after ``S`` are the ends of the reservations still running, and busy
+processors only drop there.  That staircase gives ``F(a)``, the first
+time ``≥ S`` with ``a`` processors free: one sweep, read off the live
+breakpoint and usage lists (:meth:`ResourceTimeline.segments`) from the
+segment holding ``S``, finds it for every demand ``a`` with ready
+tasks.  The kernel's invariant: every ready task's exact earliest start
+is ``≥ S``.  Such a start is ``max(r_j, F(a_j))``, from the task's
 precedence ready time ``r_j`` and the staircase; its duration does not
 enter.  Ready tasks sit in per-demand heaps, *pending* keyed by
 ``(r_j, j)`` while ``r_j > F(a)`` and *released* keyed by ``j`` once
 ``r_j ≤ F(a)`` (``F`` never falls, so a released task stays released),
-and a pick is a min over at most ``μ`` heap tops.  Every reservation
-also goes onto an exact :class:`~repro.schedule.ResourceTimeline`,
-whose ``reserve`` checks capacity.  A step falls back to the literal
-selection, the exact :func:`_scan_select` over
+and a pick is a min over at most ``μ`` heap tops.  A step falls back to
+the literal selection, the exact :func:`_scan_select` over
 ``ResourceTimeline.earliest_start`` of every ready task, in two cases:
 when distinct starts lie within the tolerance of the smallest (the
 tolerant scan may then pick a task that starts a hair later), and when
@@ -83,10 +85,10 @@ changed:
   (``k* = n`` when ``D`` is empty; ``k* = 0`` when the ``Dag`` object or
   ``m`` differ);
 * the timeline is rebuilt from the earlier run's first ``k*`` rectangles
-  through ``reserve`` (its capacity check kept), and the staircase from
-  those still running at the prefix's latest start; the ready
-  frontier's earliest starts are evaluated afresh on it, and LIST
-  continues from step ``k*``.
+  through ``reserve`` (its capacity check kept), so the staircase past
+  the prefix's latest start is on it too; the ready frontier's earliest
+  starts are evaluated afresh on it, and LIST continues from step
+  ``k*``.
 
 A run without an earlier record is a resume from the empty prefix; the
 kernel starts every run that way.  The pick order is stored, not read back
@@ -100,7 +102,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,12 +182,13 @@ def _checked_cap(instance: Instance, mu: Optional[int]) -> int:
     return cap
 
 
-def _scan_select(ready_ids: np.ndarray, est: Dict[int, float]) -> int:
+def _scan_select(ready_ids: List[int], est: Dict[int, float]) -> int:
     """The literal selection scan of Table 1 over exact starts ``est``
-    (indexed by task id): iterate ready tasks in index order, replacing
-    the incumbent only on a strictly-more-than-tolerance improvement."""
+    (indexed by task id): iterate the sorted ready ids in order,
+    replacing the incumbent only on a strictly-more-than-tolerance
+    improvement."""
     best_j, best_t = -1, float("inf")
-    for j in ready_ids.tolist():
+    for j in ready_ids:
         t = est[j]
         if t < best_t - _SELECT_TOL:
             best_j, best_t = j, t
@@ -206,7 +209,40 @@ def list_run(
     cannot have changed are replayed from it instead of decided again
     (module docstring, "Run record and resume").
     """
-    return _run(instance, allotment, mu, previous)
+    instance.validate_allotment(allotment)
+    alloc = capped_allotment(allotment, _checked_cap(instance, mu))
+    n = instance.n_tasks
+    alloc_arr = np.asarray(alloc, dtype=np.intp)
+    dur_arr = instance.times[np.arange(n), alloc_arr - 1]
+    reused = _resume_step(previous, instance, alloc_arr, dur_arr)
+    csr = instance.dag.to_csr()
+    # Work accounting only when a tracer is armed: the global read is
+    # hoisted here, leaving a local None-check per step on the disarmed
+    # path.
+    tracer = obs_trace.active()
+    work = None if tracer is None else _Work()
+    entries = _staircase(
+        instance.m,
+        alloc,
+        dur_arr.tolist(),
+        csr.succ_indptr.tolist(),
+        csr.succ_indices.tolist(),
+        csr.in_degrees().tolist(),
+        _replay(previous, reused),
+        work,
+    )
+    _account(n - reused, reused, tracer, work)
+    return ListRun(
+        schedule=Schedule(instance.m, entries),
+        dag=instance.dag,
+        m=instance.m,
+        order=np.fromiter(
+            (e.task for e in entries), dtype=np.intp, count=n
+        ),
+        alloc=alloc_arr,
+        dur=dur_arr,
+        reused=reused,
+    )
 
 
 def list_schedule(
@@ -231,7 +267,7 @@ def list_schedule(
         A feasible schedule (validated property in the test suite),
         bit-identical to :func:`list_schedule_reference`.
     """
-    return _run(instance, allotment, mu, None).schedule
+    return list_run(instance, allotment, mu).schedule
 
 
 class _Work:
@@ -250,48 +286,6 @@ class _Work:
         self.frontier_sum += width
         if width > self.frontier_peak:
             self.frontier_peak = width
-
-    def counting(self, query: Callable[..., float]) -> Callable[..., float]:
-        """A scalar earliest-start query wrapped to count its calls."""
-
-        def counted(ready: float, duration: float, amount: int) -> float:
-            self.refreshes += 1
-            return query(ready, duration, amount)
-
-        return counted
-
-
-def _run(
-    instance: Instance,
-    allotment: Sequence[int],
-    mu: Optional[int],
-    previous: Optional[ListRun],
-) -> ListRun:
-    instance.validate_allotment(allotment)
-    alloc = capped_allotment(allotment, _checked_cap(instance, mu))
-    # Work accounting only when a tracer is armed: the global read is
-    # hoisted here, leaving a local None-check per step on the disarmed
-    # path; the exact fallback counts earliest-start evaluations by
-    # wrapping the timeline's query, so a disarmed query runs unwrapped.
-    tracer = obs_trace.active()
-    work = None if tracer is None else _Work()
-    entries, alloc_arr, dur, reused = _staircase_tier(
-        instance, alloc, previous, work
-    )
-
-    n = instance.n_tasks
-    _account(n - reused, reused, tracer, work)
-    return ListRun(
-        schedule=Schedule(instance.m, entries),
-        dag=instance.dag,
-        m=instance.m,
-        order=np.fromiter(
-            (e.task for e in entries), dtype=np.intp, count=n
-        ),
-        alloc=alloc_arr,
-        dur=dur,
-        reused=reused,
-    )
 
 
 def _account(
@@ -350,15 +344,6 @@ def _replay(previous: Optional[ListRun], k: int) -> List[ScheduledTask]:
     return [placed[j] for j in previous.order[:k].tolist()]
 
 
-def _reserved(m: int, entries: List[ScheduledTask]) -> ResourceTimeline:
-    """A timeline of ``m`` processors holding every entry's rectangle,
-    reserved as LIST reserved it."""
-    timeline = ResourceTimeline(m)
-    for e in entries:
-        timeline.reserve(e.start, e.end, e.processors)
-    return timeline
-
-
 def _near_in_heap(
     heap: List[Tuple[float, int]], low: float, lim: float
 ) -> bool:
@@ -379,32 +364,6 @@ def _near_in_heap(
     return False
 
 
-def _staircase_tier(
-    instance: Instance,
-    alloc: List[int],
-    previous: Optional[ListRun],
-    work: Optional[_Work],
-) -> Tuple[List[ScheduledTask], np.ndarray, np.ndarray, int]:
-    """LIST on the free-processor staircase (module docstring) for one
-    instance, resuming ``previous`` where it can."""
-    n = instance.n_tasks
-    alloc_arr = np.asarray(alloc, dtype=np.intp)
-    dur_arr = instance.times[np.arange(n), alloc_arr - 1]
-    reused = _resume_step(previous, instance, alloc_arr, dur_arr)
-    csr = instance.dag.to_csr()
-    entries = _staircase(
-        instance.m,
-        alloc,
-        dur_arr.tolist(),
-        csr.succ_indptr.tolist(),
-        csr.succ_indices.tolist(),
-        csr.in_degrees().tolist(),
-        _replay(previous, reused),
-        work,
-    )
-    return entries, alloc_arr, dur_arr, reused
-
-
 def _staircase(
     m: int,
     alloc: List[int],
@@ -418,15 +377,17 @@ def _staircase(
     """The staircase kernel on plain arrays: ``m`` processors, the capped
     allotment and the duration of every task (each ``l_j`` in
     ``1..m``), the successor CSR and in-degrees of the DAG, and the
-    picks already made (a replayed prefix, else empty).  Appends the
-    picks it decides to ``entries``, in pick order, and returns it;
-    ``indeg`` is consumed."""
+    picks already made (a replayed prefix, else empty).  Reserves every
+    pick, replayed or decided, on one timeline and reads ``F(a)`` off
+    it (module docstring).  Appends the picks it decides to
+    ``entries``, in pick order, and returns it; ``indeg`` is
+    consumed."""
     n = len(alloc)
     reused = len(entries)
-    timeline = _reserved(m, entries)
+    timeline = ResourceTimeline(m)
     earliest_start = timeline.earliest_start
-    if work is not None:
-        earliest_start = work.counting(earliest_start)
+    # The staircase is the timeline past S: read live, never copied.
+    times, usage = timeline.segments()
 
     # ready_at[j]: the latest completion among j's scheduled predecessors
     # (r_j once all are scheduled; 0 for a source).
@@ -434,6 +395,7 @@ def _staircase(
     S = 0.0
     for e in entries:
         j, end = e.task, e.end
+        timeline.reserve(e.start, end, e.processors)
         indeg[j] = -1  # scheduled: never ready again
         if e.start > S:
             S = e.start
@@ -441,12 +403,6 @@ def _staircase(
             indeg[s] -= 1
             if end > ready_at[s]:
                 ready_at[s] = end
-    # The staircase: ends and demands of the reservations running past
-    # S, sorted by end, and the processors free at S.
-    running = sorted((e.end, e.processors) for e in entries if e.end > S)
-    ends = [t for t, _ in running]
-    amts = [a for _, a in running]
-    free = m - sum(amts)
 
     top = max(alloc, default=1)
     released: List[List[int]] = [[] for _ in range(top + 1)]
@@ -469,9 +425,11 @@ def _staircase(
             work.step(n_ready)
         j = -1
         if not exact:
-            # One sweep down the staircase gives F(a) for every demand
-            # with ready tasks; each demand offers its best task.
-            i, f, t = 0, free, S
+            # One sweep down the staircase, from the segment holding S,
+            # gives F(a) for every demand with ready tasks; each demand
+            # offers its best task.
+            i = bisect_right(times, S) - 1
+            f, t = m - usage[i], S
             swept = []
             best_t, best_a = inf, 0
             for a in range(1, top + 1):
@@ -479,9 +437,9 @@ def _staircase(
                 if not (pa or ra):
                     continue
                 while f < a:
-                    f += amts[i]
-                    t = ends[i]
                     i += 1
+                    f = m - usage[i]
+                    t = times[i]
                 while pa and pa[0][0] <= t:
                     heappush(ra, heappop(pa)[1])
                 v, k = (t, ra[0]) if ra else pa[0]
@@ -511,13 +469,14 @@ def _staircase(
                     heappop(pending[best_a])
         if j < 0:
             # The exact fallback: Table 1's scan over the exact starts.
-            ids = np.sort(
+            ids = sorted(
                 [k for a in range(1, top + 1) for k in released[a]]
                 + [k for a in range(1, top + 1) for _, k in pending[a]]
             )
+            if work is not None:
+                work.refreshes += len(ids)
             est = {
-                k: earliest_start(ready_at[k], dur[k], alloc[k])
-                for k in ids.tolist()
+                k: earliest_start(ready_at[k], dur[k], alloc[k]) for k in ids
             }
             j = _scan_select(ids, est)
             best_t = est.pop(j)
@@ -542,15 +501,6 @@ def _staircase(
         n_ready -= 1
         if best_t > S:
             S = best_t
-            done = bisect_right(ends, S)
-            if done:
-                free += sum(amts[:done])
-                del ends[:done], amts[:done]
-        if end > S:
-            k = bisect_right(ends, end)
-            ends.insert(k, end)
-            amts.insert(k, a)
-            free -= a
         for s in succ[succ_ptr[j]:succ_ptr[j + 1]]:
             if end > ready_at[s]:
                 ready_at[s] = end

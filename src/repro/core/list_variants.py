@@ -29,7 +29,7 @@ import numpy as np
 
 from ..schedule import ResourceTimeline, Schedule, ScheduledTask
 from .instance import Instance
-from .list_scheduler import capped_allotment, list_schedule
+from .list_scheduler import _checked_cap, capped_allotment, list_schedule
 
 __all__ = ["PRIORITY_RULES", "bottom_levels", "list_schedule_with_priority"]
 
@@ -87,10 +87,7 @@ def list_schedule_with_priority(
 
     instance.validate_allotment(allotment)
     m = instance.m
-    cap = m if mu is None else int(mu)
-    if not (1 <= cap <= m):
-        raise ValueError(f"mu must be in [1, {m}], got {mu}")
-    alloc = capped_allotment(allotment, cap)
+    alloc = capped_allotment(allotment, _checked_cap(instance, mu))
     durations = instance.times[
         np.arange(instance.n_tasks), np.asarray(alloc, dtype=np.intp) - 1
     ].tolist()

@@ -67,7 +67,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -512,22 +512,19 @@ class BatchRunner:
                 _METRICS.merge_counter_state(chunk["metrics"])
         else:
             raw += [_solve_one(p) for p in payloads]
-        records = tuple(
-            BatchRecord(**r) for r in sorted(raw, key=lambda r: r["index"])
-        )
-        tiers: Dict[str, int] = {}
-        for r in records:
-            if r.kernel_tier is not None:
-                tiers[r.kernel_tier] = tiers.get(r.kernel_tier, 0) + 1
-        for tier, count in sorted(tiers.items()):
-            _KERNEL_TIER.labels(tier).inc(count)
-        return BatchResult(
-            records=records,
+        result = BatchResult(
+            records=tuple(
+                BatchRecord(**r)
+                for r in sorted(raw, key=lambda r: r["index"])
+            ),
             workers=workers,
             wall_time=time.perf_counter() - t0,
-            metrics=flatten_counters(
-                _METRICS.counters_since(metrics_before)
-            ),
+        )
+        for tier, count in sorted(result.kernel_tiers().items()):
+            _KERNEL_TIER.labels(tier).inc(count)
+        return replace(
+            result,
+            metrics=flatten_counters(_METRICS.counters_since(metrics_before)),
         )
 
     @staticmethod

@@ -57,6 +57,14 @@ class ResourceTimeline:
         """Copy of the (time, usage) breakpoint list."""
         return list(zip(self._times, self._usage))
 
+    def segments(self) -> Tuple[List[float], List[int]]:
+        """The live breakpoint and usage lists, not copies: ``usage[k]``
+        processors are busy on ``[times[k], times[k + 1])``, and every
+        later :meth:`reserve` updates both lists in place.  For hot
+        loops that read the profile between reservations; callers must
+        not modify them."""
+        return self._times, self._usage
+
     # ------------------------------------------------------------------
     def _ensure_breakpoint(self, t: float) -> int:
         """Insert a breakpoint at exactly ``t`` (if missing); return its

@@ -254,6 +254,18 @@ class TestBatchMetrics:
         assert result.metrics["repro_solver_solves_total"
                               '{algorithm="jz"}'] == 1
 
+    def test_kernel_tier_counter_tallies_the_records(self):
+        """``repro_solver_kernel_tier_total`` gains one count per ok
+        record, by the record's tier."""
+        insts = [_inst(seed=s) for s in range(3)]
+        for priority, tier in (
+            ("earliest-start", "array"), ("critical-path", "loop")
+        ):
+            result = BatchRunner(workers=0, priority=priority).run(insts)
+            assert result.kernel_tiers() == {tier: 3}
+            key = f'repro_solver_kernel_tier_total{{tier="{tier}"}}'
+            assert result.metrics[key] == 3
+
     def test_pool_worker_deltas_sum_to_parent_totals(self, tmp_path):
         """The registry property the pool plumbing must preserve: the
         parent's counters gain exactly the sum of the workers' deltas,

@@ -123,3 +123,23 @@ class TestEarliestStart:
         prof = tl.profile()
         assert (0.0, 0) in prof
         assert any(t == 1.0 and u == 2 for (t, u) in prof)
+
+    def test_segments_are_the_live_profile(self):
+        """``segments()`` returns the live lists behind ``profile()``:
+        a later ``reserve`` shows through them without another call,
+        and every segment's usage is ``usage_at`` its breakpoint."""
+        tl = ResourceTimeline(4)
+        times, usage = tl.segments()
+        assert (times, usage) == ([0.0], [0])
+        tl.reserve(1.0, 3.0, 2)
+        tl.reserve(2.0, 5.0, 1)
+        tl.reserve(0.5, 2.0, 1)
+        assert tl.segments()[0] is times and tl.segments()[1] is usage
+        assert times == [0.0, 0.5, 1.0, 2.0, 3.0, 5.0]
+        assert usage == [0, 1, 3, 3, 1, 0]
+        assert list(zip(times, usage)) == tl.profile()
+        for t, u in zip(times, usage):
+            assert tl.usage_at(t) == u
+        for k in range(len(times) - 1):
+            mid = (times[k] + times[k + 1]) / 2
+            assert tl.usage_at(mid) == usage[k]
