@@ -156,7 +156,7 @@ from .schedule import (
     validate_schedule,
 )
 
-__version__ = "1.5.3"
+__version__ = "1.5.4"
 
 __all__ = [
     "AssumptionError",

@@ -20,10 +20,15 @@ critical-path column ``L`` gets the upper bound ``d``, and ``C`` stays
 free, so ``L <= C`` and ``W/m <= C`` go slack.  Every probe reads
 the one memoized LP (9) assembly
 (:func:`repro.core.lp.assemble_allotment_arrays`, which ``jz`` and
-``ltw`` build for the same instance), swaps in that objective and the
-bound of ``L`` on copies, and solves the result in a fresh HiGHS model,
-cold from LP (9)'s start basis (built once per search), so no probe
-depends on the ones before it.
+``ltw`` build for the same instance) and swaps in that objective and
+the bound of ``L`` on copies.  A search loads them into one HiGHS
+model at its first probe, cold from LP (9)'s start basis, and answers
+every later probe by moving the bound of ``L`` in that model and
+re-solving warm from the previous probe's basis, as
+:class:`repro.pipeline.incremental.ReplanSession` answers a retime.
+A search is deterministic; a probe's optimum can differ from a fresh
+model's only among alternate optima (the same total work within
+1e-12 relative, asserted by the test suite).
 
 API
 ---
@@ -42,7 +47,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..lpsolve import LpError, LpStatus
-from ..lpsolve.scipy_backend import solve_ub_arrays
+from ..lpsolve.scipy_backend import HighsModel
 from ..obs import trace as obs_trace
 from ..obs.metrics import REGISTRY as _METRICS
 from .arrays import instance_arrays, work_of_times
@@ -85,9 +90,11 @@ class _DeadlineSolver:
 
     Holds the instance's memoized LP (9) arrays with the objective on
     the δ columns, each weighted by its segment's slope (the total work
-    ``Σ_j w̄_j`` less its constant ``Σ_j w_j(p_j(m))``), and their
-    start basis; every probe only bounds ``L``, on a copy, loads a
-    fresh model from that one basis and reads ``x`` back with
+    ``Σ_j w̄_j`` less its constant ``Σ_j w_j(p_j(m))``), and the one
+    resident :class:`HighsModel` of the search.  Every probe bounds
+    ``L``, on a copy; the first loads the model from it, each later one
+    pushes the new bound with :meth:`HighsModel.update` and solves warm
+    from the previous probe's basis; ``x`` is read back with
     :func:`repro.core.lp.lp9_read_back`.  Only an infeasible probe is
     a missed deadline: any other :class:`LpError` propagates.
     """
@@ -98,8 +105,7 @@ class _DeadlineSolver:
         c = np.zeros(arrays.n_variables)
         c[image.n:image.n + len(image.seg_slope)] = image.seg_slope
         self._arrays = arrays._replace(c=c)
-        # Every probe has LP (9)'s arcs and p(m), hence its start basis.
-        self._basis = arrays.start_basis()
+        self._model: Optional[HighsModel] = None
 
     def solve(self, deadline: float) -> Optional[DeadlineLpResult]:
         """One probe: ``None`` when the deadline is infeasible."""
@@ -108,27 +114,27 @@ class _DeadlineSolver:
         with obs_trace.span("lp.probe", deadline=deadline):
             obs_trace.add("bsearch_probes", 1)
             _PROBES.inc()
-            return self._probe(deadline)
-
-    def _probe(self, deadline: float) -> Optional[DeadlineLpResult]:
-        arr = self._arrays
-        hi = arr.hi.copy()
-        hi[-2] = deadline  # L
-        try:
-            sol = solve_ub_arrays(arr._replace(hi=hi), self._basis)
-        except LpError as err:
-            if err.status != LpStatus.INFEASIBLE:
-                raise
-            return None
-        image = self._image
-        x = lp9_read_back(
-            sol.values, image.min_time, image.seg_ptr, image.seg_tasks
-        )
-        work = work_of_times(image, x)
-        return DeadlineLpResult(
-            deadline=deadline, total_work=sum(work.tolist()),
-            x=tuple(x.tolist()),
-        )
+            probe = self._arrays._replace(hi=self._arrays.hi.copy())
+            probe.hi[-2] = deadline  # L
+            try:
+                if self._model is None:
+                    self._model = HighsModel(probe)
+                else:
+                    self._model.update(probe)
+                sol = self._model.solve()
+            except LpError as err:
+                if err.status != LpStatus.INFEASIBLE:
+                    raise
+                return None
+            image = self._image
+            x = lp9_read_back(
+                sol.values, image.min_time, image.seg_ptr, image.seg_tasks
+            )
+            work = work_of_times(image, x)
+            return DeadlineLpResult(
+                deadline=deadline, total_work=sum(work.tolist()),
+                x=tuple(x.tolist()),
+            )
 
 
 def deadline_work_lp(
@@ -137,9 +143,9 @@ def deadline_work_lp(
     """Minimize total work subject to critical path <= ``deadline``.
 
     Returns ``None`` when the deadline is infeasible (shorter than the
-    all-``m`` critical path).  One-shot form of :class:`_DeadlineSolver`
-    — repeated solves of the same instance share the memoized LP (9)
-    assembly.
+    all-``m`` critical path).  One-shot form of :class:`_DeadlineSolver`:
+    a fresh model's cold solve; repeated calls on the same instance
+    share the memoized LP (9) assembly.
     """
     return _DeadlineSolver(instance).solve(deadline)
 
@@ -162,8 +168,9 @@ def bsearch_allotment(instance: Instance, rho: float) -> BsearchReport:
     point of ``max(d, W(d)/m)`` (``W(d)`` is non-increasing in ``d``,
     ``d`` is increasing, so the max is unimodal), then applies the same
     critical-point rounding as the direct pipeline.  Every probe reuses
-    the one assembly of LP (9) (see the module docstring).  An
-    empty instance has nothing to search: no probe, no allotment.
+    the one assembly of LP (9) and the one HiGHS model of the search
+    (see the module docstring).  An empty instance has nothing to
+    search: no probe, no allotment.
     """
     if instance.n_tasks == 0:
         return BsearchReport(

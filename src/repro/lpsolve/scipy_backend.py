@@ -4,20 +4,22 @@ Every LP of the package is an ``A_ub v <= b_ub`` model bulk-assembled
 as NumPy arrays (see :class:`repro.core.lp.AllotmentArrays`), and every
 one is solved by loading it into a :class:`HighsModel`:
 
-* a one-shot solve — LP (9), a block of a packed batch, a probe of
-  the deadline binary search — is a fresh model's cold
-  :meth:`HighsModel.solve` (:func:`solve_ub_arrays`,
-  :func:`solve_ub_blocks`), started from the assembly's own start
-  basis (for LP (9), the critical-path basis of
+* a one-shot solve — LP (9), a block of a packed batch, a lone
+  deadline probe (:func:`repro.core.allotment_bsearch.deadline_work_lp`)
+  — is a fresh model's cold :meth:`HighsModel.solve`
+  (:func:`solve_ub_arrays`, :func:`solve_ub_blocks`), started from the
+  assembly's own start basis (for LP (9), the critical-path basis of
   :func:`repro.core.lp.lp9_start_basis`);
-* the incremental path (:mod:`repro.pipeline.incremental`) keeps its
-  model resident.  An evolution that retimes one task perturbs a
-  handful of LP (9)'s entries (the task's δ bounds and the right-hand
-  sides of the rows that carry its ``p_j(m)`` and the total work);
+* two paths keep their model resident.  An evolution that retimes one
+  task (:mod:`repro.pipeline.incremental`) perturbs a handful of
+  LP (9)'s entries (the task's δ bounds and the right-hand sides of
+  the rows that carry its ``p_j(m)`` and the total work); each probe
+  of a deadline binary search (:mod:`repro.core.allotment_bsearch`)
+  after the search's first changes only the bound of ``L``.
   :meth:`HighsModel.update` pushes exactly those edits through HiGHS's
   modification API, which preserves the factorized basis, and the dual
   simplex restarted from the previous optimum re-proves optimality in a
-  few pivots instead of thousands.
+  few pivots instead of hundreds.
 
 No solve presolves: HiGHS skips presolve whenever the model holds a
 valid basis, and every model holds one from the moment it is built.
@@ -98,14 +100,11 @@ class HighsModel:
         pattern is fixed for the model's lifetime, and :meth:`update`
         accepts only assemblies with the identical pattern (same
         rows/cols — what :func:`repro.core.lp.lp9_arrays` writes for a
-        child whose retimes kept every segment count).
-    basis:
-        ``arrays.start_basis()``, already built: a caller that loads
-        many models of one pattern and one start, as the deadline
-        probes of ``bsearch`` do, builds it once.
+        child whose retimes kept every segment count, or what a deadline
+        probe of ``bsearch`` writes with only ``hi[L]`` changed).
     """
 
-    def __init__(self, arrays, basis=None):
+    def __init__(self, arrays):
         self._arrays = arrays
         self._solved_once = False
         n_cols = int(arrays.n_variables)
@@ -135,9 +134,7 @@ class HighsModel:
         # e.g. the zero slopes of a linear-speedup task's segments.
         if status == _highs_core.HighsStatus.kError:
             raise LpError(f"HiGHS rejected the model: {status}")
-        col_status, row_status = (
-            arrays.start_basis() if basis is None else basis
-        )
+        col_status, row_status = arrays.start_basis()
         basis = _highs_core.HighsBasis()
         basis.valid = True
         basis.alien = False
@@ -193,8 +190,9 @@ class HighsModel:
 
     def solve(self) -> LpSolution:
         """Run the solver: cold from the start basis the first time,
-        warm from the previous optimal basis afterwards.  Raises
-        :class:`LpError` on infeasible/unbounded models."""
+        warm from the previous optimal basis afterwards.  The solution
+        lies inside the column bounds.  Raises :class:`LpError` on
+        infeasible/unbounded models."""
         h = self._h
         warm = self._solved_once
         arrays = self._arrays
@@ -222,11 +220,18 @@ class HighsModel:
             if warm:
                 obs_trace.add("warm_starts", 1)
                 _WARM.inc()
+        # ``col_value`` is already a list of Python floats.  A warm
+        # re-solve can leave a basic column a few ulps outside its
+        # bounds (3.2e-14 above a chain's δ bound after a deadline probe
+        # moved ``hi[L]``): such a solution is clipped into them.
+        values = h.getSolution().col_value
+        x = np.fromiter(values, dtype=float, count=len(values))
+        if (x < arrays.lo).any() or (x > arrays.hi).any():
+            values = np.clip(x, arrays.lo, arrays.hi).tolist()
         return LpSolution(
             status=LpStatus.OPTIMAL,
             objective=float(h.getObjectiveValue()),
-            # ``col_value`` is already a list of Python floats.
-            values=tuple(h.getSolution().col_value),
+            values=tuple(values),
             backend="highs",
             iterations=iterations,
         )
@@ -237,11 +242,10 @@ class HighsModel:
         return self._arrays
 
 
-def solve_ub_arrays(arrays, basis=None) -> LpSolution:
+def solve_ub_arrays(arrays) -> LpSolution:
     """Solve a pre-assembled ``A_ub v <= b_ub`` LP: a fresh
-    :class:`HighsModel`'s cold solve from the start basis (``basis``,
-    else ``arrays.start_basis()``)."""
-    return HighsModel(arrays, basis).solve()
+    :class:`HighsModel`'s cold solve from ``arrays.start_basis()``."""
+    return HighsModel(arrays).solve()
 
 
 def solve_ub_blocks(blocks) -> List[LpSolution]:

@@ -199,7 +199,11 @@ class ReplanSession:
         anchored, disturbance-minimizing one
         (:func:`repro.schedule.replan.replan_schedule`) — completed
         tasks stay at their frozen starts, survivors near their old
-        slots — and the reported ``mode`` is ``"anchored"``.
+        slots — and the reported ``mode`` is ``"anchored"``.  When the
+        frozen starts conflict with the child, that raises
+        :class:`~repro.schedule.replan.FrozenStartConflict` (a
+        :class:`ValueError`) and the session holds the child and the
+        free re-solve's round, as after ``replan=False``.
         """
         if delta.parent_key != self._instance.content_key():
             raise ValueError(
@@ -226,6 +230,7 @@ class ReplanSession:
         else:
             report, _ = self._solve_current(warm=False)
             edits = 0
+        self._report = report  # the free round, kept if anchoring fails
         disturbance = None
         if previous_report is not None:
             if replan:

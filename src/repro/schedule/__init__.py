@@ -8,7 +8,12 @@ from .metrics import (
     busy_profile,
     slot_classes,
 )
-from .replan import ScheduleDiff, diff_schedules, replan_schedule
+from .replan import (
+    FrozenStartConflict,
+    ScheduleDiff,
+    diff_schedules,
+    replan_schedule,
+)
 from .schedule import Schedule, ScheduledTask
 from .simulator import SimulationEvent, SimulationTrace, simulate
 from .timeline import ResourceTimeline
@@ -19,6 +24,7 @@ from .validator import (
 )
 
 __all__ = [
+    "FrozenStartConflict",
     "InfeasibleScheduleError",
     "ResourceTimeline",
     "Schedule",

@@ -20,10 +20,11 @@ of replan mode:
   whenever the mutation leaves them feasible.
 
 The replanned schedule is feasible by construction (same reserve/ready
-machinery as the LIST scheduler, validated in the test suite) but
-deliberately trades makespan for stability; the pipeline's
-:class:`~repro.pipeline.incremental.ReplanSession` reports both it and
-the free re-solve so callers can choose.
+machinery as the LIST scheduler, validated in the test suite), or
+refused with :class:`FrozenStartConflict` when a frozen start conflicts
+with the rest of it, and deliberately trades makespan for stability; the
+pipeline's :class:`~repro.pipeline.incremental.ReplanSession` reports
+both it and the free re-solve so callers can choose.
 """
 
 from __future__ import annotations
@@ -35,11 +36,17 @@ import numpy as np
 
 from .schedule import Schedule, ScheduledTask
 from .timeline import ResourceTimeline
+from .validator import validate_schedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle (core imports schedule)
     from ..core.instance import Instance
 
-__all__ = ["ScheduleDiff", "diff_schedules", "replan_schedule"]
+__all__ = [
+    "FrozenStartConflict",
+    "ScheduleDiff",
+    "diff_schedules",
+    "replan_schedule",
+]
 
 #: Start shifts at or below this are considered "unchanged" — kept
 #: equal to ``repro.core.list_scheduler._SELECT_TOL`` (asserted in the
@@ -48,6 +55,12 @@ __all__ = ["ScheduleDiff", "diff_schedules", "replan_schedule"]
 #: package during its own initialization.
 _SHIFT_TOL = 1e-12
 _SELECT_TOL = _SHIFT_TOL
+
+
+class FrozenStartConflict(ValueError):
+    """The completed tasks' frozen starts cannot all be kept: an anchored
+    replan refuses the evolution rather than return an infeasible
+    schedule."""
 
 
 @dataclass(frozen=True)
@@ -175,7 +188,14 @@ def replan_schedule(
 
     Precedence and capacity feasibility are enforced exactly as in
     LIST, so the result is validator-clean; the price of stability is
-    paid in makespan, never in feasibility.
+    paid in makespan, never in feasibility.  Frozen starts are taken as
+    given, so a conflict with them — frozen tasks that together exceed
+    ``m``, or a frozen task whose predecessor completes after its start
+    — raises :class:`FrozenStartConflict` instead of returning an
+    infeasible schedule: the message names the frozen task that
+    overflows the machine, or else the result's
+    :func:`~repro.schedule.validator.validate_schedule` violations
+    (naming both tasks of a broken arc).
     """
     from ..core.list_scheduler import _checked_cap, capped_allotment
 
@@ -208,7 +228,12 @@ def replan_schedule(
         start = float(completed[j])
         procs = old_alloc.get(j, alloc[j])
         dur = instance.time(j, procs)
-        timeline.reserve(start, start + dur, procs)
+        try:
+            timeline.reserve(start, start + dur, procs)
+        except ValueError as exc:
+            raise FrozenStartConflict(
+                f"completed task {j} frozen at {start}: {exc}"
+            ) from None
         completion[j] = start + dur
         entries.append(
             ScheduledTask(task=j, start=start, processors=procs, duration=dur)
@@ -281,4 +306,11 @@ def replan_schedule(
                 ready.append(s)
                 ready.sort(key=anchor_key)
 
-    return Schedule(m, entries)
+    schedule = Schedule(m, entries)
+    # A frozen start never moves, so a predecessor list-scheduled (or
+    # frozen) to complete after it leaves the anchored schedule
+    # infeasible.
+    bad = validate_schedule(instance, schedule)
+    if bad:
+        raise FrozenStartConflict("; ".join(bad))
+    return schedule

@@ -142,6 +142,7 @@ from ..io import (
     schedule_from_dict,
     schedule_to_dict,
 )
+from ..obs.log import get_logger
 from ..obs.metrics import (
     REGISTRY as _CORE_METRICS,
     MetricsRegistry,
@@ -156,10 +157,16 @@ from ..resilience import (
     InjectedFault,
     as_clock,
 )
-from ..schedule.replan import diff_schedules, replan_schedule
+from ..schedule.replan import (
+    FrozenStartConflict,
+    diff_schedules,
+    replan_schedule,
+)
 from .cache import CacheKey, ResultCache, solve_payload
 
 __all__ = ["DEFAULT_HOST", "DEFAULT_PORT", "SolverService"]
+
+_LOG = get_logger("service")
 
 DEFAULT_HOST = "127.0.0.1"
 #: Default TCP port of ``repro serve`` (0 = pick an ephemeral port).
@@ -530,9 +537,18 @@ class SolverService:
                 keep_alive = (
                     headers.get("connection", "").lower() != "close"
                 )
-                status, payload = await self._dispatch(
-                    method, path, headers, body
-                )
+                try:
+                    status, payload = await self._dispatch(
+                        method, path, headers, body
+                    )
+                except Exception as exc:
+                    # A handler fault is answered, never a dropped
+                    # connection (which reads as a transport failure).
+                    _LOG.exception("%s %s failed", method, path)
+                    self._m_errors.inc()
+                    status, payload = 500, self._error(
+                        f"{type(exc).__name__}: {exc}", "internal"
+                    )
                 # Respond-side fault seam: armed plans may reset, tear
                 # or corrupt solve/replan responses (chaos only).
                 fault = None
@@ -1197,7 +1213,7 @@ class SolverService:
         if status != 200:
             return status, child_payload
 
-        def finalize() -> Dict[str, Any]:
+        def finalize() -> Tuple[int, Dict[str, Any]]:
             old_schedule = schedule_from_dict(parent_payload["schedule"])
             new_schedule = schedule_from_dict(child_payload["schedule"])
             payload = dict(child_payload)
@@ -1209,13 +1225,20 @@ class SolverService:
                 alloc = [0] * child.n_tasks
                 for e in new_schedule.entries:
                     alloc[e.task] = e.processors
-                new_schedule = replan_schedule(
-                    child,
-                    alloc,
-                    old_schedule,
-                    node_map=delta.node_map,
-                    completed=delta.completed,
-                )
+                try:
+                    new_schedule = replan_schedule(
+                        child,
+                        alloc,
+                        old_schedule,
+                        node_map=delta.node_map,
+                        completed=delta.completed,
+                    )
+                except FrozenStartConflict as exc:
+                    # Any other fault is the handler's: 500 internal.
+                    return 400, self._error(
+                        f"invalid evolution: {type(exc).__name__}: {exc}",
+                        "invalid_evolution",
+                    )
                 payload["schedule"] = schedule_to_dict(new_schedule)
                 payload["makespan"] = new_schedule.makespan
                 # Stability costs the worst-case guarantee.
@@ -1237,12 +1260,16 @@ class SolverService:
                 "makespan": parent_payload["makespan"],
                 "cached": parent_payload.get("cached", False),
             }
-            return payload
+            return 200, payload
 
         # Schedule reconstruction + diff (+ anchored list scheduling)
         # is O(n log n) Python work: keep it off the loop.
-        payload = await loop.run_in_executor(self._aux_threads, finalize)
-        return 200, payload
+        status, payload = await loop.run_in_executor(
+            self._aux_threads, finalize
+        )
+        if status != 200:
+            self._m_errors.inc()
+        return status, payload
 
     async def _cache_get(self, key: CacheKey):
         """Cache lookup; routed through the aux thread pool when a

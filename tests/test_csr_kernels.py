@@ -6,7 +6,8 @@ bulk LP assemblies) claims *bit-identical* results to the Python
 transcriptions it replaced.  These tests generate random DAGs, profiles
 and allotments with hypothesis and assert exact equality — no
 tolerances — plus the pinning of the deadline binary search's probes to
-freshly built models.
+freshly built models (bit for bit for a cold probe, within 1e-12 in
+total work for a warm one).
 """
 
 import random
@@ -342,10 +343,10 @@ def test_allotment_assembly_matches_model_matrix(trial):
 
 @pytest.mark.parametrize("trial", range(8))
 def test_deadline_assembly_matches_model_matrix(trial, monkeypatch):
-    """A probe hands HiGHS the deadline view of the memoized LP (9)
-    arrays: row for row the per-constraint δ form with ``L`` bounded by
-    the deadline and the segment slopes as the objective.  The memoized
-    arrays themselves are left as they were."""
+    """A probe loads HiGHS with the deadline view of the memoized
+    LP (9) arrays: row for row the per-constraint δ form with ``L``
+    bounded by the deadline and the segment slopes as the objective.
+    The memoized arrays themselves are left as they were."""
     rng = random.Random(300 + trial)
     inst = make_instance(
         rng.choice(["layered", "erdos_renyi", "chain", "diamond"]),
@@ -359,11 +360,11 @@ def test_deadline_assembly_matches_model_matrix(trial, monkeypatch):
     lp9_c, lp9_hi = lp9.c.copy(), lp9.hi.copy()
     handed = []
 
-    def capture(arrays, basis):
+    def capture(arrays):
         handed.append(arrays)
         raise LpError("captured", LpStatus.INFEASIBLE)
 
-    monkeypatch.setattr(allotment_bsearch, "solve_ub_arrays", capture)
+    monkeypatch.setattr(allotment_bsearch, "HighsModel", capture)
     assert deadline_work_lp(inst, deadline) is None
     (arrays,) = handed
     lp = build_delta_lp(inst, deadline=deadline).lp
@@ -412,17 +413,17 @@ def test_list_schedule_paths_identical_on_random_dags(dag, seed):
 
 
 # ---------------------------------------------------------------------------
-# deadline probes over the shared assembly pinned to fresh models
+# deadline probes over the shared assembly and one resident model
 # ---------------------------------------------------------------------------
 
 
-def _assert_probe_matches(inst, solver, got, ref):
+def _assert_probe_near(inst, got, ref):
     """A probe against the per-constraint model of its deadline solved
-    by ``linprog``: the same total work within 1e-12 relative (the
-    probe's fresh model starts from LP (9)'s critical-path basis and
-    ``linprog`` from its slack basis, so only the last bits may move),
-    ``x`` inside ``[p_j(m), p_j(1)]``, and bit for bit what another
-    fresh-model path of the package makes of the probe's arrays."""
+    by ``linprog``: the same total work within 1e-12 relative (HiGHS
+    starts from LP (9)'s critical-path basis or the previous probe's
+    optimum and ``linprog`` from its slack basis, so only the last bits
+    may move, or the probe may land on an alternate optimum), and ``x``
+    inside ``[p_j(m), p_j(1)]``."""
     image = instance_arrays(inst)
     ref_x = np.asarray(_read_back_x(inst, ref.values))
     ref_work = sum(work_of_times(image, ref_x).tolist())
@@ -430,6 +431,13 @@ def _assert_probe_matches(inst, solver, got, ref):
     x = np.asarray(got.x)
     assert np.all(image.min_time <= x)
     assert np.all(x <= image.times[:, 0] * (1 + 1e-12))
+
+
+def _assert_probe_matches(inst, solver, got, ref):
+    """:func:`_assert_probe_near`, and, for a probe solved cold in a
+    fresh model, bit for bit what another fresh-model path of the
+    package makes of the probe's arrays."""
+    _assert_probe_near(inst, got, ref)
     hi = solver._arrays.hi.copy()
     hi[-2] = got.deadline
     (again,) = solve_ub_blocks([solver._arrays._replace(hi=hi)])
@@ -438,11 +446,14 @@ def _assert_probe_matches(inst, solver, got, ref):
 
 @pytest.mark.parametrize("trial", range(5))
 def test_bsearch_warm_start_pinned_to_cold(trial):
-    """Every probe of the binary search reuses one memoized deadline-LP
-    assembly and its sparse matrix; each probe must match a freshly
-    built per-constraint model of its deadline solved cold
-    (:func:`_assert_probe_matches`), and be ``None`` exactly where that
-    model is infeasible."""
+    """Every probe of a ladder re-solves one resident model of the
+    memoized deadline-LP assembly, warm from the probe before.  Each
+    probe must match a freshly built per-constraint model of its
+    deadline solved by ``linprog`` (:func:`_assert_probe_near`), and be
+    ``None`` exactly where that model is infeasible; the ladder's
+    first, cold probe is bit for bit a fresh model's
+    (:func:`_assert_probe_matches`), and a second solver running the
+    same ladder repeats the first bit for bit."""
     rng = random.Random(400 + trial)
     inst = make_instance(
         rng.choice(["layered", "erdos_renyi", "diamond"]),
@@ -454,13 +465,13 @@ def test_bsearch_warm_start_pinned_to_cold(trial):
     report = bsearch_allotment(inst, 0.26)
     lo = inst.min_critical_path()
     hi = inst.sequential_makespan()
-    deadlines = [0.5 * lo, report.deadline] + [
+    deadlines = [report.deadline, 0.5 * lo] + [
         lo + f * (hi - lo) for f in (0.0, 0.05, 0.3, 0.7, 1.0)
     ]
     solver = _DeadlineSolver(inst)
+    ladder = [solver.solve(d) for d in deadlines]
     infeasible = 0
-    for d in deadlines:
-        got = solver.solve(d)
+    for i, (d, got) in enumerate(zip(deadlines, ladder)):
         ref_lp = build_delta_lp(inst, deadline=d)
         try:
             ref = solve_with_scipy(ref_lp.lp)
@@ -469,10 +480,20 @@ def test_bsearch_warm_start_pinned_to_cold(trial):
             infeasible += 1
             continue
         assert got is not None
-        _assert_probe_matches(inst, solver, got, ref)
+        if i == 0:
+            _assert_probe_matches(inst, solver, got, ref)
+        else:
+            _assert_probe_near(inst, got, ref)
         if d == report.deadline:
-            assert report.x == got.x
+            report_work = work_of_times(
+                instance_arrays(inst), np.asarray(report.x)
+            )
+            assert sum(report_work.tolist()) == pytest.approx(
+                got.total_work, rel=1e-12
+            )
     assert infeasible >= 1  # the deadline below min_critical_path()
+    again = _DeadlineSolver(inst)
+    assert [again.solve(d) for d in deadlines] == ladder
 
 
 @pytest.mark.parametrize("trial", range(4))

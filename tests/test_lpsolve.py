@@ -18,7 +18,12 @@ from scipy.optimize._highspy._core import HighsPresolveStatus
 
 from repro import Instance
 from repro.batchkernel import assemble_batch_lp, pack_csrs, stack_profiles
-from repro.core.allotment_bsearch import _DeadlineSolver, bsearch_allotment
+from repro.core import allotment_bsearch
+from repro.core.allotment_bsearch import (
+    _DeadlineSolver,
+    bsearch_allotment,
+    deadline_work_lp,
+)
 from repro.core.lp import (
     AllotmentArrays,
     assemble_allotment_arrays,
@@ -33,6 +38,7 @@ from repro.lpsolve.scipy_backend import (
     solve_ub_blocks,
 )
 from repro.models.profiles import linear_speedup_profile
+from repro.obs import trace as obs_trace
 from repro.workloads import MODELS, make_instance
 
 BACKENDS = ["simplex", "scipy"]
@@ -231,32 +237,50 @@ def highs_runs(monkeypatch):
     return runs
 
 
-def assert_runs_match_linprog(runs):
-    """Each recorded fresh-model solve against the one-shot
+def assert_runs_near_linprog(runs):
+    """Each recorded solve against the one-shot
     ``linprog(method="highs")`` call on the same arrays: both fail, or
     the objectives agree within 1e-12 relative and ``x`` lies inside
-    its bounds.  The start basis moves the last bits of the optimum
-    against ``linprog``'s slack start, so only the package's own
-    fresh-model paths — :func:`solve_ub_arrays`,
-    :func:`solve_ub_blocks` — must reproduce the run bit for bit:
-    values, objective and pivots."""
+    its bounds.  The start basis (or, warm, the previous optimum)
+    moves the last bits of the optimum against ``linprog``'s slack
+    start."""
     for arrays, got in list(runs):
         if isinstance(got, LpError):
             with pytest.raises(LpError):
                 solve_arrays_with_linprog(arrays)
-            with pytest.raises(LpError):
-                solve_ub_arrays(arrays)
             continue
         ref = solve_arrays_with_linprog(arrays)
         assert got.objective == pytest.approx(ref.objective, rel=1e-12)
         x = np.asarray(got.values)
         assert np.all(arrays.lo <= x) and np.all(x <= arrays.hi)
+
+
+def assert_runs_match_linprog(runs):
+    """:func:`assert_runs_near_linprog` for fresh-model solves, which
+    the package's own fresh-model paths — :func:`solve_ub_arrays`,
+    :func:`solve_ub_blocks` — must reproduce bit for bit: values,
+    objective and pivots."""
+    assert_runs_near_linprog(runs)
+    for arrays, got in list(runs):
+        if isinstance(got, LpError):
+            with pytest.raises(LpError):
+                solve_ub_arrays(arrays)
+            continue
         assert solve_ub_arrays(arrays) == got
         assert solve_ub_blocks([arrays]) == [got]
 
 
+def outcomes(runs):
+    """Recorded runs, comparable across two solvers: each solution
+    whole, each failure as its status."""
+    return [
+        (got.status,) if isinstance(got, LpError) else got
+        for _arrays, got in runs
+    ]
+
+
 class TestOneHighsPath:
-    """Every cold HiGHS solve — LP (9), a deadline probe of the binary
+    """Every HiGHS solve — LP (9), a deadline probe of the binary
     search, a block of the batched tier — agrees with the ``linprog``
     call on the same arrays, and the fresh-model paths agree with each
     other bit for bit."""
@@ -270,17 +294,27 @@ class TestOneHighsPath:
 
     @pytest.mark.parametrize("family", _FAMILIES)
     def test_deadline_probes(self, family, highs_runs):
-        """One search's probe ladder, from below the all-``m`` critical
-        path (infeasible) up to the sequential makespan."""
+        """One search's probe ladder in its one resident model: cold at
+        the sequential makespan, where a search opens, then warm from
+        below the all-``m`` critical path (infeasible) up to the
+        sequential makespan.  Every probe agrees with ``linprog``; the
+        cold one is bit for bit a fresh model's, and a second solver
+        repeats the whole ladder bit for bit."""
         inst = make_instance(family, 60, 8, seed=4)
         low, high = inst.min_critical_path(), inst.sequential_makespan()
-        deadlines = [0.5 * low, 0.99 * low, *np.linspace(low, high, 8)]
+        deadlines = [high, 0.5 * low, 0.99 * low, *np.linspace(low, high, 8)]
         solver = _DeadlineSolver(inst)
         results = [solver.solve(d) for d in deadlines]
-        assert results[0] is None and results[1] is None
-        assert results[-1] is not None
+        assert results[1] is None and results[2] is None
+        assert results[0] is not None and results[-1] is not None
         assert len(highs_runs) == len(deadlines)
-        assert_runs_match_linprog(highs_runs)
+        ladder = outcomes(highs_runs)
+        assert_runs_near_linprog(highs_runs)
+        assert_runs_match_linprog(highs_runs[:1])
+        del highs_runs[:]
+        again = _DeadlineSolver(inst)
+        assert [again.solve(d) for d in deadlines] == results
+        assert outcomes(highs_runs) == ladder
 
     def test_batched_blocks(self, highs_runs):
         batch = [
@@ -413,10 +447,13 @@ class TestProbeErrors:
     def test_rejected_start_basis_propagates(self, monkeypatch):
         inst = make_instance("layered", 30, 4, seed=2)
         solver = _DeadlineSolver(inst)
-        col_status, row_status = solver._basis
-        monkeypatch.setattr(
-            solver, "_basis", (np.full_like(col_status, BASIC), row_status)
-        )
+        start_basis = AllotmentArrays.start_basis
+
+        def all_basic(arrays):
+            col_status, row_status = start_basis(arrays)
+            return np.full_like(col_status, BASIC), row_status
+
+        monkeypatch.setattr(AllotmentArrays, "start_basis", all_basic)
         with pytest.raises(LpError, match="start basis") as err:
             solver.solve(inst.sequential_makespan())
         assert err.value.status is None
@@ -434,3 +471,57 @@ class TestProbeErrors:
         report = bsearch_allotment(inst, 0.3)
         assert report.lp_solves > 1
         assert len(built) == 1
+
+
+class TestResidentSearch:
+    """A search loads one HiGHS model at its first probe and answers
+    every later probe by moving the bound of ``L`` and re-solving warm."""
+
+    def test_search_loads_one_model(self, monkeypatch):
+        loaded = []
+
+        class Counted(HighsModel):
+            def __init__(self, arrays):
+                loaded.append(arrays)
+                super().__init__(arrays)
+
+        monkeypatch.setattr(allotment_bsearch, "HighsModel", Counted)
+        inst = make_instance("layered", 40, 4, seed=1)
+        with obs_trace.tracing() as tracer:
+            report = bsearch_allotment(inst, 0.3)
+        totals = tracer.counter_totals()
+        assert len(loaded) == 1
+        assert totals["bsearch_probes"] == report.lp_solves > 3
+        assert totals["warm_starts"] == totals["bsearch_probes"] - 1
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_search_is_deterministic(self, family):
+        inst = make_instance(family, 60, 8, seed=4)
+        assert bsearch_allotment(inst, 0.3) == bsearch_allotment(inst, 0.3)
+
+    @pytest.mark.parametrize("family", _FAMILIES)
+    def test_lone_probe_agrees_with_the_search(self, family, monkeypatch):
+        """:func:`deadline_work_lp` solves a deadline cold in a fresh
+        model; the search's warm probe of the same deadline is feasible
+        exactly when it is, with the same total work within 1e-12
+        relative."""
+        probes = []
+        solve = _DeadlineSolver.solve
+
+        def recorded(solver, deadline):
+            res = solve(solver, deadline)
+            probes.append((deadline, res))
+            return res
+
+        monkeypatch.setattr(_DeadlineSolver, "solve", recorded)
+        inst = make_instance(family, 60, 8, seed=4)
+        bsearch_allotment(inst, 0.3)
+        searched = list(probes)
+        assert len(searched) > 3
+        for deadline, res in searched:
+            lone = deadline_work_lp(inst, deadline)
+            assert (lone is None) == (res is None)
+            if res is not None:
+                assert res.total_work == pytest.approx(
+                    lone.total_work, rel=1e-12
+                )

@@ -9,6 +9,7 @@ makespan as a cold pipeline solve of the evolved instance.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +27,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import REGISTRY
 from repro.pipeline import ReplanSession, SchedulingPipeline
 from repro.schedule import (
+    FrozenStartConflict,
     Schedule,
     ScheduledTask,
     diff_schedules,
@@ -174,6 +176,146 @@ class TestReplanSchedule:
                 report.schedule,
                 completed={inst.n_tasks: 0.0},
             )
+
+
+#: Completes task 2 of ``make_instance("chain", 5, 4, seed=1)`` at 0.0,
+#: while its predecessor 1 completes at 17.385 in every schedule.
+_FROZEN_TOO_EARLY = [{"op": "complete", "task": 2, "start": 0.0}]
+
+
+def _chain():
+    return make_instance("chain", 5, 4, seed=1)
+
+
+#: The validator's violation for it, which the refusal carries.
+_PRECEDENCE_1_2 = "precedence (1, 2) violated: task 2 starts at 0.0 before task 1"
+
+
+class TestRefusedAnchors:
+    """Frozen starts that the anchored schedule cannot keep are refused
+    with :class:`FrozenStartConflict` (a :class:`ValueError`), never
+    returned infeasible."""
+
+    def test_frozen_before_its_predecessor_raises(self):
+        inst = _chain()
+        report = SchedulingPipeline("jz", "earliest-start").solve(inst)
+        child, delta = evolve(inst, _FROZEN_TOO_EARLY)
+        with pytest.raises(FrozenStartConflict) as err:
+            replan_schedule(
+                child,
+                report.allotment,
+                report.schedule,
+                node_map=delta.node_map,
+                completed=delta.completed,
+                mu=report.mu,
+            )
+        assert isinstance(err.value, ValueError)
+        assert str(err.value).startswith(_PRECEDENCE_1_2)
+
+    def test_frozen_over_capacity_names_the_task(self):
+        inst = make_instance("erdos_renyi", 12, 4, seed=3)
+        report = SchedulingPipeline("jz", "earliest-start").solve(inst)
+        ops = [{"op": "complete", "task": j, "start": 0.0} for j in range(6)]
+        child, delta = evolve(inst, ops)
+        with pytest.raises(
+            FrozenStartConflict,
+            match=r"completed task \d+ frozen at 0\.0: capacity exceeded",
+        ):
+            replan_schedule(
+                child,
+                report.allotment,
+                report.schedule,
+                node_map=delta.node_map,
+                completed=delta.completed,
+                mu=report.mu,
+            )
+
+    def test_session_keeps_the_free_round(self):
+        """The refused round leaves the session at the child with the
+        free re-solve's round, as ``replan=False`` would, and the
+        session goes on from there."""
+        inst = _chain()
+        session = ReplanSession(inst)
+        session.solve()
+        with pytest.raises(FrozenStartConflict, match=r"precedence \(1, 2\)"):
+            session.apply(_FROZEN_TOO_EARLY, replan=True)
+        free = ReplanSession(inst)
+        free.solve()
+        expected = free.apply(_FROZEN_TOO_EARLY).report
+        assert session.instance.content_key() == free.instance.content_key()
+        assert session.report.allotment == expected.allotment
+        assert session.report.schedule.entries == expected.schedule.entries
+        assert validate_schedule(session.instance, session.report.schedule) == []
+        nxt = session.apply(_retime_ops(session.instance, [4]), replan=True)
+        assert nxt.mode == "anchored"
+        assert validate_schedule(session.instance, nxt.report.schedule) == []
+
+    def test_cli_exits_1_and_writes_no_schedule(self, tmp_path, capsys):
+        inst_path, ops_path = tmp_path / "inst.json", tmp_path / "ops.json"
+        save_instance(_chain(), inst_path)
+        ops_path.write_text(json.dumps(_FROZEN_TOO_EARLY))
+        out = tmp_path / "rs.json"
+        rc = main([
+            "evolve", str(inst_path), "--ops", str(ops_path), "--replan",
+            "--anchored", "--schedule-out", str(out),
+        ])
+        assert rc == 1
+        assert _PRECEDENCE_1_2 in capsys.readouterr().err
+        assert not out.exists()
+
+
+_OP_FAMILIES = ["layered", "erdos_renyi", "chain", "fork_join", "diamond"]
+
+
+@given(
+    family=st.sampled_from(_OP_FAMILIES),
+    n=st.sampled_from([6, 10, 20]),
+    m=st.sampled_from([2, 4]),
+    seed=st.integers(0, 10_000),
+    data=st.data(),
+)
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_anchored_replan_is_feasible_or_refused(family, n, m, seed, data):
+    """Random evolutions that complete tasks at their own old starts,
+    mixed with retimes and added tasks: the anchored replan returns a
+    validator-clean schedule or refuses the frozen starts with
+    :class:`FrozenStartConflict`; no other error escapes."""
+    inst = make_instance(family, n, m, seed=seed)
+    session = ReplanSession(inst)
+    old = session.solve().schedule
+    tasks = st.sampled_from(range(inst.n_tasks))
+    done = data.draw(st.lists(tasks, min_size=1, max_size=3, unique=True))
+    ops = [{"op": "complete", "task": j, "start": old[j].start} for j in done]
+    for j in data.draw(st.lists(tasks, max_size=2, unique=True)):
+        factor = data.draw(st.sampled_from([0.5, 1.6]))
+        ops.append(
+            {"op": "retime", "task": j, "times": _scaled_times(inst, j, factor)}
+        )
+    if data.draw(st.booleans()):
+        ops.append({
+            "op": "add_task",
+            "times": list(inst.times[data.draw(tasks)]),
+            "predecessors": data.draw(st.lists(tasks, max_size=2, unique=True)),
+            "successors": data.draw(st.lists(tasks, max_size=1, unique=True)),
+        })
+    try:
+        child, delta = evolve(inst, ops)
+    except ValueError:  # an added task closed a cycle
+        return
+    try:
+        result = session.resolve_delta(child, delta, replan=True)
+    except FrozenStartConflict as exc:
+        assert re.match(
+            r"completed task \d+ frozen at .*: capacity exceeded"
+            r"|precedence \(\d+, \d+\) violated",
+            str(exc),
+        ), exc
+        return
+    assert validate_schedule(child, result.report.schedule) == []
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ single-flight dedup, clean error codes, graceful shutdown.
 import hashlib
 import http.client
 import json
+import logging
 import random
+import re
 import socket
 import sys
 import threading
@@ -241,6 +243,124 @@ class TestErrorHandling:
                 raw += chunk
         assert b"501" in raw.partition(b"\r\n")[0]
         assert b"Transfer-Encoding" in raw
+
+
+def _exchange(sock, method, path, body=None):
+    """One request on an open keep-alive socket; returns ``(status,
+    decoded JSON payload)``.  A daemon that drops the connection
+    instead of answering raises :class:`ConnectionError`."""
+    data = b"" if body is None else json.dumps(body).encode()
+    sock.sendall(
+        f"{method} {path} HTTP/1.1\r\nContent-Length: {len(data)}\r\n\r\n"
+        .encode() + data
+    )
+    raw = b""
+    while b"\r\n\r\n" not in raw:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("the daemon dropped the connection")
+        raw += chunk
+    head, _, rest = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.lower().split(": ", 1) for line in lines[1:])
+    length = int(headers["content-length"])
+    while len(rest) < length:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("the daemon dropped the connection")
+        rest += chunk
+    return int(lines[0].split()[1]), json.loads(rest[:length])
+
+
+class TestFailedRequestsAreAnswered:
+    """A request that fails is answered on its connection, counted in
+    ``errors``, and the connection stays open for the next request."""
+
+    def _replan(self, daemon, inst, operations):
+        from repro.io import instance_to_dict
+
+        body = {
+            "instance": instance_to_dict(inst),
+            "operations": operations,
+            "anchored": True,
+        }
+        with socket.create_connection(
+            (daemon.host, daemon.port), timeout=60
+        ) as sock:
+            before = _exchange(sock, "GET", "/stats")[1]["errors"]
+            status, payload = _exchange(sock, "POST", "/replan", body)
+            after = _exchange(sock, "GET", "/stats")[1]["errors"]
+        return status, payload, after - before
+
+    def test_frozen_before_its_predecessor_is_400(self, daemon):
+        status, payload, errors = self._replan(
+            daemon,
+            make_instance("chain", 5, 4, seed=1),
+            [{"op": "complete", "task": 2, "start": 0.0}],
+        )
+        assert (status, payload["code"]) == (400, "invalid_evolution")
+        assert (
+            "precedence (1, 2) violated: task 2 starts at 0.0 before task 1"
+            in payload["error"]
+        )
+        assert errors == 1
+
+    def test_frozen_over_capacity_is_400(self, daemon):
+        status, payload, errors = self._replan(
+            daemon,
+            make_instance("erdos_renyi", 12, 4, seed=3),
+            [{"op": "complete", "task": j, "start": 0.0} for j in range(6)],
+        )
+        assert (status, payload["code"]) == (400, "invalid_evolution")
+        assert re.search(
+            r"completed task \d+ frozen at 0\.0: capacity exceeded",
+            payload["error"],
+        )
+        assert errors == 1
+
+    def test_fault_after_the_anchored_step_is_500_internal(
+        self, daemon, monkeypatch
+    ):
+        """Only refused frozen starts are the client's 400: a
+        :class:`ValueError` from the diff that follows them is the
+        daemon's fault."""
+        from repro.service import broker
+
+        def broken(*args, **kwargs):
+            raise ValueError("diff fault")
+
+        monkeypatch.setattr(broker, "diff_schedules", broken)
+        status, payload, errors = self._replan(
+            daemon,
+            make_instance("chain", 5, 4, seed=1),
+            [{"op": "complete", "task": 0, "start": 0.0}],
+        )
+        assert (status, payload["code"]) == (500, "internal")
+        assert payload["error"] == "ValueError: diff fault"
+        assert errors == 1
+
+    def test_handler_fault_is_500_internal(self, daemon, monkeypatch):
+        async def broken(self, data, deadline=None):
+            raise RuntimeError("handler fault")
+
+        monkeypatch.setattr(SolverService, "_handle_replan", broken)
+        # Listen on the service's own logger: whether ``repro`` records
+        # propagate to the root depends on ``repro.obs.log.configure``.
+        records = []
+        listener = logging.Handler(logging.ERROR)
+        listener.emit = records.append
+        logger = logging.getLogger("repro.service")
+        logger.addHandler(listener)
+        try:
+            status, payload, errors = self._replan(daemon, _inst(), [])
+        finally:
+            logger.removeHandler(listener)
+        assert (status, payload["code"]) == (500, "internal")
+        assert payload["error"] == "RuntimeError: handler fault"
+        assert errors == 1
+        (record,) = records
+        assert record.getMessage() == "POST /replan failed"
+        assert record.exc_info[0] is RuntimeError
 
 
 class TestSingleFlight:
